@@ -8,7 +8,6 @@ from .kernel import (
     PrecisionError,
     Real,
     ZeroClass,
-    classify_eval,
     classify_zero,
     const,
     log_2sin,
@@ -91,7 +90,6 @@ __all__ = [
     "ZeroClass",
     "bbw_function",
     "build_matrix",
-    "classify_eval",
     "classify_zero",
     "const",
     "construct_relation",

@@ -20,6 +20,7 @@ import mpmath
 from mpmath import mp
 
 from .kernel import Complex, Real, to_mpf, working_prec
+from .tables import tables
 
 
 def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -96,7 +97,7 @@ class UnitGroupStructure:
         return lcm(*self.orders) if self.orders else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def unit_group_structure(q: int) -> UnitGroupStructure:
     """Generator/order decomposition of (Z/qZ)*.
 
@@ -134,7 +135,7 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
     return UnitGroupStructure(q, tuple(gens), tuple(orders))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _discrete_log_table(q: int) -> Dict[int, Tuple[int, ...]]:
     """residue -> exponent tuple over the generators, for every unit mod q."""
     st = unit_group_structure(q)
@@ -146,17 +147,6 @@ def _discrete_log_table(q: int) -> Dict[int, Tuple[int, ...]]:
         table[r] = exps
     assert len(table) == st.group_order, "generators do not span the unit group"
     return table
-
-
-@lru_cache(maxsize=None)
-def _unit_roots_raw(q: int, wp: int) -> Tuple[Tuple[mpmath.mpf, mpmath.mpf], ...]:
-    """(cos, sin) of 2 pi j / q for j = 0..q-1 at working precision."""
-    out = []
-    with mp.workprec(wp):
-        for j in range(q):
-            t = mpmath.mpf(2 * j) / q
-            out.append((mpmath.cospi(t), mpmath.sinpi(t)))
-    return tuple(out)
 
 
 def unit_root(num: int, den: int, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
@@ -341,24 +331,10 @@ class PeriodicFunction:
         return abs(s) < bound
 
 
-def character_function(chi: DirichletCharacter) -> PeriodicFunction:
-    """A real-valued character as an exact periodic function (order <= 2 only)."""
-    if chi.order > 2:
-        raise ValueError("only real-valued characters convert to exact rational functions")
-    vals = []
-    for a in range(1, chi.modulus + 1):
-        t = chi.value_exponent(a)
-        if t is None:
-            vals.append(Fraction(0))
-        else:
-            vals.append(Fraction(1) if t == 0 else Fraction(-1))
-    return PeriodicFunction(chi.modulus, tuple(vals))
-
-
 def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmath.mpf, mpmath.mpf]]:
     """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), k = 1..q, as (re, im) pairs."""
     q = f.period
-    roots = _unit_roots_raw(q, wp)
+    roots = tables(q, wp).roots
     out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {}
     with mp.workprec(wp):
         vals = [f.value_mpf(a, wp) for a in range(1, q + 1)]
@@ -387,7 +363,7 @@ def fourier_transform(f: PeriodicFunction, prec: int) -> Dict[int, Complex]:
 def inverse_fourier(fhat: Dict[int, Complex], q: int, prec: int) -> Dict[int, Complex]:
     """f(n) = sum_k fhat(k) zeta_q^(kn); the inversion identity."""
     wp = working_prec(prec)
-    roots = _unit_roots_raw(q, wp)
+    roots = tables(q, wp).roots
     out: Dict[int, Complex] = {}
     with mp.workprec(wp):
         for n in range(1, q + 1):

@@ -26,7 +26,7 @@ from .intrel import (
     find_integer_relation,
     relation_lattice_rank,
 )
-from .kernel import PrecisionError, Real, decimal_digits, working_prec
+from .kernel import PrecisionError, Real, dec_str, decimal_digits, working_prec
 from .lseries import (
     NonConvergentSeriesError,
     decompose_l1,
@@ -38,14 +38,13 @@ from .scans import (
     DichotomyContradictionError,
     InconclusiveClassificationError,
     ScanStore,
+    _classify_l,
     bbw_function,
     dichotomy,
     scan,
     trig_sums_raw,
 )
 from .serialize import canonical_json
-
-import mpmath
 
 MIN_CLI_PREC = 64
 MAX_CLI_PREC = 4096
@@ -94,19 +93,14 @@ def _parse_f(text: str, q: int) -> PeriodicFunction:
     return PeriodicFunction(q, tuple(values))
 
 
-def _dec(x, prec: int) -> str:
-    if isinstance(x, Real):
-        x = x.mpf
-    return mpmath.nstr(x, decimal_digits(prec))
-
-
 def _decomposition_payload(f: PeriodicFunction, prec: int) -> dict:
     vec = decompose_l1(f, prec)
+    digits = decimal_digits(prec)
     return {
-        "pi_coeff": _dec(vec.pi_coeff, prec),
-        "log2sin_coeffs": {str(b): _dec(c, prec) for b, c in sorted(vec.log2sin_coeffs.items())},
-        "log2_coeff": _dec(vec.log2_coeff, prec),
-        "value": _dec(vec.value, prec),
+        "pi_coeff": dec_str(vec.pi_coeff, digits),
+        "log2sin_coeffs": {str(b): dec_str(c, digits) for b, c in sorted(vec.log2sin_coeffs.items())},
+        "log2_coeff": dec_str(vec.log2_coeff, digits),
+        "value": dec_str(vec.value, digits),
     }
 
 
@@ -126,11 +120,11 @@ def _cmd_lseries(args) -> Tuple[dict, int]:
     }
     if args.route == "direct":
         res = l1_direct_result(f)
-        payload["L"] = _dec(res.value, 53)
+        payload["L"] = dec_str(res.value, decimal_digits(53))
         payload["n_terms"] = res.n_terms
         payload["tail_bound"] = f"{res.tail_bound:.3e}"
     else:
-        payload["L"] = _dec(l1(f, args.route, args.prec), args.prec)
+        payload["L"] = dec_str(l1(f, args.route, args.prec), decimal_digits(args.prec))
     payload["decomposition"] = _decomposition_payload(f, args.prec)
     return payload, EXIT_OK
 
@@ -169,52 +163,46 @@ def _cmd_relations(args) -> Tuple[dict, int]:
     return payload, worst
 
 
+def _factor_records(factors, digits: int) -> List[dict]:
+    """One record per character factor S_chi of the determinant."""
+    return [
+        {
+            "exponents": list(chi.exponents),
+            "re": dec_str(val.re, digits),
+            "im": dec_str(val.im, digits),
+            "prec_bits": val.prec,
+            "class": cls.tag,
+        }
+        for chi, val, cls in factors
+    ]
+
+
 def _cmd_dedekind(args) -> Tuple[dict, int]:
     check = determinant_check(args.p, args.prec)
-    s_values = []
-    code = EXIT_OK
-    for chi, val, cls in check.s_chi_values:
-        s_values.append(
-            {
-                "exponents": list(chi.exponents),
-                "re": _dec(val.re, args.prec),
-                "im": _dec(val.im, args.prec),
-                "prec_bits": val.prec,
-                "class": cls.tag,
-            }
-        )
-        if cls.is_indeterminate:
-            code = EXIT_INCONCLUSIVE
+    digits = decimal_digits(args.prec)
+    inconclusive = any(cls.is_indeterminate for _, _, cls in check.s_chi_values)
     payload = {
         "command": "dedekind",
         "p": args.p,
         "prec_bits": args.prec,
-        "det_direct": _dec(check.det_direct, args.prec),
-        "det_product": _dec(check.det_product, args.prec),
+        "det_direct": dec_str(check.det_direct, digits),
+        "det_product": dec_str(check.det_product, digits),
         "agree": check.agree,
-        "s_chi": s_values,
+        "s_chi": _factor_records(check.s_chi_values, digits),
     }
-    return payload, code
+    return payload, EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 def _cmd_certificate(args) -> Tuple[dict, int]:
     cert = independence_certificate(args.p, args.prec)
+    digits = decimal_digits(args.prec)
     payload = {
         "command": "certificate",
         "p": args.p,
         "prec_bits": args.prec,
-        "factors": [
-            {
-                "exponents": list(chi.exponents),
-                "re": _dec(val.re, args.prec),
-                "im": _dec(val.im, args.prec),
-                "prec_bits": val.prec,
-                "class": cls.tag,
-            }
-            for chi, val, cls in cert.factors
-        ],
-        "det_direct": _dec(cert.det_direct, args.prec),
-        "det_product": _dec(cert.det_product, args.prec),
+        "factors": _factor_records(cert.factors, digits),
+        "det_direct": dec_str(cert.det_direct, digits),
+        "det_product": dec_str(cert.det_product, digits),
         "det_agree": cert.det_agree,
         "all_factors_nonzero": cert.all_factors_nonzero,
         "rational_dependence_excluded": cert.rational_dependence_excluded,
@@ -242,40 +230,37 @@ def _cmd_scan(args) -> Tuple[dict, int]:
 def _cmd_classify(args) -> Tuple[dict, int]:
     f = _parse_f(args.f, args.p)
     verdict = dichotomy(f, args.prec)
+    digits = decimal_digits(args.prec)
     payload = {
         "command": "classify",
         "p": args.p,
         "f": [str(v) for v in f.values],
         "prec_bits": args.prec,
         "branch": verdict.branch,
-        "L": _dec(verdict.l_value, args.prec),
+        "L": dec_str(verdict.l_value, digits),
         "l_class": verdict.l_class.tag,
-        "cot_sum": _dec(verdict.cot_sum, args.prec),
-        "cos_sums": {str(b): _dec(v, args.prec) for b, v in sorted(verdict.cos_sums.items())},
+        "cot_sum": dec_str(verdict.cot_sum, digits),
+        "cos_sums": {str(b): dec_str(v, digits) for b, v in sorted(verdict.cos_sums.items())},
         "trig_classes": {k: c.tag for k, c in sorted(verdict.trig_classes.items())},
     }
     return payload, EXIT_OK
 
 
 def _cmd_bbw(args) -> Tuple[dict, int]:
-    from .kernel import classify_zero
-    from .lseries import l1_digamma_raw
-
     f = bbw_function(args.q, args.l, args.prec)
-    wp = working_prec(args.prec)
-    value = l1_digamma_raw(f, wp)
-    cls = classify_zero(Real(value, wp), args.prec, recompute=lambda w: l1_digamma_raw(f, w))
-    cot, cos_sums = trig_sums_raw(f, wp)
+    value, cls = _classify_l(f, args.prec)
+    cot, cos_sums = trig_sums_raw(f, working_prec(args.prec))
+    digits = decimal_digits(args.prec)
     payload = {
         "command": "bbw",
         "q": args.q,
         "l": args.l,
         "prec_bits": args.prec,
-        "values": [_dec(v, args.prec) for v in f.values],
-        "L": _dec(value, args.prec),
+        "values": [dec_str(v, digits) for v in f.values],
+        "L": dec_str(value, digits),
         "l_class": cls.tag,
-        "cot_sum": _dec(cot, args.prec),
-        "cos_sums": {str(b): _dec(v, args.prec) for b, v in sorted(cos_sums.items())},
+        "cot_sum": dec_str(cot, digits),
+        "cos_sums": {str(b): dec_str(v, digits) for b, v in sorted(cos_sums.items())},
     }
     return payload, EXIT_INCONCLUSIVE if cls.is_indeterminate else EXIT_OK
 
@@ -287,7 +272,7 @@ def _search_payload(result: RelationSearchResult, basis: LogBasis) -> dict:
     return {
         "verdict": result.verdict,
         "found": found,
-        "residual": _dec(result.residual, result.prec),
+        "residual": dec_str(result.residual, decimal_digits(result.prec)),
         "coeff_bound": result.coeff_bound,
         "prec_bits": result.prec,
     }
@@ -454,10 +439,22 @@ def _emit(payload: dict, mode: str) -> None:
         print(canonical_json(payload))
 
 
+def _join_f_values(argv: List[str]) -> List[str]:
+    """Rewrite ``--f VALUES`` as ``--f=VALUES``: argparse would read a value
+    that starts with a minus sign, such as -1,1,0, as an unknown option."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] == "--f":
+            out[-1] = f"--f={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_f_values(sys.argv[1:] if argv is None else argv))
         if getattr(args, "prec", None) is None:
             args.prec = _default_prec()
         _check_cli_prec(args.prec)

@@ -16,21 +16,20 @@ admit no rational linear relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
 import mpmath
 from mpmath import mp
 
-from .characters import DirichletCharacter, enumerate_characters, is_prime, unit_root
+from .characters import DirichletCharacter, enumerate_characters, is_prime
 from .kernel import (
     Complex,
     Real,
     ZeroClass,
     classify_zero,
-    log_2sin_raw,
     working_prec,
 )
+from .tables import tables
 
 DEFAULT_MAX_PRIME = 101
 _PIVOT_GROWTH_BITS = 32
@@ -41,26 +40,15 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime, got {p}")
 
 
-def _fold(x: int, p: int) -> int:
-    x %= p
-    return min(x, p - x)
-
-
-@lru_cache(maxsize=None)
-def _log_sine_table(p: int, wp: int) -> Tuple[mpmath.mpf, ...]:
-    """f(k) = log(2 sin(k pi / p)) for k = 1..(p-1)/2."""
-    return tuple(log_2sin_raw(k, p, wp) for k in range(1, (p - 1) // 2 + 1))
-
-
 def _matrix_raw(p: int, wp: int) -> List[List[mpmath.mpf]]:
     r = (p - 1) // 2
-    table = _log_sine_table(p, wp)
+    tab = tables(p, wp)
     rows = []
     for a in range(1, r + 1):
         row = []
         for c in range(1, r + 1):
             cinv = pow(c, -1, p)
-            row.append(table[_fold(a * cinv, p) - 1])
+            row.append(tab.log_sine(a * cinv))
         rows.append(row)
     return rows
 
@@ -88,14 +76,16 @@ def build_matrix(p: int, prec: int = 128) -> DedekindMatrix:
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
     """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision."""
     p = chi.modulus
-    table = _log_sine_table(p, wp)
+    table = tables(p, wp).log_sines
+    # chi's values are (p-1)-th roots of unity
+    roots = tables(p - 1, wp).roots
     with mp.workprec(wp):
         re = mpmath.mpf(0)
         im = mpmath.mpf(0)
         for a in range(1, (p - 1) // 2 + 1):
             t = chi.value_exponent(a)
             assert t is not None  # 1 <= a < p and p prime
-            c, s = unit_root(t.numerator, t.denominator, wp)
+            c, s = roots[int(t * (p - 1))]
             re += c * table[a - 1]
             im += s * table[a - 1]
         return re, im
@@ -157,7 +147,8 @@ def det_direct_raw(p: int, wp: int) -> mpmath.mpf:
     while True:
         try:
             return _lu_det(_matrix_raw(p, wp), wp)
-        except _PivotGrowth:  # pragma: no cover - r <= 6 never triggers this
+        # r reaches 50 at DEFAULT_MAX_PRIME = 101; growth stays under 3 bits for p <= 101
+        except _PivotGrowth:  # pragma: no cover
             wp *= 2
 
 

@@ -203,11 +203,6 @@ class Complex:
     def prec(self) -> int:
         return self.re.prec
 
-    @classmethod
-    def from_mpc(cls, z, prec: int) -> "Complex":
-        with mp.workprec(prec):
-            return cls(Real(+z.real, prec), Real(+z.imag, prec))
-
     def to_mpc(self) -> mpmath.mpc:
         with mp.workprec(self.prec):
             return mpmath.mpc(self.re.mpf, self.im.mpf)
@@ -371,19 +366,6 @@ def classify_zero(
                 return ZeroClass(NONZERO, residual)
             return ZeroClass(INDETERMINATE, residual)
     return ZeroClass(INDETERMINATE, residual)
-
-
-def classify_eval(
-    eval_fn: Callable[[int], Scalar],
-    target: int,
-) -> ZeroClass:
-    """Evaluate ``eval_fn(working_bits)`` at target+64 bits and classify it.
-
-    The callback doubles as the recomputation witness for NonZero verdicts.
-    """
-    wp = working_prec(target)
-    x = Real(to_mpf(eval_fn(wp), wp), wp)
-    return classify_zero(x, target, recompute=eval_fn)
 
 
 # ---------------------------------------------------------------------------

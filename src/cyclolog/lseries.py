@@ -33,13 +33,12 @@ from mpmath import mp
 from .characters import (
     DirichletCharacter,
     PeriodicFunction,
-    _unit_roots_raw,
     fourier_transform_raw,
     gauss_sum_raw,
     is_prime,
-    unit_root,
 )
-from .kernel import Real, const_raw, log_2sin_raw, to_mpf, working_prec
+from .kernel import Real, const_raw, to_mpf, working_prec
+from .tables import tables
 
 ROUTES = ("digamma", "fourier", "direct")
 DEFAULT_DIRECT_TERMS = 10**7
@@ -123,15 +122,14 @@ def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
     """psi(a/q) for 1 <= a < q assembled from Gauss's digamma theorem."""
     if not 1 <= a < q:
         raise ValueError(f"need 1 <= a < q, got a={a}, q={q}")
-    roots = _unit_roots_raw(q, wp)
+    tab = tables(q, wp)
     with mp.workprec(wp):
         total = -const_raw("euler_gamma", wp) - mpmath.log(q)
-        t = mpmath.mpf(a) / q
-        total -= const_raw("pi", wp) / 2 * (mpmath.cospi(t) / mpmath.sinpi(t))
+        total -= const_raw("pi", wp) / 2 * tab.cot[a - 1]
         r = (q - 1) // 2
         for b in range(1, r + 1):
             # log(4 sin^2(pi b / q)) = 2 log(2 sin(pi b / q))
-            total += roots[(a * b) % q][0] * 2 * log_2sin_raw(b, q, wp)
+            total += tab.roots[(a * b) % q][0] * 2 * tab.log_sines[b - 1]
         if q % 2 == 0:
             parity = const_raw("log2", wp)
             total += parity if a % 2 == 0 else -parity
@@ -190,22 +188,13 @@ def digamma_series(x, prec: int) -> Real:
         return Real(+v, prec)
 
 
-@lru_cache(maxsize=None)
-def _psi_table(q: int, wp: int) -> Tuple[mpmath.mpf, ...]:
-    """psi(a/q) for a = 1..q, with psi(1) = -gamma in the last slot."""
-    vals = [digamma_raw(a, q, wp) for a in range(1, q)]
-    with mp.workprec(wp):
-        vals.append(-const_raw("euler_gamma", wp))
-    return tuple(vals)
-
-
 # ---------------------------------------------------------------------------
 # the three routes to L(1, f)
 # ---------------------------------------------------------------------------
 
 def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
     q = f.period
-    psi = _psi_table(q, wp)
+    psi = tables(q, wp).psi
     with mp.workprec(wp):
         terms = [
             f.value_mpf(a, wp) * psi[a - 1]
@@ -223,12 +212,13 @@ def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
     """
     q = f.period
     fhat = fourier_transform_raw(f, wp)
+    tab = tables(q, wp)
     with mp.workprec(wp):
         pi = const_raw("pi", wp)
         re = mpmath.mpf(0)
         im = mpmath.mpf(0)
         for k in range(1, q):
-            lg = log_2sin_raw(k, q, wp)
+            lg = tab.log_sine(k)
             arg = pi * mpmath.mpf(2 * k - q) / (2 * q)
             hr, hi = fhat[k]
             re -= hr * lg - hi * arg
@@ -236,7 +226,7 @@ def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
         return re, im
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _residue_harmonic_table(q: int, periods: int) -> np.ndarray:
     """H[a-1] = sum_{m=0}^{periods-1} 1/(a + m q), float64."""
     return np.array(
@@ -305,6 +295,9 @@ def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
     p = chi.modulus
     tre, tim = gauss_sum_raw(chi, wp)
     chibar = chi.conjugate()
+    tab = tables(p, wp)
+    # chi's values are (p-1)-th roots of unity
+    roots = tables(p - 1, wp).roots
     with mp.workprec(wp):
         sre = mpmath.mpf(0)
         sim = mpmath.mpf(0)
@@ -312,8 +305,8 @@ def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
             t = chibar.value_exponent(k)
             if t is None:
                 continue
-            c, s = unit_root(t.numerator, t.denominator, wp)
-            lg = log_2sin_raw(k, p, wp)
+            c, s = roots[int(t * (p - 1))]
+            lg = tab.log_sine(k)
             sre += c * lg
             sim += s * lg
         re = -(tre * sre - tim * sim) / p
@@ -357,6 +350,22 @@ class DecompositionVector:
     value: Real
 
 
+def trig_sums_raw(
+    f: PeriodicFunction, wp: int
+) -> Tuple[mpmath.mpf, Dict[int, mpmath.mpf]]:
+    """(sum_a f(a) cot(a pi/q), {b: sum_a f(a) cos(2 pi a b/q)}) for b <= (q-1)/2."""
+    q = f.period
+    tab = tables(q, wp)
+    with mp.workprec(wp):
+        vals = [f.value_mpf(a, wp) for a in range(1, q)]
+        cot = mpmath.fsum(vals[a - 1] * tab.cot[a - 1] for a in range(1, q))
+        cos_sums = {
+            b: mpmath.fsum(vals[a - 1] * tab.roots[(a * b) % q][0] for a in range(1, q))
+            for b in range(1, (q - 1) // 2 + 1)
+        }
+    return cot, cos_sums
+
+
 def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:
     """Coefficients of L(1,f) over {log(2 sin b pi/q)} + {pi} (+ {log 2}).
 
@@ -367,21 +376,15 @@ def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:
     _require_convergent(f)
     q = f.period
     wp = working_prec(prec)
-    r = (q - 1) // 2
-    roots = _unit_roots_raw(q, wp)
+    cot_sum, cos_sums = trig_sums_raw(f, wp)
+    logs = tables(q, wp).log_sines
     with mp.workprec(wp):
-        vals = [f.value_mpf(a, wp) for a in range(1, q)]
-        cot_sum = mpmath.fsum(
-            vals[a - 1] * (mpmath.cospi(mpmath.mpf(a) / q) / mpmath.sinpi(mpmath.mpf(a) / q))
-            for a in range(1, q)
-        )
         pi_coeff = cot_sum / (2 * q)
-        coeffs = {}
-        for b in range(1, r + 1):
-            cos_sum = mpmath.fsum(vals[a - 1] * roots[(a * b) % q][0] for a in range(1, q))
-            coeffs[b] = -2 * cos_sum / q
+        coeffs = {b: -2 * cos_sum / q for b, cos_sum in cos_sums.items()}
         if q % 2 == 0:
-            alt = mpmath.fsum(vals[a - 1] if a % 2 == 0 else -vals[a - 1] for a in range(1, q))
+            alt = mpmath.fsum(
+                f.value_mpf(a, wp) if a % 2 == 0 else -f.value_mpf(a, wp) for a in range(1, q)
+            )
             log2_coeff = -alt / q
         else:
             log2_coeff = mpmath.mpf(0)
@@ -394,7 +397,7 @@ def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:
                 log2_coeff -= fq / q
         value = pi_coeff * const_raw("pi", wp)
         for b, c in coeffs.items():
-            value += c * log_2sin_raw(b, q, wp)
+            value += c * logs[b - 1]
         if q % 2 == 0:
             value += log2_coeff * const_raw("log2", wp)
     with mp.workprec(prec):

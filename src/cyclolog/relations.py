@@ -30,10 +30,10 @@ from .kernel import (
     ZeroClass,
     classify_zero,
     const_raw,
-    log_2sin_raw,
     to_mpf,
     working_prec,
 )
+from .tables import tables
 
 PI_SLOT = "PI"
 LOG2_SLOT = "LOG2"
@@ -61,6 +61,7 @@ class LogBasis:
         return self.slots.index(slot)
 
     def values_raw(self, wp: int) -> Tuple[mpmath.mpf, ...]:
+        logs = tables(self.modulus, wp).log_sines
         out = []
         for s in self.slots:
             if s == PI_SLOT:
@@ -68,7 +69,7 @@ class LogBasis:
             elif s == LOG2_SLOT:
                 out.append(const_raw("log2", wp))
             else:
-                out.append(log_2sin_raw(s, self.modulus, wp))
+                out.append(logs[s - 1])
         return tuple(out)
 
     def values(self, prec: int) -> Tuple[Real, ...]:

@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from .characters import PeriodicFunction, _unit_roots_raw, is_prime
+from .characters import PeriodicFunction, is_prime
 from .kernel import (
     Real,
     ZeroClass,
@@ -42,7 +42,7 @@ from .kernel import (
     decimal_digits,
     working_prec,
 )
-from .lseries import NonConvergentSeriesError, l1_digamma_raw
+from .lseries import NonConvergentSeriesError, l1_digamma_raw, trig_sums_raw
 from .serialize import canonical_json
 
 
@@ -96,25 +96,6 @@ def enumerate_sign_functions(q: int) -> Iterator[PeriodicFunction]:
 # ---------------------------------------------------------------------------
 # trig sums and the nonzero-or-trivial dichotomy
 # ---------------------------------------------------------------------------
-
-def trig_sums_raw(
-    f: PeriodicFunction, wp: int
-) -> Tuple[mpmath.mpf, Dict[int, mpmath.mpf]]:
-    """(sum_a f(a) cot(a pi/q), {b: sum_a f(a) cos(2 pi a b/q)}) for b <= (q-1)/2."""
-    q = f.period
-    roots = _unit_roots_raw(q, wp)
-    with mp.workprec(wp):
-        vals = [f.value_mpf(a, wp) for a in range(1, q)]
-        cot = mpmath.fsum(
-            vals[a - 1] * (mpmath.cospi(mpmath.mpf(a) / q) / mpmath.sinpi(mpmath.mpf(a) / q))
-            for a in range(1, q)
-        )
-        cos_sums = {
-            b: mpmath.fsum(vals[a - 1] * roots[(a * b) % q][0] for a in range(1, q))
-            for b in range(1, (q - 1) // 2 + 1)
-        }
-    return cot, cos_sums
-
 
 def _classify_l(f: PeriodicFunction, prec: int) -> Tuple[mpmath.mpf, ZeroClass]:
     wp = working_prec(prec)

@@ -8,13 +8,7 @@ payload is byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
-
-
-def fraction_str(fr: Fraction) -> str:
-    """Exact rational rendering: "2", "-1/3"."""
-    return str(Fraction(fr))

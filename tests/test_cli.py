@@ -51,6 +51,21 @@ def test_lseries_wrong_arity_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lseries", "--q", "3", "--f", "-1,1,0"),
+        ("decompose", "--q", "4", "--f", "-1,0,1,0"),
+        ("classify", "--p", "5", "--f", "-1,1,1,-1,0"),
+    ],
+)
+def test_f_values_with_leading_minus_parse_in_both_spellings(capsys, argv):
+    spaced = run_cli(capsys, *argv)
+    joined = run_cli(capsys, *argv[:-2], f"--f={argv[-1]}")
+    assert spaced[0] == joined[0] == 0, spaced[2]
+    assert spaced[1] == joined[1]
+
+
 def test_lseries_fourier_route_matches_digamma(capsys):
     _, p1 = run_json(capsys, "lseries", "--q", "5", "--f", "1,-1,-1,1,0")
     _, p2 = run_json(capsys, "lseries", "--q", "5", "--f", "1,-1,-1,1,0", "--route", "fourier")

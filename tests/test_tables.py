@@ -1,0 +1,143 @@
+"""The shared (q, wp) tables: every field equals the direct evaluation it
+replaced bit for bit, the cache stays bounded, a doubled-precision
+recompute gets its own entry, and CLI stdout is pinned by SHA-256."""
+
+import hashlib
+from fractions import Fraction
+
+import mpmath
+import pytest
+from mpmath import mp
+
+from cyclolog.characters import enumerate_characters, unit_root
+from cyclolog.cli import main
+from cyclolog.dedekind import classify_s_chi
+from cyclolog.kernel import const_raw, log_2sin_raw, working_prec
+from cyclolog.lseries import digamma_raw
+from cyclolog.scans import _classify_l, sign_function
+from cyclolog.tables import Tables, tables
+
+MODULI = (2, 3, 4, 7, 12, 15, 30)
+PRECISIONS = (96, 192, 320)
+
+
+@pytest.mark.parametrize("wp", PRECISIONS)
+@pytest.mark.parametrize("q", MODULI)
+def test_log_sines_equal_log_2sin_raw(q, wp):
+    tab = Tables(q, wp)
+    assert tab.log_sines == tuple(log_2sin_raw(k, q, wp) for k in range(1, q // 2 + 1))
+    for k in (*range(1, q), -1, q + 1, 3 * q - 2):
+        if k % q:
+            assert tab.log_sine(k) == log_2sin_raw(k, q, wp)
+
+
+def test_log_sine_rejects_multiples_of_q():
+    with pytest.raises(ValueError):
+        Tables(6, 96).log_sine(12)
+
+
+@pytest.mark.parametrize("wp", PRECISIONS)
+@pytest.mark.parametrize("q", MODULI)
+def test_roots_and_cot_equal_cospi_sinpi(q, wp):
+    tab = Tables(q, wp)
+    with mp.workprec(wp):
+        roots = tuple(
+            (mpmath.cospi(mpmath.mpf(2 * j) / q), mpmath.sinpi(mpmath.mpf(2 * j) / q))
+            for j in range(q)
+        )
+        cot = tuple(
+            mpmath.cospi(mpmath.mpf(a) / q) / mpmath.sinpi(mpmath.mpf(a) / q)
+            for a in range(1, q)
+        )
+    assert tab.roots == roots
+    assert tab.cot == cot
+
+
+@pytest.mark.parametrize("wp", PRECISIONS)
+@pytest.mark.parametrize("n", (1, 2, 4, 6, 12, 52, 100))
+def test_roots_equal_unit_root_at_every_reduced_exponent(n, wp):
+    # S_chi and L(1, chi) read chi's values as roots[t * (p - 1)]
+    roots = Tables(n, wp).roots
+    for j in range(n):
+        t = Fraction(j, n)
+        assert roots[j] == unit_root(t.numerator, t.denominator, wp)
+
+
+def _digamma_reference(a, q, wp):
+    """psi(a/q) assembled term by term from direct evaluations (Gauss's theorem)."""
+    with mp.workprec(wp):
+        total = -const_raw("euler_gamma", wp) - mpmath.log(q)
+        t = mpmath.mpf(a) / q
+        total -= const_raw("pi", wp) / 2 * (mpmath.cospi(t) / mpmath.sinpi(t))
+        for b in range(1, (q - 1) // 2 + 1):
+            c = mpmath.cospi(mpmath.mpf(2 * ((a * b) % q)) / q)
+            total += c * 2 * log_2sin_raw(b, q, wp)
+        if q % 2 == 0:
+            parity = const_raw("log2", wp)
+            total += parity if a % 2 == 0 else -parity
+    return total
+
+
+@pytest.mark.parametrize("wp", PRECISIONS)
+@pytest.mark.parametrize("q", MODULI)
+def test_psi_equals_the_per_a_assembly(q, wp):
+    psi = Tables(q, wp).psi
+    for a in range(1, q):
+        expected = _digamma_reference(a, q, wp)
+        assert psi[a - 1] == expected
+        assert digamma_raw(a, q, wp) == expected
+    with mp.workprec(wp):
+        assert psi[q - 1] == -const_raw("euler_gamma", wp)
+
+
+def test_cache_stays_within_its_bound():
+    tables.cache_clear()
+    bound = tables.cache_info().maxsize
+    assert bound is not None
+    chi = enumerate_characters(11, even_only=True)[1]
+    for prec in range(64, 64 + 8 * 2 * bound, 8):
+        assert classify_s_chi(chi, prec).is_nonzero
+        assert tables.cache_info().currsize <= bound
+    assert tables.cache_info().currsize == bound
+
+
+def test_doubled_precision_recompute_reads_its_own_entry():
+    tables.cache_clear()
+    q, prec = 7, 128
+    wp = working_prec(prec)
+    f = sign_function(q, (1, 1, 1, -1, -1, -1))
+    _, cls = _classify_l(f, prec)
+    assert cls.is_nonzero  # so the recompute witness ran
+    misses = tables.cache_info().misses
+    first, witness = tables(q, wp), tables(q, 2 * wp)
+    assert tables.cache_info().misses == misses  # both entries were already there
+    assert first is not witness
+    assert witness.wp == 2 * wp
+    assert "psi" in vars(witness)  # the witness's psi values came from its own entry
+    assert first.psi != witness.psi
+
+
+GOLDEN_F120 = ",".join(str((a % 5) - 2 + (a % 3) - 1) for a in range(1, 121))
+
+# SHA-256 of stdout, recorded before the routes shared one tables layer
+GOLDEN = [
+    ("scan-q11", ["scan", "--q", "11", "--per-function", "--threads", "1", "--store", ""],
+     "decb488728b52558b9ced5e1298c4ba92143ba6568c5e4bba81207e13355e42c"),
+    ("lseries-q120-digamma", ["lseries", "--q", "120", f"--f={GOLDEN_F120}"],
+     "7a629bbc65971a2246181a9777babc0a23f85bcb619209300ce941fd3948ce46"),
+    ("lseries-q120-fourier", ["lseries", "--q", "120", f"--f={GOLDEN_F120}", "--route", "fourier"],
+     "0392d492a9c16be25e7a11dc97ba818b2d031482b64a1563d66b9041cbddebe0"),
+    ("certificate-p53", ["certificate", "--p", "53"],
+     "e3184ed7f6c63c9684d16222ff3ba7d440298a937249fff84a24771c9570e8c2"),
+    ("relations-q30", ["relations", "--q", "30"],
+     "02b541b3753ac11fa6c709c6fc96737e360c90e9e6b4f390b8af72ba03334384"),
+    ("bbw-q9-l5", ["bbw", "--q", "9", "--l", "5"],
+     "0e631f74effbf99f4a7dd2c45d34916a98f8d83cbc0777359185e3bf1a07f9f2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_golden_stdout(argv, digest, capsys, monkeypatch):
+    monkeypatch.delenv("CYCLOLOG_PREC", raising=False)
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
