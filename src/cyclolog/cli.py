@@ -2,9 +2,10 @@
 
 Every numeric field in JSON output is a decimal string accompanied by a
 "prec_bits" field; outputs round-trip byte-identically through a JSON
-parser.  Exit codes: 0 success, 1 argument/validation error, 2 divergent
-series, 3 inconclusive (an Indeterminate classification), 4 invariant
-violation (dichotomy contradiction, nonzero pi coefficient).
+parser.  Exit codes: 0 success, 1 argument/validation error or an
+unreadable scan-store line, 2 divergent series, 3 inconclusive (an
+Indeterminate classification), 4 invariant violation (dichotomy
+contradiction, nonzero pi coefficient, scan-store record disagreement).
 
 CYCLOLOG_PREC overrides the default 128-bit precision.
 """
@@ -26,18 +27,19 @@ from .intrel import (
     find_integer_relation,
     relation_lattice_rank,
 )
-from .kernel import PrecisionError, Real, dec_str, decimal_digits, working_prec
+from .kernel import INDETERMINATE, PrecisionError, Real, dec_str, decimal_digits, working_prec
 from .lseries import (
     NonConvergentSeriesError,
     decompose_l1,
     l1,
     l1_direct_result,
 )
-from .relations import LogBasis, enumerate_relations, relation_record, verify_relation
+from .relations import LogBasis, enumerate_relations, relation_record
 from .scans import (
     DichotomyContradictionError,
     InconclusiveClassificationError,
     ScanStore,
+    ScanStoreDisagreement,
     _classify_l,
     bbw_function,
     dichotomy,
@@ -143,15 +145,8 @@ def _cmd_decompose(args) -> Tuple[dict, int]:
 
 def _cmd_relations(args) -> Tuple[dict, int]:
     rels, rank = enumerate_relations(args.q, args.prec)
-    records = []
-    worst = EXIT_OK
-    for rel in rels:
-        cls = verify_relation(rel, args.prec)
-        rec = relation_record(rel, args.prec)
-        rec["class"] = cls.tag
-        records.append(rec)
-        if cls.is_indeterminate:
-            worst = EXIT_INCONCLUSIVE
+    records = [relation_record(rel, args.prec) for rel in rels]
+    inconclusive = any(rec["class"] == INDETERMINATE for rec in records)
     payload = {
         "command": "relations",
         "q": args.q,
@@ -160,7 +155,7 @@ def _cmd_relations(args) -> Tuple[dict, int]:
         "rank": rank,
         "relations": records,
     }
-    return payload, worst
+    return payload, EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 def _factor_records(factors, digits: int) -> List[dict]:
@@ -453,30 +448,24 @@ def _join_f_values(argv: List[str]) -> List[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
+    mode = "json"
     try:
         args = parser.parse_args(_join_f_values(sys.argv[1:] if argv is None else argv))
-        if getattr(args, "prec", None) is None:
+        mode = args.output
+        if args.prec is None:
             args.prec = _default_prec()
         _check_cli_prec(args.prec)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    mode = getattr(args, "output", "json")
-    try:
         payload, code = args.handler(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NonConvergentSeriesError as exc:
         _emit({"error": str(exc)}, mode)
         return EXIT_DIVERGENT
     except InconclusiveClassificationError as exc:
         _emit({"error": str(exc)}, mode)
         return EXIT_INCONCLUSIVE
-    except (DichotomyContradictionError, PiCoefficientViolation) as exc:
+    except (DichotomyContradictionError, PiCoefficientViolation, ScanStoreDisagreement) as exc:
         _emit({"error": str(exc)}, mode)
         return EXIT_VIOLATION
-    except (ValueError, PrecisionError) as exc:
+    except (CliUsageError, PrecisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(payload, mode)

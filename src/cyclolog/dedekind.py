@@ -33,6 +33,7 @@ from .tables import tables
 
 DEFAULT_MAX_PRIME = 101
 _PIVOT_GROWTH_BITS = 32
+Pair = Tuple[mpmath.mpf, mpmath.mpf]  # (re, im) at working precision
 
 
 def _require_odd_prime(p: int) -> None:
@@ -73,7 +74,7 @@ def build_matrix(p: int, prec: int = 128) -> DedekindMatrix:
     return DedekindMatrix(p, (p - 1) // 2, rows)
 
 
-def s_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
+def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
     """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision."""
     p = chi.modulus
     table = tables(p, wp).log_sines
@@ -91,25 +92,35 @@ def s_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]
         return re, im
 
 
+def _rounded(raw: Pair, prec: int) -> Complex:
+    with mp.workprec(prec):
+        return Complex(*(Real(+x, prec) for x in raw))
+
+
+def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:
+    with mp.workprec(wp):
+        return mpmath.hypot(*raw)
+
+
+def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
+    """Classify |S_chi| from its (re, im) at working precision; the witness
+    is one evaluation at doubled precision."""
+    wp = working_prec(prec)
+    return classify_zero(
+        Real(_magnitude(raw, wp), wp), prec, recompute=lambda w: _magnitude(s_chi_raw(chi, w), w)
+    )
+
+
 def s_chi(chi: DirichletCharacter, prec: int = 128) -> Complex:
     """The character factor S_chi of the determinant; chi must be even."""
     _require_odd_prime(chi.modulus)
     if not chi.is_even:
         raise ValueError("odd characters are not characters of G = (Z/pZ)*/{+-1}")
-    re, im = s_chi_raw(chi, working_prec(prec))
-    with mp.workprec(prec):
-        return Complex(Real(+re, prec), Real(+im, prec))
+    return _rounded(s_chi_raw(chi, working_prec(prec)), prec)
 
 
 def classify_s_chi(chi: DirichletCharacter, prec: int = 128) -> ZeroClass:
-    wp = working_prec(prec)
-
-    def magnitude(wbits: int) -> mpmath.mpf:
-        re, im = s_chi_raw(chi, wbits)
-        with mp.workprec(wbits):
-            return mpmath.hypot(re, im)
-
-    return classify_zero(Real(magnitude(wp), wp), prec, recompute=magnitude)
+    return _classified(chi, s_chi_raw(chi, working_prec(prec)), prec)
 
 
 def _lu_det(rows: List[List[mpmath.mpf]], wp: int) -> mpmath.mpf:
@@ -152,17 +163,6 @@ def det_direct_raw(p: int, wp: int) -> mpmath.mpf:
             wp *= 2
 
 
-def det_product_raw(p: int, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """prod over even chi of S_chi, as (re, im)."""
-    with mp.workprec(wp):
-        re = mpmath.mpf(1)
-        im = mpmath.mpf(0)
-        for chi in enumerate_characters(p, even_only=True):
-            sre, sim = s_chi_raw(chi, wp)
-            re, im = re * sre - im * sim, re * sim + im * sre
-        return re, im
-
-
 @dataclass(frozen=True)
 class DeterminantCheck:
     prime: int
@@ -173,20 +173,24 @@ class DeterminantCheck:
     s_chi_values: Tuple[Tuple[DirichletCharacter, Complex, ZeroClass], ...]
 
 
-def determinant_check(p: int, prec: int = 128, max_prime: int = DEFAULT_MAX_PRIME) -> DeterminantCheck:
+def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
     """Both determinant routes plus every character factor, cross-checked.
 
+    Each S_chi is evaluated once at working precision and feeds all three.
     ``agree`` demands relative difference below 2^(-prec/2).
     """
     _require_odd_prime(p)
-    if p > max_prime:
-        raise ValueError(f"p = {p} exceeds the configured bound {max_prime}")
+    if p > DEFAULT_MAX_PRIME:
+        raise ValueError(f"p = {p} exceeds the configured bound {DEFAULT_MAX_PRIME}")
     wp = working_prec(prec)
     direct = det_direct_raw(p, wp)
-    pre, pim = det_product_raw(p, wp)
+    pre, pim = mpmath.mpf(1), mpmath.mpf(0)
     entries = []
     for chi in enumerate_characters(p, even_only=True):
-        entries.append((chi, s_chi(chi, prec), classify_s_chi(chi, prec)))
+        sre, sim = raw = s_chi_raw(chi, wp)
+        with mp.workprec(wp):
+            pre, pim = pre * sre - pim * sim, pre * sim + pim * sre
+        entries.append((chi, _rounded(raw, prec), _classified(chi, raw, prec)))
     with mp.workprec(wp):
         if abs(pim) > mpmath.mpf(2) ** (-(prec // 2)) * (1 + abs(pre)):
             raise ArithmeticError("character-factor product is not real")

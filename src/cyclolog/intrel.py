@@ -134,14 +134,13 @@ def find_integer_relation(
     prec: int,
     value_provider: Optional[ValueProvider] = None,
     basis: Optional[LogBasis] = None,
-    delta: Fraction = DEFAULT_DELTA,
-    scale_shift: int = SCALE_SHIFT,
 ) -> RelationSearchResult:
     """Search for a nonzero integer vector c with sum c_i values_i = 0.
 
-    Found requires the residual to classify Zero at the target precision
-    and, when a value provider is available, to survive re-verification
-    with all values recomputed at doubled working precision.
+    ``values`` must carry working precision.  Found requires the residual
+    to classify Zero at the target precision and, when a value provider
+    is available, to survive re-verification with all values recomputed
+    once at doubled working precision.
     """
     n = len(values)
     if n < 2:
@@ -156,28 +155,24 @@ def find_integer_relation(
             "raise prec so that bound^2 * 2^-prec <= 2^-32"
         )
     wp = working_prec(prec)
-    if value_provider is not None:
-        xs = list(value_provider(wp))
-    else:
-        for v in values:
-            if isinstance(v, Real) and v.prec < wp:
-                raise PrecisionError(
-                    f"value carries {v.prec} bits but the search needs {wp}; "
-                    "pass a value_provider or higher-precision values"
-                )
-        xs = [to_mpf(v, wp) for v in values]
+    for v in values:
+        if isinstance(v, Real) and v.prec < wp:
+            raise PrecisionError(
+                f"value carries {v.prec} bits but the search needs {wp}; "
+                "pass higher-precision values"
+            )
+    xs = [to_mpf(v, wp) for v in values]
 
-    scale_exp = prec - scale_shift
+    scale_exp = prec - SCALE_SHIFT
     with mp.workprec(wp):
         scaled = [int(mpmath.nint(mpmath.ldexp(x, scale_exp))) for x in xs]
     rows = [
         [1 if j == i else 0 for j in range(n)] + [scaled[i]]
         for i in range(n)
     ]
-    reduced = lll_reduce(rows, delta)
+    reduced = lll_reduce(rows)
 
-    def residual_raw(cand: Sequence[int], wbits: int) -> mpmath.mpf:
-        vals = list(value_provider(wbits)) if value_provider is not None else xs
+    def residual_raw(cand: Sequence[int], vals: Sequence[mpmath.mpf], wbits: int) -> mpmath.mpf:
         with mp.workprec(wbits):
             return abs(mpmath.fsum(c * v for c, v in zip(cand, vals) if c))
 
@@ -185,11 +180,12 @@ def find_integer_relation(
         return sum(v * v for v in row)
 
     best_residual: Optional[mpmath.mpf] = None
+    witness: Optional[List[mpmath.mpf]] = None
     for row in sorted(reduced, key=row_norm):
         cand = row[:n]
         if all(v == 0 for v in cand):
             continue
-        r0 = residual_raw(cand, wp)
+        r0 = residual_raw(cand, xs, wp)
         if best_residual is None or r0 < best_residual:
             best_residual = r0
         if max(abs(v) for v in cand) > coeff_bound:
@@ -198,10 +194,10 @@ def find_integer_relation(
         if not cls.is_zero:
             continue
         if value_provider is not None:
-            r2 = residual_raw(cand, 2 * wp)
-            with mp.workprec(2 * wp):
-                if not r2 < mpmath.mpf(2) ** (-prec):
-                    continue  # did not survive doubled precision: not a relation
+            if witness is None:
+                witness = list(value_provider(2 * wp))
+            if not residual_raw(cand, witness, 2 * wp) < mpmath.mpf(2) ** (-prec):
+                continue  # did not survive doubled precision: not a relation
         found = _normalize_sign(cand)
         if basis is not None and PI_SLOT in basis.slots and found[basis.index_of(PI_SLOT)] != 0:
             raise PiCoefficientViolation(
@@ -217,12 +213,11 @@ def find_integer_relation(
             values_count=n,
             basis=basis,
         )
-    if best_residual is None:
-        best_residual = mpmath.inf
     return RelationSearchResult(
         verdict=NONE_BELOW_BOUND,
         found=None,
-        residual=Real(best_residual, wp).round_to(prec) if mpmath.isfinite(best_residual) else Real(mpmath.mpf(2) ** prec, prec),
+        residual=(Real(best_residual, wp).round_to(prec) if best_residual is not None
+                  else Real(mpmath.mpf(2) ** prec, prec)),
         coeff_bound=coeff_bound,
         prec=prec,
         values_count=n,

@@ -262,7 +262,6 @@ def l1(
     f: PeriodicFunction,
     route: str = "digamma",
     prec: int = 128,
-    direct_terms: int = DEFAULT_DIRECT_TERMS,
 ) -> Real:
     """L(1, f) = sum f(n)/n by the requested route, at target precision.
 
@@ -285,7 +284,7 @@ def l1(
                 )
         v = re
     else:
-        return l1_direct_result(f, direct_terms).value
+        return l1_direct_result(f).value
     with mp.workprec(prec):
         return Real(+v, prec)
 

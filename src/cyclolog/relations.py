@@ -244,17 +244,15 @@ def in_rational_span(vector: Sequence[Fraction], generators: Sequence[Sequence[F
 
 def verify_relation(rel: RelationVector, prec: int = 128) -> ZeroClass:
     """Evaluate sum coeff * slot-value (PI = pi, LOG2 = log 2) and classify."""
-    if rel.is_zero_vector:
-        return classify_zero(Real(mpmath.mpf(0), working_prec(prec)), prec)
     wp = working_prec(prec)
-    residual = Real(rel.residual_raw(wp), wp)
-    return classify_zero(residual, prec, recompute=rel.residual_raw)
+    return classify_zero(Real(rel.residual_raw(wp), wp), prec, recompute=rel.residual_raw)
 
 
 def relation_record(rel: RelationVector, prec: int = 128) -> dict:
-    """JSON-ready record: modulus, provenance, exact coefficients, residual size."""
-    wp = working_prec(prec)
-    residual = rel.residual_raw(wp)
+    """JSON-ready record: modulus, provenance, exact coefficients, residual
+    size and class, from one classification of the relation."""
+    cls = verify_relation(rel, prec)
+    residual = cls.residual.mpf
     coeffs = {
         str(slot): str(c)
         for slot, c in zip(rel.basis.slots, rel.coeffs)
@@ -269,4 +267,5 @@ def relation_record(rel: RelationVector, prec: int = 128) -> dict:
         "provenance": prov,
         "coeffs": coeffs,
         "residual_bits": int(mp.mag(residual)) if residual != 0 else None,
+        "class": cls.tag,
     }

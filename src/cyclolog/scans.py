@@ -134,17 +134,21 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     l_raw, l_class = _classify_l(f, prec)
     cot, cos_sums = trig_sums_raw(f, wp)
 
-    def cot_recompute(w: int) -> mpmath.mpf:
-        return trig_sums_raw(f, w)[0]
+    def named(sums) -> Dict[str, mpmath.mpf]:
+        return {"cot": sums[0], **{f"cos_{b}": v for b, v in sums[1].items()}}
 
-    def cos_recompute(b: int):
-        return lambda w: trig_sums_raw(f, w)[1][b]
+    # one doubled-precision evaluation of every sum, made on first need
+    doubled: Dict[int, Dict[str, mpmath.mpf]] = {}
+
+    def witness(name: str, w: int) -> mpmath.mpf:
+        if w not in doubled:
+            doubled[w] = named(trig_sums_raw(f, w))
+        return doubled[w][name]
 
     trig_classes: Dict[str, ZeroClass] = {
-        "cot": classify_zero(Real(cot, wp), prec, recompute=cot_recompute)
+        name: classify_zero(Real(v, wp), prec, recompute=lambda w, name=name: witness(name, w))
+        for name, v in named((cot, cos_sums)).items()
     }
-    for b, v in cos_sums.items():
-        trig_classes[f"cos_{b}"] = classify_zero(Real(v, wp), prec, recompute=cos_recompute(b))
 
     if l_class.is_nonzero:
         branch = BRANCH_L_NONZERO
@@ -266,8 +270,7 @@ class ScanReport:
         return payload
 
 
-DEFAULT_SCAN_BOUND = 17
-HARD_SCAN_BOUND = 25  # beyond desk scale: the count is a central binomial
+SCAN_BOUND = 17  # desk scale: the count is a central binomial
 
 
 def scan(
@@ -275,7 +278,6 @@ def scan(
     prec: int = 192,
     workers: int = 1,
     store: Optional["ScanStore"] = None,
-    max_modulus: int = DEFAULT_SCAN_BOUND,
 ) -> ScanReport:
     """Evaluate and classify L(1, f) for every admissible sign function mod q.
 
@@ -284,9 +286,9 @@ def scan(
     """
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    if q > min(max_modulus, HARD_SCAN_BOUND):
+    if q > SCAN_BOUND:
         raise ValueError(
-            f"q = {q} exceeds the scan bound {min(max_modulus, HARD_SCAN_BOUND)} "
+            f"q = {q} exceeds the scan bound {SCAN_BOUND} "
             "(count grows as a central binomial)"
         )
     if q % 2 == 0:
@@ -333,36 +335,45 @@ def scan(
     )
 
 
+class ScanStoreDisagreement(RuntimeError):
+    """A stored scan record differs from its recomputation."""
+
+
+def _record_key(line: str) -> Tuple:
+    rec = json.loads(line)
+    return rec["q"], tuple(rec["signs"]), rec["prec"]
+
+
 class ScanStore:
     """Append-only JSONL store of scan records; reruns verify, never duplicate."""
 
     def __init__(self, path: str):
         self.path = path
 
-    def _load_lines(self) -> List[str]:
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh if line.strip()]
-
     def merge(self, q: int, lines: Sequence[str]) -> int:
-        """Append unseen records for q; error if a stored record disagrees."""
+        """Append unseen records for q.  A stored line that is not a record
+        (named by its 1-based number) or that disagrees raises, writing nothing."""
         existing: Dict[Tuple, str] = {}
-        for line in self._load_lines():
-            rec = json.loads(line)
-            existing[(rec["q"], tuple(rec["signs"]), rec["prec"])] = line
-        appended = 0
+        if os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as fh:
+                for number, line in enumerate(fh, 1):
+                    if line.strip():
+                        try:
+                            existing[_record_key(line)] = line.rstrip("\n")
+                        except (ValueError, KeyError, TypeError) as exc:
+                            raise ValueError(
+                                f"scan store {self.path}, line {number} is not a scan record: {exc}"
+                            ) from None
+        unseen = []
+        for line in lines:
+            key = _record_key(line)
+            if key not in existing:
+                unseen.append(line)
+            elif existing[key] != line:
+                raise ScanStoreDisagreement(
+                    f"scan store {self.path} disagrees with a recomputed record for "
+                    "(q, signs, prec) = {}".format(key)
+                )
         with open(self.path, "a", encoding="utf-8") as fh:
-            for line in lines:
-                rec = json.loads(line)
-                key = (rec["q"], tuple(rec["signs"]), rec["prec"])
-                if key in existing:
-                    if existing[key] != line:
-                        raise RuntimeError(
-                            f"scan store {self.path} disagrees with a recomputed record for "
-                            f"q={rec['q']}, signs={rec['signs']}, prec={rec['prec']}"
-                        )
-                    continue
-                fh.write(line + "\n")
-                appended += 1
-        return appended
+            fh.writelines(line + "\n" for line in unseen)
+        return len(unseen)

@@ -99,6 +99,24 @@ def test_relations_q8(capsys):
     assert all(rec["class"] == "Zero" for rec in payload["relations"])
 
 
+def test_relations_evaluate_each_residual_once(capsys, monkeypatch):
+    from cyclolog.kernel import working_prec
+    from cyclolog.relations import RelationVector
+
+    precisions = []
+    original = RelationVector.residual_raw
+
+    def counting(self, wp):
+        precisions.append(wp)
+        return original(self, wp)
+
+    monkeypatch.setattr(RelationVector, "residual_raw", counting)
+    code, payload = run_json(capsys, "relations", "--q", "30")
+    assert code == 0
+    assert all(rec["class"] == "Zero" for rec in payload["relations"])  # no witness needed
+    assert precisions == [working_prec(128)] * payload["count"]
+
+
 def test_dedekind_p5(capsys):
     code, payload = run_json(capsys, "dedekind", "--p", "5")
     assert code == 0
@@ -135,6 +153,33 @@ def test_scan_q5_writes_store(capsys, tmp_path):
     lines = store.read_text().splitlines()
     assert len(lines) == 6
     assert json.loads(lines[0])["q"] == 5
+
+
+def test_scan_torn_store_line_exits_1_and_leaves_the_store(capsys, tmp_path):
+    store = tmp_path / "s.jsonl"
+    assert run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")[0] == 0
+    torn = store.read_text() + '{"q":5,"signs":[1,'
+    store.write_text(torn)
+    code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")
+    assert code == 1
+    assert out == ""
+    assert str(store) in err and "line 7" in err
+    assert store.read_text() == torn
+
+
+def test_scan_tampered_store_exits_4_naming_the_store(capsys, tmp_path):
+    store = tmp_path / "s.jsonl"
+    assert run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")[0] == 0
+    lines = store.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["L"] = "0.125"
+    lines[2] = canonical_json(rec)
+    tampered = "\n".join(lines) + "\n"
+    store.write_text(tampered)
+    code, payload = run_json(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")
+    assert code == 4
+    assert str(store) in payload["error"] and "disagrees" in payload["error"]
+    assert store.read_text() == tampered
 
 
 def test_classify_command(capsys):

@@ -202,3 +202,25 @@ def test_certificate_p13_six_factors():
     assert len(cert.factors) == 6
     assert cert.all_factors_nonzero and cert.conclusive
     assert any("pi" in note for note in cert.notes)  # the deferred-pi caveat is recorded
+
+
+@pytest.mark.parametrize("p", [5, 13, 53])
+def test_determinant_check_evaluates_each_s_chi_once_per_precision(p, monkeypatch):
+    import cyclolog.dedekind as dedekind
+
+    calls = []
+    original = dedekind.s_chi_raw
+
+    def counting(chi, wp):
+        calls.append((chi.exponents, wp))
+        return original(chi, wp)
+
+    monkeypatch.setattr(dedekind, "s_chi_raw", counting)
+    check = determinant_check(p, 128)
+    wp = working_prec(128)
+    chars = enumerate_characters(p, even_only=True)
+    assert all(cls.is_nonzero for _, _, cls in check.s_chi_values)
+    assert len(calls) == 2 * len(chars)
+    assert sorted(calls) == sorted(
+        [(ch.exponents, wp) for ch in chars] + [(ch.exponents, 2 * wp) for ch in chars]
+    )

@@ -6,6 +6,7 @@ explicitly constructed relations and against primes, where no relation
 may exist.
 """
 
+import re
 from fractions import Fraction
 
 import mpmath
@@ -243,3 +244,29 @@ def test_search_rank_at_least_constructed_rank(q):
     _, constructed_rank = enumerate_relations(q, 128)
     lat = relation_lattice_rank(q, 10**6, 256)
     assert lat.rank >= constructed_rank, (lat.rank, constructed_rank)
+
+
+def test_rank_search_reads_values_once_per_precision(monkeypatch):
+    import cyclolog.intrel as intrel
+
+    wp = working_prec(256)
+    events = []
+    original_find = intrel.find_integer_relation
+    original_values = LogBasis.values_raw
+
+    def counting_find(*args, **kwargs):
+        events.append("f")
+        return original_find(*args, **kwargs)
+
+    def counting_values(self, wbits):
+        events.append({wp: "w", 2 * wp: "d"}[wbits])
+        return original_values(self, wbits)
+
+    monkeypatch.setattr(intrel, "find_integer_relation", counting_find)
+    monkeypatch.setattr(LogBasis, "values_raw", counting_values)
+    lat = relation_lattice_rank(20, 10**6, 256)
+    assert lat.rank == 5
+    # per search: the values at wp, the search, at most one doubled-precision witness
+    trace = "".join(events)
+    assert re.fullmatch(r"(wfd?)+", trace), trace
+    assert trace.count("f") == lat.rank + 1  # the last search finds nothing

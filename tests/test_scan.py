@@ -156,6 +156,25 @@ def test_dichotomy_of_kernel_function_is_trivial_branch():
     assert verdict.l_class.is_zero
 
 
+def test_dichotomy_recomputes_the_trig_sums_once(monkeypatch):
+    import cyclolog.scans as scans
+
+    precisions = []
+    original = scans.trig_sums_raw
+
+    def counting(f, wp):
+        precisions.append(wp)
+        return original(f, wp)
+
+    monkeypatch.setattr(scans, "trig_sums_raw", counting)
+    signs = (1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, -1)
+    verdict = dichotomy(sign_function(13, signs), 128)
+    assert verdict.branch == BRANCH_L_NONZERO
+    assert any(c.is_nonzero for c in verdict.trig_classes.values())  # so a witness ran
+    wp = working_prec(128)
+    assert precisions == [wp, 2 * wp]
+
+
 def test_dichotomy_rejects_composite_period():
     f = PeriodicFunction.from_rationals(9, [1, -1, 1, -1, 1, -1, 1, -1, 0])
     with pytest.raises(ValueError):

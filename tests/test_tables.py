@@ -119,7 +119,9 @@ def test_doubled_precision_recompute_reads_its_own_entry():
 
 GOLDEN_F120 = ",".join(str((a % 5) - 2 + (a % 3) - 1) for a in range(1, 121))
 
-# SHA-256 of stdout, recorded before the routes shared one tables layer
+# SHA-256 of stdout: the first six recorded before the routes shared one
+# tables layer, the last four before each quantity was evaluated once per
+# precision
 GOLDEN = [
     ("scan-q11", ["scan", "--q", "11", "--per-function", "--threads", "1", "--store", ""],
      "decb488728b52558b9ced5e1298c4ba92143ba6568c5e4bba81207e13355e42c"),
@@ -133,6 +135,14 @@ GOLDEN = [
      "02b541b3753ac11fa6c709c6fc96737e360c90e9e6b4f390b8af72ba03334384"),
     ("bbw-q9-l5", ["bbw", "--q", "9", "--l", "5"],
      "0e631f74effbf99f4a7dd2c45d34916a98f8d83cbc0777359185e3bf1a07f9f2"),
+    ("classify-p13", ["classify", "--p", "13", "--f", "1,1,-1,1,-1,-1,1,-1,1,1,-1,-1,0"],
+     "e4aa0584c4aa9bfa291047b92eb223922f19fc0eef2b2f0876975fc14c2dda98"),
+    ("dedekind-p53", ["dedekind", "--p", "53"],
+     "c0549f719b21eccb2f084dea45701cf4fffce203186978898fa332549969a44b"),
+    ("intrel-q8", ["intrel", "--q", "8"],
+     "43ebd75d8fd6528c693629170a4e1beac05b6a0b3dd9d27277222796443389f3"),
+    ("rank-q20", ["rank", "--q", "20", "--prec", "256"],
+     "1f183ee2535835f91890ebfde49fc7115ab3deae06b9f617c00c23cf9e2fa132"),
 ]
 
 
