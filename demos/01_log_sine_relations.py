@@ -41,7 +41,7 @@ print("Relation rank by modulus (exact rational elimination)")
 print("=" * 72)
 print(f"\n  {'q':>3}  {'relations':>9}  {'rank':>4}   note")
 for q in range(3, 25):
-    rels, rank = enumerate_relations(q, 128)
+    rels, rank = enumerate_relations(q)
     note = "prime: none exist" if is_prime(q) else ""
     if q == 4:
         note = "the square-root identity 2 f(1) = log 2"

@@ -144,7 +144,7 @@ def _cmd_decompose(args) -> Tuple[dict, int]:
 
 
 def _cmd_relations(args) -> Tuple[dict, int]:
-    rels, rank = enumerate_relations(args.q, args.prec)
+    rels, rank = enumerate_relations(args.q)
     records = [relation_record(rel, args.prec) for rel in rels]
     inconclusive = any(rec["class"] == INDETERMINATE for rec in records)
     payload = {
@@ -213,13 +213,7 @@ def _cmd_scan(args) -> Tuple[dict, int]:
     store = ScanStore(args.store) if args.store else None
     report = scan(args.q, args.prec, workers=args.threads, store=store)
     payload = {"command": "scan", **report.to_payload(include_records=args.per_function)}
-    if report.reason is not None:
-        return payload, EXIT_OK
-    code = EXIT_OK
-    if not report.all_nonzero:
-        has_indeterminate = any('"class":"Indeterminate"' in line for line in report.records or ())
-        code = EXIT_INCONCLUSIVE if has_indeterminate else EXIT_OK
-    return payload, code
+    return payload, EXIT_INCONCLUSIVE if INDETERMINATE in report.class_counts else EXIT_OK
 
 
 def _cmd_classify(args) -> Tuple[dict, int]:
@@ -337,8 +331,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"cyclolog {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prec_default=None):
-        p.add_argument("--prec", type=int, default=prec_default, help="target precision in bits")
+    def common(p):
+        p.add_argument("--prec", type=int, default=None, help="target precision in bits")
         p.add_argument("--output", choices=("json", "text"), default="json")
 
     p = sub.add_parser("lseries", help="L(1,f) for a rational periodic function")
@@ -392,7 +386,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("intrel", help="integer-relation search over the modulus-q log basis")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--bound", type=int, default=10**6)
-    common(p, prec_default=None)
+    common(p)
     p.set_defaults(handler=_cmd_intrel)
 
     p = sub.add_parser("rank", help="empirical relation-lattice rank for modulus q")

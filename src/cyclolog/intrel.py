@@ -115,7 +115,6 @@ class RelationSearchResult:
     residual: Real
     coeff_bound: int
     prec: int
-    values_count: int
     basis: Optional[LogBasis] = None
 
     @property
@@ -210,7 +209,6 @@ def find_integer_relation(
             residual=Real(r0, wp).round_to(prec),
             coeff_bound=coeff_bound,
             prec=prec,
-            values_count=n,
             basis=basis,
         )
     return RelationSearchResult(
@@ -220,7 +218,6 @@ def find_integer_relation(
                   else Real(mpmath.mpf(2) ** prec, prec)),
         coeff_bound=coeff_bound,
         prec=prec,
-        values_count=n,
         basis=basis,
     )
 

@@ -5,10 +5,17 @@ For composite q, each coprime residue a and divisor d of q with
 
     2 sin(a pi/d) = prod_{j=1}^{q/d} 2 sin((a + d j) pi / q)
 
-whose logarithm is an integer relation on the folded index set.  Prime
-moduli admit no valid divisor and the enumeration is empty there; the
-only extra case is the square-root identity 2 sin(pi/4) = sqrt 2, emitted
-for every modulus divisible by 4 as 2*log(2 sin((q/4) pi/q)) = log 2.
+whose logarithm is an integer relation on the folded index set (the
+distribution relation log|1 - z_d^a| = sum_{x = a mod d} log|1 - z_q^x|).
+Prime moduli admit no valid divisor and the enumeration is empty there;
+the only extra case is the square-root identity 2 sin(pi/4) = sqrt 2,
+emitted for every modulus divisible by 4 as 2*log(2 sin((q/4) pi/q)) = log 2.
+
+The relation of (a, d) depends only on d and on a mod d up to sign: the
++1 slot folds a q/d, which a mod d fixes; the -1 slots fold the residues
+x = a mod d; and a -> -a folds to the same slots.  So each class
+(d, +-a mod d) is built once, from its smallest a; any other pair of the
+class would only repeat that relation.
 
 Coefficients are exact rationals throughout; rank computations never
 touch floating point.
@@ -71,11 +78,6 @@ class LogBasis:
             else:
                 out.append(logs[s - 1])
         return tuple(out)
-
-    def values(self, prec: int) -> Tuple[Real, ...]:
-        raw = self.values_raw(working_prec(prec))
-        with mp.workprec(prec):
-            return tuple(Real(+v, prec) for v in raw)
 
 
 def fold_index(k: int, q: int) -> Slot:
@@ -193,9 +195,10 @@ def valid_divisor_pairs(q: int):
                     yield a, d
 
 
-def enumerate_relations(q: int, prec: int = 128) -> Tuple[Tuple[RelationVector, ...], int]:
-    """All constructed relations for q, canonicalized and deduplicated,
-    plus the sqrt-2 special relation when 4 | q; returns (relations, rank).
+def enumerate_relations(q: int) -> Tuple[Tuple[RelationVector, ...], int]:
+    """All constructed relations for q, one per (d, +-a mod d) class,
+    canonicalized and deduplicated, plus the sqrt-2 special relation when
+    4 | q; returns (relations, rank).
 
     Rank is the dimension of the rational span, by exact elimination.
     Prime q has no valid divisor: the result is empty with rank 0.
@@ -203,7 +206,12 @@ def enumerate_relations(q: int, prec: int = 128) -> Tuple[Tuple[RelationVector, 
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
     found: Dict[Tuple[Fraction, ...], RelationVector] = {}
+    built = set()
     for a, d in valid_divisor_pairs(q):
+        cls = (d, min(a % d, d - a % d))
+        if cls in built:
+            continue
+        built.add(cls)
         vec = construct_relation(q, a, d).canonical()
         found.setdefault(vec.coeffs, vec)
     if q % 4 == 0:
@@ -214,25 +222,20 @@ def enumerate_relations(q: int, prec: int = 128) -> Tuple[Tuple[RelationVector, 
 
 
 def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a list of rational vectors, by exact Gaussian elimination."""
+    """Rank of a list of rational vectors, by exact forward elimination."""
     rows = [list(map(Fraction, v)) for v in vectors if any(v)]
     rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
+    for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != 0:
+                factor = rows[i][col] / top[col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], top)]
         rank += 1
-        col += 1
     return rank
 
 

@@ -35,6 +35,7 @@ from mpmath import mp
 
 from .characters import PeriodicFunction, is_prime
 from .kernel import (
+    NONZERO,
     Real,
     ZeroClass,
     classify_zero,
@@ -250,9 +251,13 @@ class ScanReport:
     admissible_count: int
     min_abs_l: Optional[Real]
     argmin_signs: Optional[Tuple[int, ...]]
-    all_nonzero: Optional[bool]
+    class_counts: Dict[str, int]
     reason: Optional[str] = None
     records: Optional[Tuple[str, ...]] = None
+
+    @property
+    def all_nonzero(self) -> Optional[bool]:
+        return None if self.reason is not None else set(self.class_counts) <= {NONZERO}
 
     def to_payload(self, include_records: bool = False) -> dict:
         if self.reason is not None:
@@ -294,7 +299,7 @@ def scan(
     if q % 2 == 0:
         return ScanReport(
             q=q, prec=prec, admissible_count=0, min_abs_l=None,
-            argmin_signs=None, all_nonzero=None, reason="parity",
+            argmin_signs=None, class_counts={}, reason="parity",
         )
     half = (q - 1) // 2
     all_positions = list(combinations(range(q - 1), half))
@@ -307,18 +312,17 @@ def scan(
         lines = [_record_line(q, pos, prec) for pos in all_positions]
 
     if store is not None:
-        store.merge(q, lines)
+        store.merge(lines)
 
     wp = working_prec(prec)
     min_abs: Optional[mpmath.mpf] = None
     argmin: Optional[Tuple[int, ...]] = None
-    all_nonzero = True
+    counts: Dict[str, int] = {}
     with mp.workprec(wp):
         for line in lines:
             rec = json.loads(line)
             val = abs(mpmath.mpf(rec["L"]))
-            if rec["class"] != "NonZero":
-                all_nonzero = False
+            counts[rec["class"]] = counts.get(rec["class"], 0) + 1
             if min_abs is None or val < min_abs:
                 min_abs = val
                 argmin = tuple(rec["signs"])
@@ -330,7 +334,7 @@ def scan(
         admissible_count=len(lines),
         min_abs_l=min_real,
         argmin_signs=argmin,
-        all_nonzero=all_nonzero,
+        class_counts=counts,
         records=tuple(lines),
     )
 
@@ -350,8 +354,8 @@ class ScanStore:
     def __init__(self, path: str):
         self.path = path
 
-    def merge(self, q: int, lines: Sequence[str]) -> int:
-        """Append unseen records for q.  A stored line that is not a record
+    def merge(self, lines: Sequence[str]) -> int:
+        """Append unseen records.  A stored line that is not a record
         (named by its 1-based number) or that disagrees raises, writing nothing."""
         existing: Dict[Tuple, str] = {}
         if os.path.exists(self.path):

@@ -182,6 +182,22 @@ def test_scan_tampered_store_exits_4_naming_the_store(capsys, tmp_path):
     assert store.read_text() == tampered
 
 
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")], ids=["canonical", "spaced"])
+def test_scan_indeterminate_exits_3_whatever_the_serializer(capsys, monkeypatch, separators):
+    import cyclolog.scans as scans_mod
+    from cyclolog.kernel import INDETERMINATE, Real, ZeroClass
+
+    def gray(f, prec):
+        value = scans_mod.l1_digamma_raw(f, scans_mod.working_prec(prec))
+        return value, ZeroClass(INDETERMINATE, Real(abs(value), prec))
+
+    monkeypatch.setattr(scans_mod, "_classify_l", gray)
+    monkeypatch.setattr(scans_mod, "canonical_json", lambda obj: json.dumps(obj, separators=separators))
+    code, payload = run_json(capsys, "scan", "--q", "5", "--store", "", "--threads", "1")
+    assert code == 3
+    assert payload["all_nonzero"] is False
+
+
 def test_classify_command(capsys):
     code, payload = run_json(capsys, "classify", "--p", "5", "--f", "1,-1,-1,1,0")
     assert code == 0

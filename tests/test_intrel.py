@@ -224,7 +224,7 @@ def test_pi_coefficient_always_zero_in_generators():
 
 @pytest.mark.parametrize("q", [q for q in range(4, 41) if not is_prime(q)])
 def test_span_containment_constructed_within_searched(q):
-    rels, _ = enumerate_relations(q, 128)
+    rels, _ = enumerate_relations(q)
     lat = relation_lattice_rank(q, 10**6, 256)
     gens = [[Fraction(x) for x in g] for g in lat.generators]
     for rel in rels:
@@ -241,7 +241,7 @@ def test_rank_result_records_search_parameters():
 @pytest.mark.parametrize("q", [6, 8, 9, 12, 15, 16, 18, 20, 24])
 def test_search_rank_at_least_constructed_rank(q):
     # the constructed set need not span everything, but never exceeds it
-    _, constructed_rank = enumerate_relations(q, 128)
+    _, constructed_rank = enumerate_relations(q)
     lat = relation_lattice_rank(q, 10**6, 256)
     assert lat.rank >= constructed_rank, (lat.rank, constructed_rank)
 

@@ -11,11 +11,13 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import cyclolog.relations as relations_mod
 from cyclolog.characters import is_prime
 from cyclolog.relations import (
     LOG2_SLOT,
@@ -172,7 +174,7 @@ def test_trichotomy_matches_accumulation(q):
 # ---------------------------------------------------------------------------
 
 def test_enumerate_q4_special_relation():
-    rels, rank = enumerate_relations(4, 128)
+    rels, rank = enumerate_relations(4)
     assert rank == 1 and len(rels) == 1
     assert coeff_map(rels[0]) == {1: 2, LOG2_SLOT: -1}
     assert verify_relation(rels[0], 128).is_zero
@@ -180,12 +182,12 @@ def test_enumerate_q4_special_relation():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_enumerate_prime_is_empty(p):
-    rels, rank = enumerate_relations(p, 128)
+    rels, rank = enumerate_relations(p)
     assert rels == () and rank == 0
 
 
 def test_enumerate_q8_rank_two():
-    rels, rank = enumerate_relations(8, 128)
+    rels, rank = enumerate_relations(8)
     assert rank == 2
     maps = [coeff_map(r) for r in rels]
     assert {2: 2, LOG2_SLOT: -1} in maps  # 2 log(2 sin(2 pi/8)) = log 2
@@ -193,10 +195,29 @@ def test_enumerate_q8_rank_two():
 
 @pytest.mark.parametrize("q", [q for q in range(6, 61) if not is_prime(q)])
 def test_enumerate_all_verify_zero(q):
-    rels, rank = enumerate_relations(q, 128)
+    rels, rank = enumerate_relations(q)
     assert rank >= 1
     for rel in rels:
         assert verify_relation(rel, 128).is_zero
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("q,expected", [(30, 10), (60, 21), (96, 31)])
+def test_enumerate_builds_each_class_once(q, expected, monkeypatch):
+    calls = []
+    original = relations_mod.construct_relation
+
+    def counting(q, a, d):
+        calls.append((a, d))
+        return original(q, a, d)
+
+    monkeypatch.setattr(relations_mod, "construct_relation", counting)
+    enumerate_relations(q)
+    assert len(calls) == sum(_phi(d) // 2 for d in range(3, q) if q % d == 0) == expected
+    assert len({(d, min(a % d, d - a % d)) for a, d in calls}) == len(calls)
 
 
 def test_canonical_scales_to_coprime_integers():
@@ -249,6 +270,28 @@ def test_rational_rank_and_span():
     assert rational_rank([v1, v2, v3]) == 2
     assert in_rational_span(v3, [v1, v2])
     assert not in_rational_span([Fraction(1), Fraction(0), Fraction(0)], [v1, v2])
+
+
+def _integer_rows(rows):
+    """Each row scaled by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        lcm = 1
+        for c in row:
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+        out.append([int(c * lcm) for c in row])
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n_rows=st.integers(1, 6), n_cols=st.integers(1, 6),
+       use_fractions=st.booleans())
+def test_rational_rank_matches_numpy(data, n_rows, n_cols, use_fractions):
+    entry = (st.fractions(min_value=-4, max_value=4, max_denominator=5) if use_fractions
+             else st.integers(-3, 3).map(Fraction))
+    rows = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    expected = int(numpy.linalg.matrix_rank(numpy.array(_integer_rows(rows), dtype=float)))
+    assert rational_rank(rows) == expected
 
 
 def test_relation_record_shape():

@@ -120,8 +120,8 @@ def test_doubled_precision_recompute_reads_its_own_entry():
 GOLDEN_F120 = ",".join(str((a % 5) - 2 + (a % 3) - 1) for a in range(1, 121))
 
 # SHA-256 of stdout: the first six recorded before the routes shared one
-# tables layer, the last four before each quantity was evaluated once per
-# precision
+# tables layer, the next four before each quantity was evaluated once per
+# precision, the last three before relations were built once per class
 GOLDEN = [
     ("scan-q11", ["scan", "--q", "11", "--per-function", "--threads", "1", "--store", ""],
      "decb488728b52558b9ced5e1298c4ba92143ba6568c5e4bba81207e13355e42c"),
@@ -143,6 +143,12 @@ GOLDEN = [
      "43ebd75d8fd6528c693629170a4e1beac05b6a0b3dd9d27277222796443389f3"),
     ("rank-q20", ["rank", "--q", "20", "--prec", "256"],
      "1f183ee2535835f91890ebfde49fc7115ab3deae06b9f617c00c23cf9e2fa132"),
+    ("relations-q60", ["relations", "--q", "60"],
+     "5a667a1f7358090e160035b429cca04d0b58cda0f9c683341785245457aa9ea2"),
+    ("relations-q96", ["relations", "--q", "96"],
+     "4e3a95b1fa3dae0e7a7772c82fc25a846779634f858b60151a9a9785e4c9d81b"),
+    ("relations-q48-text", ["relations", "--q", "48", "--output", "text"],
+     "ea81dd356b10dc429f01b7d3343fc55f2f08c9f4e561e0c127b512da11b243a2"),
 ]
 
 
