@@ -4,7 +4,9 @@ Characters are stored exactly, as integer exponent vectors over a fixed
 generator decomposition of (Z/qZ)*; evaluation to Complex happens only on
 demand.  All root-of-unity work keeps exponents as exact rationals mod 1
 and evaluates cos/sin of pi-rational angles directly, so no argument
-error ever accumulates.
+error ever accumulates.  The discrete Fourier transform's sums are exact
+integer arithmetic over the 2^wp-scaled roots of the tables layer; each
+component is rounded only when it is converted to an mpf.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from .kernel import Complex, Real, to_mpf, working_prec
 from .tables import tables
@@ -331,22 +334,38 @@ class PeriodicFunction:
         return abs(s) < bound
 
 
+def _exact_ratio(v: PeriodicValue) -> Tuple[int, int]:
+    """v as an exact (numerator, denominator) pair; a Real is man * 2^exp."""
+    if isinstance(v, Real):
+        return to_rational(v.mpf._mpf_)
+    return v.numerator, v.denominator
+
+
 def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmath.mpf, mpmath.mpf]]:
-    """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), k = 1..q, as (re, im) pairs."""
+    """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), k = 1..q, as (re, im) pairs.
+
+    Every value is written exactly as n_a / d over one common denominator d,
+    so each component is one exact integer sum sum_a n_a C[-ak mod q] over
+    the 2^wp-scaled roots C = ``tables(q, wp).fixed_roots``, rounded once
+    to an mpf and once more by the division by d q.  Each scaled root is
+    within 2^-wp of its ``roots`` entry, so each component is within
+    (sum_a |f(a)|) 2^-wp / q of the exact transform over those roots, plus
+    the two roundings at wp bits.
+    """
     q = f.period
-    roots = tables(q, wp).roots
+    fixed = tables(q, wp).fixed_roots
+    ratios = [_exact_ratio(v) for v in f.values]
+    d = lcm(*(den for _, den in ratios))
+    nums = [(a, num * (d // den)) for a, (num, den) in enumerate(ratios, 1) if num != 0]
     out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {}
     with mp.workprec(wp):
-        vals = [f.value_mpf(a, wp) for a in range(1, q + 1)]
         for k in range(1, q + 1):
-            re = mpmath.mpf(0)
-            im = mpmath.mpf(0)
-            for a in range(1, q + 1):
-                c, s = roots[(-a * k) % q]
-                v = vals[a - 1]
-                re += v * c
-                im += v * s
-            out[k] = (re / q, im / q)
+            re = im = 0
+            for a, n in nums:
+                c, s = fixed[(-a * k) % q]
+                re += n * c
+                im += n * s
+            out[k] = (mpmath.mpf((re, -wp)) / (d * q), mpmath.mpf((im, -wp)) / (d * q))
     return out
 
 

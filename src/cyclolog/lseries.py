@@ -277,7 +277,10 @@ def l1(
     elif route == "fourier":
         re, im = l1_fourier_raw(f, wp)
         with mp.workprec(wp):
-            if abs(im) > mpmath.mpf(2) ** (-(prec + 16)) * (1 + abs(re)):
+            # the bar scales with the summands, not with L, which may vanish
+            summands = mpmath.fsum(abs(f.value_mpf(a, wp)) for a in range(1, f.period + 1))
+            scale = 1 + abs(re) + summands
+            if abs(im) > mpmath.mpf(2) ** (-(prec + 16)) * scale:
                 raise ArithmeticError(
                     "fourier route produced a non-negligible imaginary part "
                     f"({mpmath.nstr(im, 8)}) for a real-valued function"

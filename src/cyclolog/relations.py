@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
 import mpmath
@@ -221,9 +221,18 @@ def enumerate_relations(q: int) -> Tuple[Tuple[RelationVector, ...], int]:
     return rels, rational_rank([v.coeffs for v in rels])
 
 
+def _integer_row(v: Sequence[Fraction]) -> List[int]:
+    """v scaled to integers by the lcm of its denominators."""
+    fr = [Fraction(x) for x in v]
+    m = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (m // x.denominator) for x in fr]
+
+
 def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a list of rational vectors, by exact forward elimination."""
-    rows = [list(map(Fraction, v)) for v in vectors if any(v)]
+    """Rank of a list of rational vectors, by exact forward elimination on
+    integer rows: a row is eliminated as row * p - c * top, then divided by
+    the gcd of its entries."""
+    rows = [_integer_row(v) for v in vectors if any(v)]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
@@ -231,10 +240,13 @@ def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         top = rows[rank]
+        p = top[col]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / top[col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], top)]
+            c = rows[i][col]
+            if c != 0:
+                row = [x * p - c * y for x, y in zip(rows[i], top)]
+                g = gcd(*row) or 1
+                rows[i] = [x // g for x in row]
         rank += 1
     return rank
 

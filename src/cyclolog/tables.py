@@ -1,6 +1,7 @@
 """Per-(q, wp) tables of the numbers every route is assembled from:
-log(2 sin k pi/q), the roots of unity e^(2 pi i j/q), cot(a pi/q) and
-psi(a/q) for one modulus q at one working precision wp.
+log(2 sin k pi/q), the roots of unity e^(2 pi i j/q) (as mpfs and, in
+``fixed_roots``, as integers scaled by 2^wp), cot(a pi/q) and psi(a/q) for
+one modulus q at one working precision wp.
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at doubled precision gets its own entry.  Each family is built
@@ -15,6 +16,7 @@ from typing import Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .kernel import const_raw, log_2sin_raw
 
@@ -47,6 +49,13 @@ class Tables:
                 t = mpmath.mpf(2 * j) / self.q
                 out.append((mpmath.cospi(t), mpmath.sinpi(t)))
         return tuple(out)
+
+    @cached_property
+    def fixed_roots(self) -> Tuple[Tuple[int, int], ...]:
+        """(cos, sin) of 2 pi j / q as integers scaled by 2^wp, for j = 0..q-1;
+        each is within one unit of 2^-wp of its ``roots`` entry."""
+        wp = self.wp
+        return tuple((to_fixed(c._mpf_, wp), to_fixed(s._mpf_, wp)) for c, s in self.roots)
 
     @cached_property
     def cot(self) -> Tuple[mpmath.mpf, ...]:

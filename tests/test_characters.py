@@ -18,6 +18,7 @@ from cyclolog.characters import (
     enumerate_characters,
     euler_phi,
     fourier_transform,
+    fourier_transform_raw,
     gauss_sum,
     inverse_fourier,
     is_prime,
@@ -25,6 +26,8 @@ from cyclolog.characters import (
     unit_group_structure,
 )
 from cyclolog.kernel import working_prec
+from cyclolog.scans import bbw_function
+from cyclolog.tables import tables
 
 
 def brute_order(g, q):
@@ -300,6 +303,61 @@ def test_fourier_round_trip(q, data):
             orig = mpmath.mpf(values[n - 1].numerator) / values[n - 1].denominator
             assert abs(back[n].re.mpf - orig) < mpmath.mpf(2) ** (-prec + 16)
             assert abs(back[n].im.mpf) < mpmath.mpf(2) ** (-prec + 16)
+
+
+def reference_fourier_raw(f, wp):
+    """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), summed in mpf arithmetic at wp bits."""
+    q = f.period
+    roots = tables(q, wp).roots
+    out = {}
+    with mp.workprec(wp):
+        vals = [f.value_mpf(a, wp) for a in range(1, q + 1)]
+        for k in range(1, q + 1):
+            re = mpmath.mpf(0)
+            im = mpmath.mpf(0)
+            for a in range(1, q + 1):
+                c, s = roots[(-a * k) % q]
+                v = vals[a - 1]
+                re += v * c
+                im += v * s
+            out[k] = (re / q, im / q)
+    return out
+
+
+@st.composite
+def transform_inputs(draw):
+    """(f, wp): rational values with denominators up to 12, or a bbw kernel's Reals."""
+    q = draw(st.integers(min_value=2, max_value=40))
+    prec = draw(st.sampled_from((64, 96, 128, 192)))
+    if q >= 4 and draw(st.booleans()):
+        top = q - 2 if q % 2 else q - 1
+        return bbw_function(q, draw(st.sampled_from(range(3, top + 1, 2))), prec), working_prec(prec)
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-12, max_value=12, max_denominator=12),
+            min_size=q,
+            max_size=q,
+        )
+    )
+    return PeriodicFunction(q, tuple(values)), working_prec(prec)
+
+
+@settings(deadline=None, max_examples=60)
+@given(transform_inputs())
+def test_integer_transform_matches_the_mpf_loop(inputs):
+    f, wp = inputs
+    q = f.period
+    fhat = fourier_transform_raw(f, wp)
+    ref = reference_fourier_raw(f, wp)
+    assert sorted(fhat) == list(range(1, q + 1))
+    with mp.workprec(2 * wp):
+        total = mpmath.fsum(abs(f.value_mpf(a, 2 * wp)) for a in range(1, q + 1))
+        # the transform's bound, plus slack for the reference loop's own
+        # roundings, which grow with the summands
+        tol = total * mpmath.mpf(2) ** -wp / q + mpmath.mpf(2) ** -(wp - 4) * (1 + total)
+        for k in range(1, q + 1):
+            assert abs(fhat[k][0] - ref[k][0]) <= tol, k
+            assert abs(fhat[k][1] - ref[k][1]) <= tol, k
 
 
 def test_is_prime_small_values():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from cyclolog.characters import PeriodicFunction, enumerate_characters
+from cyclolog import lseries
+from cyclolog.characters import PeriodicFunction, enumerate_characters, fourier_transform_raw
 from cyclolog.kernel import classify_zero, const, working_prec
 from cyclolog.lseries import (
     DEFAULT_DIRECT_TERMS,
@@ -30,6 +31,7 @@ from cyclolog.lseries import (
     l1_chi_via_gauss,
     l1_direct_result,
 )
+from cyclolog.scans import bbw_function
 
 TOL112 = mpmath.mpf(2) ** -112
 
@@ -227,6 +229,32 @@ def test_l1_rejects_unknown_route():
     f = PeriodicFunction.from_rationals(3, [1, -1, 0])
     with pytest.raises(ValueError):
         l1(f, "abel", 64)
+
+
+def test_fourier_route_accepts_a_vanishing_l_with_large_summands():
+    # L(1, f) is about 0 while sum |f(a)| is about 2.3e21: the imaginary
+    # part's noise scales with the summands, not with the result
+    f = bbw_function(25, 23, 128)
+    total = mpmath.fsum(abs(v.mpf) for v in f.values)
+    vf = l1(f, "fourier", 128)
+    vd = l1(f, "digamma", 128)
+    assert abs((vf - vd).mpf) <= mpmath.mpf(2) ** -(128 - 8) * total
+
+
+def test_fourier_route_rejects_an_imaginary_part(monkeypatch):
+    f = PeriodicFunction.from_rationals(7, [1, 1, -1, 1, -1, -1, 0])
+    assert l1(f, "fourier", 128).mpf > 0  # the check passes on the true transform
+
+    def skewed(g, wp):
+        fhat = fourier_transform_raw(g, wp)
+        re, im = fhat[1]
+        with mp.workprec(wp):
+            fhat[1] = (re, im + mpmath.mpf(2) ** -40)
+        return fhat
+
+    monkeypatch.setattr(lseries, "fourier_transform_raw", skewed)
+    with pytest.raises(ArithmeticError, match="imaginary part"):
+        l1(f, "fourier", 128)
 
 
 def random_zero_mean_function(rng, q):

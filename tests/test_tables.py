@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from cyclolog.characters import enumerate_characters, unit_root
 from cyclolog.cli import main
@@ -61,6 +62,19 @@ def test_roots_equal_unit_root_at_every_reduced_exponent(n, wp):
     for j in range(n):
         t = Fraction(j, n)
         assert roots[j] == unit_root(t.numerator, t.denominator, wp)
+
+
+@pytest.mark.parametrize("wp", PRECISIONS)
+@pytest.mark.parametrize("q", MODULI)
+def test_fixed_roots_are_the_roots_scaled_by_2_to_the_wp(q, wp):
+    tab = Tables(q, wp)
+    assert tab.fixed_roots == tuple(
+        (to_fixed(c._mpf_, wp), to_fixed(s._mpf_, wp)) for c, s in tab.roots
+    )
+    with mp.workprec(wp + 8):
+        for (c, s), (fc, fs) in zip(tab.roots, tab.fixed_roots):
+            assert abs(mpmath.mpf((fc, -wp)) - c) < mpmath.mpf(2) ** -wp
+            assert abs(mpmath.mpf((fs, -wp)) - s) < mpmath.mpf(2) ** -wp
 
 
 def _digamma_reference(a, q, wp):
@@ -118,10 +132,13 @@ def test_doubled_precision_recompute_reads_its_own_entry():
 
 
 GOLDEN_F120 = ",".join(str((a % 5) - 2 + (a % 3) - 1) for a in range(1, 121))
+GOLDEN_F300 = ",".join(str((a % 5) - 2 + (a % 3) - 1 + 2 * (a % 2) - 1) for a in range(1, 301))
+GOLDEN_F60 = ",".join(("1/3", "-5/12", "0", "1/4", "-1/6", "0")[a % 6] for a in range(1, 61))
 
 # SHA-256 of stdout: the first six recorded before the routes shared one
 # tables layer, the next four before each quantity was evaluated once per
-# precision, the last three before relations were built once per class
+# precision, the next three before relations were built once per class,
+# the last two before the Fourier transform summed integers
 GOLDEN = [
     ("scan-q11", ["scan", "--q", "11", "--per-function", "--threads", "1", "--store", ""],
      "decb488728b52558b9ced5e1298c4ba92143ba6568c5e4bba81207e13355e42c"),
@@ -149,6 +166,11 @@ GOLDEN = [
      "4e3a95b1fa3dae0e7a7772c82fc25a846779634f858b60151a9a9785e4c9d81b"),
     ("relations-q48-text", ["relations", "--q", "48", "--output", "text"],
      "ea81dd356b10dc429f01b7d3343fc55f2f08c9f4e561e0c127b512da11b243a2"),
+    ("lseries-q300-fourier", ["lseries", "--q", "300", f"--f={GOLDEN_F300}", "--route", "fourier"],
+     "7235b834f3623ec0151a9f4348283ebb69a6584fe6f2cbb490b078d68c0a0017"),
+    ("lseries-q60-fractions-fourier",
+     ["lseries", "--q", "60", f"--f={GOLDEN_F60}", "--route", "fourier"],
+     "cd07fa36b53340690c7cf4c85a274359229ac252c548466d9b9eecdc0ec57d72"),
 ]
 
 
