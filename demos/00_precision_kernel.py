@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The precision kernel: tagged values, folding, and honest zero tests.
 
-Every value carries the precision it was computed to; mixed-precision
-arithmetic rounds at the weaker tag, nothing silently upgrades.  Zero
+Every value carries the precision it was computed to and is rounded to
+that tag when it is made, so it never holds more bits than it claims.  Zero
 questions return a three-way verdict with a dead band in the middle:
 |x| < 2^-target is Zero, |x| > 2^(-target/2) is NonZero (confirmed by
 recomputing the producing expression at doubled precision), anything
@@ -22,10 +22,9 @@ for prec in (64, 128, 256):
     pi = const("pi", prec)
     print(f"  pi @ {prec:>3} bits: {pi.to_decimal()}")
 
-print("\nMixed precision rounds down to the weaker operand:")
-a = const("pi", 256)
-b = const("log2", 96)
-print(f"  pi@256 * log2@96 -> tag {(a * b).prec} bits")
+print("\nA Real is rounded to its tag when it is made:")
+pi256 = const("pi", 256)
+print(f"  Real(pi@256, 96) == pi@96: {Real(pi256.mpf, 96).mpf == const('pi', 96).mpf}")
 
 print("\n" + "=" * 72)
 print("log(2 sin(k pi/q)): folding and the telescoping product")

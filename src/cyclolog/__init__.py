@@ -17,20 +17,13 @@ from .characters import (
     PeriodicFunction,
     UnitGroupStructure,
     enumerate_characters,
-    fourier_transform,
-    gauss_sum,
-    principal_character,
     unit_group_structure,
 )
 from .lseries import (
     DecompositionVector,
     NonConvergentSeriesError,
     decompose_l1,
-    digamma,
-    digamma_series,
-    hurwitz_zeta,
     l1,
-    l1_chi_via_gauss,
 )
 from .relations import (
     LogBasis,
@@ -45,7 +38,6 @@ from .dedekind import (
     build_matrix,
     determinant_check,
     independence_certificate,
-    s_chi,
 )
 from .scans import (
     DichotomyContradictionError,
@@ -55,7 +47,6 @@ from .scans import (
     ScanStore,
     bbw_function,
     dichotomy,
-    enumerate_sign_functions,
     scan,
 )
 from .intrel import (
@@ -96,24 +87,15 @@ __all__ = [
     "decompose_l1",
     "dichotomy",
     "determinant_check",
-    "digamma",
-    "digamma_series",
     "enumerate_characters",
     "enumerate_relations",
-    "enumerate_sign_functions",
     "find_integer_relation",
     "fold_index",
-    "fourier_transform",
-    "gauss_sum",
-    "hurwitz_zeta",
     "independence_certificate",
     "l1",
-    "l1_chi_via_gauss",
     "lll_reduce",
     "log_2sin",
-    "principal_character",
     "relation_lattice_rank",
-    "s_chi",
     "scan",
     "unit_group_structure",
     "verify_relation",

@@ -1,12 +1,13 @@
-"""Dirichlet characters, Gauss sums, and discrete Fourier transforms mod q.
+"""Dirichlet characters, periodic functions and their discrete Fourier transform mod q.
 
 Characters are stored exactly, as integer exponent vectors over a fixed
-generator decomposition of (Z/qZ)*; evaluation to Complex happens only on
-demand.  All root-of-unity work keeps exponents as exact rationals mod 1
-and evaluates cos/sin of pi-rational angles directly, so no argument
-error ever accumulates.  The discrete Fourier transform's sums are exact
-integer arithmetic over the 2^wp-scaled roots of the tables layer; each
-component is rounded only when it is converted to an mpf.
+generator decomposition of (Z/qZ)*; a route reads chi(a) as the exact
+exponent t in [0, 1) with chi(a) = e^(2 pi i t).  All root-of-unity work
+keeps exponents as exact rationals mod 1 and evaluates cos/sin of
+pi-rational angles directly, so no argument error ever accumulates.  The
+discrete Fourier transform's sums are exact integer arithmetic over the
+2^wp-scaled roots of the tables layer; each component is rounded only
+when it is converted to an mpf.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from .kernel import Complex, Real, to_mpf, working_prec
+from .kernel import Real, to_mpf
 from .tables import tables
 
 
@@ -41,13 +42,6 @@ def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n):
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
 
 
 def is_prime(n: int) -> bool:
@@ -94,10 +88,6 @@ class UnitGroupStructure:
         for o in self.orders:
             n *= o
         return n
-
-    @property
-    def exponent(self) -> int:
-        return lcm(*self.orders) if self.orders else 1
 
 
 @lru_cache(maxsize=64)
@@ -221,24 +211,6 @@ class DirichletCharacter:
             self.modulus, tuple(a + b for a, b in zip(self.exponents, other.exponents))
         )
 
-    def value(self, n: int, prec: int) -> Complex:
-        t = self.value_exponent(n)
-        if t is None:
-            zero = Real(0, prec)
-            return Complex(zero, zero)
-        wp = working_prec(prec)
-        c, s = unit_root(t.numerator, t.denominator, wp)
-        with mp.workprec(prec):
-            return Complex(Real(+c, prec), Real(+s, prec))
-
-    def __call__(self, n: int, prec: int = 64) -> Complex:
-        return self.value(n, prec)
-
-
-def principal_character(q: int) -> DirichletCharacter:
-    st = unit_group_structure(q)
-    return DirichletCharacter(q, (0,) * len(st.orders))
-
 
 def enumerate_characters(q: int, even_only: bool = False) -> Tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, or only the even ones when flagged."""
@@ -250,31 +222,6 @@ def enumerate_characters(q: int, even_only: bool = False) -> Tuple[DirichletChar
     if even_only:
         chars = tuple(ch for ch in chars if ch.is_even)
     return chars
-
-
-def gauss_sum_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """tau(chi) = sum_a chi(a) zeta_q^a as (re, im) mpf at working precision."""
-    q = chi.modulus
-    with mp.workprec(wp):
-        re = mpmath.mpf(0)
-        im = mpmath.mpf(0)
-        for a in range(1, q + 1):
-            t = chi.value_exponent(a)
-            if t is None:
-                continue
-            # chi(a) * zeta_q^a = e^(2 pi i (t + a/q))
-            e = t + Fraction(a, q)
-            c, s = unit_root(e.numerator, e.denominator, wp)
-            re += c
-            im += s
-    return re, im
-
-
-def gauss_sum(chi: DirichletCharacter, prec: int) -> Complex:
-    """The Gauss sum tau(chi) at target precision."""
-    re, im = gauss_sum_raw(chi, working_prec(prec))
-    with mp.workprec(prec):
-        return Complex(Real(+re, prec), Real(+im, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -366,34 +313,4 @@ def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmat
                 re += n * c
                 im += n * s
             out[k] = (mpmath.mpf((re, -wp)) / (d * q), mpmath.mpf((im, -wp)) / (d * q))
-    return out
-
-
-def fourier_transform(f: PeriodicFunction, prec: int) -> Dict[int, Complex]:
-    """Discrete Fourier transform of f at target precision."""
-    raw = fourier_transform_raw(f, working_prec(prec))
-    out: Dict[int, Complex] = {}
-    with mp.workprec(prec):
-        for k, (re, im) in raw.items():
-            out[k] = Complex(Real(+re, prec), Real(+im, prec))
-    return out
-
-
-def inverse_fourier(fhat: Dict[int, Complex], q: int, prec: int) -> Dict[int, Complex]:
-    """f(n) = sum_k fhat(k) zeta_q^(kn); the inversion identity."""
-    wp = working_prec(prec)
-    roots = tables(q, wp).roots
-    out: Dict[int, Complex] = {}
-    with mp.workprec(wp):
-        for n in range(1, q + 1):
-            re = mpmath.mpf(0)
-            im = mpmath.mpf(0)
-            for k in range(1, q + 1):
-                c, s = roots[(k * n) % q]
-                zr = fhat[k].re.mpf
-                zi = fhat[k].im.mpf
-                re += zr * c - zi * s
-                im += zr * s + zi * c
-            with mp.workprec(prec):
-                out[n] = Complex(Real(+re, prec), Real(+im, prec))
     return out

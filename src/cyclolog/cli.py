@@ -2,10 +2,11 @@
 
 Every numeric field in JSON output is a decimal string accompanied by a
 "prec_bits" field; outputs round-trip byte-identically through a JSON
-parser.  Exit codes: 0 success, 1 argument/validation error or an
-unreadable scan-store line, 2 divergent series, 3 inconclusive (an
-Indeterminate classification), 4 invariant violation (dichotomy
-contradiction, nonzero pi coefficient, scan-store record disagreement).
+parser.  Exit codes: 0 success, 1 argument/validation error (also a
+scan store that cannot be opened or has an unreadable line), 2 divergent
+series, 3 inconclusive (an Indeterminate classification), 4 invariant
+violation (dichotomy contradiction, nonzero pi coefficient, scan-store
+record disagreement).
 
 CYCLOLOG_PREC overrides the default 128-bit precision.
 """
@@ -207,10 +208,27 @@ def _cmd_certificate(args) -> Tuple[dict, int]:
     return payload, EXIT_OK if cert.conclusive else EXIT_INCONCLUSIVE
 
 
+def _checked_store(path: str) -> ScanStore:
+    """The scan store at ``path``, checked before any evaluation: an existing
+    file must be readable and writable, a new one must have a writable directory."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif os.path.exists(path):
+        problem = None if os.access(path, os.R_OK | os.W_OK) else "is not readable and writable"
+    elif not os.path.isdir(parent):
+        problem = f"is in a directory that does not exist ({parent})"
+    else:
+        problem = None if os.access(parent, os.W_OK | os.X_OK) else f"cannot be created in {parent}"
+    if problem is not None:
+        raise CliUsageError(f"scan store {path} {problem}")
+    return ScanStore(path)
+
+
 def _cmd_scan(args) -> Tuple[dict, int]:
     if args.threads < 1:
         raise CliUsageError(f"--threads must be >= 1, got {args.threads}")
-    store = ScanStore(args.store) if args.store else None
+    store = _checked_store(args.store) if args.store else None
     report = scan(args.q, args.prec, workers=args.threads, store=store)
     payload = {"command": "scan", **report.to_payload(include_records=args.per_function)}
     return payload, EXIT_INCONCLUSIVE if INDETERMINATE in report.class_counts else EXIT_OK
@@ -440,11 +458,21 @@ def _join_f_values(argv: List[str]) -> List[str]:
     return out
 
 
+_parser: Optional[_Parser] = None
+
+
+def _get_parser() -> _Parser:
+    """The parser, built on first use and reused by later calls in the process."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    return _parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     mode = "json"
     try:
-        args = parser.parse_args(_join_f_values(sys.argv[1:] if argv is None else argv))
+        args = _get_parser().parse_args(_join_f_values(sys.argv[1:] if argv is None else argv))
         mode = args.output
         if args.prec is None:
             args.prec = _default_prec()

@@ -68,9 +68,7 @@ class DedekindMatrix:
 
 def build_matrix(p: int, prec: int = 128) -> DedekindMatrix:
     _require_odd_prime(p)
-    raw = _matrix_raw(p, working_prec(prec))
-    with mp.workprec(prec):
-        rows = tuple(tuple(Real(+v, prec) for v in row) for row in raw)
+    rows = tuple(tuple(Real(v, prec) for v in row) for row in _matrix_raw(p, working_prec(prec)))
     return DedekindMatrix(p, (p - 1) // 2, rows)
 
 
@@ -92,11 +90,6 @@ def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
         return re, im
 
 
-def _rounded(raw: Pair, prec: int) -> Complex:
-    with mp.workprec(prec):
-        return Complex(*(Real(+x, prec) for x in raw))
-
-
 def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:
     with mp.workprec(wp):
         return mpmath.hypot(*raw)
@@ -109,18 +102,6 @@ def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
     return classify_zero(
         Real(_magnitude(raw, wp), wp), prec, recompute=lambda w: _magnitude(s_chi_raw(chi, w), w)
     )
-
-
-def s_chi(chi: DirichletCharacter, prec: int = 128) -> Complex:
-    """The character factor S_chi of the determinant; chi must be even."""
-    _require_odd_prime(chi.modulus)
-    if not chi.is_even:
-        raise ValueError("odd characters are not characters of G = (Z/pZ)*/{+-1}")
-    return _rounded(s_chi_raw(chi, working_prec(prec)), prec)
-
-
-def classify_s_chi(chi: DirichletCharacter, prec: int = 128) -> ZeroClass:
-    return _classified(chi, s_chi_raw(chi, working_prec(prec)), prec)
 
 
 def _lu_det(rows: List[List[mpmath.mpf]], wp: int) -> mpmath.mpf:
@@ -190,21 +171,21 @@ def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
         sre, sim = raw = s_chi_raw(chi, wp)
         with mp.workprec(wp):
             pre, pim = pre * sre - pim * sim, pre * sim + pim * sre
-        entries.append((chi, _rounded(raw, prec), _classified(chi, raw, prec)))
+        value = Complex(Real(sre, prec), Real(sim, prec))
+        entries.append((chi, value, _classified(chi, raw, prec)))
     with mp.workprec(wp):
         if abs(pim) > mpmath.mpf(2) ** (-(prec // 2)) * (1 + abs(pre)):
             raise ArithmeticError("character-factor product is not real")
         scale = max(abs(direct), abs(pre))
         agree = bool(scale > 0 and abs(direct - pre) / scale < mpmath.mpf(2) ** (-(prec // 2)))
-    with mp.workprec(prec):
-        return DeterminantCheck(
-            prime=p,
-            prec=prec,
-            det_direct=Real(+direct, prec),
-            det_product=Real(+pre, prec),
-            agree=agree,
-            s_chi_values=tuple(entries),
-        )
+    return DeterminantCheck(
+        prime=p,
+        prec=prec,
+        det_direct=Real(direct, prec),
+        det_product=Real(pre, prec),
+        agree=agree,
+        s_chi_values=tuple(entries),
+    )
 
 
 @dataclass(frozen=True)

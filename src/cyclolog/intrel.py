@@ -206,7 +206,7 @@ def find_integer_relation(
         return RelationSearchResult(
             verdict=FOUND,
             found=found,
-            residual=Real(r0, wp).round_to(prec),
+            residual=Real(r0, prec),
             coeff_bound=coeff_bound,
             prec=prec,
             basis=basis,
@@ -214,8 +214,7 @@ def find_integer_relation(
     return RelationSearchResult(
         verdict=NONE_BELOW_BOUND,
         found=None,
-        residual=(Real(best_residual, wp).round_to(prec) if best_residual is not None
-                  else Real(mpmath.mpf(2) ** prec, prec)),
+        residual=Real(best_residual if best_residual is not None else mpmath.mpf(2) ** prec, prec),
         coeff_bound=coeff_bound,
         prec=prec,
         basis=basis,

@@ -1,13 +1,13 @@
 """Precision-tagged arbitrary-precision arithmetic kernel.
 
-Every analytic quantity in this package is a :class:`Real` or
-:class:`Complex`: an mpmath floating-point value carrying an explicit
-precision tag (bits).  The uniform policy is
+Every analytic quantity the package hands out is a :class:`Real` or
+:class:`Complex`: a record of an mpmath floating-point value and the
+precision tag (bits) it was rounded to on construction.  The routes
+compute on raw mpfs; the uniform policy is
 
-* arithmetic on mixed precisions rounds at the *minimum* of the operand
-  precisions,
 * an operation asked for a ``prec``-bit result computes internally at
-  ``prec + 64`` guard bits and rounds once at the end,
+  ``prec + 64`` guard bits and rounds once at the end, by wrapping the
+  result in ``Real(value, prec)``,
 * "is this zero?" questions go through :func:`classify_zero`, which
   returns Zero / NonZero / Indeterminate instead of a bare boolean.
 
@@ -59,16 +59,21 @@ def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:
         with mp.workprec(max(wp, x.bit_length() + 1, MIN_PRECISION)):
             return mpmath.mpf(x)
     if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return to_mpf(x.numerator, wp)
         with mp.workprec(wp):
-            if x.denominator == 1:
-                return to_mpf(x.numerator, wp)
             return mpmath.mpf(x.numerator) / x.denominator
     with mp.workprec(wp):
         return mpmath.mpf(x)
 
 
 class Real:
-    """An immutable real number tagged with the precision it carries."""
+    """An immutable real number rounded to the precision it is tagged with.
+
+    ``Real(value, prec)`` stores ``value`` rounded to nearest at ``prec``
+    bits, so a Real never carries more bits than its tag.  It is a record,
+    not a number type: arithmetic and comparisons go through ``.mpf``.
+    """
 
     __slots__ = ("mpf", "prec")
 
@@ -76,94 +81,14 @@ class Real:
         _check_prec(prec)
         if isinstance(value, Real):
             value = value.mpf
-        if not isinstance(value, mpmath.mpf):
+        elif not isinstance(value, mpmath.mpf):
             value = to_mpf(value, prec)
-        object.__setattr__(self, "mpf", value)
+        # the rounding of +value under mp.workprec(prec), without the scope
+        object.__setattr__(self, "mpf", mpmath.mpf(value, prec=prec, rounding="n"))
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, name, value):
         raise AttributeError("Real is immutable")
-
-    # -- arithmetic: result precision is the minimum of the operands' --
-
-    def _prep(self, other):
-        if isinstance(other, Real):
-            prec = min(self.prec, other.prec)
-            return other.mpf, prec
-        if isinstance(other, (int, Fraction)):
-            return to_mpf(other, self.prec), self.prec
-        return NotImplemented, None
-
-    def _binary(self, other, op):
-        rhs, prec = self._prep(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        with mp.workprec(prec):
-            return Real(op(self.mpf, rhs), prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        with mp.workprec(self.prec):
-            return Real(-self.mpf, self.prec)
-
-    def __abs__(self):
-        with mp.workprec(self.prec):
-            return Real(abs(self.mpf), self.prec)
-
-    # -- comparisons are exact on the stored values --
-
-    def _cmp_value(self, other):
-        if isinstance(other, Real):
-            return other.mpf
-        if isinstance(other, (int, float)):
-            return other
-        if isinstance(other, Fraction):
-            return to_mpf(other, max(self.prec, 2 * GUARD_BITS) + GUARD_BITS)
-        return NotImplemented
-
-    def __eq__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.mpf == v
-
-    def __lt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.mpf < v
-
-    def __le__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.mpf <= v
-
-    def __gt__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.mpf > v
-
-    def __ge__(self, other):
-        v = self._cmp_value(other)
-        return NotImplemented if v is NotImplemented else self.mpf >= v
-
-    def __hash__(self):
-        return hash(self.mpf)
 
     def __float__(self):
         return float(self.mpf)
@@ -178,9 +103,7 @@ class Real:
         return dec_str(self.mpf, digits)
 
     def round_to(self, prec: int) -> "Real":
-        _check_prec(prec)
-        with mp.workprec(prec):
-            return Real(+self.mpf, prec)
+        return Real(self.mpf, prec)
 
 
 class Complex:
@@ -207,47 +130,6 @@ class Complex:
         with mp.workprec(self.prec):
             return mpmath.mpc(self.re.mpf, self.im.mpf)
 
-    def conjugate(self) -> "Complex":
-        return Complex(self.re, -self.im)
-
-    def __add__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return Complex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return Complex(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (Real, int, Fraction)):
-            return Complex(self.re * other, self.im * other)
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return Complex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Complex(-self.re, -self.im)
-
-    def __abs__(self) -> Real:
-        prec = self.prec
-        with mp.workprec(prec):
-            return Real(mpmath.hypot(self.re.mpf, self.im.mpf), prec)
-
-    def __eq__(self, other):
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __repr__(self):
         return f"Complex({mpmath.nstr(self.re.mpf, 15)}, {mpmath.nstr(self.im.mpf, 15)}, prec={self.prec})"
 
@@ -271,9 +153,7 @@ def const(name: str, prec: int) -> Real:
     except KeyError:
         raise ValueError(f"unknown constant {name!r}; expected one of {sorted(_CONSTANT_FNS)}") from None
     with mp.workprec(working_prec(prec)):
-        v = fn()
-    with mp.workprec(prec):
-        return Real(+v, prec)
+        return Real(fn(), prec)
 
 
 def const_raw(name: str, wp: int) -> mpmath.mpf:
@@ -297,9 +177,7 @@ def log_2sin_raw(k: int, q: int, wp: int) -> mpmath.mpf:
 def log_2sin(k: int, q: int, prec: int) -> Real:
     """log(2 sin(k pi / q)) = log|1 - zeta_q^k|, symmetric under k -> q - k."""
     _check_prec(prec)
-    v = log_2sin_raw(k, q, working_prec(prec))
-    with mp.workprec(prec):
-        return Real(+v, prec)
+    return Real(log_2sin_raw(k, q, working_prec(prec)), prec)
 
 
 # ---------------------------------------------------------------------------

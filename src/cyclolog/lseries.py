@@ -8,9 +8,7 @@
 * ``direct``: truncated partial sums of sum f(n)/n with an explicit tail
   bound, float64 only; a sanity route, not a precision route.
 
-Also here: Hurwitz zeta via Euler-Maclaurin, an independent digamma
-oracle (asymptotic series plus upward argument shifting) used to test the
-closed-form assembly, and the decomposition of L(1,f) over the basis
+Also here: the decomposition of L(1,f) over the basis
 {log(2 sin b pi/q)} + {pi} (+ {log 2} for even q).
 
 Sign convention: the decomposition is derived from the digamma route, so
@@ -30,13 +28,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .characters import (
-    DirichletCharacter,
-    PeriodicFunction,
-    fourier_transform_raw,
-    gauss_sum_raw,
-    is_prime,
-)
+from .characters import PeriodicFunction, fourier_transform_raw
 from .kernel import Real, const_raw, to_mpf, working_prec
 from .tables import tables
 
@@ -56,66 +48,7 @@ def _require_convergent(f: PeriodicFunction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta, Euler-Maclaurin
-# ---------------------------------------------------------------------------
-
-def hurwitz_zeta_raw(s, x, wp: int, tol_exp: int) -> mpmath.mpf:
-    """zeta(s, x) for real s > 1, 0 < x <= 1; truncation error < 2^tol_exp.
-
-    Euler-Maclaurin with the cut N and the number of correction terms
-    chosen per call: terms are added while they decrease, and the cut is
-    doubled if they start growing before reaching tolerance.  For real
-    s > 0 the remainder is bounded by the first omitted term.
-    """
-    with mp.workprec(wp):
-        s = to_mpf(s, wp)
-        x = to_mpf(x, wp)
-        if not s > 1:
-            raise ValueError("hurwitz_zeta needs s > 1 (simple pole at s = 1)")
-        if not (0 < x <= 1):
-            raise ValueError("hurwitz_zeta needs 0 < x <= 1")
-        tol = mpmath.mpf(2) ** tol_exp
-        N = max(8, (-tol_exp) // 4)
-        for _ in range(64):
-            head = mpmath.fsum((n + x) ** (-s) for n in range(N))
-            y = N + x
-            total = head + y ** (1 - s) / (s - 1) + y ** (-s) / 2
-            rising = s                  # (s)_(2j-1) for j = 1
-            power = y ** (-s - 1)       # y^(-s-2j+1) for j = 1
-            y2inv = 1 / (y * y)
-            corr = mpmath.mpf(0)
-            prev = mpmath.inf
-            j = 1
-            converged = False
-            while j < 4 * wp:
-                term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * rising * power
-                size = abs(term)
-                if size > prev:
-                    break  # asymptotic tail started diverging; enlarge N
-                corr += term
-                if size < tol:
-                    converged = True
-                    break
-                prev = size
-                rising *= (s + 2 * j - 1) * (s + 2 * j)
-                power *= y2inv
-                j += 1
-            if converged:
-                return total + corr
-            N *= 2
-    raise RuntimeError("Euler-Maclaurin failed to converge")  # pragma: no cover
-
-
-def hurwitz_zeta(s, x, prec: int) -> Real:
-    """zeta(s, x) = sum_{n>=0} (n+x)^(-s) at target precision, s > 1."""
-    wp = working_prec(prec)
-    v = hurwitz_zeta_raw(s, x, wp, -(prec + 32))
-    with mp.workprec(prec):
-        return Real(+v, prec)
-
-
-# ---------------------------------------------------------------------------
-# digamma at rationals: Gauss's closed form, and an independent oracle
+# digamma at rationals: Gauss's closed form
 # ---------------------------------------------------------------------------
 
 def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
@@ -136,58 +69,6 @@ def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
     return total
 
 
-def digamma(a: int, q: int, prec: int) -> Real:
-    """psi(a/q) at target precision, 1 <= a < q."""
-    v = digamma_raw(a, q, working_prec(prec))
-    with mp.workprec(prec):
-        return Real(+v, prec)
-
-
-def digamma_series_raw(x, wp: int) -> mpmath.mpf:
-    """Oracle psi(x) for real x > 0: shift upward, then the Bernoulli
-    asymptotic series.  Shares nothing with the closed-form assembly."""
-    wq = wp + 16
-    shift_to = int(0.14 * wq) + 16
-    with mp.workprec(wq):
-        tol = mpmath.mpf(2) ** (-(wp + 8))
-        for _ in range(20):
-            y = to_mpf(x, wq)
-            if y <= 0:
-                raise ValueError("digamma oracle needs x > 0")
-            acc = mpmath.mpf(0)
-            while y < shift_to:
-                acc -= 1 / y
-                y += 1
-            res = mpmath.log(y) - 1 / (2 * y)
-            y2inv = 1 / (y * y)
-            power = y2inv
-            prev = mpmath.inf
-            j = 1
-            converged = False
-            while j < 4 * wq:
-                term = mp.bernoulli(2 * j) / (2 * j) * power
-                size = abs(term)
-                if size > prev:
-                    break
-                res -= term
-                if size < tol:
-                    converged = True
-                    break
-                prev = size
-                power *= y2inv
-                j += 1
-            if converged:
-                return res + acc
-            shift_to *= 2
-    raise RuntimeError("digamma asymptotic series failed to converge")  # pragma: no cover
-
-
-def digamma_series(x, prec: int) -> Real:
-    v = digamma_series_raw(x, working_prec(prec))
-    with mp.workprec(prec):
-        return Real(+v, prec)
-
-
 # ---------------------------------------------------------------------------
 # the three routes to L(1, f)
 # ---------------------------------------------------------------------------
@@ -196,11 +77,7 @@ def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
     q = f.period
     psi = tables(q, wp).psi
     with mp.workprec(wp):
-        terms = [
-            f.value_mpf(a, wp) * psi[a - 1]
-            for a in range(1, q + 1)
-            if f.value_at(a) != 0
-        ]
+        terms = [v * psi[a - 1] for a in range(1, q + 1) if (v := f.value_mpf(a, wp))]
         return -mpmath.fsum(terms) / q if terms else mpmath.mpf(0)
 
 
@@ -288,53 +165,7 @@ def l1(
         v = re
     else:
         return l1_direct_result(f).value
-    with mp.workprec(prec):
-        return Real(+v, prec)
-
-
-def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """L(1, chi) = -(tau(chi)/p) sum_k conj(chi)(k) log|1 - zeta_p^k| as (re, im)."""
-    p = chi.modulus
-    tre, tim = gauss_sum_raw(chi, wp)
-    chibar = chi.conjugate()
-    tab = tables(p, wp)
-    # chi's values are (p-1)-th roots of unity
-    roots = tables(p - 1, wp).roots
-    with mp.workprec(wp):
-        sre = mpmath.mpf(0)
-        sim = mpmath.mpf(0)
-        for k in range(1, p):
-            t = chibar.value_exponent(k)
-            if t is None:
-                continue
-            c, s = roots[int(t * (p - 1))]
-            lg = tab.log_sine(k)
-            sre += c * lg
-            sim += s * lg
-        re = -(tre * sre - tim * sim) / p
-        im = -(tre * sim + tim * sre) / p
-        return re, im
-
-
-def l1_chi_via_gauss(chi: DirichletCharacter, prec: int):
-    """L(1, chi) through the Gauss-sum identity, for even nontrivial chi mod p.
-
-    Real-valued characters give a real result (imaginary part at noise
-    level); characters of order > 2 have genuinely complex L(1, chi), so
-    the return type is Complex throughout.
-    """
-    from .kernel import Complex
-
-    p = chi.modulus
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"modulus must be an odd prime, got {p}")
-    if chi.is_principal:
-        raise ValueError("the principal character is excluded (L has a pole factor)")
-    if not chi.is_even:
-        raise ValueError("odd characters are excluded: chi(-1) must be 1")
-    re, im = l1_chi_raw(chi, working_prec(prec))
-    with mp.workprec(prec):
-        return Complex(Real(+re, prec), Real(+im, prec))
+    return Real(v, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +233,10 @@ def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:
             value += c * logs[b - 1]
         if q % 2 == 0:
             value += log2_coeff * const_raw("log2", wp)
-    with mp.workprec(prec):
-        return DecompositionVector(
-            modulus=q,
-            pi_coeff=Real(+pi_coeff, prec),
-            log2sin_coeffs={b: Real(+c, prec) for b, c in coeffs.items()},
-            log2_coeff=Real(+log2_coeff, prec),
-            value=Real(+value, prec),
-        )
+    return DecompositionVector(
+        modulus=q,
+        pi_coeff=Real(pi_coeff, prec),
+        log2sin_coeffs={b: Real(c, prec) for b, c in coeffs.items()},
+        log2_coeff=Real(log2_coeff, prec),
+        value=Real(value, prec),
+    )

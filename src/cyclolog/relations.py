@@ -251,12 +251,6 @@ def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def in_rational_span(vector: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
-    gens = [list(g) for g in generators]
-    base = rational_rank(gens)
-    return rational_rank(gens + [list(vector)]) == base
-
-
 def verify_relation(rel: RelationVector, prec: int = 128) -> ZeroClass:
     """Evaluate sum coeff * slot-value (PI = pi, LOG2 = log 2) and classify."""
     wp = working_prec(prec)

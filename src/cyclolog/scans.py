@@ -27,8 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -63,13 +62,6 @@ class InconclusiveClassificationError(RuntimeError):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def admissible_count(q: int) -> int:
-    """Number of zero-mean sign functions mod q: C(q-1, (q-1)/2), 0 for even q."""
-    if q % 2 == 0:
-        return 0
-    return comb(q - 1, (q - 1) // 2)
-
-
 def sign_function(q: int, signs: Sequence[int]) -> PeriodicFunction:
     """The sign vector (f(1), ..., f(q-1)) as a periodic function with f(q) = 0."""
     if len(signs) != q - 1 or any(s not in (-1, 1) for s in signs):
@@ -80,18 +72,6 @@ def sign_function(q: int, signs: Sequence[int]) -> PeriodicFunction:
 def _signs_from_positions(q: int, positions: Tuple[int, ...]) -> Tuple[int, ...]:
     plus = set(positions)
     return tuple(1 if i in plus else -1 for i in range(q - 1))
-
-
-def enumerate_sign_functions(q: int) -> Iterator[PeriodicFunction]:
-    """All admissible sign functions mod q, in lexicographic order of the
-    +1 position sets; empty for even q (parity obstruction)."""
-    if q < 3:
-        raise ValueError(f"modulus must be >= 3, got {q}")
-    if q % 2 == 0:
-        return
-    half = (q - 1) // 2
-    for positions in combinations(range(q - 1), half):
-        yield sign_function(q, _signs_from_positions(q, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +149,14 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
         raise InconclusiveClassificationError(
             "L(1,f) classified Indeterminate; raise precision"
         )
-    with mp.workprec(prec):
-        return DichotomyVerdict(
-            cot_sum=Real(+cot, prec),
-            cos_sums={b: Real(+v, prec) for b, v in cos_sums.items()},
-            l_value=Real(+l_raw, prec),
-            branch=branch,
-            l_class=l_class,
-            trig_classes=trig_classes,
-        )
+    return DichotomyVerdict(
+        cot_sum=Real(cot, prec),
+        cos_sums={b: Real(v, prec) for b, v in cos_sums.items()},
+        l_value=Real(l_raw, prec),
+        branch=branch,
+        l_class=l_class,
+        trig_classes=trig_classes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +305,11 @@ def scan(
             if min_abs is None or val < min_abs:
                 min_abs = val
                 argmin = tuple(rec["signs"])
-    with mp.workprec(prec):
-        min_real = Real(+min_abs, prec) if min_abs is not None else None
     return ScanReport(
         q=q,
         prec=prec,
         admissible_count=len(lines),
-        min_abs_l=min_real,
+        min_abs_l=Real(min_abs, prec) if min_abs is not None else None,
         argmin_signs=argmin,
         class_counts=counts,
         records=tuple(lines),

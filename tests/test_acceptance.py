@@ -23,13 +23,9 @@ from cyclolog.dedekind import determinant_check
 from cyclolog.intrel import NONE_BELOW_BOUND, find_integer_relation, relation_lattice_rank
 from cyclolog.kernel import Real, classify_zero, const_raw, log_2sin_raw, working_prec
 from cyclolog.lseries import decompose_l1, l1, l1_digamma_raw, l1_direct_result
-from cyclolog.relations import (
-    LogBasis,
-    construct_relation,
-    in_rational_span,
-    valid_divisor_pairs,
-)
+from cyclolog.relations import LogBasis, construct_relation, valid_divisor_pairs
 from cyclolog.scans import bbw_function, scan, trig_sums_raw
+from oracles import in_rational_span
 
 TOL112 = mpmath.mpf(2) ** -112
 

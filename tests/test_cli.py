@@ -21,6 +21,25 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    import cyclolog.cli as cli
+
+    built = []
+    original = cli._build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    code, payload = run_json(capsys, "characters", "--q", "7", "--even-only")
+    assert code == 0 and payload["count"] == 3
+    code, payload = run_json(capsys, "characters", "--q", "7")
+    assert code == 0 and payload["count"] == 6  # no option carries over between calls
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # lseries / decompose
 # ---------------------------------------------------------------------------
@@ -180,6 +199,22 @@ def test_scan_tampered_store_exits_4_naming_the_store(capsys, tmp_path):
     assert code == 4
     assert str(store) in payload["error"] and "disagrees" in payload["error"]
     assert store.read_text() == tampered
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_scan_unopenable_store_exits_1_before_any_evaluation(capsys, monkeypatch, tmp_path, where):
+    import cyclolog.scans as scans_mod
+
+    def no_evaluation(*args):
+        raise AssertionError("a function was evaluated before the store was checked")
+
+    monkeypatch.setattr(scans_mod, "_record_line", no_evaluation)
+    store = tmp_path / "missing" / "x.jsonl" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(store) in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")], ids=["canonical", "spaced"])

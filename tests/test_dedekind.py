@@ -10,22 +10,21 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from cyclolog.characters import enumerate_characters, gauss_sum, principal_character
-from cyclolog.dedekind import (
-    build_matrix,
-    classify_s_chi,
-    determinant_check,
-    independence_certificate,
-    s_chi,
-)
+from cyclolog.characters import enumerate_characters
+from cyclolog.dedekind import build_matrix, determinant_check, independence_certificate
 from cyclolog.kernel import working_prec
-from cyclolog.lseries import l1_chi_via_gauss
+from oracles import gauss_sum, l1_chi_via_gauss
 
 TOL112 = mpmath.mpf(2) ** -112
 
 
 def quadratic_character(p):
     return next(ch for ch in enumerate_characters(p) if ch.order == 2)
+
+
+def s_chi_factors(p, prec=128):
+    """chi -> (S_chi, its class) for every factor of the determinant check."""
+    return {chi: (val, cls) for chi, val, cls in determinant_check(p, prec).s_chi_values}
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +71,14 @@ def test_matrix_rejects_non_prime():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_s_chi_principal_is_half_log_p(p):
-    val = s_chi(principal_character(p), 128)
+    val, _ = s_chi_factors(p)[enumerate_characters(p)[0]]
     with mp.workprec(200):
         assert abs(val.re.mpf - mpmath.log(p) / 2) < TOL112
     assert abs(val.im.mpf) < TOL112
 
 
 def test_s_chi_quadratic_mod5_is_minus_log_phi():
-    val = s_chi(quadratic_character(5), 128)
+    val, _ = s_chi_factors(5)[quadratic_character(5)]
     with mp.workprec(256):
         phi = (1 + mpmath.sqrt(5)) / 2
         assert abs(val.re.mpf + mpmath.log(phi)) < TOL112
@@ -89,10 +88,9 @@ def test_s_chi_quadratic_mod5_is_minus_log_phi():
 def test_s_chi_cross_check_against_l_value():
     # S_chi = -(p / (2 tau(conj chi))) L(1, conj chi), both sides independent
     for p in (5, 7, 11):
-        for chi in enumerate_characters(p, even_only=True):
+        for chi, (val, _) in s_chi_factors(p).items():
             if chi.is_principal:
                 continue
-            val = s_chi(chi, 128)
             chibar = chi.conjugate()
             lval = l1_chi_via_gauss(chibar, 128)
             tau = gauss_sum(chibar, 128)
@@ -103,15 +101,17 @@ def test_s_chi_cross_check_against_l_value():
 
 
 def test_s_chi_rejects_odd_characters():
+    # odd characters are not characters of G = (Z/pZ)*/{+-1}: never a factor
     odd_chi = next(ch for ch in enumerate_characters(5) if not ch.is_even)
-    with pytest.raises(ValueError):
-        s_chi(odd_chi, 64)
+    factors = s_chi_factors(5, 64)
+    assert odd_chi not in factors
+    assert set(factors) == set(enumerate_characters(5, even_only=True))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_s_chi_all_nonzero(p):
-    for chi in enumerate_characters(p, even_only=True):
-        assert classify_s_chi(chi, 128).is_nonzero, (p, chi.exponents)
+    for chi, (_, cls) in s_chi_factors(p).items():
+        assert cls.is_nonzero, (p, chi.exponents)
 
 
 def test_character_inversion_recovers_log_sines():

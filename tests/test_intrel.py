@@ -25,8 +25,8 @@ from cyclolog.relations import (
     PI_SLOT,
     LogBasis,
     enumerate_relations,
-    in_rational_span,
 )
+from oracles import in_rational_span
 
 
 def solve_rational(rows, target):

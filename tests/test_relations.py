@@ -27,12 +27,12 @@ from cyclolog.relations import (
     construct_relation,
     enumerate_relations,
     fold_index,
-    in_rational_span,
     rational_rank,
     relation_record,
     valid_divisor_pairs,
     verify_relation,
 )
+from oracles import in_rational_span
 
 
 def coeff_map(vec):

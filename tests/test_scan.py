@@ -15,10 +15,8 @@ from cyclolog.scans import (
     BRANCH_L_NONZERO,
     BRANCH_TRIG_VANISH,
     ScanStore,
-    admissible_count,
     bbw_function,
     dichotomy,
-    enumerate_sign_functions,
     scan,
     sign_function,
     trig_sums_raw,
@@ -31,25 +29,31 @@ TOL112 = mpmath.mpf(2) ** -112
 # enumeration
 # ---------------------------------------------------------------------------
 
+def scanned_signs(q, prec=64):
+    """The sign vectors of a scan's records, in enumeration order."""
+    return [json.loads(line)["signs"] for line in scan(q, prec).records]
+
+
 def test_enumerate_q3():
-    funcs = list(enumerate_sign_functions(3))
-    assert len(funcs) == 2
-    assert [tuple(int(v) for v in f.values[:2]) for f in funcs] == [(1, -1), (-1, 1)]
-    assert all(f.value_at(3) == 0 for f in funcs)
+    signs = scanned_signs(3)
+    assert signs == [[1, -1], [-1, 1]]
+    assert all(sign_function(3, s).value_at(3) == 0 for s in signs)
 
 
 def test_enumerate_q5_count():
-    assert len(list(enumerate_sign_functions(5))) == 6
+    assert len(scanned_signs(5)) == 6
 
 
 def test_enumerate_even_q_is_empty():
-    assert list(enumerate_sign_functions(6)) == []
-    assert admissible_count(6) == 0
+    report = scan(6, 64)
+    assert report.records is None
+    assert report.admissible_count == 0
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_admissible_count_formula(q):
-    assert admissible_count(q) == comb(q - 1, (q - 1) // 2)
+    report = scan(q, 64)
+    assert report.admissible_count == len(report.records) == comb(q - 1, (q - 1) // 2)
 
 
 def test_sign_function_validation():

@@ -10,9 +10,9 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from cyclolog.characters import enumerate_characters, unit_root
+from cyclolog.characters import unit_root
 from cyclolog.cli import main
-from cyclolog.dedekind import classify_s_chi
+from cyclolog.dedekind import determinant_check
 from cyclolog.kernel import const_raw, log_2sin_raw, working_prec
 from cyclolog.lseries import digamma_raw
 from cyclolog.scans import _classify_l, sign_function
@@ -108,9 +108,8 @@ def test_cache_stays_within_its_bound():
     tables.cache_clear()
     bound = tables.cache_info().maxsize
     assert bound is not None
-    chi = enumerate_characters(11, even_only=True)[1]
     for prec in range(64, 64 + 8 * 2 * bound, 8):
-        assert classify_s_chi(chi, prec).is_nonzero
+        assert all(cls.is_nonzero for _, _, cls in determinant_check(11, prec).s_chi_values)
         assert tables.cache_info().currsize <= bound
     assert tables.cache_info().currsize == bound
 
@@ -134,11 +133,14 @@ def test_doubled_precision_recompute_reads_its_own_entry():
 GOLDEN_F120 = ",".join(str((a % 5) - 2 + (a % 3) - 1) for a in range(1, 121))
 GOLDEN_F300 = ",".join(str((a % 5) - 2 + (a % 3) - 1 + 2 * (a % 2) - 1) for a in range(1, 301))
 GOLDEN_F60 = ",".join(("1/3", "-5/12", "0", "1/4", "-1/6", "0")[a % 6] for a in range(1, 61))
+# zero mean with f(20) = -1, so decompose folds the -(f(q)/q) log q term
+GOLDEN_F20 = ",".join(str((a % 5) - 2 + (a % 4 == 0) - (a % 4 == 2)) for a in range(1, 21))
 
 # SHA-256 of stdout: the first six recorded before the routes shared one
 # tables layer, the next four before each quantity was evaluated once per
 # precision, the next three before relations were built once per class,
-# the last two before the Fourier transform summed integers
+# the next two before the Fourier transform summed integers, the last five
+# before a Real rounded itself on construction
 GOLDEN = [
     ("scan-q11", ["scan", "--q", "11", "--per-function", "--threads", "1", "--store", ""],
      "decb488728b52558b9ced5e1298c4ba92143ba6568c5e4bba81207e13355e42c"),
@@ -171,6 +173,16 @@ GOLDEN = [
     ("lseries-q60-fractions-fourier",
      ["lseries", "--q", "60", f"--f={GOLDEN_F60}", "--route", "fourier"],
      "cd07fa36b53340690c7cf4c85a274359229ac252c548466d9b9eecdc0ec57d72"),
+    ("bbw-q8-l3", ["bbw", "--q", "8", "--l", "3"],
+     "4260226fb5f31d5ebe3d4946f22c4b116b9fa39f27ba478a2b9433bdcf230842"),
+    ("lseries-q120-direct", ["lseries", "--q", "120", f"--f={GOLDEN_F120}", "--route", "direct"],
+     "fd71aefa68cd4096b18c68dcab1e98c5658798a30156fc11c1b758d39a51c017"),
+    ("intrel-q7", ["intrel", "--q", "7"],
+     "609f70e4b943275473e5e702d9be04184ad0596d496febec5a6014b6b910471e"),
+    ("decompose-q20", ["decompose", "--q", "20", f"--f={GOLDEN_F20}"],
+     "af0477444039a2ae0c29d2c4dcfcc153cddee7960717efc5bb7797227b465705"),
+    ("certificate-p101", ["certificate", "--p", "101"],
+     "d1a2505cbad179431a10800ec87ca40a3dea974951435d7fea8871050afc3f1b"),
 ]
 
 
