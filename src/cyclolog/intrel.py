@@ -1,10 +1,12 @@
 """Integer-relation detection over log-sine bases via lattice reduction.
 
 The standard relation lattice (an identity block augmented with one
-column of the values scaled by 2^(prec-16)) is reduced with LLL at
+column of the values scaled by 2^(prec-16)) is reduced once with LLL at
 delta = 0.99; reduced rows whose residual classifies Zero at the target
-precision are relations.  LLL runs entirely over integers (de Weger's
-exact Gram-Schmidt bookkeeping), so reduction never loses precision.
+precision are relations.  A search takes the shortest such row; the
+lattice rank keeps them all.  LLL runs entirely over integers (de
+Weger's exact Gram-Schmidt bookkeeping), so reduction never loses
+precision.
 
 A NoneBelowBound verdict is quantified evidence, never a proof: it
 always records the coefficient bound and precision it was obtained at.
@@ -16,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -25,7 +26,6 @@ from mpmath import mp
 from .kernel import PrecisionError, Real, classify_zero, to_mpf, working_prec
 from .relations import PI_SLOT, LogBasis
 
-MAX_DIMENSION = 24
 DEFAULT_DELTA = Fraction(99, 100)
 SCALE_SHIFT = 16
 
@@ -127,25 +127,31 @@ def _normalize_sign(vec: Sequence[int]) -> Tuple[int, ...]:
     return tuple(-v for v in vec) if first < 0 else tuple(vec)
 
 
-def find_integer_relation(
+def _residual(cand: Sequence[int], vals: Sequence[mpmath.mpf], wbits: int) -> mpmath.mpf:
+    with mp.workprec(wbits):
+        return abs(mpmath.fsum(c * v for c, v in zip(cand, vals) if c))
+
+
+def _reduced_rows(
     values: Sequence[Real],
     coeff_bound: int,
     prec: int,
-    value_provider: Optional[ValueProvider] = None,
-    basis: Optional[LogBasis] = None,
-) -> RelationSearchResult:
-    """Search for a nonzero integer vector c with sum c_i values_i = 0.
+    value_provider: Optional[ValueProvider],
+    basis: Optional[LogBasis],
+) -> Iterator[Tuple[Optional[Tuple[int, ...]], mpmath.mpf]]:
+    """Reduce the relation lattice of ``values`` once and yield, for each
+    reduced row in order of norm, the row as a sign-normalised relation (or
+    None when it is not one) and its residual at working precision.
 
-    ``values`` must carry working precision.  Found requires the residual
-    to classify Zero at the target precision and, when a value provider
-    is available, to survive re-verification with all values recomputed
-    once at doubled working precision.
+    A row is a relation when every coefficient is at most ``coeff_bound``
+    in absolute value, its residual classifies Zero at ``prec`` and, when
+    a value provider is given, its residual stays below 2^-prec with the
+    values recomputed once at doubled working precision.  A relation with
+    a nonzero pi coefficient over ``basis`` raises PiCoefficientViolation.
     """
     n = len(values)
     if n < 2:
         raise ValueError("need at least two values")
-    if n > MAX_DIMENSION:
-        raise ValueError(f"at most {MAX_DIMENSION} values supported, got {n}")
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     if Fraction(coeff_bound**2, 2**prec) > Fraction(1, 2**32):
@@ -161,60 +167,52 @@ def find_integer_relation(
                 "pass higher-precision values"
             )
     xs = [to_mpf(v, wp) for v in values]
-
-    scale_exp = prec - SCALE_SHIFT
     with mp.workprec(wp):
-        scaled = [int(mpmath.nint(mpmath.ldexp(x, scale_exp))) for x in xs]
-    rows = [
-        [1 if j == i else 0 for j in range(n)] + [scaled[i]]
-        for i in range(n)
-    ]
-    reduced = lll_reduce(rows)
+        scaled = [int(mpmath.nint(mpmath.ldexp(x, prec - SCALE_SHIFT))) for x in xs]
+    rows = [[1 if j == i else 0 for j in range(n)] + [scaled[i]] for i in range(n)]
 
-    def residual_raw(cand: Sequence[int], vals: Sequence[mpmath.mpf], wbits: int) -> mpmath.mpf:
-        with mp.workprec(wbits):
-            return abs(mpmath.fsum(c * v for c, v in zip(cand, vals) if c))
-
-    def row_norm(row: List[int]) -> int:
-        return sum(v * v for v in row)
-
-    best_residual: Optional[mpmath.mpf] = None
-    witness: Optional[List[mpmath.mpf]] = None
-    for row in sorted(reduced, key=row_norm):
+    witness: Optional[Sequence[mpmath.mpf]] = None
+    for row in sorted(lll_reduce(rows), key=lambda r: sum(v * v for v in r)):
         cand = row[:n]
-        if all(v == 0 for v in cand):
-            continue
-        r0 = residual_raw(cand, xs, wp)
-        if best_residual is None or r0 < best_residual:
-            best_residual = r0
-        if max(abs(v) for v in cand) > coeff_bound:
-            continue
-        cls = classify_zero(Real(r0, wp), prec)
-        if not cls.is_zero:
-            continue
-        if value_provider is not None:
+        r0 = _residual(cand, xs, wp)
+        ok = max(abs(v) for v in cand) <= coeff_bound and classify_zero(Real(r0, wp), prec).is_zero
+        if ok and value_provider is not None:
             if witness is None:
-                witness = list(value_provider(2 * wp))
-            if not residual_raw(cand, witness, 2 * wp) < mpmath.mpf(2) ** (-prec):
-                continue  # did not survive doubled precision: not a relation
-        found = _normalize_sign(cand)
-        if basis is not None and PI_SLOT in basis.slots and found[basis.index_of(PI_SLOT)] != 0:
+                witness = value_provider(2 * wp)
+            ok = _residual(cand, witness, 2 * wp) < mpmath.mpf(2) ** (-prec)
+        found = _normalize_sign(cand) if ok else None
+        if ok and basis is not None and PI_SLOT in basis.slots and found[basis.index_of(PI_SLOT)]:
             raise PiCoefficientViolation(
                 f"verified relation {found} over modulus {basis.modulus} carries a nonzero "
                 "pi coefficient; report this rather than accepting it"
             )
-        return RelationSearchResult(
-            verdict=FOUND,
-            found=found,
-            residual=Real(r0, prec),
-            coeff_bound=coeff_bound,
-            prec=prec,
-            basis=basis,
-        )
+        yield found, r0
+
+
+def find_integer_relation(
+    values: Sequence[Real],
+    coeff_bound: int,
+    prec: int,
+    value_provider: Optional[ValueProvider] = None,
+    basis: Optional[LogBasis] = None,
+) -> RelationSearchResult:
+    """Search for a nonzero integer vector c with sum c_i values_i = 0.
+
+    ``values`` must carry working precision.  Found is the shortest reduced
+    row that passes the relation test of ``_reduced_rows``; NoneBelowBound
+    records the smallest residual over all reduced rows.
+    """
+    residuals = []
+    for found, residual in _reduced_rows(values, coeff_bound, prec, value_provider, basis):
+        if found is not None:
+            break
+        residuals.append(residual)
+    else:
+        found, residual = None, min(residuals)
     return RelationSearchResult(
-        verdict=NONE_BELOW_BOUND,
-        found=None,
-        residual=Real(best_residual if best_residual is not None else mpmath.mpf(2) ** prec, prec),
+        verdict=NONE_BELOW_BOUND if found is None else FOUND,
+        found=found,
+        residual=Real(residual, prec),
         coeff_bound=coeff_bound,
         prec=prec,
         basis=basis,
@@ -231,15 +229,6 @@ class LatticeRankResult:
     basis: LogBasis
 
 
-def _canonical_int_vector(vec: Sequence[int]) -> Tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g > 1:
-        vec = [v // g for v in vec]
-    return _normalize_sign(vec)
-
-
 def relation_lattice_rank(
     q: int,
     coeff_bound: int = 10**6,
@@ -247,51 +236,24 @@ def relation_lattice_rank(
 ) -> LatticeRankResult:
     """Empirical rank of the relation lattice over the modulus-q log basis.
 
-    Finds a relation, projects out the coordinate carrying its largest
-    coefficient, and repeats until NoneBelowBound.  Generators span (over
-    Q) every relation the searches uncovered; containment of the
-    explicitly constructed relations is checked in the test suite.
+    Reduces the lattice of the slot values once and keeps every reduced
+    row that passes the relation test of ``find_integer_relation``.  Rows
+    of one basis are independent, so their count is the rank; the identity
+    block makes each row's coefficients coprime, so the sorted rows are the
+    generators as they stand.  The test suite checks that every constructed
+    relation lies in their integer span.
     """
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
     basis = LogBasis.for_modulus(q)
-    nslots = len(basis.slots)
-    pi_index = basis.index_of(PI_SLOT)
-    active = list(range(nslots))
-    generators: List[Tuple[int, ...]] = []
     wp = working_prec(prec)
-
-    while len(active) >= 2:
-        idx = list(active)
-
-        def provider(wbits: int, idx=idx) -> List[mpmath.mpf]:
-            vals = basis.values_raw(wbits)
-            return [vals[i] for i in idx]
-
-        sub_values = [Real(v, wp) for v in provider(wp)]
-        result = find_integer_relation(
-            sub_values, coeff_bound, prec, value_provider=provider, basis=None
-        )
-        if not result.is_found:
-            break
-        cand = result.found
-        full = [0] * nslots
-        for pos, coeff in zip(idx, cand):
-            full[pos] = coeff
-        if full[pi_index] != 0:
-            raise PiCoefficientViolation(
-                f"relation {tuple(full)} over modulus {q} has a nonzero pi coefficient; "
-                "this should be impossible and indicates a broken search"
-            )
-        generators.append(_canonical_int_vector(full))
-        pivot_pos = max(range(len(cand)), key=lambda i: (abs(cand[i]), -i))
-        del active[pivot_pos]
-
-    generators.sort()
+    values = [Real(v, wp) for v in basis.values_raw(wp)]
+    rows = _reduced_rows(values, coeff_bound, prec, basis.values_raw, basis)
+    generators = tuple(sorted(found for found, _ in rows if found is not None))
     return LatticeRankResult(
         modulus=q,
         rank=len(generators),
-        generators=tuple(generators),
+        generators=generators,
         coeff_bound=coeff_bound,
         prec=prec,
         basis=basis,

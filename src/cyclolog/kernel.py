@@ -25,6 +25,7 @@ from typing import Callable, Optional, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 MIN_PRECISION = 32
 GUARD_BITS = 64
@@ -51,7 +52,8 @@ def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:
     """Convert ``x`` to an mpf, rounding rationals/strings at ``wp`` bits.
 
     Every mpmath construction/operation rounds at the ambient context
-    precision, so conversions are always wrapped in a workprec scope.
+    precision, so conversions are wrapped in a workprec scope; a Fraction
+    is rounded once, to nearest, from its exact quotient.
     """
     if isinstance(x, Real):
         return x.mpf
@@ -61,8 +63,7 @@ def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return to_mpf(x.numerator, wp)
-        with mp.workprec(wp):
-            return mpmath.mpf(x.numerator) / x.denominator
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, wp, round_nearest))
     with mp.workprec(wp):
         return mpmath.mpf(x)
 

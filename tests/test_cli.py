@@ -280,6 +280,20 @@ def test_rank_q8(capsys):
     assert len(payload["generators"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--bound", "0"), "coefficient bound must be positive"),
+        (("--prec", "64"), "precision 64 too low for coefficient bound 1000000"),
+    ],
+)
+def test_rank_rejects_bad_search_parameters(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("CYCLOLOG_PREC", raising=False)
+    code, out, err = run_cli(capsys, "rank", "--q", "20", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_characters_q5(capsys):
     code, payload = run_json(capsys, "characters", "--q", "5")
     assert code == 0

@@ -8,12 +8,13 @@ may exist.
 
 import re
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from cyclolog.characters import is_prime
+from cyclolog.characters import factorize, is_prime
 from cyclolog.intrel import (
     NONE_BELOW_BOUND,
     find_integer_relation,
@@ -26,7 +27,7 @@ from cyclolog.relations import (
     LogBasis,
     enumerate_relations,
 )
-from oracles import in_rational_span
+from oracles import euler_phi, in_rational_span
 
 
 def solve_rational(rows, target):
@@ -229,6 +230,8 @@ def test_span_containment_constructed_within_searched(q):
     gens = [[Fraction(x) for x in g] for g in lat.generators]
     for rel in rels:
         assert in_rational_span(list(rel.coeffs), gens), (q, rel.provenance)
+        coords = solve_rational(lat.generators, rel.coeffs)  # unique: generators are independent
+        assert coords is not None and all(x.denominator == 1 for x in coords), (q, rel.provenance)
 
 
 def test_rank_result_records_search_parameters():
@@ -251,22 +254,31 @@ def test_rank_search_reads_values_once_per_precision(monkeypatch):
 
     wp = working_prec(256)
     events = []
-    original_find = intrel.find_integer_relation
+    original_lll = intrel.lll_reduce
     original_values = LogBasis.values_raw
 
-    def counting_find(*args, **kwargs):
-        events.append("f")
-        return original_find(*args, **kwargs)
+    def counting_lll(*args, **kwargs):
+        events.append("l")
+        return original_lll(*args, **kwargs)
 
     def counting_values(self, wbits):
         events.append({wp: "w", 2 * wp: "d"}[wbits])
         return original_values(self, wbits)
 
-    monkeypatch.setattr(intrel, "find_integer_relation", counting_find)
+    monkeypatch.setattr(intrel, "lll_reduce", counting_lll)
     monkeypatch.setattr(LogBasis, "values_raw", counting_values)
     lat = relation_lattice_rank(20, 10**6, 256)
     assert lat.rank == 5
-    # per search: the values at wp, the search, at most one doubled-precision witness
+    # the values at wp, one reduction, at most one doubled-precision witness
     trace = "".join(events)
-    assert re.fullmatch(r"(wfd?)+", trace), trace
-    assert trace.count("f") == lat.rank + 1  # the last search finds nothing
+    assert re.fullmatch(r"wld?", trace), trace
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 61) if not is_prime(q)] + [72, 96])
+def test_rank_matches_closed_form(q):
+    # #log slots - (phi(q)/2 - 1 + omega(q)): circular units have finite index
+    # in the units of Q(zeta_q)^+, and each prime p | q adds one log p
+    lat = relation_lattice_rank(q, 10**6, 256)
+    log_slots = sum(1 for s in lat.basis.slots if s != PI_SLOT)
+    assert lat.rank == log_slots - (euler_phi(q) // 2 - 1 + len(factorize(q)))
+    assert all(gcd(*gen) == 1 for gen in lat.generators)

@@ -2,6 +2,7 @@
 zero classification, and the precision-tag rounding rule."""
 
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from cyclolog.kernel import (
     const,
     log_2sin,
     log_2sin_raw,
+    to_mpf,
     working_prec,
 )
 
@@ -200,6 +202,21 @@ def test_real_is_immutable():
     x = const("pi", 64)
     with pytest.raises(AttributeError):
         x.prec = 128
+
+
+def test_fraction_with_wide_numerator_is_correctly_rounded():
+    # a numerator wider than wp bits must not be rounded before the division;
+    # n/d with odd d > 1 not dividing n is never a midpoint, so rounding the
+    # 1000-bit quotient to 64 bits is the correct rounding of n/d
+    rng = random.Random(150)
+    for _ in range(200):
+        n = rng.choice((1, -1)) * (rng.getrandbits(149) | 1 << 149)
+        d = rng.choice((3, 7, 11, 13))
+        if n % d == 0:
+            continue  # an integer converts exactly, at its own width
+        with mp.workprec(1000):
+            quotient = mpmath.mpf(n) / d
+        assert to_mpf(Fraction(n, d), 64) == mpmath.mpf(quotient, prec=64, rounding="n"), (n, d)
 
 
 @settings(deadline=None, max_examples=60)

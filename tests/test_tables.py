@@ -161,7 +161,7 @@ GOLDEN = [
     ("intrel-q8", ["intrel", "--q", "8"],
      "43ebd75d8fd6528c693629170a4e1beac05b6a0b3dd9d27277222796443389f3"),
     ("rank-q20", ["rank", "--q", "20", "--prec", "256"],
-     "1f183ee2535835f91890ebfde49fc7115ab3deae06b9f617c00c23cf9e2fa132"),
+     "13945eba122787881efd250b14e2ba650bdaaea283bc21c429e7ddcceaf2895e"),
     ("relations-q60", ["relations", "--q", "60"],
      "5a667a1f7358090e160035b429cca04d0b58cda0f9c683341785245457aa9ea2"),
     ("relations-q96", ["relations", "--q", "96"],
