@@ -1,13 +1,13 @@
 """Dirichlet characters, periodic functions and their discrete Fourier transform mod q.
 
 Characters are stored exactly, as integer exponent vectors over a fixed
-generator decomposition of (Z/qZ)*; a route reads chi(a) as the exact
-exponent t in [0, 1) with chi(a) = e^(2 pi i t).  All root-of-unity work
-keeps exponents as exact rationals mod 1 and evaluates cos/sin of
-pi-rational angles directly, so no argument error ever accumulates.  The
-discrete Fourier transform's sums are exact integer arithmetic over the
-2^wp-scaled roots of the tables layer; each component is rounded only
-when it is converted to an mpf.
+generator decomposition of (Z/qZ)*; a route reads chi(a) as the integer
+index k with chi(a) = e^(2 pi i k/m), m the exponent of the group, or as
+t = k/m in [0, 1).  Root-of-unity work keeps exponents exact and evaluates
+cos/sin of pi-rational angles directly, so no argument error ever
+accumulates.  The discrete Fourier transform's sums are exact integer
+arithmetic over the 2^wp-scaled roots of the tables layer; each component
+is rounded only when it is converted to an mpf.
 """
 
 from __future__ import annotations
@@ -173,18 +173,21 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def value_exponent(self, n: int) -> Optional[Fraction]:
-        """t in [0,1) with chi(n) = e^(2 pi i t), or None when gcd(n, q) > 1."""
+    def value_index(self, n: int) -> Optional[int]:
+        """k in [0, m) with chi(n) = e^(2 pi i k/m), m the lcm of the generator
+        orders, or None when gcd(n, q) > 1; for prime q it is e dlog(n) mod (q - 1)."""
         n %= self.modulus
         if gcd(n, self.modulus) != 1:
             return None
-        dlog = _discrete_log_table(self.modulus)[n]
         st = self.structure
-        t = sum(
-            (Fraction(e * k, o) for e, k, o in zip(self.exponents, dlog, st.orders)),
-            Fraction(0),
-        )
-        return t % 1
+        m = lcm(*st.orders)
+        dlog = _discrete_log_table(self.modulus)[n]
+        return sum(e * k * (m // o) for e, k, o in zip(self.exponents, dlog, st.orders)) % m
+
+    def value_exponent(self, n: int) -> Optional[Fraction]:
+        """t in [0,1) with chi(n) = e^(2 pi i t), or None when gcd(n, q) > 1."""
+        k = self.value_index(n)
+        return None if k is None else Fraction(k, lcm(*self.structure.orders))
 
     def sign_at_minus_one(self) -> int:
         """chi(-1), exactly, via integer exponent arithmetic."""

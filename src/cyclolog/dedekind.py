@@ -76,15 +76,13 @@ def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
     """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision."""
     p = chi.modulus
     table = tables(p, wp).log_sines
-    # chi's values are (p-1)-th roots of unity
+    # chi's values are (p-1)-th roots of unity, indexed by e dlog(a) mod (p - 1)
     roots = tables(p - 1, wp).roots
     with mp.workprec(wp):
         re = mpmath.mpf(0)
         im = mpmath.mpf(0)
         for a in range(1, (p - 1) // 2 + 1):
-            t = chi.value_exponent(a)
-            assert t is not None  # 1 <= a < p and p prime
-            c, s = roots[int(t * (p - 1))]
+            c, s = roots[chi.value_index(a)]
             re += c * table[a - 1]
             im += s * table[a - 1]
         return re, im

@@ -12,9 +12,10 @@ compute on raw mpfs; the uniform policy is
   returns Zero / NonZero / Indeterminate instead of a bare boolean.
 
 Values are immutable after construction.  Precision is always set with a
-scoped ``mp.workprec`` inside each call, never left as ambient state, but
-mpmath's context is process-global: do not share this module across OS
-threads; use worker processes for parallelism.
+scoped ``mp.workprec`` inside each call, never left as ambient state (an
+int converts exactly and needs no scope), but mpmath's context is
+process-global: do not share this module across OS threads; use worker
+processes for parallelism.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_int, from_rational, round_nearest
 
 MIN_PRECISION = 32
 GUARD_BITS = 64
@@ -49,17 +50,14 @@ def _check_prec(prec: int) -> int:
 
 
 def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:
-    """Convert ``x`` to an mpf, rounding rationals/strings at ``wp`` bits.
-
-    Every mpmath construction/operation rounds at the ambient context
-    precision, so conversions are wrapped in a workprec scope; a Fraction
-    is rounded once, to nearest, from its exact quotient.
-    """
+    """Convert ``x`` to an mpf: an int exactly, without a precision scope; a
+    Fraction rounded once, to nearest, from its exact quotient; a string or
+    float rounded at ``wp`` in a workprec scope, since mpmath's constructor
+    rounds at the ambient context precision."""
     if isinstance(x, Real):
         return x.mpf
     if isinstance(x, int):
-        with mp.workprec(max(wp, x.bit_length() + 1, MIN_PRECISION)):
-            return mpmath.mpf(x)
+        return mp.make_mpf(from_int(x))
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return to_mpf(x.numerator, wp)

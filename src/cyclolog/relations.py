@@ -17,29 +17,23 @@ x = a mod d; and a -> -a folds to the same slots.  So each class
 (d, +-a mod d) is built once, from its smallest a; any other pair of the
 class would only repeat that relation.
 
-Coefficients are exact rationals throughout; rank computations never
-touch floating point.
+Coefficients are integers throughout; rank computations never touch
+floating point, and a residual multiplies each integer coefficient into
+its slot value with one correctly rounded product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Dict, List, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
 
 from .characters import is_prime
-from .kernel import (
-    Real,
-    ZeroClass,
-    classify_zero,
-    const_raw,
-    to_mpf,
-    working_prec,
-)
+from .kernel import Real, ZeroClass, classify_zero, working_prec
 from .tables import tables
 
 PI_SLOT = "PI"
@@ -68,16 +62,8 @@ class LogBasis:
         return self.slots.index(slot)
 
     def values_raw(self, wp: int) -> Tuple[mpmath.mpf, ...]:
-        logs = tables(self.modulus, wp).log_sines
-        out = []
-        for s in self.slots:
-            if s == PI_SLOT:
-                out.append(const_raw("pi", wp))
-            elif s == LOG2_SLOT:
-                out.append(const_raw("log2", wp))
-            else:
-                out.append(logs[s - 1])
-        return tuple(out)
+        """The slot values at working precision, built once per (q, wp) by the tables layer."""
+        return tables(self.modulus, wp).log_basis_values
 
 
 def fold_index(k: int, q: int) -> Slot:
@@ -98,18 +84,22 @@ Provenance = Union[str, Tuple[int, int]]
 
 @dataclass(frozen=True)
 class RelationVector:
-    """Exact rational coefficients over a LogBasis, with provenance."""
+    """Integer coefficients over a LogBasis, with provenance; an integral
+    Fraction is stored as its int, any other non-integer raises ValueError."""
 
     basis: LogBasis
-    coeffs: Tuple[Fraction, ...]
+    coeffs: Tuple[int, ...]
     provenance: Provenance
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.basis.slots):
             raise ValueError("coefficient count does not match the basis")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        ints = tuple(int(c) for c in self.coeffs)  # int() truncates, so a non-integer shows as a mismatch
+        if ints != tuple(self.coeffs):
+            raise ValueError(f"relation coefficients must be integers, got {self.coeffs}")
+        object.__setattr__(self, "coeffs", ints)
 
-    def coeff(self, slot: Slot) -> Fraction:
+    def coeff(self, slot: Slot) -> int:
         return self.coeffs[self.basis.index_of(slot)]
 
     @property
@@ -117,28 +107,18 @@ class RelationVector:
         return all(c == 0 for c in self.coeffs)
 
     def canonical(self) -> "RelationVector":
-        """Scale to coprime integers with the first nonzero coefficient positive."""
+        """Divide by the gcd, with the first nonzero coefficient positive."""
         if self.is_zero_vector:
             return self
-        denlcm = 1
-        for c in self.coeffs:
-            denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-        ints = [int(c * denlcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v != 0)
-        if first < 0:
-            ints = [-v for v in ints]
-        return RelationVector(self.basis, tuple(Fraction(v) for v in ints), self.provenance)
+        g = gcd(*self.coeffs)
+        if next(c for c in self.coeffs if c) < 0:
+            g = -g
+        return RelationVector(self.basis, tuple(c // g for c in self.coeffs), self.provenance)
 
     def residual_raw(self, wp: int) -> mpmath.mpf:
         values = self.basis.values_raw(wp)
         with mp.workprec(wp):
-            return mpmath.fsum(
-                to_mpf(c, wp) * v for c, v in zip(self.coeffs, values) if c != 0
-            )
+            return mpmath.fsum(c * v for c, v in zip(self.coeffs, values) if c != 0)
 
 
 def construct_relation(q: int, a: int, d: int) -> RelationVector:
@@ -156,10 +136,10 @@ def construct_relation(q: int, a: int, d: int) -> RelationVector:
     if not (1 <= a < q and gcd(a, q) == 1):
         raise ValueError(f"need 1 <= a < q with gcd(a, q) = 1, got a={a}")
     basis = LogBasis.for_modulus(q)
-    acc: Dict[Slot, Fraction] = {}
+    acc: Dict[Slot, int] = {}
 
     def add(slot: Slot, delta: int) -> None:
-        acc[slot] = acc.get(slot, Fraction(0)) + delta
+        acc[slot] = acc.get(slot, 0) + delta
 
     add(fold_index(a * (q // d), q), +1)
     seen_classes = set()
@@ -171,7 +151,7 @@ def construct_relation(q: int, a: int, d: int) -> RelationVector:
         seen_classes.add(cls)
         add(fold_index(idx, q), -1)
 
-    coeffs = tuple(acc.get(slot, Fraction(0)) for slot in basis.slots)
+    coeffs = tuple(acc.get(slot, 0) for slot in basis.slots)
     vec = RelationVector(basis, coeffs, (a, d))
     assert not vec.is_zero_vector, "constructed relation collapsed to zero"
     assert vec.coeff(PI_SLOT) == 0
@@ -181,9 +161,9 @@ def construct_relation(q: int, a: int, d: int) -> RelationVector:
 def _special_sqrt2_relation(q: int) -> RelationVector:
     """2 log(2 sin((q/4) pi / q)) = log 2, available whenever 4 | q."""
     basis = LogBasis.for_modulus(q)
-    coeffs = [Fraction(0)] * len(basis.slots)
-    coeffs[basis.index_of(q // 4)] = Fraction(2)
-    coeffs[basis.index_of(LOG2_SLOT)] = Fraction(-1)
+    coeffs = [0] * len(basis.slots)
+    coeffs[basis.index_of(q // 4)] = 2
+    coeffs[basis.index_of(LOG2_SLOT)] = -1
     return RelationVector(basis, tuple(coeffs), "manual")
 
 
@@ -205,7 +185,7 @@ def enumerate_relations(q: int) -> Tuple[Tuple[RelationVector, ...], int]:
     """
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    found: Dict[Tuple[Fraction, ...], RelationVector] = {}
+    found: Dict[Tuple[int, ...], RelationVector] = {}
     built = set()
     for a, d in valid_divisor_pairs(q):
         cls = (d, min(a % d, d - a % d))
@@ -221,14 +201,13 @@ def enumerate_relations(q: int) -> Tuple[Tuple[RelationVector, ...], int]:
     return rels, rational_rank([v.coeffs for v in rels])
 
 
-def _integer_row(v: Sequence[Fraction]) -> List[int]:
-    """v scaled to integers by the lcm of its denominators."""
-    fr = [Fraction(x) for x in v]
-    m = lcm(*(x.denominator for x in fr))
-    return [x.numerator * (m // x.denominator) for x in fr]
+def _integer_row(v: Sequence[Rational]) -> List[int]:
+    """v scaled to integers by the lcm of its denominators (an int's is 1)."""
+    m = lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v]
 
 
-def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
+def rational_rank(vectors: Sequence[Sequence[Rational]]) -> int:
     """Rank of a list of rational vectors, by exact forward elimination on
     integer rows: a row is eliminated as row * p - c * top, then divided by
     the gcd of its entries."""

@@ -14,9 +14,12 @@ classical kernel family built by :func:`bbw_function`; their L-values and
 trig sums all classify Zero (numeric-only evidence, by construction).
 
 Scans are embarrassingly parallel over sign vectors.  Worker processes
-(not threads: the arithmetic context is process-global) emit one JSON
-record per function, merged in enumeration order, so output bytes do not
-depend on the worker count.
+(not threads: the arithmetic context is process-global) produce one
+record per function: its signs, class tag, L text and canonical JSON
+line.  The scan folds the records in enumeration order as they arrive,
+counting classes and keeping the first minimum |L|, so output bytes do
+not depend on the worker count; the store is keyed from the same
+records, and only lines already stored are parsed again.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import combinations, repeat
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -199,8 +205,9 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
 # the scan itself
 # ---------------------------------------------------------------------------
 
-def _record_line(q: int, positions: Tuple[int, ...], prec: int) -> str:
-    """One canonical JSON record for a sign vector; pure in (q, positions, prec)."""
+def _record(q: int, positions: Tuple[int, ...], prec: int) -> Tuple[Tuple[int, ...], str, str, str]:
+    """(signs, class tag, L text, canonical JSON line) for a sign vector;
+    pure in (q, positions, prec)."""
     signs = _signs_from_positions(q, positions)
     f = sign_function(q, signs)
     wp = working_prec(prec)
@@ -216,11 +223,7 @@ def _record_line(q: int, positions: Tuple[int, ...], prec: int) -> str:
         "cot_sum": dec_str(cot, digits),
         "cos_sums": [dec_str(cos_sums[b], digits) for b in sorted(cos_sums)],
     }
-    return canonical_json(record)
-
-
-def _record_line_star(args: Tuple[int, Tuple[int, ...], int]) -> str:
-    return _record_line(*args)
+    return signs, cls.tag, record["L"], canonical_json(record)
 
 
 @dataclass(frozen=True)
@@ -266,7 +269,7 @@ def scan(
     """Evaluate and classify L(1, f) for every admissible sign function mod q.
 
     Deterministic for any worker count: records are produced per function
-    by a pure function and merged in enumeration order.
+    by a pure function and folded in enumeration order as they arrive.
     """
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
@@ -281,48 +284,38 @@ def scan(
             argmin_signs=None, class_counts={}, reason="parity",
         )
     half = (q - 1) // 2
-    all_positions = list(combinations(range(q - 1), half))
-    if workers > 1:
-        args = [(q, pos, prec) for pos in all_positions]
-        chunk = max(1, len(args) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(_record_line_star, args, chunksize=chunk))
-    else:
-        lines = [_record_line(q, pos, prec) for pos in all_positions]
-
-    if store is not None:
-        store.merge(lines)
-
+    chunk = max(1, comb(q - 1, half) // (workers * 8))
     wp = working_prec(prec)
     min_abs: Optional[mpmath.mpf] = None
     argmin: Optional[Tuple[int, ...]] = None
     counts: Dict[str, int] = {}
-    with mp.workprec(wp):
-        for line in lines:
-            rec = json.loads(line)
-            val = abs(mpmath.mpf(rec["L"]))
-            counts[rec["class"]] = counts.get(rec["class"], 0) + 1
+    keyed: List[Tuple[Tuple, str]] = []
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        mapper = partial(pool.map, chunksize=chunk) if pool else map
+        for signs, tag, l_text, line in mapper(
+            _record, repeat(q), combinations(range(q - 1), half), repeat(prec)
+        ):
+            counts[tag] = counts.get(tag, 0) + 1
+            with mp.workprec(wp):
+                val = abs(mpmath.mpf(l_text))
             if min_abs is None or val < min_abs:
-                min_abs = val
-                argmin = tuple(rec["signs"])
+                min_abs, argmin = val, signs
+            keyed.append(((q, signs, prec), line))
+    if store is not None:
+        store.merge(keyed)
     return ScanReport(
         q=q,
         prec=prec,
-        admissible_count=len(lines),
+        admissible_count=len(keyed),
         min_abs_l=Real(min_abs, prec) if min_abs is not None else None,
         argmin_signs=argmin,
         class_counts=counts,
-        records=tuple(lines),
+        records=tuple(line for _, line in keyed),
     )
 
 
 class ScanStoreDisagreement(RuntimeError):
     """A stored scan record differs from its recomputation."""
-
-
-def _record_key(line: str) -> Tuple:
-    rec = json.loads(line)
-    return rec["q"], tuple(rec["signs"]), rec["prec"]
 
 
 class ScanStore:
@@ -331,23 +324,24 @@ class ScanStore:
     def __init__(self, path: str):
         self.path = path
 
-    def merge(self, lines: Sequence[str]) -> int:
-        """Append unseen records.  A stored line that is not a record
-        (named by its 1-based number) or that disagrees raises, writing nothing."""
+    def merge(self, records: Iterable[Tuple[Tuple, str]]) -> int:
+        """Append the unseen ones of ``((q, signs, prec), line)`` records and
+        return their count.  A stored line that is not a record (named by its
+        1-based number) or that disagrees raises, writing nothing."""
         existing: Dict[Tuple, str] = {}
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 for number, line in enumerate(fh, 1):
                     if line.strip():
                         try:
-                            existing[_record_key(line)] = line.rstrip("\n")
+                            rec = json.loads(line)
+                            existing[rec["q"], tuple(rec["signs"]), rec["prec"]] = line.rstrip("\n")
                         except (ValueError, KeyError, TypeError) as exc:
                             raise ValueError(
                                 f"scan store {self.path}, line {number} is not a scan record: {exc}"
                             ) from None
         unseen = []
-        for line in lines:
-            key = _record_key(line)
+        for key, line in records:
             if key not in existing:
                 unseen.append(line)
             elif existing[key] != line:

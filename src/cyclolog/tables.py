@@ -1,7 +1,8 @@
 """Per-(q, wp) tables of the numbers every route is assembled from:
-log(2 sin k pi/q), the roots of unity e^(2 pi i j/q) (as mpfs and, in
-``fixed_roots``, as integers scaled by 2^wp), cot(a pi/q) and psi(a/q) for
-one modulus q at one working precision wp.
+log(2 sin k pi/q) (alone and as the slot values of a relation basis), the
+roots of unity e^(2 pi i j/q) (as mpfs and, in ``fixed_roots``, as
+integers scaled by 2^wp), cot(a pi/q) and psi(a/q) for one modulus q at
+one working precision wp.
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at doubled precision gets its own entry.  Each family is built
@@ -39,6 +40,13 @@ class Tables:
         if k == 0:
             raise ValueError("k must not be divisible by q: 2 sin(k pi/q) would vanish")
         return self.log_sines[min(k, self.q - k) - 1]
+
+    @cached_property
+    def log_basis_values(self) -> Tuple[mpmath.mpf, ...]:
+        """The slot values of ``relations.LogBasis``: log(2 sin(k pi / q)) for
+        1 <= k < q/2, then pi, then log 2 when q is even."""
+        consts = ("pi", "log2") if self.q % 2 == 0 else ("pi",)
+        return self.log_sines[: (self.q - 1) // 2] + tuple(const_raw(c, self.wp) for c in consts)
 
     @cached_property
     def roots(self) -> Tuple[Tuple[mpmath.mpf, mpmath.mpf], ...]:

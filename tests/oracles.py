@@ -2,8 +2,8 @@
 
 None of these is on a route the package runs: each is an independent
 evaluation (Euler-Maclaurin Hurwitz zeta, the asymptotic-series digamma,
-Gauss sums by their defining sum, L(1, chi) through the Gauss-sum
-identity, the inverse Fourier transform) or an exact helper (rational
+Gauss sums by their defining sum, S_chi over Fraction exponents, L(1, chi)
+through the Gauss-sum identity, the inverse Fourier transform) or an exact helper (rational
 span membership, Euler's phi) that a test checks a route's output with.
 """
 
@@ -162,6 +162,23 @@ def digamma_series_raw(x, wp: int) -> mpmath.mpf:
 
 def digamma_series(x, prec: int) -> Real:
     return Real(digamma_series_raw(x, working_prec(prec)), prec)
+
+
+def s_chi_reference_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """S_chi = sum_{a=1}^r chi(a) log(2 sin(a pi / p)) with chi(a) read as the
+    exact Fraction exponent t and its root as roots[t (p - 1)]."""
+    p = chi.modulus
+    table = tables(p, wp).log_sines
+    roots = tables(p - 1, wp).roots
+    with mp.workprec(wp):
+        re = mpmath.mpf(0)
+        im = mpmath.mpf(0)
+        for a in range(1, (p - 1) // 2 + 1):
+            t = chi.value_exponent(a)
+            c, s = roots[int(t * (p - 1))]
+            re += c * table[a - 1]
+            im += s * table[a - 1]
+        return re, im
 
 
 def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:

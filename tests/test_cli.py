@@ -208,7 +208,7 @@ def test_scan_unopenable_store_exits_1_before_any_evaluation(capsys, monkeypatch
     def no_evaluation(*args):
         raise AssertionError("a function was evaluated before the store was checked")
 
-    monkeypatch.setattr(scans_mod, "_record_line", no_evaluation)
+    monkeypatch.setattr(scans_mod, "_record", no_evaluation)
     store = tmp_path / "missing" / "x.jsonl" if where == "missing-directory" else tmp_path
     code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")
     assert code == 1

@@ -10,10 +10,10 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from cyclolog.characters import enumerate_characters
-from cyclolog.dedekind import build_matrix, determinant_check, independence_certificate
+from cyclolog.characters import enumerate_characters, is_prime
+from cyclolog.dedekind import build_matrix, determinant_check, independence_certificate, s_chi_raw
 from cyclolog.kernel import working_prec
-from oracles import gauss_sum, l1_chi_via_gauss
+from oracles import gauss_sum, l1_chi_via_gauss, s_chi_reference_raw
 
 TOL112 = mpmath.mpf(2) ** -112
 
@@ -224,3 +224,12 @@ def test_determinant_check_evaluates_each_s_chi_once_per_precision(p, monkeypatc
     assert sorted(calls) == sorted(
         [(ch.exponents, wp) for ch in chars] + [(ch.exponents, 2 * wp) for ch in chars]
     )
+
+
+@pytest.mark.parametrize("wp", [192, 384])
+def test_s_chi_matches_the_fraction_exponent_reference(wp):
+    # the integer character index picks the same root as the Fraction exponent
+    for p in range(3, 102):
+        if is_prime(p):
+            for chi in enumerate_characters(p, even_only=True):
+                assert s_chi_raw(chi, wp) == s_chi_reference_raw(chi, wp), (p, chi.exponents)

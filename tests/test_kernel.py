@@ -219,6 +219,25 @@ def test_fraction_with_wide_numerator_is_correctly_rounded():
         assert to_mpf(Fraction(n, d), 64) == mpmath.mpf(quotient, prec=64, rounding="n"), (n, d)
 
 
+def test_int_converts_exactly_without_a_precision_scope(monkeypatch):
+    rng = random.Random(400)
+    ints = [0, 1, -1] + [rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 400)) for _ in range(300)]
+    exact = []
+    for n in ints:
+        with mp.workprec(max(n.bit_length(), 1) + 1):
+            exact.append(mpmath.mpf(n))
+
+    def no_scope(*args, **kwargs):
+        raise AssertionError("an int conversion entered a precision scope")
+
+    prec = mp.prec
+    monkeypatch.setattr(mp, "workprec", no_scope)
+    for n, want in zip(ints, exact):
+        got = to_mpf(n, 64)
+        assert got == want and int(got) == n, n
+    assert mp.prec == prec
+
+
 @settings(deadline=None, max_examples=60)
 @given(q=st.integers(min_value=2, max_value=60), k=st.integers(min_value=1, max_value=1000))
 def test_fold_symmetry_property(q, k):

@@ -222,11 +222,21 @@ def test_enumerate_builds_each_class_once(q, expected, monkeypatch):
 
 def test_canonical_scales_to_coprime_integers():
     basis = LogBasis.for_modulus(8)
-    vec = RelationVector(
-        basis, (Fraction(-2, 3), Fraction(4, 3), Fraction(-2, 3), Fraction(0), Fraction(0)), "manual"
-    )
+    vec = RelationVector(basis, (-2, 4, -2, 0, 0), "manual")
     canon = vec.canonical()
-    assert canon.coeffs == (Fraction(1), Fraction(-2), Fraction(1), Fraction(0), Fraction(0))
+    assert canon.coeffs == (1, -2, 1, 0, 0)
+    assert all(type(c) is int for c in canon.coeffs)
+
+
+def test_coefficients_must_be_integers():
+    basis = LogBasis.for_modulus(8)
+    # a non-integer coefficient is refused, never truncated to int(c) = 0
+    with pytest.raises(ValueError, match="integers"):
+        RelationVector(basis, (Fraction(-2, 3), 1, 0, 0, 0), "manual")
+    # integral Fractions are accepted and stored as ints
+    vec = RelationVector(basis, (Fraction(1), Fraction(-2), 0, Fraction(4, 2), 0), "manual")
+    assert vec.coeffs == (1, -2, 0, 2, 0)
+    assert all(type(c) is int for c in vec.coeffs)
 
 
 @settings(deadline=None, max_examples=50)
@@ -236,13 +246,37 @@ def test_canonical_scales_to_coprime_integers():
 )
 def test_canonicalization_idempotent(data, q):
     basis = LogBasis.for_modulus(q)
-    coeffs = tuple(
-        data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
-        for _ in basis.slots
-    )
+    coeffs = tuple(data.draw(st.integers(min_value=-30, max_value=30)) for _ in basis.slots)
     vec = RelationVector(basis, coeffs, "manual")
     once = vec.canonical()
     assert once.canonical().coeffs == once.coeffs
+
+
+def test_relations_build_the_slot_values_once_per_precision(monkeypatch, capsys):
+    import sys
+
+    from cyclolog.cli import main
+    from cyclolog.kernel import working_prec
+    from cyclolog.tables import tables
+
+    # every slot-value build evaluates pi once; count it through every
+    # cyclolog binding of const_raw, wherever the build lives
+    wp = working_prec(128)
+    pi_builds = []
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("cyclolog.")]
+    for mod in modules:
+        original = vars(mod).get("const_raw")
+        if original is not None:
+            def counting(name, w, original=original):
+                if name == "pi":
+                    pi_builds.append(w)
+                return original(name, w)
+
+            monkeypatch.setattr(mod, "const_raw", counting)
+    tables.cache_clear()
+    assert main(["relations", "--q", "30"]) == 0
+    assert '"count":10' in capsys.readouterr().out
+    assert pi_builds == [wp]
 
 
 def test_verify_single_log_sine_is_nonzero():

@@ -110,6 +110,27 @@ def test_scan_worker_count_is_invisible_in_output():
     assert seq.to_payload() == par.to_payload()
 
 
+@pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "fresh-store"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_folds_records_without_parsing_them(workers, with_store, monkeypatch, tmp_path):
+    import cyclolog.scans as scans_mod
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a freshly produced record was parsed again")
+
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path)) if with_store else None
+    monkeypatch.setattr(scans_mod.json, "loads", no_parse)
+    report = scan(7, 64, workers=workers, store=store)
+    monkeypatch.undo()
+    assert report.admissible_count == comb(6, 3) == len(report.records)
+    assert sum(report.class_counts.values()) == comb(6, 3)
+    reference = scan(7, 64)
+    assert report.to_payload(include_records=True) == reference.to_payload(include_records=True)
+    if with_store:
+        assert path.read_text() == "".join(line + "\n" for line in report.records)
+
+
 def test_scan_matches_decomposition_per_function():
     # scan L-values (digamma table route) vs decomposition assembly
     for q in (3, 5):

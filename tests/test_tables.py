@@ -15,6 +15,7 @@ from cyclolog.cli import main
 from cyclolog.dedekind import determinant_check
 from cyclolog.kernel import const_raw, log_2sin_raw, working_prec
 from cyclolog.lseries import digamma_raw
+from cyclolog.relations import LOG2_SLOT, PI_SLOT, LogBasis
 from cyclolog.scans import _classify_l, sign_function
 from cyclolog.tables import Tables, tables
 
@@ -27,6 +28,12 @@ PRECISIONS = (96, 192, 320)
 def test_log_sines_equal_log_2sin_raw(q, wp):
     tab = Tables(q, wp)
     assert tab.log_sines == tuple(log_2sin_raw(k, q, wp) for k in range(1, q // 2 + 1))
+    # the relation basis reads its slot values, in slot order, from this entry
+    named = {PI_SLOT: "pi", LOG2_SLOT: "log2"}
+    assert tab.log_basis_values == tuple(
+        const_raw(named[s], wp) if s in named else log_2sin_raw(s, q, wp)
+        for s in LogBasis.for_modulus(q).slots
+    )
     for k in (*range(1, q), -1, q + 1, 3 * q - 2):
         if k % q:
             assert tab.log_sine(k) == log_2sin_raw(k, q, wp)
@@ -57,7 +64,7 @@ def test_roots_and_cot_equal_cospi_sinpi(q, wp):
 @pytest.mark.parametrize("wp", PRECISIONS)
 @pytest.mark.parametrize("n", (1, 2, 4, 6, 12, 52, 100))
 def test_roots_equal_unit_root_at_every_reduced_exponent(n, wp):
-    # S_chi and L(1, chi) read chi's values as roots[t * (p - 1)]
+    # S_chi and L(1, chi) read chi's values as roots[k], k = t (p - 1) the character index
     roots = Tables(n, wp).roots
     for j in range(n):
         t = Fraction(j, n)
@@ -139,8 +146,14 @@ GOLDEN_F20 = ",".join(str((a % 5) - 2 + (a % 4 == 0) - (a % 4 == 2)) for a in ra
 # SHA-256 of stdout: the first six recorded before the routes shared one
 # tables layer, the next four before each quantity was evaluated once per
 # precision, the next three before relations were built once per class,
-# the next two before the Fourier transform summed integers, the last five
-# before a Real rounded itself on construction
+# the next two before the Fourier transform summed integers, the next five
+# before a Real rounded itself on construction, the last one before scan
+# records were folded without being parsed again
+SCAN_Q11_STDOUT = "e3848497130b614e07dcd604fe2a0aea4f91b9135da8b01aa436a787280e142d"
+# SHA-256 of the store after two `scan --q 11 --threads 1 --store PATH` runs,
+# recorded with the last GOLDEN entry
+SCAN_Q11_STORE = "4432606b6d0d10c43f01ee00ceb516fb4a7ee1d193904b18267e54baf3d591b6"
+
 GOLDEN = [
     ("scan-q11", ["scan", "--q", "11", "--per-function", "--threads", "1", "--store", ""],
      "decb488728b52558b9ced5e1298c4ba92143ba6568c5e4bba81207e13355e42c"),
@@ -183,6 +196,8 @@ GOLDEN = [
      "af0477444039a2ae0c29d2c4dcfcc153cddee7960717efc5bb7797227b465705"),
     ("certificate-p101", ["certificate", "--p", "101"],
      "d1a2505cbad179431a10800ec87ca40a3dea974951435d7fea8871050afc3f1b"),
+    ("scan-q11-threads2", ["scan", "--q", "11", "--threads", "2", "--store", ""],
+     SCAN_Q11_STDOUT),
 ]
 
 
@@ -191,3 +206,13 @@ def test_golden_stdout(argv, digest, capsys, monkeypatch):
     monkeypatch.delenv("CYCLOLOG_PREC", raising=False)
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_golden_scan_store_bytes(tmp_path, capsys, monkeypatch):
+    # the second run verifies every record against the store and appends nothing
+    monkeypatch.delenv("CYCLOLOG_PREC", raising=False)
+    store = tmp_path / "scans.jsonl"
+    for _ in range(2):
+        assert main(["scan", "--q", "11", "--threads", "1", "--store", str(store)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_Q11_STDOUT
+    assert hashlib.sha256(store.read_bytes()).hexdigest() == SCAN_Q11_STORE
