@@ -33,12 +33,7 @@ from .relations import (
     fold_index,
     verify_relation,
 )
-from .dedekind import (
-    DedekindMatrix,
-    build_matrix,
-    determinant_check,
-    independence_certificate,
-)
+from .dedekind import determinant_check
 from .scans import (
     DichotomyContradictionError,
     DichotomyVerdict,
@@ -62,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Complex",
     "DecompositionVector",
-    "DedekindMatrix",
     "DichotomyContradictionError",
     "DichotomyVerdict",
     "DirichletCharacter",
@@ -80,7 +74,6 @@ __all__ = [
     "UnitGroupStructure",
     "ZeroClass",
     "bbw_function",
-    "build_matrix",
     "classify_zero",
     "const",
     "construct_relation",
@@ -91,7 +84,6 @@ __all__ = [
     "enumerate_relations",
     "find_integer_relation",
     "fold_index",
-    "independence_certificate",
     "l1",
     "lll_reduce",
     "log_2sin",

@@ -13,7 +13,7 @@ is rounded only when it is converted to an mpf.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -76,11 +76,13 @@ def _primitive_root(pk: int, order: int) -> int:
 
 @dataclass(frozen=True)
 class UnitGroupStructure:
-    """(Z/qZ)* as an internal direct product of cyclic generator subgroups."""
+    """(Z/qZ)* as an internal direct product of cyclic generator subgroups;
+    ``dlog`` maps each unit to its exponent tuple (derived, so == ignores it)."""
 
     modulus: int
     generators: Tuple[int, ...]
     orders: Tuple[int, ...]
+    dlog: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
 
     @property
     def group_order(self) -> int:
@@ -125,21 +127,15 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
             order = pk // p * (p - 1)
             gens.append(lift(_primitive_root(pk, order)))
             orders.append(order)
-    return UnitGroupStructure(q, tuple(gens), tuple(orders))
-
-
-@lru_cache(maxsize=64)
-def _discrete_log_table(q: int) -> Dict[int, Tuple[int, ...]]:
-    """residue -> exponent tuple over the generators, for every unit mod q."""
-    st = unit_group_structure(q)
-    table: Dict[int, Tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(o) for o in st.orders)):
+    dlog: Dict[int, Tuple[int, ...]] = {}
+    for exps in itertools.product(*(range(o) for o in orders)):
         r = 1
-        for g, e in zip(st.generators, exps):
+        for g, e in zip(gens, exps):
             r = r * pow(g, e, q) % q
-        table[r] = exps
-    assert len(table) == st.group_order, "generators do not span the unit group"
-    return table
+        dlog[r] = exps
+    st = UnitGroupStructure(q, tuple(gens), tuple(orders), dlog)
+    assert len(dlog) == st.group_order, "generators do not span the unit group"
+    return st
 
 
 def unit_root(num: int, den: int, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
@@ -181,8 +177,7 @@ class DirichletCharacter:
             return None
         st = self.structure
         m = lcm(*st.orders)
-        dlog = _discrete_log_table(self.modulus)[n]
-        return sum(e * k * (m // o) for e, k, o in zip(self.exponents, dlog, st.orders)) % m
+        return sum(e * k * (m // o) for e, k, o in zip(self.exponents, st.dlog[n], st.orders)) % m
 
     def value_exponent(self, n: int) -> Optional[Fraction]:
         """t in [0,1) with chi(n) = e^(2 pi i t), or None when gcd(n, q) > 1."""

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .characters import PeriodicFunction, enumerate_characters, unit_group_structure
-from .dedekind import determinant_check, independence_certificate
+from .dedekind import CERTIFICATE_NOTES, determinant_check
 from .intrel import (
     PiCoefficientViolation,
     RelationSearchResult,
@@ -176,7 +176,6 @@ def _factor_records(factors, digits: int) -> List[dict]:
 def _cmd_dedekind(args) -> Tuple[dict, int]:
     check = determinant_check(args.p, args.prec)
     digits = decimal_digits(args.prec)
-    inconclusive = any(cls.is_indeterminate for _, _, cls in check.s_chi_values)
     payload = {
         "command": "dedekind",
         "p": args.p,
@@ -186,26 +185,26 @@ def _cmd_dedekind(args) -> Tuple[dict, int]:
         "agree": check.agree,
         "s_chi": _factor_records(check.s_chi_values, digits),
     }
-    return payload, EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    return payload, EXIT_OK if check.conclusive else EXIT_INCONCLUSIVE
 
 
 def _cmd_certificate(args) -> Tuple[dict, int]:
-    cert = independence_certificate(args.p, args.prec)
+    check = determinant_check(args.p, args.prec)
     digits = decimal_digits(args.prec)
     payload = {
         "command": "certificate",
         "p": args.p,
         "prec_bits": args.prec,
-        "factors": _factor_records(cert.factors, digits),
-        "det_direct": dec_str(cert.det_direct, digits),
-        "det_product": dec_str(cert.det_product, digits),
-        "det_agree": cert.det_agree,
-        "all_factors_nonzero": cert.all_factors_nonzero,
-        "rational_dependence_excluded": cert.rational_dependence_excluded,
-        "conclusive": cert.conclusive,
-        "notes": list(cert.notes),
+        "factors": _factor_records(check.s_chi_values, digits),
+        "det_direct": dec_str(check.det_direct, digits),
+        "det_product": dec_str(check.det_product, digits),
+        "det_agree": check.agree,
+        "all_factors_nonzero": check.all_factors_nonzero,
+        "rational_dependence_excluded": check.rational_dependence_excluded,
+        "conclusive": check.conclusive,
+        "notes": list(CERTIFICATE_NOTES),
     }
-    return payload, EXIT_OK if cert.conclusive else EXIT_INCONCLUSIVE
+    return payload, EXIT_OK if check.conclusive else EXIT_INCONCLUSIVE
 
 
 def _checked_store(path: str) -> ScanStore:

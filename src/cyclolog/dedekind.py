@@ -11,6 +11,9 @@ S_chi evaluates to (1/2) log p for the principal character and to
 -(p / (2 tau(conj chi))) L(1, conj chi) otherwise.  Certifying every
 S_chi nonzero certifies, at the tested precision, that the r logarithms
 admit no rational linear relation.
+
+``determinant_check`` computes the determinant both ways, and its record
+reads the certificate's verdicts off the factors it holds.
 """
 
 from __future__ import annotations
@@ -52,24 +55,6 @@ def _matrix_raw(p: int, wp: int) -> List[List[mpmath.mpf]]:
             row.append(tab.log_sine(a * cinv))
         rows.append(row)
     return rows
-
-
-@dataclass(frozen=True)
-class DedekindMatrix:
-    """The matrix, its prime, and the group size r = (p-1)/2."""
-
-    prime: int
-    size: int
-    entries: Tuple[Tuple[Real, ...], ...]
-
-    def entry(self, a: int, c: int) -> Real:
-        return self.entries[a - 1][c - 1]
-
-
-def build_matrix(p: int, prec: int = 128) -> DedekindMatrix:
-    _require_odd_prime(p)
-    rows = tuple(tuple(Real(v, prec) for v in row) for row in _matrix_raw(p, working_prec(prec)))
-    return DedekindMatrix(p, (p - 1) // 2, rows)
 
 
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
@@ -142,14 +127,46 @@ def det_direct_raw(p: int, wp: int) -> mpmath.mpf:
             wp *= 2
 
 
+CERTIFICATE_NOTES = (
+    "every character factor S_chi was verified nonzero numerically at the stated precision,"
+    " with recomputation at doubled working precision",
+    "nonvanishing of all S_chi makes the Dedekind-type matrix invertible, excluding any"
+    " rational linear relation among the log-sine values at the tested coefficient scale",
+    "independence over all algebraic numbers additionally rests on classical linear-forms-in-"
+    "logarithms results, outside this toolkit's numerical scope",
+    "the coefficient of pi is excluded by a cited classical lemma; this toolkit probes it"
+    " empirically through the integer-relation searches only",
+)
+
+
 @dataclass(frozen=True)
 class DeterminantCheck:
+    """Both determinant routes and every character factor for one prime.
+
+    The certificate's verdicts are properties of the factors and ``agree``;
+    ``conclusive`` is False when any factor classifies Indeterminate.  What
+    is established numerically is separated, in ``CERTIFICATE_NOTES``, from
+    what rests on cited classical results.
+    """
+
     prime: int
     prec: int
     det_direct: Real
     det_product: Real
     agree: bool
     s_chi_values: Tuple[Tuple[DirichletCharacter, Complex, ZeroClass], ...]
+
+    @property
+    def all_factors_nonzero(self) -> bool:
+        return all(cls.is_nonzero for _, _, cls in self.s_chi_values)
+
+    @property
+    def conclusive(self) -> bool:
+        return not any(cls.is_indeterminate for _, _, cls in self.s_chi_values)
+
+    @property
+    def rational_dependence_excluded(self) -> bool:
+        return self.all_factors_nonzero and self.agree
 
 
 def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
@@ -183,56 +200,4 @@ def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
         det_product=Real(pre, prec),
         agree=agree,
         s_chi_values=tuple(entries),
-    )
-
-
-@dataclass(frozen=True)
-class IndependenceCertificate:
-    """Numeric certificate that the r log-sine values admit no rational relation.
-
-    ``conclusive`` is False when any factor classifies Indeterminate; that
-    marks the certificate inconclusive rather than failed.  What the
-    certificate establishes numerically is separated, in ``notes``, from
-    what rests on cited classical results.
-    """
-
-    prime: int
-    prec: int
-    factors: Tuple[Tuple[DirichletCharacter, Complex, ZeroClass], ...]
-    det_direct: Real
-    det_product: Real
-    det_agree: bool
-    all_factors_nonzero: bool
-    conclusive: bool
-    rational_dependence_excluded: bool
-    notes: Tuple[str, ...]
-
-
-_CERT_NOTES = (
-    "every character factor S_chi was verified nonzero numerically at the stated precision,"
-    " with recomputation at doubled working precision",
-    "nonvanishing of all S_chi makes the Dedekind-type matrix invertible, excluding any"
-    " rational linear relation among the log-sine values at the tested coefficient scale",
-    "independence over all algebraic numbers additionally rests on classical linear-forms-in-"
-    "logarithms results, outside this toolkit's numerical scope",
-    "the coefficient of pi is excluded by a cited classical lemma; this toolkit probes it"
-    " empirically through the integer-relation searches only",
-)
-
-
-def independence_certificate(p: int, prec: int = 128) -> IndependenceCertificate:
-    check = determinant_check(p, prec)
-    all_nonzero = all(cls.is_nonzero for _, _, cls in check.s_chi_values)
-    any_indeterminate = any(cls.is_indeterminate for _, _, cls in check.s_chi_values)
-    return IndependenceCertificate(
-        prime=p,
-        prec=prec,
-        factors=check.s_chi_values,
-        det_direct=check.det_direct,
-        det_product=check.det_product,
-        det_agree=check.agree,
-        all_factors_nonzero=all_nonzero,
-        conclusive=not any_indeterminate,
-        rational_dependence_excluded=all_nonzero and check.agree,
-        notes=_CERT_NOTES,
     )

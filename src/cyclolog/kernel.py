@@ -60,7 +60,7 @@ def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:
         return mp.make_mpf(from_int(x))
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return to_mpf(x.numerator, wp)
+            return mp.make_mpf(from_int(x.numerator))
         return mp.make_mpf(from_rational(x.numerator, x.denominator, wp, round_nearest))
     with mp.workprec(wp):
         return mpmath.mpf(x)

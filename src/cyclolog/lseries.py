@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 import mpmath
-import numpy as np
 from mpmath import mp
 
 from .characters import PeriodicFunction, fourier_transform_raw
@@ -104,8 +103,10 @@ def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
 
 
 @lru_cache(maxsize=16)
-def _residue_harmonic_table(q: int, periods: int) -> np.ndarray:
-    """H[a-1] = sum_{m=0}^{periods-1} 1/(a + m q), float64."""
+def _residue_harmonic_table(q: int, periods: int):
+    """H[a-1] = sum_{m=0}^{periods-1} 1/(a + m q), as a float64 numpy array."""
+    # only the direct route uses numpy; importing it here keeps it out of every other command
+    import numpy as np
     return np.array(
         [np.sum(1.0 / np.arange(a, a + periods * q, q, dtype=np.float64)) for a in range(1, q + 1)]
     )
@@ -129,6 +130,7 @@ def l1_direct_result(f: PeriodicFunction, n_terms: int = DEFAULT_DIRECT_TERMS) -
     q = f.period
     periods = max(2, n_terms // q)
     table = _residue_harmonic_table(q, periods)
+    import numpy as np  # only the direct route uses numpy; see _residue_harmonic_table
     fv = np.array([float(to_mpf(v, 64)) for v in f.values])
     value = float(fv @ table)
     bound = f.abs_bound() / (periods - 1)

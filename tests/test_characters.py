@@ -17,6 +17,7 @@ from mpmath import mp
 
 from cyclolog.characters import (
     PeriodicFunction,
+    UnitGroupStructure,
     enumerate_characters,
     fourier_transform_raw,
     is_prime,
@@ -83,6 +84,21 @@ def test_unit_group_structure_valid(q):
         assert brute_order(g, q) == o
     units = {a for a in range(1, q + 1) if gcd(a, q) == 1}
     assert brute_subgroup(s.generators, q) == units
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 15, 48, 97])
+def test_unit_group_dlog_inverts_the_generator_powers(q):
+    s = unit_group_structure(q)
+    assert set(s.dlog) == {a % q for a in range(1, q + 1) if gcd(a, q) == 1}
+    for residue, exps in s.dlog.items():
+        r = 1
+        for g, e in zip(s.generators, exps):
+            r = r * pow(g, e, q) % q
+        assert r == residue
+    # the table is derived from the generators, so equality and hashing ignore it
+    bare = UnitGroupStructure(q, s.generators, s.orders, {})
+    assert bare == s and hash(bare) == hash(s)
+    assert "dlog" not in repr(s)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 agreement across --prec doublings, and the environment override."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -405,3 +409,15 @@ def test_inconclusive_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "dichotomy", gray)
     code, out, err = run_cli(capsys, "classify", "--p", "5", "--f", "1,-1,-1,1,0")
     assert code == 3
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # only the direct lseries route uses numpy, and it imports it itself
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", "import cyclolog.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -6,12 +6,14 @@ closed forms: S_chi0 = (1/2) log 5, S_quadratic = -log phi, and the direct
 2x2 determinant f(1)^2 - f(2)^2.
 """
 
+import json
+
 import mpmath
 import pytest
 from mpmath import mp
 
 from cyclolog.characters import enumerate_characters, is_prime
-from cyclolog.dedekind import build_matrix, determinant_check, independence_certificate, s_chi_raw
+from cyclolog.dedekind import CERTIFICATE_NOTES, _matrix_raw, determinant_check, s_chi_raw
 from cyclolog.kernel import working_prec
 from oracles import gauss_sum, l1_chi_via_gauss, s_chi_reference_raw
 
@@ -32,37 +34,37 @@ def s_chi_factors(p, prec=128):
 # ---------------------------------------------------------------------------
 
 def test_matrix_p3_single_entry_half_log3():
-    m = build_matrix(3, 128)
-    assert m.size == 1
+    m = _matrix_raw(3, working_prec(128))
+    assert len(m) == 1
     with mp.workprec(200):
-        assert abs(m.entry(1, 1).mpf - mpmath.log(3) / 2) < TOL112
+        assert abs(m[0][0] - mpmath.log(3) / 2) < TOL112
 
 
 def test_matrix_p5_structure():
     # 2^-1 = 3 = -2 folds to 2 in G, so the matrix is [[f1, f2], [f2, f1]]
-    m = build_matrix(5, 128)
-    assert m.size == 2
-    assert m.entry(1, 1).mpf == m.entry(2, 2).mpf
-    assert m.entry(1, 2).mpf == m.entry(2, 1).mpf
+    m = _matrix_raw(5, working_prec(128))
+    assert len(m) == 2
+    assert m[0][0] == m[1][1]
+    assert m[0][1] == m[1][0]
     with mp.workprec(200):
         f1 = mpmath.log(2 * mpmath.sinpi(mpmath.mpf(1) / 5))
         f2 = mpmath.log(2 * mpmath.sinpi(mpmath.mpf(2) / 5))
-        assert abs(m.entry(1, 1).mpf - f1) < TOL112
-        assert abs(m.entry(1, 2).mpf - f2) < TOL112
+        assert abs(m[0][0] - f1) < TOL112
+        assert abs(m[0][1] - f2) < TOL112
 
 
 def test_matrix_p7_rows_are_permutations():
-    m = build_matrix(7, 96)
-    first = sorted(e.mpf for e in m.entries[0])
-    for row in m.entries[1:]:
-        assert sorted(e.mpf for e in row) == first
+    m = _matrix_raw(7, working_prec(96))
+    first = sorted(m[0])
+    for row in m[1:]:
+        assert sorted(row) == first
 
 
 def test_matrix_rejects_non_prime():
     with pytest.raises(ValueError):
-        build_matrix(9, 64)
+        determinant_check(9, 64)
     with pytest.raises(ValueError):
-        build_matrix(2, 64)
+        determinant_check(2, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +185,54 @@ def test_determinant_respects_prime_bound():
 # ---------------------------------------------------------------------------
 
 def test_certificate_p5():
-    cert = independence_certificate(5, 128)
-    assert len(cert.factors) == 2
-    assert cert.all_factors_nonzero and cert.conclusive and cert.det_agree
-    assert cert.rational_dependence_excluded
-    tags = {cls.tag for _, _, cls in cert.factors}
+    check = determinant_check(5, 128)
+    assert len(check.s_chi_values) == 2
+    assert check.all_factors_nonzero and check.conclusive and check.agree
+    assert check.rational_dependence_excluded
+    tags = {cls.tag for _, _, cls in check.s_chi_values}
     assert tags == {"NonZero"}
 
 
 def test_certificate_p3_single_factor():
-    cert = independence_certificate(3, 128)
-    assert len(cert.factors) == 1
-    assert cert.rational_dependence_excluded
+    check = determinant_check(3, 128)
+    assert len(check.s_chi_values) == 1
+    assert check.rational_dependence_excluded
 
 
 def test_certificate_p13_six_factors():
-    cert = independence_certificate(13, 128)
-    assert len(cert.factors) == 6
-    assert cert.all_factors_nonzero and cert.conclusive
-    assert any("pi" in note for note in cert.notes)  # the deferred-pi caveat is recorded
+    check = determinant_check(13, 128)
+    assert len(check.s_chi_values) == 6
+    assert check.all_factors_nonzero and check.conclusive
+    assert any("pi" in note for note in CERTIFICATE_NOTES)  # the deferred-pi caveat is recorded
+
+
+def test_an_indeterminate_factor_makes_the_check_inconclusive(capsys, monkeypatch):
+    # the verdicts are read off the factors, so one Indeterminate factor
+    # withdraws them, and both commands exit 3 (inconclusive)
+    import cyclolog.dedekind as dedekind
+    from cyclolog.cli import main
+    from cyclolog.kernel import INDETERMINATE, ZeroClass
+
+    original = dedekind._classified
+    quadratic = quadratic_character(5)
+
+    def forced(chi, raw, prec):
+        cls = original(chi, raw, prec)
+        return ZeroClass(INDETERMINATE, cls.residual) if chi == quadratic else cls
+
+    monkeypatch.setattr(dedekind, "_classified", forced)
+    check = determinant_check(5, 128)
+    assert check.agree
+    assert not check.all_factors_nonzero
+    assert not check.conclusive
+    assert not check.rational_dependence_excluded
+    assert main(["dedekind", "--p", "5"]) == 3
+    assert main(["certificate", "--p", "5"]) == 3
+    dedekind_out, certificate_out = map(json.loads, capsys.readouterr().out.splitlines())
+    assert [f["class"] for f in dedekind_out["s_chi"]].count(INDETERMINATE) == 1
+    assert certificate_out["all_factors_nonzero"] is False
+    assert certificate_out["conclusive"] is False
+    assert certificate_out["rational_dependence_excluded"] is False
 
 
 @pytest.mark.parametrize("p", [5, 13, 53])

@@ -238,6 +238,24 @@ def test_int_converts_exactly_without_a_precision_scope(monkeypatch):
     assert mp.prec == prec
 
 
+def test_integral_fraction_converts_in_one_call(monkeypatch):
+    # every scan sign is a Fraction(+-1); it converts as its numerator does,
+    # without entering to_mpf a second time through the int branch
+    import cyclolog.kernel as kernel
+
+    calls = []
+    original = kernel.to_mpf
+
+    def counting(x, wp):
+        calls.append(x)
+        return original(x, wp)
+
+    monkeypatch.setattr(kernel, "to_mpf", counting)
+    got = kernel.to_mpf(Fraction(-1), 64)
+    assert calls == [Fraction(-1)]
+    assert got == -1 and got._mpf_ == to_mpf(-1, 64)._mpf_
+
+
 @settings(deadline=None, max_examples=60)
 @given(q=st.integers(min_value=2, max_value=60), k=st.integers(min_value=1, max_value=1000))
 def test_fold_symmetry_property(q, k):

@@ -1,9 +1,13 @@
 """The shared (q, wp) tables: every field equals the direct evaluation it
 replaced bit for bit, the cache stays bounded, a doubled-precision
-recompute gets its own entry, and CLI stdout is pinned by SHA-256."""
+recompute gets its own entry, and CLI and demo stdout is pinned by SHA-256."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -147,8 +151,9 @@ GOLDEN_F20 = ",".join(str((a % 5) - 2 + (a % 4 == 0) - (a % 4 == 2)) for a in ra
 # tables layer, the next four before each quantity was evaluated once per
 # precision, the next three before relations were built once per class,
 # the next two before the Fourier transform summed integers, the next five
-# before a Real rounded itself on construction, the last one before scan
-# records were folded without being parsed again
+# before a Real rounded itself on construction, the next one before scan
+# records were folded without being parsed again, the last four before the
+# certificate became properties of the determinant check
 SCAN_Q11_STDOUT = "e3848497130b614e07dcd604fe2a0aea4f91b9135da8b01aa436a787280e142d"
 # SHA-256 of the store after two `scan --q 11 --threads 1 --store PATH` runs,
 # recorded with the last GOLDEN entry
@@ -198,7 +203,26 @@ GOLDEN = [
      "d1a2505cbad179431a10800ec87ca40a3dea974951435d7fea8871050afc3f1b"),
     ("scan-q11-threads2", ["scan", "--q", "11", "--threads", "2", "--store", ""],
      SCAN_Q11_STDOUT),
+    ("characters-q48", ["characters", "--q", "48"],
+     "2ebedb03a84bedf66312f1c21d105dfbec53ece4ddb5b0e35439edce166b4407"),
+    ("characters-q13-even", ["characters", "--q", "13", "--even-only"],
+     "19c808136d27b6c30e6c682d43a747149b2b054f2225a4dfa975d87934226f6d"),
+    ("dedekind-p13-text", ["dedekind", "--p", "13", "--output", "text"],
+     "e8c7da2d45ca41a94c843a1c415555106cea47ecadb2fcdb7e5dbb1bb60ae713"),
+    ("certificate-p3", ["certificate", "--p", "3"],
+     "87c99de9320ea0a0c0f29c12e7a723e2a81fb36225d9e1328a29de48d6c2d8c0"),
 ]
+
+ROOT = Path(__file__).resolve().parent.parent
+# SHA-256 of each demo's stdout, recorded with the last four GOLDEN entries
+DEMO_STDOUT = {
+    "00_precision_kernel.py": "fa68d0ea283b9fd07f884705a7c0f835ac8e793234584a8eea86e13e31fcb61a",
+    "01_log_sine_relations.py": "ae0eac76f2938f5655c601e103f9f4237d60edcf7024b56207e7eea8c70b8b72",
+    "02_l_values_three_routes.py": "f644db6606056d381a2727d8344f9c2f52354a3cebf2f0dacd7bf4166679d74d",
+    "03_prime_certificates.py": "f5713a49991767345c7f4752d1e830027b81c9551f888c32b20bf9f3126372d8",
+    "04_sign_scan.py": "713dd7fdde6227b227670ecd5ee2aebc1570d41a79d5ecc5853bc5fc29368e3e",
+    "05_integer_relations.py": "69a3ea84b878eed6783cbdb266c5ec79deeea78f62a68f48bb3ce1409dd4f524",
+}
 
 
 @pytest.mark.parametrize("argv,digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
@@ -216,3 +240,14 @@ def test_golden_scan_store_bytes(tmp_path, capsys, monkeypatch):
         assert main(["scan", "--q", "11", "--threads", "1", "--store", str(store)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_Q11_STDOUT
     assert hashlib.sha256(store.read_bytes()).hexdigest() == SCAN_Q11_STORE
+
+
+@pytest.mark.parametrize("demo,digest", sorted(DEMO_STDOUT.items()))
+def test_demo_stdout(demo, digest, tmp_path):
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr.decode()[-2000:]
+    assert hashlib.sha256(run.stdout).hexdigest() == digest
