@@ -1,23 +1,20 @@
 #!/usr/bin/env python3
-"""Integer-relation searches over the log basis, via exact-integer LLL.
+"""Integer-relation searches over the log basis of a modulus, via exact-integer LLL.
 
-The searches rediscover the constructed relations from scratch (no small
+Both searches take a modulus q and run over the slot values of its log
+basis.  They rediscover the constructed relations from scratch (no small
 relation escapes the lattice at these bounds) and, for prime moduli,
 return quantified no-relation evidence: NoneBelowBound always records the
 coefficient bound and precision it holds at.
 """
 
-from cyclolog import const, find_integer_relation, log_2sin, relation_lattice_rank
+from cyclolog import find_integer_relation, relation_lattice_rank
 from cyclolog.characters import is_prime
-from cyclolog.kernel import working_prec
-from cyclolog.relations import LogBasis
 
 print("=" * 72)
 print("Warm-up: log(2 sin pi/4) vs log 2")
 print("=" * 72)
-wp = working_prec(256)
-values = [log_2sin(1, 4, wp), const("log2", wp)]
-res = find_integer_relation(values, 100, 256)
+res = find_integer_relation(4, 100, 256)
 print(f"  verdict {res.verdict}: coefficients {res.found}, residual ~ {float(res.residual):.1e}")
 print("  i.e. 2 log(2 sin pi/4) = log 2, recovered by lattice reduction alone")
 
@@ -44,13 +41,8 @@ print(" converse fails, which is precisely what the search is for)")
 print("\n" + "=" * 72)
 print("Prime modulus, serious parameters: p = 7 at 512-bit, bound 10^6")
 print("=" * 72)
-basis = LogBasis.for_modulus(7)
-wp = working_prec(512)
-from cyclolog.kernel import Real
-
-values = [Real(v, wp) for v in basis.values_raw(wp)]
-res = find_integer_relation(values, 10**6, 512, value_provider=basis.values_raw, basis=basis)
-print(f"  slots {basis.slots}")
+res = find_integer_relation(7, 10**6, 512)
+print(f"  slots {res.basis.slots}")
 print(f"  verdict {res.verdict} at coeff_bound {res.coeff_bound}, prec {res.prec} bits")
 print("  (evidence, not proof: absence is quantified by the recorded bound and precision)")
 print(f"  smallest candidate residual seen: {float(res.residual):.3e}")

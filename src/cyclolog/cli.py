@@ -22,20 +22,15 @@ from typing import List, Optional, Tuple
 from . import __version__
 from .characters import PeriodicFunction, enumerate_characters, unit_group_structure
 from .dedekind import CERTIFICATE_NOTES, determinant_check
-from .intrel import (
-    PiCoefficientViolation,
-    RelationSearchResult,
-    find_integer_relation,
-    relation_lattice_rank,
-)
-from .kernel import INDETERMINATE, PrecisionError, Real, dec_str, decimal_digits, working_prec
+from .intrel import PiCoefficientViolation, find_integer_relation, relation_lattice_rank
+from .kernel import INDETERMINATE, PrecisionError, dec_str, decimal_digits, working_prec
 from .lseries import (
     NonConvergentSeriesError,
     decompose_l1,
     l1,
     l1_direct_result,
 )
-from .relations import LogBasis, enumerate_relations, relation_record
+from .relations import enumerate_relations, relation_record
 from .scans import (
     DichotomyContradictionError,
     InconclusiveClassificationError,
@@ -271,31 +266,21 @@ def _cmd_bbw(args) -> Tuple[dict, int]:
     return payload, EXIT_INCONCLUSIVE if cls.is_indeterminate else EXIT_OK
 
 
-def _search_payload(result: RelationSearchResult, basis: LogBasis) -> dict:
+def _cmd_intrel(args) -> Tuple[dict, int]:
+    result = find_integer_relation(args.q, args.bound, args.prec)
+    slots = result.basis.slots
     found = None
     if result.found is not None:
-        found = {str(slot): c for slot, c in zip(basis.slots, result.found) if c != 0}
-    return {
+        found = {str(slot): c for slot, c in zip(slots, result.found) if c != 0}
+    payload = {
+        "command": "intrel",
+        "q": args.q,
+        "slots": [str(s) for s in slots],
         "verdict": result.verdict,
         "found": found,
         "residual": dec_str(result.residual, decimal_digits(result.prec)),
         "coeff_bound": result.coeff_bound,
         "prec_bits": result.prec,
-    }
-
-
-def _cmd_intrel(args) -> Tuple[dict, int]:
-    basis = LogBasis.for_modulus(args.q)
-    wp = working_prec(args.prec)
-    values = [Real(v, wp) for v in basis.values_raw(wp)]
-    result = find_integer_relation(
-        values, args.bound, args.prec, value_provider=basis.values_raw, basis=basis
-    )
-    payload = {
-        "command": "intrel",
-        "q": args.q,
-        "slots": [str(s) for s in basis.slots],
-        **_search_payload(result, basis),
     }
     return payload, EXIT_OK
 

@@ -1,32 +1,35 @@
-"""Integer-relation detection over log-sine bases via lattice reduction.
+"""Integer-relation detection over the log basis of a modulus via lattice reduction.
 
-The standard relation lattice (an identity block augmented with one
-column of the values scaled by 2^(prec-16)) is reduced once with LLL at
-delta = 0.99; reduced rows whose residual classifies Zero at the target
-precision are relations.  A search takes the shortest such row; the
-lattice rank keeps them all.  LLL runs entirely over integers (de
-Weger's exact Gram-Schmidt bookkeeping), so reduction never loses
-precision.
+Both searches take a modulus q and run over the slot values of
+``LogBasis.for_modulus(q)``.  The standard relation lattice (an identity
+block augmented with one column of the values scaled by 2^(prec-16)) is
+reduced once with LLL at delta = 0.99; a reduced row is a relation when
+its residual classifies Zero at the target precision and stays below
+2^-prec with the values rebuilt at doubled working precision.  A search
+takes the shortest such row; the lattice rank keeps them all.  LLL runs
+entirely over integers (de Weger's exact Gram-Schmidt bookkeeping), so
+reduction never loses precision.
 
 A NoneBelowBound verdict is quantified evidence, never a proof: it
 always records the coefficient bound and precision it was obtained at.
-Found relations over a basis containing the PI slot must have zero pi
-coefficient; a violation raises instead of being silently accepted.
+Every basis holds the PI slot, and a lemma the paper cites makes the pi
+coefficient of every relation zero; a relation that breaks it raises
+instead of being silently accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
 
-from .kernel import PrecisionError, Real, classify_zero, to_mpf, working_prec
+from .kernel import PrecisionError, Real, classify_zero, working_prec
 from .relations import PI_SLOT, LogBasis
 
-DEFAULT_DELTA = Fraction(99, 100)
+DELTA = Fraction(99, 100)
 SCALE_SHIFT = 16
 
 FOUND = "Found"
@@ -37,15 +40,13 @@ class PiCoefficientViolation(RuntimeError):
     """A verified relation carried a nonzero pi coefficient."""
 
 
-def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = DEFAULT_DELTA) -> List[List[int]]:
-    """LLL-reduce integer row vectors; all-integer arithmetic throughout."""
+def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
+    """LLL-reduce integer row vectors at ``DELTA``; all-integer arithmetic throughout."""
     b = [list(map(int, row)) for row in basis]
     n = len(b)
     if n <= 1:
         return b
-    if not Fraction(1, 4) < delta <= 1:
-        raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
-    dn, dd = delta.numerator, delta.denominator
+    dn, dd = DELTA.numerator, DELTA.denominator
 
     def dot(u: List[int], v: List[int]) -> int:
         return sum(x * y for x, y in zip(u, v))
@@ -105,9 +106,6 @@ def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = DEFAULT_DELTA) 
     return b
 
 
-ValueProvider = Callable[[int], Sequence[mpmath.mpf]]
-
-
 @dataclass(frozen=True)
 class RelationSearchResult:
     verdict: str
@@ -115,7 +113,7 @@ class RelationSearchResult:
     residual: Real
     coeff_bound: int
     prec: int
-    basis: Optional[LogBasis] = None
+    basis: LogBasis
 
     @property
     def is_found(self) -> bool:
@@ -133,25 +131,19 @@ def _residual(cand: Sequence[int], vals: Sequence[mpmath.mpf], wbits: int) -> mp
 
 
 def _reduced_rows(
-    values: Sequence[Real],
-    coeff_bound: int,
-    prec: int,
-    value_provider: Optional[ValueProvider],
-    basis: Optional[LogBasis],
+    basis: LogBasis, coeff_bound: int, prec: int
 ) -> Iterator[Tuple[Optional[Tuple[int, ...]], mpmath.mpf]]:
-    """Reduce the relation lattice of ``values`` once and yield, for each
-    reduced row in order of norm, the row as a sign-normalised relation (or
-    None when it is not one) and its residual at working precision.
+    """Reduce the relation lattice of the slot values of ``basis`` once and
+    yield, for each reduced row in order of norm, the row as a
+    sign-normalised relation (or None when it is not one) and its residual
+    at working precision.
 
     A row is a relation when every coefficient is at most ``coeff_bound``
-    in absolute value, its residual classifies Zero at ``prec`` and, when
-    a value provider is given, its residual stays below 2^-prec with the
-    values recomputed once at doubled working precision.  A relation with
-    a nonzero pi coefficient over ``basis`` raises PiCoefficientViolation.
+    in absolute value, its residual classifies Zero at ``prec`` and it
+    stays below 2^-prec with the values rebuilt once at doubled working
+    precision.  A relation with a nonzero pi coefficient raises
+    PiCoefficientViolation.
     """
-    n = len(values)
-    if n < 2:
-        raise ValueError("need at least two values")
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be positive")
     if Fraction(coeff_bound**2, 2**prec) > Fraction(1, 2**32):
@@ -160,28 +152,24 @@ def _reduced_rows(
             "raise prec so that bound^2 * 2^-prec <= 2^-32"
         )
     wp = working_prec(prec)
-    for v in values:
-        if isinstance(v, Real) and v.prec < wp:
-            raise PrecisionError(
-                f"value carries {v.prec} bits but the search needs {wp}; "
-                "pass higher-precision values"
-            )
-    xs = [to_mpf(v, wp) for v in values]
+    xs = basis.values_raw(wp)
+    n = len(xs)
     with mp.workprec(wp):
         scaled = [int(mpmath.nint(mpmath.ldexp(x, prec - SCALE_SHIFT))) for x in xs]
     rows = [[1 if j == i else 0 for j in range(n)] + [scaled[i]] for i in range(n)]
 
+    pi_index = basis.index_of(PI_SLOT)
     witness: Optional[Sequence[mpmath.mpf]] = None
     for row in sorted(lll_reduce(rows), key=lambda r: sum(v * v for v in r)):
         cand = row[:n]
         r0 = _residual(cand, xs, wp)
         ok = max(abs(v) for v in cand) <= coeff_bound and classify_zero(Real(r0, wp), prec).is_zero
-        if ok and value_provider is not None:
+        if ok:
             if witness is None:
-                witness = value_provider(2 * wp)
+                witness = basis.values_raw(2 * wp)
             ok = _residual(cand, witness, 2 * wp) < mpmath.mpf(2) ** (-prec)
         found = _normalize_sign(cand) if ok else None
-        if ok and basis is not None and PI_SLOT in basis.slots and found[basis.index_of(PI_SLOT)]:
+        if found is not None and found[pi_index]:
             raise PiCoefficientViolation(
                 f"verified relation {found} over modulus {basis.modulus} carries a nonzero "
                 "pi coefficient; report this rather than accepting it"
@@ -189,21 +177,17 @@ def _reduced_rows(
         yield found, r0
 
 
-def find_integer_relation(
-    values: Sequence[Real],
-    coeff_bound: int,
-    prec: int,
-    value_provider: Optional[ValueProvider] = None,
-    basis: Optional[LogBasis] = None,
-) -> RelationSearchResult:
-    """Search for a nonzero integer vector c with sum c_i values_i = 0.
+def find_integer_relation(q: int, coeff_bound: int, prec: int) -> RelationSearchResult:
+    """Search for a nonzero integer vector c with sum c_i x_i = 0 over the
+    slot values x of the modulus-q log basis.
 
-    ``values`` must carry working precision.  Found is the shortest reduced
-    row that passes the relation test of ``_reduced_rows``; NoneBelowBound
-    records the smallest residual over all reduced rows.
+    Found is the shortest reduced row that passes the relation test of
+    ``_reduced_rows``; NoneBelowBound records the smallest residual over
+    all reduced rows.
     """
+    basis = LogBasis.for_modulus(q)
     residuals = []
-    for found, residual in _reduced_rows(values, coeff_bound, prec, value_provider, basis):
+    for found, residual in _reduced_rows(basis, coeff_bound, prec):
         if found is not None:
             break
         residuals.append(residual)
@@ -237,7 +221,7 @@ def relation_lattice_rank(
     """Empirical rank of the relation lattice over the modulus-q log basis.
 
     Reduces the lattice of the slot values once and keeps every reduced
-    row that passes the relation test of ``find_integer_relation``.  Rows
+    row that passes the relation test of ``_reduced_rows``.  Rows
     of one basis are independent, so their count is the rank; the identity
     block makes each row's coefficients coprime, so the sorted rows are the
     generators as they stand.  The test suite checks that every constructed
@@ -246,9 +230,7 @@ def relation_lattice_rank(
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
     basis = LogBasis.for_modulus(q)
-    wp = working_prec(prec)
-    values = [Real(v, wp) for v in basis.values_raw(wp)]
-    rows = _reduced_rows(values, coeff_bound, prec, basis.values_raw, basis)
+    rows = _reduced_rows(basis, coeff_bound, prec)
     generators = tuple(sorted(found for found, _ in rows if found is not None))
     return LatticeRankResult(
         modulus=q,

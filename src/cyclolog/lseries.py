@@ -31,7 +31,7 @@ from .characters import PeriodicFunction, fourier_transform_raw
 from .kernel import Real, const_raw, to_mpf, working_prec
 from .tables import tables
 
-ROUTES = ("digamma", "fourier", "direct")
+ROUTES = ("digamma", "fourier")
 DEFAULT_DIRECT_TERMS = 10**7
 
 
@@ -142,10 +142,10 @@ def l1(
     route: str = "digamma",
     prec: int = 128,
 ) -> Real:
-    """L(1, f) = sum f(n)/n by the requested route, at target precision.
+    """L(1, f) = sum f(n)/n by the digamma or Fourier route, at target precision.
 
-    The direct route is float64-only and returns a 53-bit value; use it
-    as a sanity check, not for precision work.
+    The float64 partial sum is ``l1_direct_result``; it is a sanity check,
+    not a route at precision.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -153,7 +153,7 @@ def l1(
     wp = working_prec(prec)
     if route == "digamma":
         v = l1_digamma_raw(f, wp)
-    elif route == "fourier":
+    else:
         re, im = l1_fourier_raw(f, wp)
         with mp.workprec(wp):
             # the bar scales with the summands, not with L, which may vanish
@@ -165,8 +165,6 @@ def l1(
                     f"({mpmath.nstr(im, 8)}) for a real-valued function"
                 )
         v = re
-    else:
-        return l1_direct_result(f).value
     return Real(v, prec)
 
 

@@ -284,6 +284,9 @@ def scan(
             argmin_signs=None, class_counts={}, reason="parity",
         )
     half = (q - 1) // 2
+    # the fork start method forks every max_workers process on the first
+    # submit, with no upper bound; output does not depend on the count
+    workers = min(workers, os.cpu_count() or 1)
     chunk = max(1, comb(q - 1, half) // (workers * 8))
     wp = working_prec(prec)
     min_abs: Optional[mpmath.mpf] = None

@@ -23,7 +23,7 @@ from cyclolog.dedekind import determinant_check
 from cyclolog.intrel import NONE_BELOW_BOUND, find_integer_relation, relation_lattice_rank
 from cyclolog.kernel import Real, classify_zero, const_raw, log_2sin_raw, working_prec
 from cyclolog.lseries import decompose_l1, l1, l1_digamma_raw, l1_direct_result
-from cyclolog.relations import LogBasis, construct_relation, valid_divisor_pairs
+from cyclolog.relations import construct_relation, valid_divisor_pairs
 from cyclolog.scans import bbw_function, scan, trig_sums_raw
 from oracles import in_rational_span
 
@@ -213,10 +213,7 @@ def test_criterion_10_integer_relation_recovery():
     rank_ok = lat.rank == 2 and in_rational_span(
         target, [[Fraction(x) for x in g] for g in lat.generators]
     )
-    basis7 = LogBasis.for_modulus(7)
-    wp = working_prec(512)
-    values = [Real(v, wp) for v in basis7.values_raw(wp)]
-    res = find_integer_relation(values, 10**6, 512, value_provider=basis7.values_raw)
+    res = find_integer_relation(7, 10**6, 512)
     none_ok = res.verdict == NONE_BELOW_BOUND
     elapsed = time.monotonic() - t0
     report(

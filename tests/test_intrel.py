@@ -6,6 +6,7 @@ explicitly constructed relations and against primes, where no relation
 may exist.
 """
 
+import json
 import re
 from fractions import Fraction
 from math import gcd
@@ -15,13 +16,16 @@ import pytest
 from mpmath import mp
 
 from cyclolog.characters import factorize, is_prime
+from cyclolog.cli import main
 from cyclolog.intrel import (
+    DELTA,
     NONE_BELOW_BOUND,
+    PiCoefficientViolation,
     find_integer_relation,
     lll_reduce,
     relation_lattice_rank,
 )
-from cyclolog.kernel import PrecisionError, Real, const, log_2sin, working_prec
+from cyclolog.kernel import PrecisionError, const_raw, log_2sin_raw, working_prec
 from cyclolog.relations import (
     PI_SLOT,
     LogBasis,
@@ -120,8 +124,7 @@ def rational_gram_schmidt(rows):
     ],
 )
 def test_lll_output_is_reduced(rows):
-    delta = Fraction(99, 100)
-    reduced = lll_reduce(rows, delta)
+    reduced = lll_reduce(rows)
     ortho, mus = rational_gram_schmidt(reduced)
     for i, mu_row in enumerate(mus):
         for mu in mu_row:
@@ -129,7 +132,7 @@ def test_lll_output_is_reduced(rows):
     for k in range(1, len(reduced)):
         lhs = sum(x * x for x in ortho[k])
         mu = mus[k][k - 1]
-        rhs = (delta - mu * mu) * sum(x * x for x in ortho[k - 1])
+        rhs = (DELTA - mu * mu) * sum(x * x for x in ortho[k - 1])
         assert lhs >= rhs, k
 
 
@@ -138,41 +141,26 @@ def test_lll_rejects_dependent_rows():
         lll_reduce([[1, 2], [2, 4]])
 
 
-def test_lll_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        lll_reduce([[1, 0], [0, 1]], delta=Fraction(1, 8))
-
-
 # ---------------------------------------------------------------------------
 # relation search
 # ---------------------------------------------------------------------------
 
 def test_find_sqrt2_relation():
-    wp = working_prec(256)
-    values = [log_2sin(1, 4, wp), const("log2", wp)]
-    result = find_integer_relation(values, 100, 256)
+    # q = 4 has slots (1, PI, LOG2): 2 log(2 sin pi/4) = log 2
+    result = find_integer_relation(4, 100, 256)
     assert result.is_found
-    assert result.found == (2, -1)
+    assert result.found == (2, 0, -1)
     assert float(result.residual) < 2.0**-250
 
 
 def test_find_rejects_low_precision_for_bound():
-    wp = working_prec(64)
-    values = [log_2sin(1, 4, wp), const("log2", wp)]
     with pytest.raises(PrecisionError):
-        find_integer_relation(values, 10**6, 64)
-
-
-def test_find_requires_adequate_value_precision():
-    values = [log_2sin(1, 4, 64), const("log2", 64)]
-    with pytest.raises(PrecisionError):
-        find_integer_relation(values, 100, 256)
+        find_integer_relation(4, 10**6, 64)
 
 
 def test_find_none_for_independent_values():
-    wp = working_prec(256)
-    values = [const("pi", wp), const("log2", wp)]
-    result = find_integer_relation(values, 10**4, 256)
+    # q = 3 has slots (1, PI): log(2 sin pi/3) = log(3)/2 and pi
+    result = find_integer_relation(3, 10**4, 256)
     assert result.verdict == NONE_BELOW_BOUND
     assert result.found is None
     assert result.coeff_bound == 10**4 and result.prec == 256
@@ -181,14 +169,38 @@ def test_find_none_for_independent_values():
 def test_found_relations_survive_doubled_precision():
     basis = LogBasis.for_modulus(8)
     wp = working_prec(256)
-    values = [Real(v, wp) for v in basis.values_raw(wp)]
-    result = find_integer_relation(values, 10**6, 256, value_provider=basis.values_raw)
+    result = find_integer_relation(8, 10**6, 256)
     assert result.is_found
     # re-verify by hand at doubled precision
     with mp.workprec(2 * wp):
         vals2 = basis.values_raw(2 * wp)
         residual = abs(mpmath.fsum(c * v for c, v in zip(result.found, vals2)))
         assert residual < mpmath.mpf(2) ** -256
+
+
+@pytest.fixture
+def pi_equals_log2(monkeypatch):
+    """Make the q = 4 basis read (log(2 sin pi/4), log 2, log 2): the shortest
+    relation is then PI - LOG2, which has a nonzero pi coefficient."""
+
+    def values_raw(self, wp):
+        return (log_2sin_raw(1, 4, wp), const_raw("log2", wp), const_raw("log2", wp))
+
+    monkeypatch.setattr(LogBasis, "values_raw", values_raw)
+
+
+def test_search_guards_the_pi_coefficient(pi_equals_log2):
+    with pytest.raises(PiCoefficientViolation):
+        find_integer_relation(4, 100, 256)
+    with pytest.raises(PiCoefficientViolation):
+        relation_lattice_rank(4, 100, 256)
+
+
+@pytest.mark.parametrize("argv", [["intrel", "--q", "4"], ["rank", "--q", "4", "--prec", "256"]])
+def test_cli_reports_a_pi_coefficient_violation(pi_equals_log2, argv, capsys, monkeypatch):
+    monkeypatch.delenv("CYCLOLOG_PREC", raising=False)
+    assert main(argv) == 4
+    assert "nonzero pi coefficient" in json.loads(capsys.readouterr().out)["error"]
 
 
 # ---------------------------------------------------------------------------

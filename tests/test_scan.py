@@ -110,6 +110,33 @@ def test_scan_worker_count_is_invisible_in_output():
     assert seq.to_payload() == par.to_payload()
 
 
+@pytest.mark.parametrize("cpus,pool_sizes", [(2, [2]), (None, [])])
+def test_scan_workers_are_capped_at_the_cpu_count(cpus, pool_sizes, monkeypatch):
+    # a fake pool that maps serially: no process is started
+    import cyclolog.scans as scans_mod
+
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(scans_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scans_mod.os, "cpu_count", lambda: cpus)
+    capped = scan(5, 64, workers=10**6)
+    assert made == pool_sizes
+    assert capped.to_payload(True) == scan(5, 64, workers=1).to_payload(True)
+
+
 @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "fresh-store"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_folds_records_without_parsing_them(workers, with_store, monkeypatch, tmp_path):

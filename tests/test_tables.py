@@ -152,8 +152,9 @@ GOLDEN_F20 = ",".join(str((a % 5) - 2 + (a % 4 == 0) - (a % 4 == 2)) for a in ra
 # precision, the next three before relations were built once per class,
 # the next two before the Fourier transform summed integers, the next five
 # before a Real rounded itself on construction, the next one before scan
-# records were folded without being parsed again, the last four before the
-# certificate became properties of the determinant check
+# records were folded without being parsed again, the next four before the
+# certificate became properties of the determinant check, the last two
+# before the relation search took a modulus
 SCAN_Q11_STDOUT = "e3848497130b614e07dcd604fe2a0aea4f91b9135da8b01aa436a787280e142d"
 # SHA-256 of the store after two `scan --q 11 --threads 1 --store PATH` runs,
 # recorded with the last GOLDEN entry
@@ -211,17 +212,22 @@ GOLDEN = [
      "e8c7da2d45ca41a94c843a1c415555106cea47ecadb2fcdb7e5dbb1bb60ae713"),
     ("certificate-p3", ["certificate", "--p", "3"],
      "87c99de9320ea0a0c0f29c12e7a723e2a81fb36225d9e1328a29de48d6c2d8c0"),
+    ("intrel-q2", ["intrel", "--q", "2"],
+     "31482ba2c8b4a7f224048098fce72d23273e2df1e32497dbac76b8ec48baa5db"),
+    ("intrel-q12-text", ["intrel", "--q", "12", "--output", "text"],
+     "dcc998e0c39df687df154be9fff4bcd6b04c042f84c88288e28b0292830bd636"),
 ]
 
 ROOT = Path(__file__).resolve().parent.parent
-# SHA-256 of each demo's stdout, recorded with the last four GOLDEN entries
+# SHA-256 of each demo's stdout, recorded with the certificate GOLDEN entries;
+# demo 05's again when its warm-up search moved onto the q = 4 basis
 DEMO_STDOUT = {
     "00_precision_kernel.py": "fa68d0ea283b9fd07f884705a7c0f835ac8e793234584a8eea86e13e31fcb61a",
     "01_log_sine_relations.py": "ae0eac76f2938f5655c601e103f9f4237d60edcf7024b56207e7eea8c70b8b72",
     "02_l_values_three_routes.py": "f644db6606056d381a2727d8344f9c2f52354a3cebf2f0dacd7bf4166679d74d",
     "03_prime_certificates.py": "f5713a49991767345c7f4752d1e830027b81c9551f888c32b20bf9f3126372d8",
     "04_sign_scan.py": "713dd7fdde6227b227670ecd5ee2aebc1570d41a79d5ecc5853bc5fc29368e3e",
-    "05_integer_relations.py": "69a3ea84b878eed6783cbdb266c5ec79deeea78f62a68f48bb3ce1409dd4f524",
+    "05_integer_relations.py": "8eed0ddac16e4a10b060a610c7c0d9d4e39ecf41cf05107be5ba44950af59725",
 }
 
 
