@@ -3,9 +3,9 @@
 Characters are stored exactly, as integer exponent vectors over a fixed
 generator decomposition of (Z/qZ)*; a route reads chi(a) as the integer
 index k with chi(a) = e^(2 pi i k/m), m the exponent of the group, or as
-t = k/m in [0, 1).  Root-of-unity work keeps exponents exact and evaluates
-cos/sin of pi-rational angles directly, so no argument error ever
-accumulates.  The discrete Fourier transform's sums are exact integer
+t = k/m in [0, 1).  Root-of-unity work keeps exponents exact and reads
+cos/sin of pi-rational angles from the tables layer, so no argument error
+ever accumulates.  The discrete Fourier transform's sums are exact integer
 arithmetic over the 2^wp-scaled roots of the tables layer; each component
 is rounded only when it is converted to an mpf.
 """
@@ -55,6 +55,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"modulus must be an odd prime, got {p}")
 
 
 def _prime_divisors(n: int) -> Tuple[int, ...]:
@@ -139,11 +144,8 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
 
 
 def unit_root(num: int, den: int, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """e^(2 pi i num/den) as a (cos, sin) pair; exponent reduced mod 1 exactly."""
-    t = Fraction(num % den, den)
-    with mp.workprec(wp):
-        a = mpmath.mpf(2 * t.numerator) / t.denominator
-        return mpmath.cospi(a), mpmath.sinpi(a)
+    """e^(2 pi i num/den) as a (cos, sin) pair, read from the roots table of den."""
+    return tables(den, wp).roots[num % den]
 
 
 @dataclass(frozen=True)
@@ -184,15 +186,12 @@ class DirichletCharacter:
         k = self.value_index(n)
         return None if k is None else Fraction(k, lcm(*self.structure.orders))
 
-    def sign_at_minus_one(self) -> int:
-        """chi(-1), exactly, via integer exponent arithmetic."""
-        t = self.value_exponent(self.modulus - 1 if self.modulus > 2 else 1)
-        assert t is not None and t.denominator in (1, 2)
-        return 1 if t == 0 else -1
-
     @property
     def is_even(self) -> bool:
-        return self.sign_at_minus_one() == 1
+        """chi(-1) = 1, read exactly from the root index of chi(-1) = +-1."""
+        k = self.value_index(-1)
+        assert 2 * k % lcm(*self.structure.orders) == 0, "chi(-1) must be +-1"
+        return k == 0
 
     @property
     def order(self) -> int:
@@ -201,13 +200,6 @@ class DirichletCharacter:
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if not isinstance(other, DirichletCharacter) or other.modulus != self.modulus:
-            return NotImplemented
-        return DirichletCharacter(
-            self.modulus, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
 
 
 def enumerate_characters(q: int, even_only: bool = False) -> Tuple[DirichletCharacter, ...]:

@@ -23,7 +23,7 @@ from . import __version__
 from .characters import PeriodicFunction, enumerate_characters, unit_group_structure
 from .dedekind import CERTIFICATE_NOTES, determinant_check
 from .intrel import PiCoefficientViolation, find_integer_relation, relation_lattice_rank
-from .kernel import INDETERMINATE, PrecisionError, dec_str, decimal_digits, working_prec
+from .kernel import INDETERMINATE, PrecisionError, dec_str, decimal_digits
 from .lseries import (
     NonConvergentSeriesError,
     decompose_l1,
@@ -36,11 +36,10 @@ from .scans import (
     InconclusiveClassificationError,
     ScanStore,
     ScanStoreDisagreement,
-    _classify_l,
     bbw_function,
     dichotomy,
+    evaluate,
     scan,
-    trig_sums_raw,
 )
 from .serialize import canonical_json
 
@@ -249,8 +248,7 @@ def _cmd_classify(args) -> Tuple[dict, int]:
 
 def _cmd_bbw(args) -> Tuple[dict, int]:
     f = bbw_function(args.q, args.l, args.prec)
-    value, cls = _classify_l(f, args.prec)
-    cot, cos_sums = trig_sums_raw(f, working_prec(args.prec))
+    value, cls, cot, cos_sums = evaluate(f, args.prec)
     digits = decimal_digits(args.prec)
     payload = {
         "command": "bbw",

@@ -24,7 +24,7 @@ from typing import List, Tuple
 import mpmath
 from mpmath import mp
 
-from .characters import DirichletCharacter, enumerate_characters, is_prime
+from .characters import DirichletCharacter, enumerate_characters, require_odd_prime
 from .kernel import (
     Complex,
     Real,
@@ -37,11 +37,6 @@ from .tables import tables
 DEFAULT_MAX_PRIME = 101
 _PIVOT_GROWTH_BITS = 32
 Pair = Tuple[mpmath.mpf, mpmath.mpf]  # (re, im) at working precision
-
-
-def _require_odd_prime(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"modulus must be an odd prime, got {p}")
 
 
 def _matrix_raw(p: int, wp: int) -> List[List[mpmath.mpf]]:
@@ -175,7 +170,7 @@ def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
     Each S_chi is evaluated once at working precision and feeds all three.
     ``agree`` demands relative difference below 2^(-prec/2).
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if p > DEFAULT_MAX_PRIME:
         raise ValueError(f"p = {p} exceeds the configured bound {DEFAULT_MAX_PRIME}")
     wp = working_prec(prec)

@@ -115,10 +115,6 @@ class RelationSearchResult:
     prec: int
     basis: LogBasis
 
-    @property
-    def is_found(self) -> bool:
-        return self.verdict == FOUND
-
 
 def _normalize_sign(vec: Sequence[int]) -> Tuple[int, ...]:
     first = next((v for v in vec if v != 0), 0)

@@ -78,9 +78,7 @@ class Real:
 
     def __init__(self, value, prec: int):
         _check_prec(prec)
-        if isinstance(value, Real):
-            value = value.mpf
-        elif not isinstance(value, mpmath.mpf):
+        if not isinstance(value, mpmath.mpf):
             value = to_mpf(value, prec)
         # the rounding of +value under mp.workprec(prec), without the scope
         object.__setattr__(self, "mpf", mpmath.mpf(value, prec=prec, rounding="n"))
@@ -161,14 +159,20 @@ def const_raw(name: str, wp: int) -> mpmath.mpf:
         return _CONSTANT_FNS[name]()
 
 
+def fold(k: int, q: int) -> int:
+    """k folded to [1, q/2] as min(k mod q, q - k mod q), the index that
+    log(2 sin k pi/q) = log|1 - zeta_q^k| depends on."""
+    k %= q
+    if k == 0:
+        raise ValueError("k must not be divisible by q: 2 sin(k pi/q) would vanish")
+    return min(k, q - k)
+
+
 def log_2sin_raw(k: int, q: int, wp: int) -> mpmath.mpf:
     """log(2 sin(k pi / q)) at working precision, index folded to [1, q/2]."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
-    k %= q
-    if k == 0:
-        raise ValueError("k must not be divisible by q: 2 sin(k pi/q) would vanish")
-    k = min(k, q - k)
+    k = fold(k, q)
     with mp.workprec(wp):
         return mpmath.log(2 * mpmath.sinpi(mpmath.mpf(k) / q))
 

@@ -119,16 +119,17 @@ class DirectSumResult:
     tail_bound: float
 
 
-def l1_direct_result(f: PeriodicFunction, n_terms: int = DEFAULT_DIRECT_TERMS) -> DirectSumResult:
+def l1_direct_result(f: PeriodicFunction) -> DirectSumResult:
     """Partial sums of sum f(n)/n cut at a full period, with a tail bound.
 
-    The cut N is a multiple of q, so the partial-sum function of f
+    The cut N is the last multiple of q up to ``DEFAULT_DIRECT_TERMS``
+    (at least 2q), so the partial-sum function of f
     vanishes there and the tail telescopes to sum_{m >= N/q} of one
     period's worth of 1/(a+mq) differences; |tail| <= max|f| / (N/q - 1).
     """
     _require_convergent(f)
     q = f.period
-    periods = max(2, n_terms // q)
+    periods = max(2, DEFAULT_DIRECT_TERMS // q)
     table = _residue_harmonic_table(q, periods)
     import numpy as np  # only the direct route uses numpy; see _residue_harmonic_table
     fv = np.array([float(to_mpf(v, 64)) for v in f.values])

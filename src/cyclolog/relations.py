@@ -24,6 +24,7 @@ its slot value with one correctly rounded product.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 from numbers import Rational
@@ -33,7 +34,7 @@ import mpmath
 from mpmath import mp
 
 from .characters import is_prime
-from .kernel import Real, ZeroClass, classify_zero, working_prec
+from .kernel import Real, ZeroClass, classify_zero, fold, working_prec
 from .tables import tables
 
 PI_SLOT = "PI"
@@ -67,13 +68,9 @@ class LogBasis:
 
 
 def fold_index(k: int, q: int) -> Slot:
-    """Map k to the slot of log(2 sin k pi/q): min(k mod q, q - k mod q),
-    with the midpoint q/2 (even q) landing on the LOG2 slot since
-    2 sin(pi/2) = 2."""
-    k %= q
-    if k == 0:
-        raise ValueError("k = 0 mod q has no log slot (2 sin 0 = 0)")
-    m = min(k, q - k)
+    """Map k to the slot of log(2 sin k pi/q), its ``fold``, with the
+    midpoint q/2 (even q) landing on the LOG2 slot since 2 sin(pi/2) = 2."""
+    m = fold(k, q)
     if q % 2 == 0 and m == q // 2:
         return LOG2_SLOT
     return m
@@ -136,22 +133,12 @@ def construct_relation(q: int, a: int, d: int) -> RelationVector:
     if not (1 <= a < q and gcd(a, q) == 1):
         raise ValueError(f"need 1 <= a < q with gcd(a, q) = 1, got a={a}")
     basis = LogBasis.for_modulus(q)
-    acc: Dict[Slot, int] = {}
-
-    def add(slot: Slot, delta: int) -> None:
-        acc[slot] = acc.get(slot, 0) + delta
-
-    add(fold_index(a * (q // d), q), +1)
-    seen_classes = set()
-    for j in range(1, q // d + 1):
-        idx = (a + d * j) % q
-        assert idx != 0, "a + d j = 0 mod q is impossible when gcd(a, d) = 1"
-        cls = min(idx, q - idx)
-        assert cls not in seen_classes, "folded -1 indices collided; d > 2 forbids this"
-        seen_classes.add(cls)
-        add(fold_index(idx, q), -1)
-
-    coeffs = tuple(acc.get(slot, 0) for slot in basis.slots)
+    # a + d j is never 0 mod q, as gcd(a, d) = 1
+    minus = [fold_index(a + d * j, q) for j in range(1, q // d + 1)]
+    assert len(set(minus)) == len(minus), "folded -1 indices collided; d > 2 forbids this"
+    acc = Counter({fold_index(a * (q // d), q): 1})
+    acc.subtract(minus)
+    coeffs = tuple(acc[slot] for slot in basis.slots)
     vec = RelationVector(basis, coeffs, (a, d))
     assert not vec.is_zero_vector, "constructed relation collapsed to zero"
     assert vec.coeff(PI_SLOT) == 0

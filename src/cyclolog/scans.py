@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from .characters import PeriodicFunction, is_prime
+from .characters import PeriodicFunction, require_odd_prime
 from .kernel import (
     NONZERO,
     Real,
@@ -50,6 +50,7 @@ from .kernel import (
 )
 from .lseries import NonConvergentSeriesError, l1_digamma_raw, trig_sums_raw
 from .serialize import canonical_json
+from .tables import tables
 
 
 class DichotomyContradictionError(RuntimeError):
@@ -84,11 +85,15 @@ def _signs_from_positions(q: int, positions: Tuple[int, ...]) -> Tuple[int, ...]
 # trig sums and the nonzero-or-trivial dichotomy
 # ---------------------------------------------------------------------------
 
-def _classify_l(f: PeriodicFunction, prec: int) -> Tuple[mpmath.mpf, ZeroClass]:
+def evaluate(
+    f: PeriodicFunction, prec: int
+) -> Tuple[mpmath.mpf, ZeroClass, mpmath.mpf, Dict[int, mpmath.mpf]]:
+    """L(1, f), its zero class against ``prec`` bits (with a doubled-precision
+    witness), its cot sum and its cos sums, all at working precision."""
     wp = working_prec(prec)
     value = l1_digamma_raw(f, wp)
     cls = classify_zero(Real(value, wp), prec, recompute=lambda w: l1_digamma_raw(f, w))
-    return value, cls
+    return (value, cls, *trig_sums_raw(f, wp))
 
 
 BRANCH_L_NONZERO = "L_nonzero"
@@ -113,13 +118,11 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     L-value raises InconclusiveClassificationError.
     """
     p = f.period
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"period must be an odd prime, got {p}")
+    require_odd_prime(p)
     if not f.has_zero_mean():
         raise NonConvergentSeriesError("sum f(a) over a period must vanish")
     wp = working_prec(prec)
-    l_raw, l_class = _classify_l(f, prec)
-    cot, cos_sums = trig_sums_raw(f, wp)
+    l_raw, l_class, cot, cos_sums = evaluate(f, prec)
 
     def named(sums) -> Dict[str, mpmath.mpf]:
         return {"cot": sums[0], **{f"cos_{b}": v for b, v in sums[1].items()}}
@@ -185,14 +188,15 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
     if l > hi:
         raise ValueError(f"l must be <= {hi} for q = {q}, got {l}")
     wp = working_prec(prec)
+    roots = tables(2 * q, wp).roots  # (cos, sin) of n pi/q at index n
+    c1, s1 = roots[1]
     vals: List[Real] = [Real(mpmath.mpf(0), wp) for _ in range(q)]
     with mp.workprec(wp):
-        s1 = mpmath.sinpi(mpmath.mpf(1) / q)
-        c1 = mpmath.cospi(mpmath.mpf(1) / q) if q % 2 == 0 else None
         for n in range(1, (q + 1) // 2):
-            v = (mpmath.sinpi(mpmath.mpf(n) / q) / s1) ** l
-            if c1 is not None:
-                v *= mpmath.cospi(mpmath.mpf(n) / q) / c1
+            c, s = roots[n]
+            v = (s / s1) ** l
+            if q % 2 == 0:
+                v *= c / c1
             if n % 2 == 0:
                 v = -v
             vals[n - 1] = Real(v, wp)
@@ -209,10 +213,7 @@ def _record(q: int, positions: Tuple[int, ...], prec: int) -> Tuple[Tuple[int, .
     """(signs, class tag, L text, canonical JSON line) for a sign vector;
     pure in (q, positions, prec)."""
     signs = _signs_from_positions(q, positions)
-    f = sign_function(q, signs)
-    wp = working_prec(prec)
-    value, cls = _classify_l(f, prec)
-    cot, cos_sums = trig_sums_raw(f, wp)
+    value, cls, cot, cos_sums = evaluate(sign_function(q, signs), prec)
     digits = decimal_digits(prec)
     record = {
         "q": q,
@@ -271,6 +272,8 @@ def scan(
     Deterministic for any worker count: records are produced per function
     by a pure function and folded in enumeration order as they arrive.
     """
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
     if q > SCAN_BOUND:

@@ -2,7 +2,9 @@
 log(2 sin k pi/q) (alone and as the slot values of a relation basis), the
 roots of unity e^(2 pi i j/q) (as mpfs and, in ``fixed_roots``, as
 integers scaled by 2^wp), cot(a pi/q) and psi(a/q) for one modulus q at
-one working precision wp.
+one working precision wp.  Every cos or sin of a rational multiple of pi
+in the package is read from here: e^(2 pi i num/den) from the roots of den,
+and cos, sin of n pi/q from the roots of 2q.
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at doubled precision gets its own entry.  Each family is built
@@ -19,7 +21,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .kernel import const_raw, log_2sin_raw
+from .kernel import const_raw, fold, log_2sin_raw
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,7 @@ class Tables:
 
     def log_sine(self, k: int) -> mpmath.mpf:
         """log(2 sin(k pi / q)) for any k not divisible by q, folded to [1, q/2]."""
-        k %= self.q
-        if k == 0:
-            raise ValueError("k must not be divisible by q: 2 sin(k pi/q) would vanish")
-        return self.log_sines[min(k, self.q - k) - 1]
+        return self.log_sines[fold(k, self.q) - 1]
 
     @cached_property
     def log_basis_values(self) -> Tuple[mpmath.mpf, ...]:

@@ -3,8 +3,9 @@
 None of these is on a route the package runs: each is an independent
 evaluation (Euler-Maclaurin Hurwitz zeta, the asymptotic-series digamma,
 Gauss sums by their defining sum, S_chi over Fraction exponents, L(1, chi)
-through the Gauss-sum identity, the inverse Fourier transform) or an exact helper (rational
-span membership, Euler's phi) that a test checks a route's output with.
+through the Gauss-sum identity, the inverse Fourier transform, roots of
+unity and kernel-function values by direct cospi/sinpi) or an exact helper
+(rational span membership, Euler's phi) that a test checks a route's output with.
 """
 
 from fractions import Fraction
@@ -25,6 +26,32 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
+
+
+def unit_root_reference(num: int, den: int, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """e^(2 pi i num/den) as (cos, sin) by cospi/sinpi at the exponent reduced mod 1."""
+    t = Fraction(num % den, den)
+    with mp.workprec(wp):
+        a = mpmath.mpf(2 * t.numerator) / t.denominator
+        return mpmath.cospi(a), mpmath.sinpi(a)
+
+
+def bbw_values_reference(q: int, l: int, prec: int) -> Tuple[mpmath.mpf, ...]:
+    """The values f_l(1..q) of the kernel function mod q, by sinpi/cospi of n pi/q."""
+    wp = working_prec(prec)
+    vals = [mpmath.mpf(0)] * q
+    with mp.workprec(wp):
+        s1 = mpmath.sinpi(mpmath.mpf(1) / q)
+        c1 = mpmath.cospi(mpmath.mpf(1) / q)
+        for n in range(1, (q + 1) // 2):
+            v = (mpmath.sinpi(mpmath.mpf(n) / q) / s1) ** l
+            if q % 2 == 0:
+                v *= mpmath.cospi(mpmath.mpf(n) / q) / c1
+            if n % 2 == 0:
+                v = -v
+            vals[n - 1] = v
+            vals[q - n - 1] = -v
+    return tuple(vals)
 
 
 def gauss_sum_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:

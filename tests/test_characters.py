@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from cyclolog.characters import (
+    DirichletCharacter,
     PeriodicFunction,
     UnitGroupStructure,
     enumerate_characters,
@@ -150,9 +151,10 @@ def test_character_multiplicativity_exact():
 
 
 def test_chi_minus_one_is_exact_sign():
+    # is_even asserts that chi(-1) = +-1 before it reads the sign
     for q in (3, 4, 5, 7, 8, 9, 16):
         for chi in enumerate_characters(q):
-            assert chi.sign_at_minus_one() in (-1, 1)
+            assert chi.is_even in (True, False)
 
 
 def test_vanishing_off_units():
@@ -232,7 +234,9 @@ def test_orthogonality(q):
     with mp.workprec(wp):
         for chi in chars:
             for psi in chars:
-                prod = chi * psi.conjugate()
+                prod = DirichletCharacter(
+                    q, tuple(a - b for a, b in zip(chi.exponents, psi.exponents))
+                )
                 total = mpmath.mpc(0)
                 for a in range(1, q + 1):
                     t = prod.value_exponent(a)

@@ -205,6 +205,15 @@ def test_scan_tampered_store_exits_4_naming_the_store(capsys, tmp_path):
     assert store.read_text() == tampered
 
 
+def test_scan_zero_threads_exits_1_and_writes_no_store(capsys, tmp_path):
+    store = tmp_path / "s.jsonl"
+    code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --threads must be >= 1, got 0\n"
+    assert not store.exists()
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_scan_unopenable_store_exits_1_before_any_evaluation(capsys, monkeypatch, tmp_path, where):
     import cyclolog.scans as scans_mod
@@ -227,10 +236,11 @@ def test_scan_indeterminate_exits_3_whatever_the_serializer(capsys, monkeypatch,
     from cyclolog.kernel import INDETERMINATE, Real, ZeroClass
 
     def gray(f, prec):
-        value = scans_mod.l1_digamma_raw(f, scans_mod.working_prec(prec))
-        return value, ZeroClass(INDETERMINATE, Real(abs(value), prec))
+        wp = scans_mod.working_prec(prec)
+        value = scans_mod.l1_digamma_raw(f, wp)
+        return value, ZeroClass(INDETERMINATE, Real(abs(value), prec)), *scans_mod.trig_sums_raw(f, wp)
 
-    monkeypatch.setattr(scans_mod, "_classify_l", gray)
+    monkeypatch.setattr(scans_mod, "evaluate", gray)
     monkeypatch.setattr(scans_mod, "canonical_json", lambda obj: json.dumps(obj, separators=separators))
     code, payload = run_json(capsys, "scan", "--q", "5", "--store", "", "--threads", "1")
     assert code == 3

@@ -19,6 +19,7 @@ from cyclolog.characters import factorize, is_prime
 from cyclolog.cli import main
 from cyclolog.intrel import (
     DELTA,
+    FOUND,
     NONE_BELOW_BOUND,
     PiCoefficientViolation,
     find_integer_relation,
@@ -148,7 +149,7 @@ def test_lll_rejects_dependent_rows():
 def test_find_sqrt2_relation():
     # q = 4 has slots (1, PI, LOG2): 2 log(2 sin pi/4) = log 2
     result = find_integer_relation(4, 100, 256)
-    assert result.is_found
+    assert result.verdict == FOUND
     assert result.found == (2, 0, -1)
     assert float(result.residual) < 2.0**-250
 
@@ -170,7 +171,7 @@ def test_found_relations_survive_doubled_precision():
     basis = LogBasis.for_modulus(8)
     wp = working_prec(256)
     result = find_integer_relation(8, 10**6, 256)
-    assert result.is_found
+    assert result.verdict == FOUND
     # re-verify by hand at doubled precision
     with mp.workprec(2 * wp):
         vals2 = basis.values_raw(2 * wp)

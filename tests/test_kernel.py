@@ -16,6 +16,7 @@ from cyclolog.kernel import (
     Real,
     classify_zero,
     const,
+    fold,
     log_2sin,
     log_2sin_raw,
     to_mpf,
@@ -261,4 +262,5 @@ def test_integral_fraction_converts_in_one_call(monkeypatch):
 def test_fold_symmetry_property(q, k):
     if k % q == 0:
         return
+    assert fold(k, q) == fold(-k, q) == fold(k + q, q)
     assert log_2sin(k, q, 64).mpf == log_2sin(-k, q, 64).mpf

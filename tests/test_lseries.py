@@ -20,7 +20,6 @@ from cyclolog import lseries
 from cyclolog.characters import PeriodicFunction, enumerate_characters, fourier_transform_raw
 from cyclolog.kernel import Real, classify_zero, const, working_prec
 from cyclolog.lseries import (
-    DEFAULT_DIRECT_TERMS,
     NonConvergentSeriesError,
     decompose_l1,
     digamma_raw,
@@ -282,13 +281,13 @@ def test_route_agreement_random_sample():
         vd = l1(f, "digamma", 128)
         vf = l1(f, "fourier", 128)
         assert abs(vd.mpf - vf.mpf) < TOL112
-        res = l1_direct_result(f, 2 * 10**6)
+        res = l1_direct_result(f)
         assert abs(float(res.value) - float(vd)) < res.tail_bound + 1e-10
 
 
 def test_direct_route_tail_bound_is_explicit():
     f = PeriodicFunction.from_rationals(7, [1, -1, 1, -1, 1, -1, 0])
-    res = l1_direct_result(f, DEFAULT_DIRECT_TERMS)
+    res = l1_direct_result(f)
     assert res.n_terms % 7 == 0
     assert 0 < res.tail_bound < 1e-5
     assert res.value.prec == 53

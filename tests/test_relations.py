@@ -19,6 +19,7 @@ from mpmath import mp
 
 import cyclolog.relations as relations_mod
 from cyclolog.characters import is_prime
+from cyclolog.kernel import fold
 from cyclolog.relations import (
     LOG2_SLOT,
     PI_SLOT,
@@ -50,15 +51,18 @@ def test_fold_examples():
 
 
 def test_fold_rejects_zero_class():
-    with pytest.raises(ValueError):
-        fold_index(0, 9)
-    with pytest.raises(ValueError):
-        fold_index(18, 9)
+    for fold_fn in (fold, fold_index):
+        with pytest.raises(ValueError):
+            fold_fn(0, 9)
+        with pytest.raises(ValueError):
+            fold_fn(18, 9)
 
 
 def test_fold_range():
     for q in range(3, 40):
         for k in range(1, q):
+            m = fold(k, q)
+            assert 1 <= m <= q // 2 and m in (k, q - k)
             slot = fold_index(k, q)
             if slot == LOG2_SLOT:
                 assert q % 2 == 0 and k == q // 2

@@ -227,6 +227,18 @@ def test_dichotomy_recomputes_the_trig_sums_once(monkeypatch):
     assert precisions == [wp, 2 * wp]
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_scan_rejects_worker_counts_below_one_before_any_evaluation(monkeypatch, workers):
+    import cyclolog.scans as scans
+
+    def no_evaluation(*args):
+        raise AssertionError("a function was evaluated before the worker count was checked")
+
+    monkeypatch.setattr(scans, "_record", no_evaluation)
+    with pytest.raises(ValueError, match="worker count"):
+        scan(5, workers=workers)
+
+
 def test_dichotomy_rejects_composite_period():
     f = PeriodicFunction.from_rationals(9, [1, -1, 1, -1, 1, -1, 1, -1, 0])
     with pytest.raises(ValueError):
@@ -250,9 +262,9 @@ def test_dichotomy_contradiction_aborts(monkeypatch):
     wp = working_prec(128)
 
     def forced_zero(f, prec):
-        return mpmath.mpf(0), ZeroClass("Zero", Real(mpmath.mpf(0), wp))
+        return mpmath.mpf(0), ZeroClass("Zero", Real(mpmath.mpf(0), wp)), *trig_sums_raw(f, wp)
 
-    monkeypatch.setattr(scan_mod, "_classify_l", forced_zero)
+    monkeypatch.setattr(scan_mod, "evaluate", forced_zero)
     f = PeriodicFunction.from_rationals(5, [1, -1, -1, 1, 0])  # cos sum = sqrt 5 != 0
     with pytest.raises(scan_mod.DichotomyContradictionError):
         dichotomy(f, 128)
@@ -265,9 +277,10 @@ def test_dichotomy_indeterminate_l_is_inconclusive(monkeypatch):
     wp = working_prec(128)
 
     def forced_gray(f, prec):
-        return mpmath.mpf(2) ** -96, ZeroClass("Indeterminate", Real(mpmath.mpf(2) ** -96, wp))
+        gray = mpmath.mpf(2) ** -96
+        return gray, ZeroClass("Indeterminate", Real(gray, wp)), *trig_sums_raw(f, wp)
 
-    monkeypatch.setattr(scan_mod, "_classify_l", forced_gray)
+    monkeypatch.setattr(scan_mod, "evaluate", forced_gray)
     f = PeriodicFunction.from_rationals(5, [1, -1, -1, 1, 0])
     with pytest.raises(scan_mod.InconclusiveClassificationError):
         dichotomy(f, 128)

@@ -20,8 +20,9 @@ from cyclolog.dedekind import determinant_check
 from cyclolog.kernel import const_raw, log_2sin_raw, working_prec
 from cyclolog.lseries import digamma_raw
 from cyclolog.relations import LOG2_SLOT, PI_SLOT, LogBasis
-from cyclolog.scans import _classify_l, sign_function
+from cyclolog.scans import bbw_function, evaluate, sign_function
 from cyclolog.tables import Tables, tables
+from oracles import bbw_values_reference, unit_root_reference
 
 MODULI = (2, 3, 4, 7, 12, 15, 30)
 PRECISIONS = (96, 192, 320)
@@ -73,6 +74,23 @@ def test_roots_equal_unit_root_at_every_reduced_exponent(n, wp):
     for j in range(n):
         t = Fraction(j, n)
         assert roots[j] == unit_root(t.numerator, t.denominator, wp)
+
+
+@pytest.mark.parametrize("wp", (64, 128, 192))
+def test_unit_root_equals_direct_cospi_sinpi(wp):
+    for den in range(1, 40):
+        for num in range(-den, 2 * den):
+            got = unit_root(num, den, wp)
+            want = unit_root_reference(num, den, wp)
+            assert [x._mpf_ for x in got] == [x._mpf_ for x in want], (num, den)
+
+
+@pytest.mark.parametrize("prec", (64, 128, 192))
+def test_bbw_values_equal_direct_cospi_sinpi(prec):
+    for q in range(3, 41):
+        for l in range(3, (q - 2 if q % 2 else q - 1) + 1, 2):
+            got = [v.mpf._mpf_ for v in bbw_function(q, l, prec).values]
+            assert got == [v._mpf_ for v in bbw_values_reference(q, l, prec)], (q, l)
 
 
 @pytest.mark.parametrize("wp", PRECISIONS)
@@ -130,7 +148,7 @@ def test_doubled_precision_recompute_reads_its_own_entry():
     q, prec = 7, 128
     wp = working_prec(prec)
     f = sign_function(q, (1, 1, 1, -1, -1, -1))
-    _, cls = _classify_l(f, prec)
+    _, cls, _, _ = evaluate(f, prec)
     assert cls.is_nonzero  # so the recompute witness ran
     misses = tables.cache_info().misses
     first, witness = tables(q, wp), tables(q, 2 * wp)
