@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, Optional, Tuple, Union
 
@@ -243,6 +243,17 @@ class PeriodicFunction:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.values)
+
+    @cached_property
+    def unit_values(self) -> Optional[Tuple[int, ...]]:
+        """The values as ints when every one is exactly -1, 0 or 1, else None;
+        they do not depend on a precision, so every sum over a table reads
+        them from here instead of converting f(a) to an mpf again."""
+        units = all(
+            isinstance(v, Fraction) and v.denominator == 1 and -1 <= v.numerator <= 1
+            for v in self.values
+        )
+        return tuple(v.numerator for v in self.values) if units else None
 
     def value_at(self, n: int) -> PeriodicValue:
         return self.values[(n - 1) % self.period]

@@ -231,8 +231,8 @@ def classify_zero(
     with mp.workprec(max(x.prec, working_prec(target))):
         mag = abs(x.mpf)
         residual = Real(mag, x.prec)
-        zero_bar = mpmath.mpf(2) ** (-target)
-        nonzero_bar = mpmath.mpf(2) ** (-(target // 2))
+        zero_bar = mpmath.ldexp(1, -target)
+        nonzero_bar = mpmath.ldexp(1, -(target // 2))
         if mag < zero_bar:
             return ZeroClass(ZERO, residual)
         if mag > nonzero_bar:

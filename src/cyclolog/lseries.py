@@ -61,7 +61,7 @@ def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
         r = (q - 1) // 2
         for b in range(1, r + 1):
             # log(4 sin^2(pi b / q)) = 2 log(2 sin(pi b / q))
-            total += tab.roots[(a * b) % q][0] * 2 * tab.log_sines[b - 1]
+            total += tab.cos[(a * b) % q] * 2 * tab.log_sines[b - 1]
         if q % 2 == 0:
             parity = const_raw("log2", wp)
             total += parity if a % 2 == 0 else -parity
@@ -73,11 +73,19 @@ def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
 # ---------------------------------------------------------------------------
 
 def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
+    """-(1/q) sum_a f(a) psi(a/q) at working precision wp.
+
+    The sum is ``Tables.weighted_sums`` over the psi table: bit for bit
+    mpmath's exact-then-rounded sum (``mpf_sum``) of the products
+    f(a) psi(a/q) rounded at wp, and one exact integer sum over the aligned
+    table when f takes values in {-1, 0, 1}.  That rests on the psi table's
+    exponents spanning about wp + log2 q bits, below the 2 wp within which
+    ``mpf_sum`` keeps every term; the table raises where they do not.
+    """
     q = f.period
-    psi = tables(q, wp).psi
+    (total,) = tables(q, wp).weighted_sums("psi", f, [range(q)])
     with mp.workprec(wp):
-        terms = [v * psi[a - 1] for a in range(1, q + 1) if (v := f.value_mpf(a, wp))]
-        return -mpmath.fsum(terms) / q if terms else mpmath.mpf(0)
+        return -total / q
 
 
 def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
@@ -187,17 +195,22 @@ class DecompositionVector:
 def trig_sums_raw(
     f: PeriodicFunction, wp: int
 ) -> Tuple[mpmath.mpf, Dict[int, mpmath.mpf]]:
-    """(sum_a f(a) cot(a pi/q), {b: sum_a f(a) cos(2 pi a b/q)}) for b <= (q-1)/2."""
+    """(sum_a f(a) cot(a pi/q), {b: sum_a f(a) cos(2 pi a b/q)}) for b <= (q-1)/2,
+    each over a = 1..q-1 at working precision wp.
+
+    Each sum is ``Tables.weighted_sums`` over the cot or cos table: bit for bit
+    mpmath's exact-then-rounded sum (``mpf_sum``) of the products rounded at
+    wp, and one exact integer sum over the aligned table when f takes values
+    in {-1, 0, 1}.  That rests on those tables' exponents spanning about
+    wp + 2 log2 q bits, below the 2 wp within which ``mpf_sum`` keeps every
+    term; the table raises where they do not.
+    """
     q = f.period
     tab = tables(q, wp)
-    with mp.workprec(wp):
-        vals = [f.value_mpf(a, wp) for a in range(1, q)]
-        cot = mpmath.fsum(vals[a - 1] * tab.cot[a - 1] for a in range(1, q))
-        cos_sums = {
-            b: mpmath.fsum(vals[a - 1] * tab.roots[(a * b) % q][0] for a in range(1, q))
-            for b in range(1, (q - 1) // 2 + 1)
-        }
-    return cot, cos_sums
+    (cot,) = tab.weighted_sums("cot", f, [range(q - 1)])
+    bs = range(1, (q - 1) // 2 + 1)
+    cos = tab.weighted_sums("cos", f, ([(a * b) % q for a in range(1, q)] for b in bs))
+    return cot, dict(zip(bs, cos))
 
 
 def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:

@@ -9,19 +9,59 @@ and cos, sin of n pi/q from the roots of 2q.
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at doubled precision gets its own entry.  Each family is built
 on first use, bit-identical to evaluating its entries one by one.
+
+The ``cot``, ``psi`` and ``cos`` families also come aligned: integers T_i
+and one exponent E with T_i * 2^E equal to the entry t_i exactly.
+:meth:`Tables.weighted_sums` sums f(a) t_i over them and returns the very
+mpf that ``mpmath.fsum`` of the products f(a) * t_i returns at wp bits.
+fsum is ``mpf_sum``: an exact integer sum rounded once, which drops a term
+only where exponents lie more than 2 wp bits apart.  An aligned family is
+built only when its exponents span fewer than 2 wp bits (about wp + 2
+log2 q bits in practice), so with every f(a) in {-1, 0, 1} each product is
+exactly +-t_i, nothing is dropped, and the sum of the +-T_i rounded once
+at exponent E is fsum's result bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum, round_nearest, to_fixed
 
-from .kernel import const_raw, fold, log_2sin_raw
+from .kernel import const_raw, fold, log_2sin_raw, to_mpf
+
+if TYPE_CHECKING:
+    from .characters import PeriodicFunction
+
+
+class Aligned(NamedTuple):
+    """Table entries t_i as integers T_i with T_i * 2^exp == t_i exactly."""
+
+    mantissas: Tuple[int, ...]
+    exp: int
+
+
+def _align(entries: Sequence[mpmath.mpf], family: str, q: int, wp: int) -> Aligned:
+    """``entries`` aligned at their smallest exponent; raises ArithmeticError
+    unless their exponents, and the 0 that ``mpf_sum`` starts from, span
+    fewer than 2 wp bits, the span within which ``mpf_sum`` keeps every term."""
+    raw = [t._mpf_ for t in entries]
+    nonzero = [(e, bc) for _, man, e, bc in raw if man]
+    exp = min((e for e, _ in nonzero), default=0)
+    top = max((e + bc for e, bc in nonzero), default=0)
+    spread = max(top, 0) - min(exp, 0)
+    if spread >= 2 * wp:
+        raise ArithmeticError(
+            f"{family} table for q = {q} at wp = {wp} spans {spread} bits, "
+            f"not below 2 wp = {2 * wp}; mpf_sum could drop terms"
+        )
+    return Aligned(
+        tuple((-man if sign else man) << (e - exp) if man else 0 for sign, man, e, _ in raw), exp
+    )
 
 
 @dataclass(frozen=True)
@@ -58,6 +98,11 @@ class Tables:
         return tuple(out)
 
     @cached_property
+    def cos(self) -> Tuple[mpmath.mpf, ...]:
+        """cos(2 pi j / q) for j = 0..q-1, the first components of ``roots``."""
+        return tuple(c for c, _ in self.roots)
+
+    @cached_property
     def fixed_roots(self) -> Tuple[Tuple[int, int], ...]:
         """(cos, sin) of 2 pi j / q as integers scaled by 2^wp, for j = 0..q-1;
         each is within one unit of 2^-wp of its ``roots`` entry."""
@@ -82,6 +127,54 @@ class Tables:
         with mp.workprec(self.wp):
             vals.append(-const_raw("euler_gamma", self.wp))
         return tuple(vals)
+
+    @cached_property
+    def cot_aligned(self) -> Aligned:
+        return _align(self.cot, "cot", self.q, self.wp)
+
+    @cached_property
+    def psi_aligned(self) -> Aligned:
+        return _align(self.psi, "psi", self.q, self.wp)
+
+    @cached_property
+    def cos_aligned(self) -> Aligned:
+        return _align(self.cos, "cos", self.q, self.wp)
+
+    def weighted_sums(
+        self, family: str, f: "PeriodicFunction", indexes: Iterable[Sequence[int]]
+    ) -> List[mpmath.mpf]:
+        """For each index in ``indexes``, fsum(f(a) * t[index[a - 1]] for
+        a = 1..len(index)) at wp bits, bit for bit, where t is the ``family``
+        table: "cot", "psi" or "cos".
+
+        With every f(a) in {-1, 0, 1} each is one integer sum over the aligned
+        family, rounded once (see the module docstring); otherwise each runs
+        the libmp operations that mpf multiplication and fsum run: every
+        product rounded at wp, then ``mpf_sum`` at wp, with f converted once.
+        """
+        wp = self.wp
+        units = f.unit_values
+        if units is not None:
+            mantissas, exp = getattr(self, family + "_aligned")
+            out = []
+            for index in indexes:
+                total = 0
+                for u, i in zip(units, index):
+                    if u > 0:
+                        total += mantissas[i]
+                    elif u:
+                        total -= mantissas[i]
+                out.append(mp.make_mpf(from_man_exp(total, exp, wp, round_nearest)))
+            return out
+        entries = [t._mpf_ for t in getattr(self, family)]
+        values = [to_mpf(v, wp)._mpf_ for v in f.values]
+        return [
+            mp.make_mpf(mpf_sum(
+                [mpf_mul(v, entries[i], wp, round_nearest) for v, i in zip(values, index)],
+                wp, round_nearest,
+            ))
+            for index in indexes
+        ]
 
 
 @lru_cache(maxsize=32)

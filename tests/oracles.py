@@ -4,7 +4,8 @@ None of these is on a route the package runs: each is an independent
 evaluation (Euler-Maclaurin Hurwitz zeta, the asymptotic-series digamma,
 Gauss sums by their defining sum, S_chi over Fraction exponents, L(1, chi)
 through the Gauss-sum identity, the inverse Fourier transform, roots of
-unity and kernel-function values by direct cospi/sinpi) or an exact helper
+unity and kernel-function values by direct cospi/sinpi, the digamma-route
+sum and the trig sums as mpf loops summed by fsum) or an exact helper
 (rational span membership, Euler's phi) that a test checks a route's output with.
 """
 
@@ -14,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from cyclolog.characters import DirichletCharacter, factorize, is_prime, unit_root
+from cyclolog.characters import DirichletCharacter, PeriodicFunction, factorize, is_prime, unit_root
 from cyclolog.kernel import Complex, Real, to_mpf, working_prec
 from cyclolog.relations import rational_rank
 from cyclolog.tables import tables
@@ -52,6 +53,30 @@ def bbw_values_reference(q: int, l: int, prec: int) -> Tuple[mpmath.mpf, ...]:
             vals[n - 1] = v
             vals[q - n - 1] = -v
     return tuple(vals)
+
+
+def l1_digamma_reference(f: PeriodicFunction, wp: int) -> mpmath.mpf:
+    """-(1/q) sum_a f(a) psi(a/q) as an mpf loop: each f(a) converted, each
+    product rounded at wp, the products summed by fsum."""
+    q = f.period
+    psi = tables(q, wp).psi
+    with mp.workprec(wp):
+        terms = [v * psi[a - 1] for a in range(1, q + 1) if (v := f.value_mpf(a, wp))]
+        return -mpmath.fsum(terms) / q if terms else mpmath.mpf(0)
+
+
+def trig_sums_reference(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, Dict[int, mpmath.mpf]]:
+    """(sum_a f(a) cot(a pi/q), {b: sum_a f(a) cos(2 pi a b/q)}) as mpf loops summed by fsum."""
+    q = f.period
+    tab = tables(q, wp)
+    with mp.workprec(wp):
+        vals = [f.value_mpf(a, wp) for a in range(1, q)]
+        cot = mpmath.fsum(vals[a - 1] * tab.cot[a - 1] for a in range(1, q))
+        cos_sums = {
+            b: mpmath.fsum(vals[a - 1] * tab.roots[(a * b) % q][0] for a in range(1, q))
+            for b in range(1, (q - 1) // 2 + 1)
+        }
+    return cot, cos_sums
 
 
 def gauss_sum_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from cyclolog.kernel import (
     Complex,
@@ -168,6 +169,23 @@ def test_classify_dead_band_is_indeterminate():
     target = 128
     x = Real(mpmath.mpf(2) ** (-3 * target // 4), working_prec(target))
     assert classify_zero(x, target).is_indeterminate
+
+
+@pytest.mark.parametrize("target", (32, 33, 64, 127, 128, 192, 301))
+def test_classify_bars_are_exact_powers_of_two(target):
+    # the bars as built by exponent shift are the mpfs 2 ** -n that pow built
+    for n in (target, target // 2):
+        assert mpmath.ldexp(1, -n)._mpf_ == (mpmath.mpf(2) ** (-n))._mpf_
+    wp = working_prec(target)
+
+    def at(n, nudge):
+        # 2^-n (1 + nudge 2^-60), exact at wp bits
+        return Real(mp.make_mpf(from_man_exp(2**60 + nudge, -n - 60)), wp)
+
+    assert classify_zero(at(target, -1), target).is_zero
+    assert classify_zero(at(target, 0), target).is_indeterminate
+    assert classify_zero(at(target // 2, 0), target).is_indeterminate
+    assert classify_zero(at(target // 2, 1), target).is_nonzero
 
 
 def test_classify_nonzero_with_recompute_witness():

@@ -1,0 +1,133 @@
+"""Sums over the aligned tables: l1_digamma_raw and trig_sums_raw return
+exactly the mpfs of the fsum loops they replaced, every aligned entry is
+its table entry exactly, the exponent-span guard raises instead of
+rounding differently, and the aligned families live in the bounded cache."""
+
+import random
+from itertools import combinations
+
+import pytest
+from mpmath.libmp import from_man_exp
+
+from cyclolog.characters import PeriodicFunction
+from cyclolog.kernel import working_prec
+from cyclolog.lseries import l1_digamma_raw, trig_sums_raw
+from cyclolog.scans import bbw_function, sign_function
+from cyclolog.tables import Tables, tables
+from oracles import l1_digamma_reference, trig_sums_reference
+
+FAMILIES = ("cot", "psi", "cos")
+
+
+def assert_sums_match(f, wp):
+    """Both sums at wp and 2 wp, compared with the fsum loops by exact _mpf_ equality."""
+    for w in (wp, 2 * wp):
+        assert l1_digamma_raw(f, w)._mpf_ == l1_digamma_reference(f, w)._mpf_
+        (cot, cos_sums), (ref_cot, ref_cos) = trig_sums_raw(f, w), trig_sums_reference(f, w)
+        assert cot._mpf_ == ref_cot._mpf_
+        assert {b: v._mpf_ for b, v in cos_sums.items()} == {b: v._mpf_ for b, v in ref_cos.items()}
+
+
+def sign_functions(q):
+    for plus in combinations(range(q - 1), (q - 1) // 2):
+        yield sign_function(q, tuple(1 if i in plus else -1 for i in range(q - 1)))
+
+
+@pytest.mark.parametrize("prec", (64, 128, 192))
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11))
+def test_every_sign_function_sums_like_fsum(q, prec):
+    for f in sign_functions(q):
+        assert f.unit_values is not None  # the aligned-integer path
+        assert_sums_match(f, working_prec(prec))
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("q", (12, 120, 300))
+def test_seeded_integer_functions_sum_like_fsum(q, seed):
+    rng = random.Random(q * 100 + seed)
+    values = [rng.randint(-18, 18) for _ in range(q)]
+    values[-1] = rng.choice((-18, -1, 7, 18))  # f(q) != 0
+    f = PeriodicFunction.from_rationals(q, values)
+    assert f.unit_values is None
+    assert_sums_match(f, working_prec(128))
+
+
+def test_fraction_valued_function_sums_like_fsum():
+    # the lseries function mod 60 whose stdout is pinned in test_tables
+    f = PeriodicFunction.from_rationals(
+        60, [("1/3", "-5/12", "0", "1/4", "-1/6", "0")[a % 6] for a in range(1, 61)]
+    )
+    assert f.unit_values is None
+    for prec in (64, 192):
+        assert_sums_match(f, working_prec(prec))
+
+
+@pytest.mark.parametrize("q,l", ((7, 3), (11, 5), (12, 3), (15, 7), (20, 9)))
+def test_kernel_function_values_sum_like_fsum(q, l):
+    f = bbw_function(q, l, 128)
+    assert f.unit_values is None
+    assert_sums_match(f, working_prec(128))
+
+
+@pytest.mark.parametrize("q", (12, 20))
+def test_even_moduli_sum_like_fsum_over_exact_zeros(q):
+    tab = tables(q, working_prec(128))
+    assert tab.cot[q // 2 - 1] == 0  # cot(pi/2)
+    if q % 4 == 0:
+        assert tab.cos[q // 4] == 0 == tab.cos[3 * q // 4]
+    rng = random.Random(q)
+    for prec in (64, 128, 192):
+        for _ in range(20):
+            f = PeriodicFunction.from_rationals(q, [rng.choice((-1, 0, 1)) for _ in range(q)])
+            assert f.unit_values is not None
+            assert_sums_match(f, working_prec(prec))
+        f = PeriodicFunction.from_rationals(q, [rng.randint(-18, 18) for _ in range(q)])
+        assert_sums_match(f, working_prec(prec))
+
+
+def test_unit_values_are_exact_units_only():
+    assert sign_function(5, (1, -1, -1, 1)).unit_values == (1, -1, -1, 1, 0)
+    assert PeriodicFunction.from_rationals(3, [1, 0, -1]).unit_values == (1, 0, -1)
+    for values in ([1, -2, 1], ["1/2", "-1/2", 0]):
+        assert PeriodicFunction.from_rationals(3, values).unit_values is None
+    assert bbw_function(5, 3, 64).unit_values is None  # Real values, though f(1) = 1
+
+
+@pytest.mark.parametrize("wp", (96, 192, 320))
+@pytest.mark.parametrize("q", (3, 4, 7, 12, 15, 20, 30, 120))
+def test_aligned_entries_equal_the_table_entries(q, wp):
+    tab = Tables(q, wp)
+    for family in FAMILIES:
+        mantissas, exp = getattr(tab, family + "_aligned")
+        entries = getattr(tab, family)
+        assert len(mantissas) == len(entries)
+        for man, t in zip(mantissas, entries):
+            assert from_man_exp(man, exp) == t._mpf_  # T_i * 2^E, unrounded
+        # aligned at the smallest exponent: some mantissa keeps its lowest bit
+        assert any(man % 2 for man in mantissas)
+
+
+@pytest.mark.parametrize("family,wp", (("cot", 12), ("psi", 6), ("cos", 4)))
+def test_aligned_family_spanning_2wp_bits_raises(family, wp):
+    # at these low precisions the entries mod 300 span at least 2 wp bits of exponent
+    tab = Tables(300, wp)
+    with pytest.raises(ArithmeticError, match=rf"{family} table for q = 300 at wp = {wp} "):
+        getattr(tab, family + "_aligned")
+    # a sum that needs the aligned family raises too; no other path is taken
+    f = PeriodicFunction.from_rationals(300, [(-1) ** a for a in range(1, 301)])
+    with pytest.raises(ArithmeticError, match=rf"q = 300 at wp = {wp} "):
+        tab.weighted_sums(family, f, [range(299)])
+
+
+def test_aligned_families_stay_in_the_bounded_cache():
+    tables.cache_clear()
+    assert tables.cache_info().maxsize == 32
+    for q in range(3, 40, 2):
+        f = next(sign_functions(q))
+        for prec in (64, 128):
+            wp = working_prec(prec)
+            l1_digamma_raw(f, wp)
+            trig_sums_raw(f, wp)
+            assert {"psi_aligned", "cot_aligned", "cos_aligned"} <= set(vars(tables(q, wp)))
+            assert tables.cache_info().currsize <= 32
+    assert tables.cache_info().currsize == 32
