@@ -4,9 +4,11 @@ Every numeric field in JSON output is a decimal string accompanied by a
 "prec_bits" field; outputs round-trip byte-identically through a JSON
 parser.  Exit codes: 0 success, 1 argument/validation error (also a
 scan store that cannot be opened or has an unreadable line), 2 divergent
-series, 3 inconclusive (an Indeterminate classification), 4 invariant
-violation (dichotomy contradiction, nonzero pi coefficient, scan-store
-record disagreement).
+series, 3 inconclusive (an Indeterminate classification, or a determinant
+check that fails: an LU error estimate too large after its restarts, or a
+character-factor product that is not real), 4 invariant violation
+(dichotomy contradiction, nonzero pi coefficient, scan-store record
+disagreement).
 
 CYCLOLOG_PREC overrides the default 128-bit precision.
 """
@@ -21,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from . import __version__
 from .characters import PeriodicFunction, enumerate_characters, unit_group_structure
-from .dedekind import CERTIFICATE_NOTES, determinant_check
+from .dedekind import CERTIFICATE_NOTES, DeterminantError, determinant_check
 from .intrel import PiCoefficientViolation, find_integer_relation, relation_lattice_rank
 from .kernel import INDETERMINATE, PrecisionError, dec_str, decimal_digits
 from .lseries import (
@@ -463,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonConvergentSeriesError as exc:
         _emit({"error": str(exc)}, mode)
         return EXIT_DIVERGENT
-    except InconclusiveClassificationError as exc:
+    except (InconclusiveClassificationError, DeterminantError) as exc:
         _emit({"error": str(exc)}, mode)
         return EXIT_INCONCLUSIVE
     except (DichotomyContradictionError, PiCoefficientViolation, ScanStoreDisagreement) as exc:

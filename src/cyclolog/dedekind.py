@@ -13,59 +13,81 @@ S_chi nonzero certifies, at the tested precision, that the r logarithms
 admit no rational linear relation.
 
 ``determinant_check`` computes the determinant both ways, and its record
-reads the certificate's verdicts off the factors it holds.
+reads the certificate's verdicts off the factors it holds.  The direct
+route is an LU in fixed point: integers scaled by 2^wp, read from the
+``fixed_log_sines`` table, with an a-posteriori estimate of its relative
+error that decides whether to restart at doubled precision.  The factors
+run libmp's rounded multiplications and additions on the mpf tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fzero, from_man_exp, mpf_add, mpf_mul, round_nearest
 
 from .characters import DirichletCharacter, enumerate_characters, require_odd_prime
 from .kernel import (
+    GUARD_BITS,
     Complex,
     Real,
     ZeroClass,
     classify_zero,
+    fold,
     working_prec,
 )
 from .tables import tables
 
 DEFAULT_MAX_PRIME = 101
-_PIVOT_GROWTH_BITS = 32
+# the LU doubles wp at most this often before giving up (8x the first wp)
+MAX_LU_RESTARTS = 3
 Pair = Tuple[mpmath.mpf, mpmath.mpf]  # (re, im) at working precision
+T = TypeVar("T")
+
+
+class DeterminantError(ArithmeticError):
+    """``determinant_check`` could not reach a trustworthy determinant: the
+    LU's error estimate stays too large after its restarts, or the product
+    of the character factors is not real.  The message names p."""
+
+
+def _matrix(p: int, entries: Sequence[T]) -> List[List[T]]:
+    """The r x r matrix (entries[fold(a c^-1) - 1])_{a,c = 1..r}, r = (p-1)/2,
+    from a table indexed by k - 1 for k = 1..r; one inverse per column."""
+    r = (p - 1) // 2
+    inverses = [pow(c, -1, p) for c in range(1, r + 1)]
+    return [[entries[fold(a * cinv, p) - 1] for cinv in inverses] for a in range(1, r + 1)]
 
 
 def _matrix_raw(p: int, wp: int) -> List[List[mpmath.mpf]]:
-    r = (p - 1) // 2
-    tab = tables(p, wp)
-    rows = []
-    for a in range(1, r + 1):
-        row = []
-        for c in range(1, r + 1):
-            cinv = pow(c, -1, p)
-            row.append(tab.log_sine(a * cinv))
-        rows.append(row)
-    return rows
+    """The Dedekind-type matrix with mpf entries at working precision."""
+    return _matrix(p, tables(p, wp).log_sines)
+
+
+def _fixed_matrix(p: int, wp: int) -> List[List[int]]:
+    """The Dedekind-type matrix with entries as integers scaled by 2^wp."""
+    return _matrix(p, tables(p, wp).fixed_log_sines)
 
 
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
-    """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision."""
+    """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision:
+    each product and partial sum rounded to nearest at wp, in order of a,
+    bit for bit what the same loop over mpfs gives."""
     p = chi.modulus
     table = tables(p, wp).log_sines
     # chi's values are (p-1)-th roots of unity, indexed by e dlog(a) mod (p - 1)
     roots = tables(p - 1, wp).roots
-    with mp.workprec(wp):
-        re = mpmath.mpf(0)
-        im = mpmath.mpf(0)
-        for a in range(1, (p - 1) // 2 + 1):
-            c, s = roots[chi.value_index(a)]
-            re += c * table[a - 1]
-            im += s * table[a - 1]
-        return re, im
+    re = im = fzero
+    for a in range(1, (p - 1) // 2 + 1):
+        c, s = roots[chi.value_index(a)]
+        t = table[a - 1]._mpf_
+        re = mpf_add(re, mpf_mul(c._mpf_, t, wp, round_nearest), wp, round_nearest)
+        im = mpf_add(im, mpf_mul(s._mpf_, t, wp, round_nearest), wp, round_nearest)
+    return mp.make_mpf(re), mp.make_mpf(im)
 
 
 def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:
@@ -82,44 +104,83 @@ def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
     )
 
 
-def _lu_det(rows: List[List[mpmath.mpf]], wp: int) -> mpmath.mpf:
-    """Determinant by LU with partial pivoting at precision wp."""
+class LU(NamedTuple):
+    """A fixed-point LU determinant with its error estimate."""
+
+    det: mpmath.mpf
+    # -log2 of the estimated relative error of det (inf for an exact zero pivot)
+    accurate_bits: float
+    # log2 of the largest |entry| met during elimination over the largest at the start
+    growth_bits: float
+
+
+def _lu_det(rows: List[List[int]], wp: int) -> LU:
+    """Determinant by LU with partial pivoting on integers scaled by 2^wp.
+
+    Eliminating row i by pivot row c sets factor = (a_ic << wp) // u_cc,
+    with |factor| <= 2^wp, and a_ij -= (factor * a_cj) >> wp.  Each entry
+    starts within 2^-wp of its value, and each of its at most n updates
+    loses less than (1 + peak) 2^-wp: 2^-wp from the shift and |a_cj| 2^-wp
+    from the truncated factor, where peak bounds every |entry| met.  So each
+    pivot u_kk is off by about n (2 + peak) 2^-wp, and to first order the
+    relative error of det = prod u_kk is about
+
+        n (2 + peak) 2^-wp sum_k 1/|u_kk|.
+
+    This is an estimate, not a rigorous bound: it ignores how errors in a
+    pivot row reach later rows through the factors.  The product of the
+    pivots is exact and rounded once at wp.
+    """
     n = len(rows)
     a = [row[:] for row in rows]
-    with mp.workprec(wp):
-        det = mpmath.mpf(1)
-        start = max(abs(x) for row in a for x in row)
-        peak = start
-        for col in range(n):
-            pivot = max(range(col, n), key=lambda i: abs(a[i][col]))
-            if a[pivot][col] == 0:
-                return mpmath.mpf(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            for i in range(col + 1, n):
-                factor = a[i][col] / a[col][col]
-                for j in range(col, n):
-                    a[i][j] -= factor * a[col][j]
-                    peak = max(peak, abs(a[i][j]))
-        if start > 0 and peak / start > mpmath.mpf(2) ** _PIVOT_GROWTH_BITS:
-            raise _PivotGrowth()
-        return det
-
-
-class _PivotGrowth(ArithmeticError):
-    pass
+    start = max(abs(x) for row in a for x in row)
+    peak = start
+    sign = 1
+    pivots = []
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(a[i][col]))
+        if a[pivot][col] == 0:
+            return LU(mp.make_mpf(fzero), math.inf, 0.0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        top = a[col]
+        u = top[col]
+        pivots.append(u)
+        for i in range(col + 1, n):
+            row = a[i]
+            factor = (row[col] << wp) // u
+            if factor:
+                row[col + 1:] = tail = [
+                    x - ((factor * y) >> wp) for x, y in zip(row[col + 1:], top[col + 1:])
+                ]
+                peak = max(peak, max(map(abs, tail)))
+    det = mp.make_mpf(from_man_exp(sign * math.prod(pivots), -wp * n, wp, round_nearest))
+    with mp.workprec(53):
+        # sum_k 1/|u_kk| is 2^wp times the sum over the scaled pivots
+        inverses = mpmath.fsum(mpmath.mpf(1) / abs(u) for u in pivots)
+        estimate = n * (2 + mpmath.ldexp(peak, -wp)) * inverses
+        accurate_bits = -float(mpmath.log(estimate, 2))
+    return LU(det, accurate_bits, math.log2(peak) - math.log2(start))
 
 
 def det_direct_raw(p: int, wp: int) -> mpmath.mpf:
-    """LU determinant, restarting at doubled precision on pivot growth."""
-    while True:
-        try:
-            return _lu_det(_matrix_raw(p, wp), wp)
-        # r reaches 50 at DEFAULT_MAX_PRIME = 101; growth stays under 3 bits for p <= 101
-        except _PivotGrowth:  # pragma: no cover
-            wp *= 2
+    """LU determinant of the Dedekind-type matrix, at least wp - GUARD_BITS/2
+    bits accurate by the LU's own estimate: while the estimate falls short,
+    the LU restarts at doubled precision, at most ``MAX_LU_RESTARTS`` times.
+    For p <= 101 at any wp the estimate leaves about 50 of the 64 guard bits
+    (growth under 3 bits, every pivot at least 0.54), so it never restarts."""
+    need = wp - GUARD_BITS // 2
+    for restart in range(MAX_LU_RESTARTS + 1):
+        lu = _lu_det(_fixed_matrix(p, wp << restart), wp << restart)
+        if lu.accurate_bits >= need:
+            return lu.det
+    raise DeterminantError(
+        f"p = {p}: the LU determinant is estimated accurate to {lu.accurate_bits:.1f} bits"
+        f" at wp = {wp << MAX_LU_RESTARTS}, short of the {need} needed after"
+        f" {MAX_LU_RESTARTS} restarts at doubled precision"
+        f" (pivot growth {lu.growth_bits:.1f} bits)"
+    )
 
 
 CERTIFICATE_NOTES = (
@@ -184,10 +245,11 @@ def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
         value = Complex(Real(sre, prec), Real(sim, prec))
         entries.append((chi, value, _classified(chi, raw, prec)))
     with mp.workprec(wp):
-        if abs(pim) > mpmath.mpf(2) ** (-(prec // 2)) * (1 + abs(pre)):
-            raise ArithmeticError("character-factor product is not real")
+        bar = mpmath.ldexp(1, -(prec // 2))
+        if abs(pim) > bar * (1 + abs(pre)):
+            raise DeterminantError(f"p = {p}: the character-factor product is not real")
         scale = max(abs(direct), abs(pre))
-        agree = bool(scale > 0 and abs(direct - pre) / scale < mpmath.mpf(2) ** (-(prec // 2)))
+        agree = bool(scale > 0 and abs(direct - pre) / scale < bar)
     return DeterminantCheck(
         prime=p,
         prec=prec,

@@ -1,8 +1,9 @@
 """Per-(q, wp) tables of the numbers every route is assembled from:
-log(2 sin k pi/q) (alone and as the slot values of a relation basis), the
-roots of unity e^(2 pi i j/q) (as mpfs and, in ``fixed_roots``, as
-integers scaled by 2^wp), cot(a pi/q) and psi(a/q) for one modulus q at
-one working precision wp.  Every cos or sin of a rational multiple of pi
+log(2 sin k pi/q) (alone, as the slot values of a relation basis and, in
+``fixed_log_sines``, as integers scaled by 2^wp), the roots of unity
+e^(2 pi i j/q) (as mpfs and, in ``fixed_roots``, as integers scaled by
+2^wp), cot(a pi/q) and psi(a/q) for one modulus q at one working
+precision wp.  Every cos or sin of a rational multiple of pi
 in the package is read from here: e^(2 pi i num/den) from the roots of den,
 and cos, sin of n pi/q from the roots of 2q.
 
@@ -75,6 +76,12 @@ class Tables:
     def log_sines(self) -> Tuple[mpmath.mpf, ...]:
         """log(2 sin(k pi / q)) for k = 1..q//2."""
         return tuple(log_2sin_raw(k, self.q, self.wp) for k in range(1, self.q // 2 + 1))
+
+    @cached_property
+    def fixed_log_sines(self) -> Tuple[int, ...]:
+        """``log_sines`` as integers scaled by 2^wp, each within one unit of
+        2^-wp of its entry."""
+        return tuple(to_fixed(t._mpf_, self.wp) for t in self.log_sines)
 
     def log_sine(self, k: int) -> mpmath.mpf:
         """log(2 sin(k pi / q)) for any k not divisible by q, folded to [1, q/2]."""

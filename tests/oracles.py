@@ -5,7 +5,8 @@ evaluation (Euler-Maclaurin Hurwitz zeta, the asymptotic-series digamma,
 Gauss sums by their defining sum, S_chi over Fraction exponents, L(1, chi)
 through the Gauss-sum identity, the inverse Fourier transform, roots of
 unity and kernel-function values by direct cospi/sinpi, the digamma-route
-sum and the trig sums as mpf loops summed by fsum) or an exact helper
+sum and the trig sums as mpf loops summed by fsum, the determinant by LU
+in mpf arithmetic) or an exact helper
 (rational span membership, Euler's phi) that a test checks a route's output with.
 """
 
@@ -231,6 +232,27 @@ def s_chi_reference_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, m
             re += c * table[a - 1]
             im += s * table[a - 1]
         return re, im
+
+
+def lu_det_reference(rows: Sequence[Sequence[mpmath.mpf]], wp: int) -> mpmath.mpf:
+    """Determinant by LU with partial pivoting in mpf arithmetic at precision wp."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    with mp.workprec(wp):
+        det = mpmath.mpf(1)
+        for col in range(n):
+            pivot = max(range(col, n), key=lambda i: abs(a[i][col]))
+            if a[pivot][col] == 0:
+                return mpmath.mpf(0)
+            if pivot != col:
+                a[col], a[pivot] = a[pivot], a[col]
+                det = -det
+            det *= a[col][col]
+            for i in range(col + 1, n):
+                factor = a[i][col] / a[col][col]
+                for j in range(col, n):
+                    a[i][j] -= factor * a[col][j]
+        return det
 
 
 def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:

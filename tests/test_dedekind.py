@@ -1,9 +1,11 @@
 """Dedekind-type matrices: structure, character factors, determinant routes.
 
-The two determinant routes (LU at working precision, product of character
-factors) are fully independent; the p = 5 case is additionally pinned to
-closed forms: S_chi0 = (1/2) log 5, S_quadratic = -log phi, and the direct
-2x2 determinant f(1)^2 - f(2)^2.
+The two determinant routes (fixed-point LU, product of character factors)
+are fully independent; the p = 5 case is additionally pinned to closed
+forms: S_chi0 = (1/2) log 5, S_quadratic = -log phi, and the direct 2x2
+determinant f(1)^2 - f(2)^2.  The fixed-point LU is checked against an mpf
+LU within its own error estimate, and its precision restarts on matrices
+with large growth or a pivot at the last bit.
 """
 
 import json
@@ -13,9 +15,21 @@ import pytest
 from mpmath import mp
 
 from cyclolog.characters import enumerate_characters, is_prime
-from cyclolog.dedekind import CERTIFICATE_NOTES, _matrix_raw, determinant_check, s_chi_raw
-from cyclolog.kernel import working_prec
-from oracles import gauss_sum, l1_chi_via_gauss, s_chi_reference_raw
+from cyclolog.dedekind import (
+    CERTIFICATE_NOTES,
+    MAX_LU_RESTARTS,
+    DeterminantError,
+    _fixed_matrix,
+    _lu_det,
+    _matrix_raw,
+    det_direct_raw,
+    determinant_check,
+    s_chi_raw,
+)
+from cyclolog.kernel import GUARD_BITS, Real, dec_str, decimal_digits, working_prec
+from oracles import gauss_sum, l1_chi_via_gauss, lu_det_reference, s_chi_reference_raw
+
+PRIMES = [p for p in range(3, 102) if is_prime(p)]
 
 TOL112 = mpmath.mpf(2) ** -112
 
@@ -173,6 +187,105 @@ def test_determinant_routes_agree(p):
     assert check.agree
     with mp.workprec(200):
         assert abs(check.det_direct.mpf) > mpmath.mpf(2) ** -64
+
+
+@pytest.mark.parametrize("wp", [96, 192, 384])
+def test_fixed_point_lu_agrees_with_the_mpf_lu_within_its_estimate(wp):
+    for p in PRIMES:
+        lu = _lu_det(_fixed_matrix(p, wp), wp)
+        # growth under 3 bits, so the estimate leaves most of the guard bits
+        assert lu.growth_bits < 3 and lu.accurate_bits > wp - GUARD_BITS // 4, p
+        reference = lu_det_reference(_matrix_raw(p, wp), wp)
+        with mp.workprec(wp):
+            error = abs(lu.det - reference)
+            assert error <= abs(reference) * mpmath.ldexp(1, -lu.accurate_bits), p
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_fixed_point_lu_renders_as_the_mpf_lu(prec):
+    wp = working_prec(prec)
+    digits = decimal_digits(prec)
+    for p in PRIMES:
+        reference = lu_det_reference(_matrix_raw(p, wp), wp)
+        rendered = dec_str(Real(det_direct_raw(p, wp), prec), digits)
+        assert rendered == dec_str(Real(reference, prec), digits), p
+
+
+def wilkinson(n, wp):
+    """1 on the diagonal, -1 below it, 1 in the last column, scaled by 2^wp:
+    partial pivoting keeps every pivot 1 and the last column doubles each
+    step, so det = 2^(n-1) with growth 2^(n-1)."""
+    one = 1 << wp
+    return [
+        [one if j == i or j == n - 1 else -one if j < i else 0 for j in range(n)] for i in range(n)
+    ]
+
+
+def singular_but_for_the_last_bit(wp):
+    """[[1, 1], [1, 1 + 2^-wp]] scaled by 2^wp: the second pivot is one unit
+    at every wp, so no precision brings its error estimate down."""
+    one = 1 << wp
+    return [[one, one], [one, one + 1]]
+
+
+def patch_matrix(monkeypatch, build):
+    """Make det_direct_raw factor build(wp) and return the wps it asked for."""
+    import cyclolog.dedekind as dedekind
+
+    asked = []
+
+    def matrix(p, wp):
+        asked.append(wp)
+        return build(wp)
+
+    monkeypatch.setattr(dedekind, "_fixed_matrix", matrix)
+    return asked
+
+
+def test_growth_the_estimate_rejects_is_cured_by_one_restart(monkeypatch):
+    # growth 2^39 costs about 50 bits of the estimate, more than half of the
+    # 64 guard bits at wp = 192 but not at 384
+    asked = patch_matrix(monkeypatch, lambda wp: wilkinson(40, wp))
+    assert _lu_det(wilkinson(40, 192), 192).growth_bits == 39
+    assert det_direct_raw(5, 192) == 2 ** 39
+    assert asked == [192, 384]
+
+
+def test_growth_past_the_restart_cap_raises(monkeypatch):
+    import cyclolog.dedekind as dedekind
+
+    monkeypatch.setattr(dedekind, "MAX_LU_RESTARTS", 0)
+    asked = patch_matrix(monkeypatch, lambda wp: wilkinson(40, wp))
+    with pytest.raises(DeterminantError, match=r"p = 5: .* at wp = 192, .*growth 39\.0 bits"):
+        det_direct_raw(5, 192)
+    assert asked == [192]
+
+
+def test_a_pivot_at_the_last_bit_ends_in_the_capped_error(monkeypatch):
+    # no precision cures it, so the LU stops after MAX_LU_RESTARTS doublings
+    asked = patch_matrix(monkeypatch, singular_but_for_the_last_bit)
+    last = 96 << MAX_LU_RESTARTS
+    with pytest.raises(DeterminantError, match=f"p = 7: .* at wp = {last}, ") as err:
+        det_direct_raw(7, 96)
+    assert isinstance(err.value, ArithmeticError)
+    assert asked == [96 << k for k in range(MAX_LU_RESTARTS + 1)]
+
+
+@pytest.mark.parametrize("command", ["dedekind", "certificate"])
+def test_determinant_errors_exit_inconclusive_naming_p(command, capsys, monkeypatch):
+    import cyclolog.dedekind as dedekind
+    from cyclolog.cli import main
+
+    patch_matrix(monkeypatch, singular_but_for_the_last_bit)
+    assert main([command, "--p", "5"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"].startswith("p = 5: the LU determinant")
+    # (1 + i)^2 = 2i: a product of factors that is not real
+    monkeypatch.setattr(dedekind, "s_chi_raw", lambda chi, wp: (mpmath.mpf(1), mpmath.mpf(1)))
+    monkeypatch.setattr(dedekind, "_fixed_matrix", _fixed_matrix)
+    assert main([command, "--p", "5"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "p = 5: the character-factor product is not real"
+    }
 
 
 def test_determinant_respects_prime_bound():

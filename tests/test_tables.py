@@ -106,6 +106,16 @@ def test_fixed_roots_are_the_roots_scaled_by_2_to_the_wp(q, wp):
             assert abs(mpmath.mpf((fs, -wp)) - s) < mpmath.mpf(2) ** -wp
 
 
+@pytest.mark.parametrize("wp", PRECISIONS)
+@pytest.mark.parametrize("q", MODULI)
+def test_fixed_log_sines_are_the_log_sines_scaled_by_2_to_the_wp(q, wp):
+    tab = Tables(q, wp)
+    assert tab.fixed_log_sines == tuple(to_fixed(t._mpf_, wp) for t in tab.log_sines)
+    with mp.workprec(wp + 8):
+        for t, ft in zip(tab.log_sines, tab.fixed_log_sines):
+            assert abs(mpmath.mpf((ft, -wp)) - t) < mpmath.mpf(2) ** -wp
+
+
 def _digamma_reference(a, q, wp):
     """psi(a/q) assembled term by term from direct evaluations (Gauss's theorem)."""
     with mp.workprec(wp):
