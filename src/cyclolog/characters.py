@@ -88,6 +88,11 @@ class UnitGroupStructure:
     generators: Tuple[int, ...]
     orders: Tuple[int, ...]
     dlog: Dict[int, Tuple[int, ...]] = field(compare=False, repr=False)
+    # the lcm of the orders: every character value is an exponent-th root of unity
+    exponent: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", lcm(*self.orders))
 
     @property
     def group_order(self) -> int:
@@ -178,19 +183,19 @@ class DirichletCharacter:
         if gcd(n, self.modulus) != 1:
             return None
         st = self.structure
-        m = lcm(*st.orders)
+        m = st.exponent
         return sum(e * k * (m // o) for e, k, o in zip(self.exponents, st.dlog[n], st.orders)) % m
 
     def value_exponent(self, n: int) -> Optional[Fraction]:
         """t in [0,1) with chi(n) = e^(2 pi i t), or None when gcd(n, q) > 1."""
         k = self.value_index(n)
-        return None if k is None else Fraction(k, lcm(*self.structure.orders))
+        return None if k is None else Fraction(k, self.structure.exponent)
 
     @property
     def is_even(self) -> bool:
         """chi(-1) = 1, read exactly from the root index of chi(-1) = +-1."""
         k = self.value_index(-1)
-        assert 2 * k % lcm(*self.structure.orders) == 0, "chi(-1) must be +-1"
+        assert 2 * k % self.structure.exponent == 0, "chi(-1) must be +-1"
         return k == 0
 
     @property

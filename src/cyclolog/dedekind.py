@@ -17,7 +17,7 @@ reads the certificate's verdicts off the factors it holds.  The direct
 route is an LU in fixed point: integers scaled by 2^wp, read from the
 ``fixed_log_sines`` table, with an a-posteriori estimate of its relative
 error that decides whether to restart at doubled precision.  The factors
-run libmp's rounded multiplications and additions on the mpf tables.
+run their rounded multiplications and additions on integer mantissas.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import List, NamedTuple, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, from_man_exp, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import fzero, from_man_exp, round_nearest
 
 from .characters import DirichletCharacter, enumerate_characters, require_odd_prime
 from .kernel import (
@@ -36,8 +36,11 @@ from .kernel import (
     Complex,
     Real,
     ZeroClass,
+    add_nearest_int,
     classify_zero,
     fold,
+    man_exp,
+    round_nearest_int,
     working_prec,
 )
 from .tables import tables
@@ -75,19 +78,23 @@ def _fixed_matrix(p: int, wp: int) -> List[List[int]]:
 
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
     """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision:
-    each product and partial sum rounded to nearest at wp, in order of a,
-    bit for bit what the same loop over mpfs gives."""
+    each product and partial sum rounded to nearest at wp, in order of a, on
+    integer mantissas through ``round_nearest_int``, bit for bit what the
+    same loop over mpfs gives."""
     p = chi.modulus
     table = tables(p, wp).log_sines
     # chi's values are (p-1)-th roots of unity, indexed by e dlog(a) mod (p - 1)
     roots = tables(p - 1, wp).roots
-    re = im = fzero
-    for a in range(1, (p - 1) // 2 + 1):
-        c, s = roots[chi.value_index(a)]
-        t = table[a - 1]._mpf_
-        re = mpf_add(re, mpf_mul(c._mpf_, t, wp, round_nearest), wp, round_nearest)
-        im = mpf_add(im, mpf_mul(s._mpf_, t, wp, round_nearest), wp, round_nearest)
-    return mp.make_mpf(re), mp.make_mpf(im)
+    indexes = [chi.value_index(a) for a in range(1, (p - 1) // 2 + 1)]
+    re = im = (0, 0)
+    for k, t in zip(indexes, table):
+        c, s = roots[k]
+        tm, te = man_exp(t)
+        cm, ce = man_exp(c)
+        sm, se = man_exp(s)
+        re = add_nearest_int(re, round_nearest_int(cm * tm, ce + te, wp), wp)
+        im = add_nearest_int(im, round_nearest_int(sm * tm, se + te, wp), wp)
+    return mp.make_mpf(from_man_exp(*re)), mp.make_mpf(from_man_exp(*im))
 
 
 def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:

@@ -3,7 +3,9 @@
 Every analytic quantity the package hands out is a :class:`Real` or
 :class:`Complex`: a record of an mpmath floating-point value and the
 precision tag (bits) it was rounded to on construction.  The routes
-compute on raw mpfs; the uniform policy is
+compute on raw mpfs, or, for long chains of rounded products and sums, on
+integer mantissas through :func:`round_nearest_int`, which rounds as libmp
+does; the uniform policy is
 
 * an operation asked for a ``prec``-bit result computes internally at
   ``prec + 64`` guard bits and rounds once at the end, by wrapping the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -47,6 +49,36 @@ def _check_prec(prec: int) -> int:
     if not isinstance(prec, int) or isinstance(prec, bool) or prec < MIN_PRECISION:
         raise PrecisionError(f"precision must be an int >= {MIN_PRECISION} bits, got {prec!r}")
     return prec
+
+
+def round_nearest_int(man: int, exp: int, wp: int) -> Tuple[int, int]:
+    """man * 2^exp rounded to wp significant bits, to nearest with ties to
+    even, as a signed (mantissa, exponent) pair: the value of
+    ``from_man_exp(man, exp, wp, round_nearest)`` without its normalisation
+    into an mpf, so chains of rounded steps can run on plain integers."""
+    n = man.bit_length() - wp
+    if n <= 0:
+        return man, exp
+    a = -man if man < 0 else man
+    # a >> n plus one where the dropped bits exceed half a unit, or equal it
+    # and the kept part is odd
+    a = (a + (1 << (n - 1)) - 1 + ((a >> n) & 1)) >> n
+    return (-a if man < 0 else a), exp + n
+
+
+def add_nearest_int(x: Tuple[int, int], y: Tuple[int, int], wp: int) -> Tuple[int, int]:
+    """The exact sum of two (mantissa, exponent) pairs rounded by
+    ``round_nearest_int``: the value ``mpf_add`` gives at wp bits."""
+    (xm, xe), (ym, ye) = x, y
+    if xe <= ye:
+        return round_nearest_int(xm + (ym << (ye - xe)), xe, wp)
+    return round_nearest_int((xm << (xe - ye)) + ym, ye, wp)
+
+
+def man_exp(x: mpmath.mpf) -> Tuple[int, int]:
+    """The mpf ``x`` as a signed (mantissa, exponent) pair."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
 
 
 def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:

@@ -26,6 +26,7 @@ from typing import Dict, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from .characters import PeriodicFunction, fourier_transform_raw
 from .kernel import Real, const_raw, to_mpf, working_prec
@@ -51,21 +52,11 @@ def _require_convergent(f: PeriodicFunction) -> None:
 # ---------------------------------------------------------------------------
 
 def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
-    """psi(a/q) for 1 <= a < q assembled from Gauss's digamma theorem."""
+    """psi(a/q) for 1 <= a < q assembled from Gauss's digamma theorem: the
+    entry of the shared psi table, whose docstring gives the assembly."""
     if not 1 <= a < q:
         raise ValueError(f"need 1 <= a < q, got a={a}, q={q}")
-    tab = tables(q, wp)
-    with mp.workprec(wp):
-        total = -const_raw("euler_gamma", wp) - mpmath.log(q)
-        total -= const_raw("pi", wp) / 2 * tab.cot[a - 1]
-        r = (q - 1) // 2
-        for b in range(1, r + 1):
-            # log(4 sin^2(pi b / q)) = 2 log(2 sin(pi b / q))
-            total += tab.cos[(a * b) % q] * 2 * tab.log_sines[b - 1]
-        if q % 2 == 0:
-            parity = const_raw("log2", wp)
-            total += parity if a % 2 == 0 else -parity
-    return total
+    return tables(q, wp).psi[a - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +68,11 @@ def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
 
     The sum is ``Tables.weighted_sums`` over the psi table: bit for bit
     mpmath's exact-then-rounded sum (``mpf_sum``) of the products
-    f(a) psi(a/q) rounded at wp, and one exact integer sum over the aligned
-    table when f takes values in {-1, 0, 1}.  That rests on the psi table's
-    exponents spanning about wp + log2 q bits, below the 2 wp within which
-    ``mpf_sum`` keeps every term; the table raises where they do not.
+    f(a) psi(a/q) rounded at wp, computed as one integer sum rounded once
+    wherever ``mpf_sum`` keeps every term.  For f in {-1, 0, 1} that rests
+    on the psi table's exponents spanning about wp + log2 q bits, below the
+    2 wp within which ``mpf_sum`` keeps every term; the table raises where
+    they do not.
     """
     q = f.period
     (total,) = tables(q, wp).weighted_sums("psi", f, [range(q)])
@@ -92,22 +84,26 @@ def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
     """-(sum_k fhat(k) log(1 - zeta_q^k)) as (re, im).
 
     log(1 - zeta_q^k) = log(2 sin(k pi/q)) + i pi (k/q - 1/2), which is
-    the principal branch for 0 < k < q.
+    the principal branch for 0 < k < q.  The loop runs libmp's operations
+    on raw mpfs, each rounded to nearest at wp in the order the mpf
+    expressions ``re -= hr lg - hi arg`` and ``im -= hr arg + hi lg`` do.
     """
     q = f.period
     fhat = fourier_transform_raw(f, wp)
     tab = tables(q, wp)
-    with mp.workprec(wp):
-        pi = const_raw("pi", wp)
-        re = mpmath.mpf(0)
-        im = mpmath.mpf(0)
-        for k in range(1, q):
-            lg = tab.log_sine(k)
-            arg = pi * mpmath.mpf(2 * k - q) / (2 * q)
-            hr, hi = fhat[k]
-            re -= hr * lg - hi * arg
-            im -= hr * arg + hi * lg
-        return re, im
+    rnd = round_nearest
+    pi = const_raw("pi", wp)._mpf_
+    den = from_int(2 * q)
+    re = im = fzero
+    for k in range(1, q):
+        lg = tab.log_sine(k)._mpf_
+        arg = mpf_div(mpf_mul(pi, from_int(2 * k - q), wp, rnd), den, wp, rnd)
+        hr, hi = (h._mpf_ for h in fhat[k])
+        term = mpf_sub(mpf_mul(hr, lg, wp, rnd), mpf_mul(hi, arg, wp, rnd), wp, rnd)
+        re = mpf_sub(re, term, wp, rnd)
+        term = mpf_add(mpf_mul(hr, arg, wp, rnd), mpf_mul(hi, lg, wp, rnd), wp, rnd)
+        im = mpf_sub(im, term, wp, rnd)
+    return mp.make_mpf(re), mp.make_mpf(im)
 
 
 @lru_cache(maxsize=16)
@@ -168,7 +164,7 @@ def l1(
             # the bar scales with the summands, not with L, which may vanish
             summands = mpmath.fsum(abs(f.value_mpf(a, wp)) for a in range(1, f.period + 1))
             scale = 1 + abs(re) + summands
-            if abs(im) > mpmath.mpf(2) ** (-(prec + 16)) * scale:
+            if abs(im) > mpmath.ldexp(1, -(prec + 16)) * scale:
                 raise ArithmeticError(
                     "fourier route produced a non-negligible imaginary part "
                     f"({mpmath.nstr(im, 8)}) for a real-valued function"
@@ -200,10 +196,10 @@ def trig_sums_raw(
 
     Each sum is ``Tables.weighted_sums`` over the cot or cos table: bit for bit
     mpmath's exact-then-rounded sum (``mpf_sum``) of the products rounded at
-    wp, and one exact integer sum over the aligned table when f takes values
-    in {-1, 0, 1}.  That rests on those tables' exponents spanning about
-    wp + 2 log2 q bits, below the 2 wp within which ``mpf_sum`` keeps every
-    term; the table raises where they do not.
+    wp, computed as one integer sum rounded once wherever ``mpf_sum`` keeps
+    every term.  For f in {-1, 0, 1} that rests on those tables' exponents
+    spanning about wp + 2 log2 q bits, below the 2 wp within which
+    ``mpf_sum`` keeps every term; the table raises where they do not.
     """
     q = f.period
     tab = tables(q, wp)

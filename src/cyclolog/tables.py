@@ -9,34 +9,67 @@ and cos, sin of n pi/q from the roots of 2q.
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at doubled precision gets its own entry.  Each family is built
-on first use, bit-identical to evaluating its entries one by one.
+on first use, bit-identical to evaluating its entries one by one.  psi
+runs Gauss's digamma theorem on integer mantissas: each product and
+partial sum goes through ``kernel.round_nearest_int``, which rounds as
+libmp does, so each entry is the one the same chain over mpfs gives.
 
-The ``cot``, ``psi`` and ``cos`` families also come aligned: integers T_i
-and one exponent E with T_i * 2^E equal to the entry t_i exactly.
-:meth:`Tables.weighted_sums` sums f(a) t_i over them and returns the very
-mpf that ``mpmath.fsum`` of the products f(a) * t_i returns at wp bits.
-fsum is ``mpf_sum``: an exact integer sum rounded once, which drops a term
-only where exponents lie more than 2 wp bits apart.  An aligned family is
-built only when its exponents span fewer than 2 wp bits (about wp + 2
-log2 q bits in practice), so with every f(a) in {-1, 0, 1} each product is
-exactly +-t_i, nothing is dropped, and the sum of the +-T_i rounded once
-at exponent E is fsum's result bit for bit.
+:meth:`Tables.weighted_sums` sums f(a) t_i over the ``cot``, ``psi`` or
+``cos`` family and returns the very mpf that ``mpmath.fsum`` of the
+products f(a) * t_i, each rounded at wp, returns at wp bits.  fsum is
+``mpf_sum``: an exact integer sum rounded once, which drops a term only
+where exponents lie more than 2 wp bits apart.  So wherever the products,
+and the 0 that ``mpf_sum`` starts from, span fewer than 2 wp bits, the
+products as integers at one exponent, summed and rounded once, give
+fsum's result bit for bit:
+
+* with every f(a) in {-1, 0, 1} each product is exactly +-t_i, and the
+  sums run over the family aligned once per table: integers T_i and one
+  exponent E with T_i * 2^E equal to t_i exactly.  An aligned family is
+  built only when its exponents span fewer than 2 wp bits (about wp + 2
+  log2 q bits in practice);
+* otherwise each distinct |f(a)| gets one row of products, each rounded at
+  wp once however many sums read it, and -|f(a)| reads the row negated,
+  since rounding to nearest is symmetric in sign.  Where the rows span 2
+  wp bits or more, the same rounded products go to ``mpf_sum`` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Sequence, Tuple
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, islice
+from operator import getitem, neg, or_
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, mpf_sum, round_nearest, to_fixed
 
-from .kernel import const_raw, fold, log_2sin_raw, to_mpf
+from .kernel import (
+    add_nearest_int,
+    const_raw,
+    fold,
+    log_2sin_raw,
+    man_exp,
+    round_nearest_int,
+    to_mpf,
+)
 
 if TYPE_CHECKING:
     from .characters import PeriodicFunction
+
+T = TypeVar("T")
 
 
 class Aligned(NamedTuple):
@@ -127,12 +160,40 @@ class Tables:
 
     @cached_property
     def psi(self) -> Tuple[mpmath.mpf, ...]:
-        """psi(a/q) for a = 1..q, with psi(1) = -gamma in the last slot."""
-        from .lseries import digamma_raw  # lseries builds on these tables
+        """psi(a/q) for a = 1..q, with psi(1) = -gamma in the last slot.
 
-        vals = [digamma_raw(a, self.q, self.wp) for a in range(1, self.q)]
-        with mp.workprec(self.wp):
-            vals.append(-const_raw("euler_gamma", self.wp))
+        For a < q, Gauss's digamma theorem as a chain of steps each rounded
+        to nearest at wp, in this order: -gamma - log q, minus (pi/2) cot(a pi/q),
+        plus 2 cos(2 pi a b/q) log(2 sin b pi/q) for b = 1..(q-1)/2, then
+        plus or minus log 2 for even q.  The chain runs on signed integer
+        mantissas through ``round_nearest_int``; every product and partial
+        sum is the one the same chain over mpfs rounds, bit for bit.
+        """
+        q, wp = self.q, self.wp
+        with mp.workprec(wp):
+            minus_gamma = -const_raw("euler_gamma", wp)
+            start = man_exp(minus_gamma - mpmath.log(q))
+            hm, he = man_exp(const_raw("pi", wp) / 2)
+        log2 = man_exp(const_raw("log2", wp)) if q % 2 == 0 else None
+        cot = [man_exp(c) for c in self.cot]
+        cos = [man_exp(c) for c in self.cos]
+        # 2 log(2 sin b pi/q) = log(4 sin^2(b pi/q)), the doubling exact
+        logs = [(m, e + 1) for m, e in map(man_exp, self.log_sines[: (q - 1) // 2])]
+        vals = []
+        for a in range(1, q):
+            cm, ce = cot[a - 1]
+            total = add_nearest_int(start, round_nearest_int(-hm * cm, he + ce, wp), wp)
+            j = 0
+            for lm, le in logs:
+                j += a
+                if j >= q:
+                    j -= q
+                cm, ce = cos[j]
+                total = add_nearest_int(total, round_nearest_int(cm * lm, ce + le, wp), wp)
+            if log2 is not None:
+                total = add_nearest_int(total, log2 if a % 2 == 0 else (-log2[0], log2[1]), wp)
+            vals.append(mp.make_mpf(from_man_exp(*total)))
+        vals.append(minus_gamma)
         return tuple(vals)
 
     @cached_property
@@ -155,9 +216,10 @@ class Tables:
         table: "cot", "psi" or "cos".
 
         With every f(a) in {-1, 0, 1} each is one integer sum over the aligned
-        family, rounded once (see the module docstring); otherwise each runs
-        the libmp operations that mpf multiplication and fsum run: every
-        product rounded at wp, then ``mpf_sum`` at wp, with f converted once.
+        family, rounded once; otherwise one integer sum over rows of rounded
+        products aligned at one exponent, rounded once, or, where the rows
+        span 2 wp bits or more, ``mpf_sum`` of those products (see the module
+        docstring).  f is converted once.
         """
         wp = self.wp
         units = f.unit_values
@@ -173,15 +235,77 @@ class Tables:
                         total -= mantissas[i]
                 out.append(mp.make_mpf(from_man_exp(total, exp, wp, round_nearest)))
             return out
-        entries = [t._mpf_ for t in getattr(self, family)]
-        values = [to_mpf(v, wp)._mpf_ for v in f.values]
-        return [
-            mp.make_mpf(mpf_sum(
-                [mpf_mul(v, entries[i], wp, round_nearest) for v, i in zip(values, index)],
-                wp, round_nearest,
-            ))
-            for index in indexes
-        ]
+        # one row of products per distinct |f(a)|, over the entries its sums
+        # read: with several sums every entry, so a sum reads entry index[a];
+        # with one, the entries at the a where |f(a)| is that value, in order
+        # of a, so the sum reads each a's own slot in its row
+        entries = [man_exp(t) for t in getattr(self, family)]
+        values = [man_exp(to_mpf(v, wp)) for v in f.values]
+        indexes = iter(indexes)
+        head = list(islice(indexes, 2))
+        read: Dict[Tuple[int, int], Sequence[int]] = {}
+        if len(head) == 1:
+            slots = []
+            for (m, e), i in zip(values, head[0]):
+                at = read.setdefault((abs(m), e), [])
+                slots.append(len(at))
+                at.append(i)
+            head = [slots]
+        else:
+            every = range(len(entries))
+            read = {(abs(m), e): every for m, e in values}
+        read.pop((0, 0), None)
+        # the widest a sum may read: an entry, or a slot among the a
+        width = max(len(entries), len(values))
+        # rounding m tm 2^(e + te) keeps it a multiple of 2^(e + te), so every
+        # product is an integer at exponent lo
+        lo = min((e for _, e in read), default=0) + min((te for tm, te in entries if tm), default=0)
+        rows = {}
+        for (m, e), at in read.items():
+            rows[(m, e)] = row = []
+            for i in at:
+                tm, te = entries[i]
+                if tm:
+                    pm, pe = round_nearest_int(m * tm, e + te, wp)
+                    row.append(pm << (pe - lo))
+                else:
+                    row.append(0)
+        # the products' exponents run from lo plus the fewest trailing zeros
+        # of any of them (those of their bitwise or) to top
+        bits = reduce(or_, chain.from_iterable(rows.values()), 0)
+        low = lo + (bits & -bits).bit_length() - 1 if bits else lo
+        top = lo + max((max(map(abs, row)).bit_length() for row in rows.values()), default=0)
+        sums = chain(head, indexes)
+        if max(top, 0) - min(low, 0) < 2 * wp:
+            # the span within which mpf_sum keeps every term: each sum is one
+            # integer sum rounded once
+            by_a = _rows_by_a(values, rows, neg, 0, width)
+            return [
+                mp.make_mpf(from_man_exp(sum(map(getitem, by_a, index)), lo, wp, round_nearest))
+                for index in sums
+            ]
+        # mpf_sum could drop a term here: it gets the same products, in order of a
+        rows = {key: [from_man_exp(x, lo) for x in row] for key, row in rows.items()}
+        by_a = _rows_by_a(values, rows, mpf_neg, fzero, width)
+        return [mp.make_mpf(mpf_sum(map(getitem, by_a, index), wp, round_nearest)) for index in sums]
+
+
+def _rows_by_a(
+    values: Sequence[Tuple[int, int]],
+    rows: Dict[Tuple[int, int], List[T]],
+    negate: Callable[[T], T],
+    zero: T,
+    width: int,
+) -> List[List[T]]:
+    """For each f(a), given as (mantissa, exponent), the row of products it
+    reads: the row of |f(a)|, negated where f(a) < 0 (rounding to nearest is
+    symmetric in sign), or a row of ``zero`` where f(a) = 0 or no sum reads it."""
+    signed = dict(rows)
+    for m, e in set(values):
+        if m < 0 and (-m, e) in rows:
+            signed[(m, e)] = list(map(negate, rows[(-m, e)]))
+    zeros = [zero] * width
+    return [signed.get(v, zeros) for v in values]
 
 
 @lru_cache(maxsize=32)

@@ -2,12 +2,13 @@
 
 None of these is on a route the package runs: each is an independent
 evaluation (Euler-Maclaurin Hurwitz zeta, the asymptotic-series digamma,
-Gauss sums by their defining sum, S_chi over Fraction exponents, L(1, chi)
-through the Gauss-sum identity, the inverse Fourier transform, roots of
-unity and kernel-function values by direct cospi/sinpi, the digamma-route
-sum and the trig sums as mpf loops summed by fsum, the determinant by LU
-in mpf arithmetic) or an exact helper
-(rational span membership, Euler's phi) that a test checks a route's output with.
+Gauss's digamma theorem as an mpf loop, Gauss sums by their defining sum,
+S_chi over Fraction exponents, L(1, chi) through the Gauss-sum identity,
+the inverse Fourier transform, roots of unity and kernel-function values
+by direct cospi/sinpi, the digamma-route sum and the trig sums as mpf
+loops summed by fsum, the determinant by LU in mpf arithmetic) or an
+exact helper (rational span membership, Euler's phi) that a test checks a
+route's output with.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ import mpmath
 from mpmath import mp
 
 from cyclolog.characters import DirichletCharacter, PeriodicFunction, factorize, is_prime, unit_root
-from cyclolog.kernel import Complex, Real, to_mpf, working_prec
+from cyclolog.kernel import Complex, Real, const_raw, to_mpf, working_prec
 from cyclolog.relations import rational_rank
 from cyclolog.tables import tables
 
@@ -54,6 +55,22 @@ def bbw_values_reference(q: int, l: int, prec: int) -> Tuple[mpmath.mpf, ...]:
             vals[n - 1] = v
             vals[q - n - 1] = -v
     return tuple(vals)
+
+
+def digamma_reference(a: int, q: int, wp: int) -> mpmath.mpf:
+    """psi(a/q) for 1 <= a < q by Gauss's digamma theorem as an mpf loop over
+    the table entries, each product and partial sum rounded at wp."""
+    tab = tables(q, wp)
+    with mp.workprec(wp):
+        total = -const_raw("euler_gamma", wp) - mpmath.log(q)
+        total -= const_raw("pi", wp) / 2 * tab.cot[a - 1]
+        for b in range(1, (q - 1) // 2 + 1):
+            # log(4 sin^2(pi b / q)) = 2 log(2 sin(pi b / q))
+            total += tab.cos[(a * b) % q] * 2 * tab.log_sines[b - 1]
+        if q % 2 == 0:
+            parity = const_raw("log2", wp)
+            total += parity if a % 2 == 0 else -parity
+    return total
 
 
 def l1_digamma_reference(f: PeriodicFunction, wp: int) -> mpmath.mpf:

@@ -1,16 +1,19 @@
-"""Sums over the aligned tables: l1_digamma_raw and trig_sums_raw return
-exactly the mpfs of the fsum loops they replaced, every aligned entry is
-its table entry exactly, the exponent-span guard raises instead of
-rounding differently, and the aligned families live in the bounded cache."""
+"""Sums over the tables: l1_digamma_raw and trig_sums_raw return exactly
+the mpfs of the fsum loops they replaced, for unit, integer, rational,
+kernel-function and wide-span values alike; every aligned entry is its
+table entry exactly, the exponent-span guard raises instead of rounding
+differently, and the aligned families live in the bounded cache."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum, round_nearest
 
+import cyclolog.tables as tables_module
 from cyclolog.characters import PeriodicFunction
-from cyclolog.kernel import working_prec
+from cyclolog.kernel import to_mpf, working_prec
 from cyclolog.lseries import l1_digamma_raw, trig_sums_raw
 from cyclolog.scans import bbw_function, sign_function
 from cyclolog.tables import Tables, tables
@@ -60,6 +63,77 @@ def test_fraction_valued_function_sums_like_fsum():
     assert f.unit_values is None
     for prec in (64, 192):
         assert_sums_match(f, working_prec(prec))
+
+
+@pytest.mark.parametrize("q", (12, 30, 60))
+def test_rational_valued_functions_sum_like_fsum(q):
+    rng = random.Random(q)
+    for _ in range(3):
+        values = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(q - 1)]
+        values.append(-sum(values))
+        f = PeriodicFunction.from_rationals(q, values)
+        assert f.unit_values is None
+        for prec in (32, 128, 256):
+            assert_sums_match(f, working_prec(prec))
+
+
+@pytest.mark.parametrize("prec", (32, 128, 256, 1024))
+def test_wide_span_function_sums_like_fsum(prec):
+    # the products of +-10^100 and +-10^-100 span about 664 + wp bits: 2 wp
+    # or more up to wp = 664, where the rounded products go to mpf_sum, which
+    # may drop the small ones against the large; one integer sum above that
+    values = [("1e100", "-1e-100", "0", "-1e100", "2e-100", "-1e-100")[a % 6] for a in range(1, 13)]
+    f = PeriodicFunction.from_rationals(12, [Fraction(v) for v in values])
+    assert f.unit_values is None
+    assert_sums_match(f, working_prec(prec))
+
+
+def test_only_a_span_of_2wp_bits_or_more_reaches_mpf_sum(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tables_module, "mpf_sum", lambda *args: calls.append(args) or mpf_sum(*args))
+    wp = working_prec(128)
+    rng = random.Random(60)
+    rational = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(59)]
+    narrow = (
+        PeriodicFunction.from_rationals(60, rational + [-sum(rational)]),
+        PeriodicFunction.from_rationals(12, [3, -18, 7, 0, 1, 5, -2, 9, -4, 4, -9, 8]),
+        bbw_function(15, 7, 128),
+    )
+    for f in narrow:
+        assert f.unit_values is None
+        l1_digamma_raw(f, wp)
+        trig_sums_raw(f, wp)
+    assert calls == []
+    wide = [("1e100", "-1e-100", "0", "-1e100", "2e-100", "-1e-100")[a % 6] for a in range(1, 13)]
+    trig_sums_raw(PeriodicFunction.from_rationals(12, [Fraction(v) for v in wide]), wp)
+    assert calls
+
+
+@pytest.mark.parametrize("wp", (64, 200))
+@pytest.mark.parametrize("q", (5, 12, 30))
+def test_any_index_lists_sum_like_the_mpf_loop(q, wp):
+    # one and two sums over index lists that repeat entries, against libmp's
+    # rounded products summed by mpf_sum
+    rng = random.Random(q * wp)
+    tab = Tables(q, wp)
+    for _ in range(5):
+        values = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(q - 1)]
+        f = PeriodicFunction.from_rationals(q, values + [-sum(values)])
+        for index in ([rng.randrange(q - 1) for _ in range(q)], [0] * q):
+            for family in FAMILIES:
+                entries = [t._mpf_ for t in getattr(tab, family)]
+
+                def reference(ix):
+                    return mpf_sum(
+                        [mpf_mul(to_mpf(v, wp)._mpf_, entries[i], wp, round_nearest)
+                         for v, i in zip(f.values, ix)],
+                        wp, round_nearest,
+                    )
+
+                (one,) = tab.weighted_sums(family, f, [index])
+                assert one._mpf_ == reference(index)
+                two = tab.weighted_sums(family, f, iter([index, index[::-1]]))
+                assert [t._mpf_ for t in two] == [reference(index), reference(index[::-1])]
 
 
 @pytest.mark.parametrize("q,l", ((7, 3), (11, 5), (12, 3), (15, 7), (20, 9)))
