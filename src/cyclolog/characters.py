@@ -250,15 +250,24 @@ class PeriodicFunction:
         return all(isinstance(v, Fraction) for v in self.values)
 
     @cached_property
+    def exact_values(self) -> Tuple[Tuple[int, ...], int]:
+        """The values as integers n_a over one common denominator d, so that
+        f(a) = n_a / d exactly; a Real counts as man * 2^exp."""
+        ratios = [
+            to_rational(v.mpf._mpf_) if isinstance(v, Real) else v.as_integer_ratio()
+            for v in self.values
+        ]
+        nums, dens = zip(*ratios)
+        d = lcm(*dens)
+        return (nums if d == 1 else tuple(n * (d // den) for n, den in ratios)), d
+
+    @cached_property
     def unit_values(self) -> Optional[Tuple[int, ...]]:
         """The values as ints when every one is exactly -1, 0 or 1, else None;
         they do not depend on a precision, so every sum over a table reads
         them from here instead of converting f(a) to an mpf again."""
-        units = all(
-            isinstance(v, Fraction) and v.denominator == 1 and -1 <= v.numerator <= 1
-            for v in self.values
-        )
-        return tuple(v.numerator for v in self.values) if units else None
+        nums, d = self.exact_values
+        return nums if d == 1 and -1 <= min(nums) and max(nums) <= 1 else None
 
     def value_at(self, n: int) -> PeriodicValue:
         return self.values[(n - 1) % self.period]
@@ -287,13 +296,6 @@ class PeriodicFunction:
         return abs(s) < bound
 
 
-def _exact_ratio(v: PeriodicValue) -> Tuple[int, int]:
-    """v as an exact (numerator, denominator) pair; a Real is man * 2^exp."""
-    if isinstance(v, Real):
-        return to_rational(v.mpf._mpf_)
-    return v.numerator, v.denominator
-
-
 def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmath.mpf, mpmath.mpf]]:
     """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), k = 1..q, as (re, im) pairs.
 
@@ -307,9 +309,8 @@ def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmat
     """
     q = f.period
     fixed = tables(q, wp).fixed_roots
-    ratios = [_exact_ratio(v) for v in f.values]
-    d = lcm(*(den for _, den in ratios))
-    nums = [(a, num * (d // den)) for a, (num, den) in enumerate(ratios, 1) if num != 0]
+    numerators, d = f.exact_values
+    nums = [(a, n) for a, n in enumerate(numerators, 1) if n != 0]
     out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {}
     with mp.workprec(wp):
         for k in range(1, q + 1):

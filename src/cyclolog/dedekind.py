@@ -17,7 +17,8 @@ reads the certificate's verdicts off the factors it holds.  The direct
 route is an LU in fixed point: integers scaled by 2^wp, read from the
 ``fixed_log_sines`` table, with an a-posteriori estimate of its relative
 error that decides whether to restart at doubled precision.  The factors
-run their rounded multiplications and additions on integer mantissas.
+run their rounded multiplications and additions on the tables' exact
+integer forms of the log-sines and of the (p-1)-th roots of unity.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .kernel import (
     add_nearest_int,
     classify_zero,
     fold,
-    man_exp,
     round_nearest_int,
     working_prec,
 )
@@ -66,11 +66,6 @@ def _matrix(p: int, entries: Sequence[T]) -> List[List[T]]:
     return [[entries[fold(a * cinv, p) - 1] for cinv in inverses] for a in range(1, r + 1)]
 
 
-def _matrix_raw(p: int, wp: int) -> List[List[mpmath.mpf]]:
-    """The Dedekind-type matrix with mpf entries at working precision."""
-    return _matrix(p, tables(p, wp).log_sines)
-
-
 def _fixed_matrix(p: int, wp: int) -> List[List[int]]:
     """The Dedekind-type matrix with entries as integers scaled by 2^wp."""
     return _matrix(p, tables(p, wp).fixed_log_sines)
@@ -78,22 +73,20 @@ def _fixed_matrix(p: int, wp: int) -> List[List[int]]:
 
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
     """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision:
-    each product and partial sum rounded to nearest at wp, in order of a, on
-    integer mantissas through ``round_nearest_int``, bit for bit what the
-    same loop over mpfs gives."""
+    each product and partial sum rounded to nearest at wp, in order of a,
+    through ``round_nearest_int`` over the aligned log-sine, cos and sin
+    integers of the tables, bit for bit what the same loop over mpfs gives."""
     p = chi.modulus
-    table = tables(p, wp).log_sines
+    logs, log_exp, _ = tables(p, wp).log_sines_aligned
     # chi's values are (p-1)-th roots of unity, indexed by e dlog(a) mod (p - 1)
-    roots = tables(p - 1, wp).roots
-    indexes = [chi.value_index(a) for a in range(1, (p - 1) // 2 + 1)]
+    roots = tables(p - 1, wp)
+    cos, cos_exp, _ = roots.cos_aligned
+    sin, sin_exp, _ = roots.sin_aligned
     re = im = (0, 0)
-    for k, t in zip(indexes, table):
-        c, s = roots[k]
-        tm, te = man_exp(t)
-        cm, ce = man_exp(c)
-        sm, se = man_exp(s)
-        re = add_nearest_int(re, round_nearest_int(cm * tm, ce + te, wp), wp)
-        im = add_nearest_int(im, round_nearest_int(sm * tm, se + te, wp), wp)
+    for a, t in enumerate(logs, 1):
+        k = chi.value_index(a)
+        re = add_nearest_int(re, round_nearest_int(cos[k] * t, cos_exp + log_exp, wp), wp)
+        im = add_nearest_int(im, round_nearest_int(sin[k] * t, sin_exp + log_exp, wp), wp)
     return mp.make_mpf(from_man_exp(*re)), mp.make_mpf(from_man_exp(*im))
 
 

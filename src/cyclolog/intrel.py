@@ -25,9 +25,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpf_abs
 
 from .kernel import PrecisionError, Real, classify_zero, working_prec
-from .relations import PI_SLOT, LogBasis
+from .relations import PI_SLOT, LogBasis, linear_form_raw
 
 DELTA = Fraction(99, 100)
 SCALE_SHIFT = 16
@@ -122,8 +123,7 @@ def _normalize_sign(vec: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _residual(cand: Sequence[int], vals: Sequence[mpmath.mpf], wbits: int) -> mpmath.mpf:
-    with mp.workprec(wbits):
-        return abs(mpmath.fsum(c * v for c, v in zip(cand, vals) if c))
+    return mp.make_mpf(mpf_abs(linear_form_raw(cand, vals, wbits)._mpf_))
 
 
 def _reduced_rows(

@@ -69,10 +69,7 @@ def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
     The sum is ``Tables.weighted_sums`` over the psi table: bit for bit
     mpmath's exact-then-rounded sum (``mpf_sum``) of the products
     f(a) psi(a/q) rounded at wp, computed as one integer sum rounded once
-    wherever ``mpf_sum`` keeps every term.  For f in {-1, 0, 1} that rests
-    on the psi table's exponents spanning about wp + log2 q bits, below the
-    2 wp within which ``mpf_sum`` keeps every term; the table raises where
-    they do not.
+    wherever ``mpf_sum`` keeps every term, and by ``mpf_sum`` elsewhere.
     """
     q = f.period
     (total,) = tables(q, wp).weighted_sums("psi", f, [range(q)])
@@ -197,9 +194,7 @@ def trig_sums_raw(
     Each sum is ``Tables.weighted_sums`` over the cot or cos table: bit for bit
     mpmath's exact-then-rounded sum (``mpf_sum``) of the products rounded at
     wp, computed as one integer sum rounded once wherever ``mpf_sum`` keeps
-    every term.  For f in {-1, 0, 1} that rests on those tables' exponents
-    spanning about wp + 2 log2 q bits, below the 2 wp within which
-    ``mpf_sum`` keeps every term; the table raises where they do not.
+    every term, and by ``mpf_sum`` elsewhere.
     """
     q = f.period
     tab = tables(q, wp)

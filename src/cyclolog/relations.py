@@ -113,9 +113,15 @@ class RelationVector:
         return RelationVector(self.basis, tuple(c // g for c in self.coeffs), self.provenance)
 
     def residual_raw(self, wp: int) -> mpmath.mpf:
-        values = self.basis.values_raw(wp)
-        with mp.workprec(wp):
-            return mpmath.fsum(c * v for c, v in zip(self.coeffs, values) if c != 0)
+        return linear_form_raw(self.coeffs, self.basis.values_raw(wp), wp)
+
+
+def linear_form_raw(coeffs: Sequence[int], values: Sequence[mpmath.mpf], wp: int) -> mpmath.mpf:
+    """fsum(c * v) over the nonzero integer coefficients c at wp bits, each
+    product rounded once: the residual of ``coeffs`` as a relation among
+    ``values``."""
+    with mp.workprec(wp):
+        return mpmath.fsum(c * v for c, v in zip(coeffs, values) if c)
 
 
 def construct_relation(q: int, a: int, d: int) -> RelationVector:

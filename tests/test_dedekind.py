@@ -21,12 +21,13 @@ from cyclolog.dedekind import (
     DeterminantError,
     _fixed_matrix,
     _lu_det,
-    _matrix_raw,
+    _matrix,
     det_direct_raw,
     determinant_check,
     s_chi_raw,
 )
 from cyclolog.kernel import GUARD_BITS, Real, dec_str, decimal_digits, working_prec
+from cyclolog.tables import tables
 from oracles import gauss_sum, l1_chi_via_gauss, lu_det_reference, s_chi_reference_raw
 
 PRIMES = [p for p in range(3, 102) if is_prime(p)]
@@ -36,6 +37,11 @@ TOL112 = mpmath.mpf(2) ** -112
 
 def quadratic_character(p):
     return next(ch for ch in enumerate_characters(p) if ch.order == 2)
+
+
+def log_sine_matrix(p, wp):
+    """The Dedekind-type matrix with mpf entries at working precision."""
+    return _matrix(p, tables(p, wp).log_sines)
 
 
 def s_chi_factors(p, prec=128):
@@ -48,7 +54,7 @@ def s_chi_factors(p, prec=128):
 # ---------------------------------------------------------------------------
 
 def test_matrix_p3_single_entry_half_log3():
-    m = _matrix_raw(3, working_prec(128))
+    m = log_sine_matrix(3, working_prec(128))
     assert len(m) == 1
     with mp.workprec(200):
         assert abs(m[0][0] - mpmath.log(3) / 2) < TOL112
@@ -56,7 +62,7 @@ def test_matrix_p3_single_entry_half_log3():
 
 def test_matrix_p5_structure():
     # 2^-1 = 3 = -2 folds to 2 in G, so the matrix is [[f1, f2], [f2, f1]]
-    m = _matrix_raw(5, working_prec(128))
+    m = log_sine_matrix(5, working_prec(128))
     assert len(m) == 2
     assert m[0][0] == m[1][1]
     assert m[0][1] == m[1][0]
@@ -68,7 +74,7 @@ def test_matrix_p5_structure():
 
 
 def test_matrix_p7_rows_are_permutations():
-    m = _matrix_raw(7, working_prec(96))
+    m = log_sine_matrix(7, working_prec(96))
     first = sorted(m[0])
     for row in m[1:]:
         assert sorted(row) == first
@@ -195,7 +201,7 @@ def test_fixed_point_lu_agrees_with_the_mpf_lu_within_its_estimate(wp):
         lu = _lu_det(_fixed_matrix(p, wp), wp)
         # growth under 3 bits, so the estimate leaves most of the guard bits
         assert lu.growth_bits < 3 and lu.accurate_bits > wp - GUARD_BITS // 4, p
-        reference = lu_det_reference(_matrix_raw(p, wp), wp)
+        reference = lu_det_reference(log_sine_matrix(p, wp), wp)
         with mp.workprec(wp):
             error = abs(lu.det - reference)
             assert error <= abs(reference) * mpmath.ldexp(1, -lu.accurate_bits), p
@@ -206,7 +212,7 @@ def test_fixed_point_lu_renders_as_the_mpf_lu(prec):
     wp = working_prec(prec)
     digits = decimal_digits(prec)
     for p in PRIMES:
-        reference = lu_det_reference(_matrix_raw(p, wp), wp)
+        reference = lu_det_reference(log_sine_matrix(p, wp), wp)
         rendered = dec_str(Real(det_direct_raw(p, wp), prec), digits)
         assert rendered == dec_str(Real(reference, prec), digits), p
 

@@ -1,8 +1,8 @@
 """Sums over the tables: l1_digamma_raw and trig_sums_raw return exactly
 the mpfs of the fsum loops they replaced, for unit, integer, rational,
-kernel-function and wide-span values alike; every aligned entry is its
-table entry exactly, the exponent-span guard raises instead of rounding
-differently, and the aligned families live in the bounded cache."""
+kernel-function and wide-span values alike, over narrow and wide tables;
+every aligned entry is its table entry exactly, and the aligned families
+live in the bounded cache."""
 
 import random
 from fractions import Fraction
@@ -20,6 +20,7 @@ from cyclolog.tables import Tables, tables
 from oracles import l1_digamma_reference, trig_sums_reference
 
 FAMILIES = ("cot", "psi", "cos")
+ALIGNED_FAMILIES = FAMILIES + ("sin", "log_sines")
 
 
 def assert_sums_match(f, wp):
@@ -168,29 +169,41 @@ def test_unit_values_are_exact_units_only():
 
 
 @pytest.mark.parametrize("wp", (96, 192, 320))
-@pytest.mark.parametrize("q", (3, 4, 7, 12, 15, 20, 30, 120))
+@pytest.mark.parametrize("q", (2, 3, 4, 7, 12, 15, 20, 30, 120))
 def test_aligned_entries_equal_the_table_entries(q, wp):
     tab = Tables(q, wp)
-    for family in FAMILIES:
-        mantissas, exp = getattr(tab, family + "_aligned")
+    for family in ALIGNED_FAMILIES:
+        mantissas, exp, span = getattr(tab, family + "_aligned")
         entries = getattr(tab, family)
         assert len(mantissas) == len(entries)
         for man, t in zip(mantissas, entries):
             assert from_man_exp(man, exp) == t._mpf_  # T_i * 2^E, unrounded
-        # aligned at the smallest exponent: some mantissa keeps its lowest bit
-        assert any(man % 2 for man in mantissas)
+        if any(mantissas):
+            # aligned at the smallest exponent: some mantissa keeps its lowest
+            # bit; the span runs from there, or from 0, to the widest one's top
+            assert any(man % 2 for man in mantissas)
+            top = exp + max(abs(man).bit_length() for man in mantissas)
+            assert span == max(top, 0) - min(exp, 0)
+        else:  # q = 2: cot(pi/2) and the sines of 0 and pi
+            assert (exp, span) == (0, 0)
 
 
 @pytest.mark.parametrize("family,wp", (("cot", 12), ("psi", 6), ("cos", 4)))
-def test_aligned_family_spanning_2wp_bits_raises(family, wp):
-    # at these low precisions the entries mod 300 span at least 2 wp bits of exponent
-    tab = Tables(300, wp)
-    with pytest.raises(ArithmeticError, match=rf"{family} table for q = 300 at wp = {wp} "):
-        getattr(tab, family + "_aligned")
-    # a sum that needs the aligned family raises too; no other path is taken
+def test_unit_sums_over_a_family_spanning_2wp_bits_reach_mpf_sum(family, wp, monkeypatch):
+    # at these low precisions the entries mod 300 span at least 2 wp bits of
+    # exponent, so the sums of a +-1 function go to mpf_sum, with fsum's result
+    assert getattr(Tables(300, wp), family + "_aligned").span >= 2 * wp
+    calls = []
+    monkeypatch.setattr(tables_module, "mpf_sum", lambda *args: calls.append(args) or mpf_sum(*args))
     f = PeriodicFunction.from_rationals(300, [(-1) ** a for a in range(1, 301)])
-    with pytest.raises(ArithmeticError, match=rf"q = 300 at wp = {wp} "):
-        tab.weighted_sums(family, f, [range(299)])
+    assert f.unit_values is not None
+    tables(300, wp).weighted_sums(family, f, [range(299)])
+    assert len(calls) == 1
+    # at wp only: at 8 bits 299/300 rounds to 1, and the cot table would divide by sinpi(1) = 0
+    assert l1_digamma_raw(f, wp)._mpf_ == l1_digamma_reference(f, wp)._mpf_
+    (cot, cos_sums), (ref_cot, ref_cos) = trig_sums_raw(f, wp), trig_sums_reference(f, wp)
+    assert cot._mpf_ == ref_cot._mpf_
+    assert {b: v._mpf_ for b, v in cos_sums.items()} == {b: v._mpf_ for b, v in ref_cos.items()}
 
 
 def test_aligned_families_stay_in_the_bounded_cache():
