@@ -3,8 +3,8 @@
 
 The digamma route assembles psi(a/q) in closed form, the Fourier route
 pairs the transform of f with principal-branch logs of cyclotomic
-numbers, and the direct route just adds up the series (float64, explicit
-tail bound).  All three must agree; the first two to ~34 digits at the
+numbers, and the direct route adds up the series to a full period (53 bits,
+explicit tail bound).  All three must agree; the first two to ~34 digits at the
 default precision.
 """
 

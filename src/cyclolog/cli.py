@@ -48,6 +48,9 @@ from .serialize import canonical_json
 MIN_CLI_PREC = 64
 MAX_CLI_PREC = 4096
 DEFAULT_STORE = "./cyclolog-scans.jsonl"
+# "format" of the lseries, decompose and bbw payloads: 2 since each sum over
+# the tables is rounded once, which moved their trailing digits
+FORMAT = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,6 +114,7 @@ def _cmd_lseries(args) -> Tuple[dict, int]:
     f = _parse_f(args.f, args.q)
     payload: dict = {
         "command": "lseries",
+        "format": FORMAT,
         "q": args.q,
         "f": [str(v) for v in f.values],
         "route": args.route,
@@ -132,6 +136,7 @@ def _cmd_decompose(args) -> Tuple[dict, int]:
     f = _parse_f(args.f, args.q)
     payload = {
         "command": "decompose",
+        "format": FORMAT,
         "q": args.q,
         "f": [str(v) for v in f.values],
         "prec_bits": args.prec,
@@ -254,6 +259,7 @@ def _cmd_bbw(args) -> Tuple[dict, int]:
     digits = decimal_digits(args.prec)
     payload = {
         "command": "bbw",
+        "format": FORMAT,
         "q": args.q,
         "l": args.l,
         "prec_bits": args.prec,

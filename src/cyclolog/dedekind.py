@@ -16,9 +16,13 @@ admit no rational linear relation.
 reads the certificate's verdicts off the factors it holds.  The direct
 route is an LU in fixed point: integers scaled by 2^wp, read from the
 ``fixed_log_sines`` table, with an a-posteriori estimate of its relative
-error that decides whether to restart at doubled precision.  The factors
-run their rounded multiplications and additions on the tables' exact
-integer forms of the log-sines and of the (p-1)-th roots of unity.
+error that decides whether to restart at doubled precision.  Each factor
+follows the tables' summation rule: its components are exact sums over the
+tables' integer forms of the log-sines and of the (p-1)-th roots of unity,
+each rounded once at wp.  So to first order each is within
+sum_a (|t_a| eps_root + eps_log) + 1/2 ulp of the exact S_chi, where
+t_a = log(2 sin(a pi/p)) and eps_root, eps_log bound the errors of the
+root and log-sine entries.
 """
 
 from __future__ import annotations
@@ -32,17 +36,7 @@ from mpmath import mp
 from mpmath.libmp import fzero, from_man_exp, round_nearest
 
 from .characters import DirichletCharacter, enumerate_characters, require_odd_prime
-from .kernel import (
-    GUARD_BITS,
-    Complex,
-    Real,
-    ZeroClass,
-    add_nearest_int,
-    classify_zero,
-    fold,
-    round_nearest_int,
-    working_prec,
-)
+from .kernel import GUARD_BITS, Complex, Real, ZeroClass, classify_zero, fold, working_prec
 from .tables import tables
 
 DEFAULT_MAX_PRIME = 101
@@ -73,21 +67,23 @@ def _fixed_matrix(p: int, wp: int) -> List[List[int]]:
 
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
     """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision:
-    each product and partial sum rounded to nearest at wp, in order of a,
-    through ``round_nearest_int`` over the aligned log-sine, cos and sin
-    integers of the tables, bit for bit what the same loop over mpfs gives."""
+    each component summed exactly over the aligned log-sine, cos and sin
+    integers of the tables and rounded to nearest once at wp."""
     p = chi.modulus
-    logs, log_exp, _ = tables(p, wp).log_sines_aligned
+    logs, log_exp = tables(p, wp).log_sines_aligned
     # chi's values are (p-1)-th roots of unity, indexed by e dlog(a) mod (p - 1)
     roots = tables(p - 1, wp)
-    cos, cos_exp, _ = roots.cos_aligned
-    sin, sin_exp, _ = roots.sin_aligned
-    re = im = (0, 0)
+    cos, cos_exp = roots.cos_aligned
+    sin, sin_exp = roots.sin_aligned
+    re = im = 0
     for a, t in enumerate(logs, 1):
         k = chi.value_index(a)
-        re = add_nearest_int(re, round_nearest_int(cos[k] * t, cos_exp + log_exp, wp), wp)
-        im = add_nearest_int(im, round_nearest_int(sin[k] * t, sin_exp + log_exp, wp), wp)
-    return mp.make_mpf(from_man_exp(*re)), mp.make_mpf(from_man_exp(*im))
+        re += cos[k] * t
+        im += sin[k] * t
+    return (
+        mp.make_mpf(from_man_exp(re, cos_exp + log_exp, wp, round_nearest)),
+        mp.make_mpf(from_man_exp(im, sin_exp + log_exp, wp, round_nearest)),
+    )
 
 
 def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:

@@ -3,9 +3,9 @@
 Every analytic quantity the package hands out is a :class:`Real` or
 :class:`Complex`: a record of an mpmath floating-point value and the
 precision tag (bits) it was rounded to on construction.  The routes
-compute on raw mpfs, or, for long chains of rounded products and sums, on
-integer mantissas through :func:`round_nearest_int`, which rounds as libmp
-does; the uniform policy is
+compute on raw mpfs, and every sum over the per-(q, wp) tables is formed
+exactly over their integer forms and rounded once (see ``tables``), so its
+error is at most sum_a |f(a)| eps_family + 1/2 ulp; the uniform policy is
 
 * an operation asked for a ``prec``-bit result computes internally at
   ``prec + 64`` guard bits and rounds once at the end, by wrapping the
@@ -49,30 +49,6 @@ def _check_prec(prec: int) -> int:
     if not isinstance(prec, int) or isinstance(prec, bool) or prec < MIN_PRECISION:
         raise PrecisionError(f"precision must be an int >= {MIN_PRECISION} bits, got {prec!r}")
     return prec
-
-
-def round_nearest_int(man: int, exp: int, wp: int) -> Tuple[int, int]:
-    """man * 2^exp rounded to wp significant bits, to nearest with ties to
-    even, as a signed (mantissa, exponent) pair: the value of
-    ``from_man_exp(man, exp, wp, round_nearest)`` without its normalisation
-    into an mpf, so chains of rounded steps can run on plain integers."""
-    n = man.bit_length() - wp
-    if n <= 0:
-        return man, exp
-    a = -man if man < 0 else man
-    # a >> n plus one where the dropped bits exceed half a unit, or equal it
-    # and the kept part is odd
-    a = (a + (1 << (n - 1)) - 1 + ((a >> n) & 1)) >> n
-    return (-a if man < 0 else a), exp + n
-
-
-def add_nearest_int(x: Tuple[int, int], y: Tuple[int, int], wp: int) -> Tuple[int, int]:
-    """The exact sum of two (mantissa, exponent) pairs rounded by
-    ``round_nearest_int``: the value ``mpf_add`` gives at wp bits."""
-    (xm, xe), (ym, ye) = x, y
-    if xe <= ye:
-        return round_nearest_int(xm + (ym << (ye - xe)), xe, wp)
-    return round_nearest_int((xm << (xe - ye)) + ym, ye, wp)
 
 
 def man_exp(x: mpmath.mpf) -> Tuple[int, int]:

@@ -5,11 +5,18 @@
 * ``fourier``: L(1,f) = -sum_k fhat(k) log(1 - zeta_q^k) over k = 1..q-1,
   with the principal branch split exactly into log(2 sin k pi/q) and an
   argument that is a rational multiple of pi.
-* ``direct``: truncated partial sums of sum f(n)/n with an explicit tail
-  bound, float64 only; a sanity route, not a precision route.
+* ``direct``: the partial sum of sum f(n)/n cut at a full period, with an
+  explicit tail bound, through mpmath's own digamma and rounded to 53 bits;
+  a sanity route independent of the tables, not a precision route.
 
 Also here: the decomposition of L(1,f) over the basis
 {log(2 sin b pi/q)} + {pi} (+ {log 2} for even q).
+
+The psi sum of the digamma route and the cot and cos sums of the
+decomposition follow the tables' summation rule: each is the correctly
+rounded value of the exact combination sum_a f(a) t_i of its table
+entries, so its error is at most sum_a |f(a)| eps_family + 1/2 ulp, where
+eps_family bounds the error of one entry.
 
 Sign convention: the decomposition is derived from the digamma route, so
 the pi coefficient is +(1/2q) sum f(a) cot(a pi/q) and the log-sine
@@ -21,7 +28,6 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Tuple
 
 import mpmath
@@ -29,7 +35,7 @@ from mpmath import mp
 from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from .characters import PeriodicFunction, fourier_transform_raw
-from .kernel import Real, const_raw, to_mpf, working_prec
+from .kernel import Real, const_raw, working_prec
 from .tables import tables
 
 ROUTES = ("digamma", "fourier")
@@ -66,10 +72,9 @@ def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
 def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
     """-(1/q) sum_a f(a) psi(a/q) at working precision wp.
 
-    The sum is ``Tables.weighted_sums`` over the psi table: bit for bit
-    mpmath's exact-then-rounded sum (``mpf_sum``) of the products
-    f(a) psi(a/q) rounded at wp, computed as one integer sum rounded once
-    wherever ``mpf_sum`` keeps every term, and by ``mpf_sum`` elsewhere.
+    The sum is ``Tables.weighted_sums`` over the psi table: the exact
+    sum_a f(a) psi(a/q) over the table entries, rounded once at wp, then
+    divided by -q.
     """
     q = f.period
     (total,) = tables(q, wp).weighted_sums("psi", f, [range(q)])
@@ -103,16 +108,6 @@ def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
     return mp.make_mpf(re), mp.make_mpf(im)
 
 
-@lru_cache(maxsize=16)
-def _residue_harmonic_table(q: int, periods: int):
-    """H[a-1] = sum_{m=0}^{periods-1} 1/(a + m q), as a float64 numpy array."""
-    # only the direct route uses numpy; importing it here keeps it out of every other command
-    import numpy as np
-    return np.array(
-        [np.sum(1.0 / np.arange(a, a + periods * q, q, dtype=np.float64)) for a in range(1, q + 1)]
-    )
-
-
 @dataclass(frozen=True)
 class DirectSumResult:
     value: Real
@@ -127,16 +122,24 @@ def l1_direct_result(f: PeriodicFunction) -> DirectSumResult:
     (at least 2q), so the partial-sum function of f
     vanishes there and the tail telescopes to sum_{m >= N/q} of one
     period's worth of 1/(a+mq) differences; |tail| <= max|f| / (N/q - 1).
+    With P = N/q periods, sum_{m<P} 1/(a + mq) = (psi(P + a/q) - psi(a/q))/q,
+    so the partial sum is (1/q) sum_a f(a) (psi(P + a/q) - psi(a/q)), here
+    by ``mpmath.digamma`` at 80 bits, rounded to 53.
     """
     _require_convergent(f)
     q = f.period
     periods = max(2, DEFAULT_DIRECT_TERMS // q)
-    table = _residue_harmonic_table(q, periods)
-    import numpy as np  # only the direct route uses numpy; see _residue_harmonic_table
-    fv = np.array([float(to_mpf(v, 64)) for v in f.values])
-    value = float(fv @ table)
+    wp = 80
+    with mp.workprec(wp):
+        terms = []
+        for a in range(1, q + 1):
+            v = f.value_mpf(a, wp)
+            if v:
+                x = mpmath.mpf(a) / q
+                terms.append(v * (mpmath.digamma(periods + x) - mpmath.digamma(x)))
+        value = mpmath.fsum(terms) / q
     bound = f.abs_bound() / (periods - 1)
-    return DirectSumResult(Real(mpmath.mpf(value), 53), periods * q, bound)
+    return DirectSumResult(Real(value, 53), periods * q, bound)
 
 
 def l1(
@@ -146,7 +149,7 @@ def l1(
 ) -> Real:
     """L(1, f) = sum f(n)/n by the digamma or Fourier route, at target precision.
 
-    The float64 partial sum is ``l1_direct_result``; it is a sanity check,
+    The 53-bit partial sum is ``l1_direct_result``; it is a sanity check,
     not a route at precision.
     """
     if route not in ROUTES:
@@ -191,10 +194,8 @@ def trig_sums_raw(
     """(sum_a f(a) cot(a pi/q), {b: sum_a f(a) cos(2 pi a b/q)}) for b <= (q-1)/2,
     each over a = 1..q-1 at working precision wp.
 
-    Each sum is ``Tables.weighted_sums`` over the cot or cos table: bit for bit
-    mpmath's exact-then-rounded sum (``mpf_sum``) of the products rounded at
-    wp, computed as one integer sum rounded once wherever ``mpf_sum`` keeps
-    every term, and by ``mpf_sum`` elsewhere.
+    Each sum is ``Tables.weighted_sums`` over the cot or cos table: the
+    exact sum of f(a) times the table entries, rounded once at wp.
     """
     q = f.period
     tab = tables(q, wp)

@@ -9,13 +9,22 @@ by direct cospi/sinpi, the digamma-route sum and the trig sums as mpf
 loops summed by fsum, the determinant by LU in mpf arithmetic) or an
 exact helper (rational span membership, Euler's phi) that a test checks a
 route's output with.
+
+``exact_sum_reference`` is the exact oracle of the tables' summation rule:
+a sum of products of table entries and weights, formed over Fractions and
+rounded to nearest once.  The psi entries, the table sums and S_chi must
+equal it bit for bit.  The mpf loops round every product and partial sum,
+so they agree with it only within a bound in ulps, which each test states.
 """
 
+import math
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from cyclolog.characters import DirichletCharacter, PeriodicFunction, factorize, is_prime, unit_root
 from cyclolog.kernel import Complex, Real, const_raw, to_mpf, working_prec
@@ -55,6 +64,64 @@ def bbw_values_reference(q: int, l: int, prec: int) -> Tuple[mpmath.mpf, ...]:
             vals[n - 1] = v
             vals[q - n - 1] = -v
     return tuple(vals)
+
+
+def as_fraction(x) -> Fraction:
+    """An mpf, Real, Fraction or int as the Fraction it equals exactly."""
+    if isinstance(x, Real):
+        x = x.mpf
+    if isinstance(x, mpmath.mpf):
+        return _mpf_fraction(x._mpf_)
+    return Fraction(x)
+
+
+@lru_cache(maxsize=4096)
+def _mpf_fraction(raw) -> Fraction:
+    # the oracles read each table entry many times
+    return Fraction(*to_rational(raw))
+
+
+def exact_sum_reference(pairs: Iterable[Tuple[object, object]], wp: int) -> mpmath.mpf:
+    """sum x * y over the (x, y) pairs, each an mpf, Real, Fraction or int,
+    formed exactly over Fractions and rounded to nearest once at wp bits."""
+    factors = [(as_fraction(x), as_fraction(y)) for x, y in pairs]
+    # over one common denominator: the same exact sum, without a gcd per operation
+    dens = [x.denominator * y.denominator for x, y in factors]
+    den = math.lcm(*dens)
+    num = sum(x.numerator * y.numerator * (den // d) for (x, y), d in zip(factors, dens))
+    return mp.make_mpf(from_rational(num, den, wp, round_nearest))
+
+
+def weighted_sum_reference(f: PeriodicFunction, table: Sequence[mpmath.mpf], index, wp: int) -> mpmath.mpf:
+    """sum_a f(a) table[index[a - 1]] for a = 1..len(index), rounded once at wp."""
+    return exact_sum_reference(zip(f.values, (table[i] for i in index)), wp)
+
+
+def within_ulps(got, loop, pairs: Iterable[Tuple[object, object]], wp: int, ulps: int) -> bool:
+    """|got - loop| <= ulps 2^-wp (sum |x y| + |got|) over the (x, y) pairs:
+    the test of two evaluations of sum x y that differ only in roundings at
+    wp bits, each within 2^-wp of the magnitude of what it rounds.  The
+    difference is exact; the scale is a float, well within one ulp."""
+    scale = math.fsum(abs(float(x) * float(y)) for x, y in pairs) + abs(float(got))
+    return abs(as_fraction(got) - as_fraction(loop)) <= Fraction(scale) * Fraction(ulps, 2**wp)
+
+
+def digamma_terms(a: int, q: int, wp: int) -> List[Tuple[object, object]]:
+    """The (x, y) pairs of Gauss's digamma theorem for psi(a/q), 1 <= a < q,
+    over the table entries and the constants at wp: -gamma - log q,
+    -(pi/2) cot(a pi/q), 2 cos(2 pi a b/q) log(2 sin b pi/q) for
+    b = 1..(q-1)/2, then +-log 2 for even q."""
+    tab = tables(q, wp)
+    with mp.workprec(wp):
+        start = -const_raw("euler_gamma", wp) - mpmath.log(q)
+        half_pi = const_raw("pi", wp) / 2
+    terms = [(start, 1), (half_pi, -as_fraction(tab.cot[a - 1]))]
+    terms += [
+        (tab.cos[(a * b) % q], 2 * as_fraction(tab.log_sines[b - 1])) for b in range(1, (q - 1) // 2 + 1)
+    ]
+    if q % 2 == 0:
+        terms.append((const_raw("log2", wp), 1 if a % 2 == 0 else -1))
+    return terms
 
 
 def digamma_reference(a: int, q: int, wp: int) -> mpmath.mpf:
@@ -249,6 +316,18 @@ def s_chi_reference_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, m
             re += c * table[a - 1]
             im += s * table[a - 1]
         return re, im
+
+
+def s_chi_terms(chi: DirichletCharacter, wp: int) -> Tuple[List[Tuple[object, object]], ...]:
+    """The (x, y) pairs of the re and im parts of S_chi, with chi(a) read as
+    the exact Fraction exponent t and its root as roots[t (p - 1)]."""
+    p = chi.modulus
+    table = tables(p, wp).log_sines
+    roots = tables(p - 1, wp).roots
+    pairs = [
+        (roots[int(chi.value_exponent(a) * (p - 1))], table[a - 1]) for a in range(1, (p - 1) // 2 + 1)
+    ]
+    return [(c, t) for (c, _), t in pairs], [(s, t) for (_, s), t in pairs]
 
 
 def lu_det_reference(rows: Sequence[Sequence[mpmath.mpf]], wp: int) -> mpmath.mpf:

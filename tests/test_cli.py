@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -421,13 +422,38 @@ def test_inconclusive_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    # only the direct lseries route uses numpy, and it imports it itself
+def package_env():
+    """The environment of a subprocess that imports the package from ``src``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_importing_the_cli_does_not_load_numpy():
     run = subprocess.run(
         [sys.executable, "-c", "import cyclolog.cli, sys; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=package_env(), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_the_direct_route_runs_without_numpy(capsys):
+    # numpy is only a test dependency: with its import blocked, the direct
+    # route still runs and lands within its tail bound of the digamma route
+    f = ",".join(str((a % 5) - 2 + (a % 3) - 1) for a in range(1, 121))
+    argv = ["lseries", "--q", "120", f"--f={f}"]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cyclolog.cli import main\n"
+        f"sys.exit(main({argv + ['--route', 'direct']!r}))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    direct = json.loads(run.stdout)
+    code, digamma = run_json(capsys, *argv)
+    assert code == 0
+    miss = abs(Fraction(direct["L"]) - Fraction(digamma["L"]))
+    assert 0 < miss <= Fraction(direct["tail_bound"])

@@ -28,7 +28,15 @@ from cyclolog.dedekind import (
 )
 from cyclolog.kernel import GUARD_BITS, Real, dec_str, decimal_digits, working_prec
 from cyclolog.tables import tables
-from oracles import gauss_sum, l1_chi_via_gauss, lu_det_reference, s_chi_reference_raw
+from oracles import (
+    exact_sum_reference,
+    gauss_sum,
+    l1_chi_via_gauss,
+    lu_det_reference,
+    s_chi_reference_raw,
+    s_chi_terms,
+    within_ulps,
+)
 
 PRIMES = [p for p in range(3, 102) if is_prime(p)]
 
@@ -378,8 +386,18 @@ def test_determinant_check_evaluates_each_s_chi_once_per_precision(p, monkeypatc
 
 @pytest.mark.parametrize("wp", [192, 384])
 def test_s_chi_matches_the_fraction_exponent_reference(wp):
-    # the integer character index picks the same root as the Fraction exponent
+    # the integer character index picks the same root as the Fraction
+    # exponent: both components are the exact sums rounded once, at wp and
+    # 2 wp, and the mpf loop that rounds each of its r products and partial
+    # sums stays within p + 2 ulps of them at wp
     for p in range(3, 102):
         if is_prime(p):
             for chi in enumerate_characters(p, even_only=True):
-                assert s_chi_raw(chi, wp) == s_chi_reference_raw(chi, wp), (p, chi.exponents)
+                for w in (wp, 2 * wp):
+                    terms = s_chi_terms(chi, w)
+                    got = s_chi_raw(chi, w)
+                    expected = [exact_sum_reference(t, w)._mpf_ for t in terms]
+                    assert [x._mpf_ for x in got] == expected, (p, chi.exponents, w)
+                    if w == wp:
+                        loop = s_chi_reference_raw(chi, w)
+                        assert all(within_ulps(x, y, t, w, p + 2) for x, y, t in zip(got, loop, terms))

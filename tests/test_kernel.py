@@ -6,23 +6,20 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, round_nearest
+from mpmath.libmp import from_man_exp
 
 from cyclolog.kernel import (
     Complex,
     PrecisionError,
     Real,
-    add_nearest_int,
     classify_zero,
     const,
     fold,
     log_2sin,
     log_2sin_raw,
-    man_exp,
-    round_nearest_int,
     to_mpf,
     working_prec,
 )
@@ -285,61 +282,3 @@ def test_fold_symmetry_property(q, k):
         return
     assert fold(k, q) == fold(-k, q) == fold(k + q, q)
     assert log_2sin(k, q, 64).mpf == log_2sin(-k, q, 64).mpf
-
-
-WP = st.integers(min_value=1, max_value=400)
-MANTISSAS = st.one_of(
-    st.integers(min_value=-(2**1200), max_value=2**1200),
-    st.integers(min_value=-(2**64), max_value=2**64),
-)
-
-
-@st.composite
-def exact_ties(draw):
-    """(man, wp) with man = +-(2k + 1) 2^(n - 1) and 2k + 1 of wp + 1 bits:
-    the n bits below the kept wp are exactly half a unit."""
-    wp = draw(WP)
-    k = draw(st.integers(min_value=2 ** (wp - 1), max_value=2**wp - 1))
-    n = draw(st.integers(min_value=1, max_value=300))
-    return draw(st.sampled_from((1, -1))) * ((2 * k + 1) << (n - 1)), wp
-
-
-def assert_rounds_like_libmp(man, exp, wp):
-    got = round_nearest_int(man, exp, wp)
-    assert got[0].bit_length() <= wp + 1  # wp + 1 only where rounding carried to 2^wp
-    assert from_man_exp(*got) == from_man_exp(man, exp, wp, round_nearest)
-
-
-@settings(deadline=None, max_examples=300)
-@given(man=MANTISSAS, exp=st.integers(min_value=-2000, max_value=2000), wp=WP)
-@example(man=0, exp=-7, wp=53)
-@example(man=-(2**400 - 1), exp=0, wp=53)  # rounds up to -2^400
-def test_round_nearest_int_rounds_like_from_man_exp(man, exp, wp):
-    assert_rounds_like_libmp(man, exp, wp)
-
-
-@settings(deadline=None, max_examples=300)
-@given(tie=exact_ties(), exp=st.integers(min_value=-2000, max_value=2000))
-def test_round_nearest_int_sends_exact_ties_to_even(tie, exp):
-    man, wp = tie
-    assert_rounds_like_libmp(man, exp, wp)
-    kept = abs(man) >> (abs(man).bit_length() - wp)
-    got, _ = round_nearest_int(man, exp, wp)
-    assert abs(got) == kept + (kept & 1)  # the even neighbour
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data(), exp=st.integers(min_value=-2000, max_value=2000), wp=WP)
-def test_round_nearest_int_keeps_mantissas_within_wp_bits(data, exp, wp):
-    # zero included: it has no bits to drop
-    man = data.draw(st.integers(min_value=1 - 2**wp, max_value=2**wp - 1))
-    assert round_nearest_int(man, exp, wp) == (man, exp)
-
-
-@settings(deadline=None, max_examples=200)
-@given(x=MANTISSAS, xe=st.integers(-600, 600), y=MANTISSAS, ye=st.integers(-600, 600), wp=WP)
-def test_add_nearest_int_adds_like_mpf_add(x, xe, y, ye, wp):
-    fx, fy = from_man_exp(x, xe), from_man_exp(y, ye)
-    assert from_man_exp(*man_exp(mp.make_mpf(fx))) == fx
-    got = add_nearest_int((x, xe), (y, ye), wp)
-    assert from_man_exp(*got) == mpf_add(fx, fy, wp, round_nearest)

@@ -22,7 +22,14 @@ from cyclolog.lseries import digamma_raw
 from cyclolog.relations import LOG2_SLOT, PI_SLOT, LogBasis
 from cyclolog.scans import bbw_function, evaluate, sign_function
 from cyclolog.tables import Tables, tables
-from oracles import bbw_values_reference, digamma_reference, unit_root_reference
+from oracles import (
+    bbw_values_reference,
+    digamma_reference,
+    digamma_terms,
+    exact_sum_reference,
+    unit_root_reference,
+    within_ulps,
+)
 
 MODULI = (2, 3, 4, 7, 12, 15, 30)
 PRECISIONS = (96, 192, 320)
@@ -119,14 +126,20 @@ def test_fixed_log_sines_are_the_log_sines_scaled_by_2_to_the_wp(q, wp):
 @pytest.mark.parametrize("wp", PRECISIONS)
 @pytest.mark.parametrize("q", (*range(2, 41), 120, 180, 240, 300))
 def test_psi_equals_the_per_a_assembly(q, wp):
-    # the integer chain against the same chain over mpfs, entry by entry
-    psi = Tables(q, wp).psi
-    for a in range(1, q):
-        expected = digamma_reference(a, q, wp)._mpf_
-        assert psi[a - 1]._mpf_ == expected
-        assert digamma_raw(a, q, wp)._mpf_ == expected
-    with mp.workprec(wp):
-        assert psi[q - 1] == -const_raw("euler_gamma", wp)
+    # each entry is the exact sum of Gauss's terms rounded once, at wp and
+    # 2 wp; at wp the chain over mpfs, which rounds each of its at most
+    # q/2 + 3 products and partial sums, stays within q + 4 ulps of it
+    for w in (wp, 2 * wp):
+        psi = Tables(q, w).psi
+        for a in range(1, q):
+            terms = digamma_terms(a, q, w)
+            expected = exact_sum_reference(terms, w)._mpf_
+            assert psi[a - 1]._mpf_ == expected
+            assert digamma_raw(a, q, w)._mpf_ == expected
+            if w == wp:
+                assert within_ulps(psi[a - 1], digamma_reference(a, q, w), terms, w, q + 4)
+        with mp.workprec(w):
+            assert psi[q - 1] == -const_raw("euler_gamma", w)
 
 
 def test_cache_stays_within_its_bound():
@@ -161,7 +174,7 @@ GOLDEN_F60 = ",".join(("1/3", "-5/12", "0", "1/4", "-1/6", "0")[a % 6] for a in 
 # zero mean with f(20) = -1, so decompose folds the -(f(q)/q) log q term
 GOLDEN_F20 = ",".join(str((a % 5) - 2 + (a % 4 == 0) - (a % 4 == 2)) for a in range(1, 21))
 # zero mean, values +-10^100 and +-10^-100: its products span far more than
-# 2 wp bits, so its sums go through mpf_sum, which may drop terms
+# 2 wp bits, where rounding each product and summing by mpf_sum may drop terms
 GOLDEN_F12_WIDE = ",".join(
     ("1e100", "-1e-100", "0", "-1e100", "2e-100", "-1e-100")[a % 6] for a in range(1, 13)
 )
@@ -174,7 +187,9 @@ GOLDEN_F12_WIDE = ",".join(
 # records were folded without being parsed again, the next four before the
 # certificate became properties of the determinant check, the next two
 # before the relation search took a modulus, the last two before the psi
-# table and the sums of functions outside {-1, 0, 1} ran on integers
+# table and the sums of functions outside {-1, 0, 1} ran on integers; the
+# lseries, decompose and bbw entries were re-pinned when every sum over the
+# tables was rounded once and their payloads gained "format": 2
 SCAN_Q11_STDOUT = "e3848497130b614e07dcd604fe2a0aea4f91b9135da8b01aa436a787280e142d"
 # SHA-256 of the store after two `scan --q 11 --threads 1 --store PATH` runs,
 # recorded with the last GOLDEN entry
@@ -184,15 +199,15 @@ GOLDEN = [
     ("scan-q11", ["scan", "--q", "11", "--per-function", "--threads", "1", "--store", ""],
      "decb488728b52558b9ced5e1298c4ba92143ba6568c5e4bba81207e13355e42c"),
     ("lseries-q120-digamma", ["lseries", "--q", "120", f"--f={GOLDEN_F120}"],
-     "7a629bbc65971a2246181a9777babc0a23f85bcb619209300ce941fd3948ce46"),
+     "3b2009a62a860c8fca3bc986f2bcee9163fb2036a36c25bb26d204723c480237"),
     ("lseries-q120-fourier", ["lseries", "--q", "120", f"--f={GOLDEN_F120}", "--route", "fourier"],
-     "0392d492a9c16be25e7a11dc97ba818b2d031482b64a1563d66b9041cbddebe0"),
+     "7da5e9d6f8174e8f94450377d7a4a9cca9eba11324865fb0abddc4164c9a52be"),
     ("certificate-p53", ["certificate", "--p", "53"],
      "e3184ed7f6c63c9684d16222ff3ba7d440298a937249fff84a24771c9570e8c2"),
     ("relations-q30", ["relations", "--q", "30"],
      "02b541b3753ac11fa6c709c6fc96737e360c90e9e6b4f390b8af72ba03334384"),
     ("bbw-q9-l5", ["bbw", "--q", "9", "--l", "5"],
-     "0e631f74effbf99f4a7dd2c45d34916a98f8d83cbc0777359185e3bf1a07f9f2"),
+     "f714b9661c348f4fd9dc2e860dea88468ab3442a5efd742643e434190d694ff7"),
     ("classify-p13", ["classify", "--p", "13", "--f", "1,1,-1,1,-1,-1,1,-1,1,1,-1,-1,0"],
      "e4aa0584c4aa9bfa291047b92eb223922f19fc0eef2b2f0876975fc14c2dda98"),
     ("dedekind-p53", ["dedekind", "--p", "53"],
@@ -208,18 +223,18 @@ GOLDEN = [
     ("relations-q48-text", ["relations", "--q", "48", "--output", "text"],
      "ea81dd356b10dc429f01b7d3343fc55f2f08c9f4e561e0c127b512da11b243a2"),
     ("lseries-q300-fourier", ["lseries", "--q", "300", f"--f={GOLDEN_F300}", "--route", "fourier"],
-     "7235b834f3623ec0151a9f4348283ebb69a6584fe6f2cbb490b078d68c0a0017"),
+     "6359f3d7f0ecaac9854d68d83e217064231bd21a5b1270762cddb54cbff147c7"),
     ("lseries-q60-fractions-fourier",
      ["lseries", "--q", "60", f"--f={GOLDEN_F60}", "--route", "fourier"],
-     "cd07fa36b53340690c7cf4c85a274359229ac252c548466d9b9eecdc0ec57d72"),
+     "a6923a70866744ad111fe9e71835976f605cd1e16557084fdc4af81c7946b664"),
     ("bbw-q8-l3", ["bbw", "--q", "8", "--l", "3"],
-     "4260226fb5f31d5ebe3d4946f22c4b116b9fa39f27ba478a2b9433bdcf230842"),
+     "41a3b03946e929e10fac6573e80f6d0bb0477db2bf474394f4706329d80175b0"),
     ("lseries-q120-direct", ["lseries", "--q", "120", f"--f={GOLDEN_F120}", "--route", "direct"],
-     "fd71aefa68cd4096b18c68dcab1e98c5658798a30156fc11c1b758d39a51c017"),
+     "441c3625198b3964d8695adccc1aec9965569ae2aa0e0028fda3e1ef51088ef4"),
     ("intrel-q7", ["intrel", "--q", "7"],
      "609f70e4b943275473e5e702d9be04184ad0596d496febec5a6014b6b910471e"),
     ("decompose-q20", ["decompose", "--q", "20", f"--f={GOLDEN_F20}"],
-     "af0477444039a2ae0c29d2c4dcfcc153cddee7960717efc5bb7797227b465705"),
+     "2bbc8120cca76a3428bc17c368c411c21ecbe8d1bba17cd07e6ce3b01300c3bb"),
     ("certificate-p101", ["certificate", "--p", "101"],
      "d1a2505cbad179431a10800ec87ca40a3dea974951435d7fea8871050afc3f1b"),
     ("scan-q11-threads2", ["scan", "--q", "11", "--threads", "2", "--store", ""],
@@ -237,20 +252,22 @@ GOLDEN = [
     ("intrel-q12-text", ["intrel", "--q", "12", "--output", "text"],
      "dcc998e0c39df687df154be9fff4bcd6b04c042f84c88288e28b0292830bd636"),
     ("lseries-q300-digamma", ["lseries", "--q", "300", f"--f={GOLDEN_F300}"],
-     "2d6ff50e704d29f8cef2a37750e7e717780e86260d47ddee884dd4ca3a7ce07b"),
+     "2772aae5be397f08b5b5a3736829b5da2335e7259278eacaf41906b502600100"),
     ("decompose-q12-wide", ["decompose", "--q", "12", f"--f={GOLDEN_F12_WIDE}"],
-     "64e5a8661072c80256062eceabb11e2ebd14905681b70ce5bb3ee86166d97b4e"),
+     "c26f963d75c4efc87948bd7e58c0fcfd50b1169819bba0794a379506c2d9b19f"),
 ]
 
 ROOT = Path(__file__).resolve().parent.parent
 # SHA-256 of each demo's stdout, recorded with the certificate GOLDEN entries;
-# demo 05's again when its warm-up search moved onto the q = 4 basis
+# demo 05's again when its warm-up search moved onto the q = 4 basis, and
+# demos 02 and 04 when every sum over the tables was rounded once and the
+# direct route left float64
 DEMO_STDOUT = {
     "00_precision_kernel.py": "fa68d0ea283b9fd07f884705a7c0f835ac8e793234584a8eea86e13e31fcb61a",
     "01_log_sine_relations.py": "ae0eac76f2938f5655c601e103f9f4237d60edcf7024b56207e7eea8c70b8b72",
-    "02_l_values_three_routes.py": "f644db6606056d381a2727d8344f9c2f52354a3cebf2f0dacd7bf4166679d74d",
+    "02_l_values_three_routes.py": "ac5e21477a19d97fedb48af2d251cb73b380efa85c8a45766e48c958efbbd3c4",
     "03_prime_certificates.py": "f5713a49991767345c7f4752d1e830027b81c9551f888c32b20bf9f3126372d8",
-    "04_sign_scan.py": "713dd7fdde6227b227670ecd5ee2aebc1570d41a79d5ecc5853bc5fc29368e3e",
+    "04_sign_scan.py": "c43dc2524972e92b83d68164972acf1a02739e5cc2bb36b4576ce4c48847bb95",
     "05_integer_relations.py": "8eed0ddac16e4a10b060a610c7c0d9d4e39ecf41cf05107be5ba44950af59725",
 }
 
