@@ -5,9 +5,9 @@ generator decomposition of (Z/qZ)*; a route reads chi(a) as the integer
 index k with chi(a) = e^(2 pi i k/m), m the exponent of the group, or as
 t = k/m in [0, 1).  Root-of-unity work keeps exponents exact and reads
 cos/sin of pi-rational angles from the tables layer, so no argument error
-ever accumulates.  The discrete Fourier transform's sums are exact integer
-arithmetic over the 2^wp-scaled roots of the tables layer; each component
-is rounded only when it is converted to an mpf.
+ever accumulates.  The discrete Fourier transform's sums are the tables
+layer's exact weighted sums over its cos and sin tables, each rounded once
+and then divided by q.
 """
 
 from __future__ import annotations
@@ -186,11 +186,6 @@ class DirichletCharacter:
         m = st.exponent
         return sum(e * k * (m // o) for e, k, o in zip(self.exponents, st.dlog[n], st.orders)) % m
 
-    def value_exponent(self, n: int) -> Optional[Fraction]:
-        """t in [0,1) with chi(n) = e^(2 pi i t), or None when gcd(n, q) > 1."""
-        k = self.value_index(n)
-        return None if k is None else Fraction(k, self.structure.exponent)
-
     @property
     def is_even(self) -> bool:
         """chi(-1) = 1, read exactly from the root index of chi(-1) = +-1."""
@@ -202,9 +197,6 @@ class DirichletCharacter:
     def order(self) -> int:
         st = self.structure
         return lcm(*(o // gcd(e, o) for e, o in zip(self.exponents, st.orders))) if st.orders else 1
-
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
 
 
 def enumerate_characters(q: int, even_only: bool = False) -> Tuple[DirichletCharacter, ...]:
@@ -299,25 +291,25 @@ class PeriodicFunction:
 def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmath.mpf, mpmath.mpf]]:
     """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), k = 1..q, as (re, im) pairs.
 
-    Every value is written exactly as n_a / d over one common denominator d,
-    so each component is one exact integer sum sum_a n_a C[-ak mod q] over
-    the 2^wp-scaled roots C = ``tables(q, wp).fixed_roots``, rounded once
-    to an mpf and once more by the division by d q.  Each scaled root is
-    within 2^-wp of its ``roots`` entry, so each component is within
-    (sum_a |f(a)|) 2^-wp / q of the exact transform over those roots, plus
-    the two roundings at wp bits.
+    For k = 1..q/2, q Re fhat(k) = sum_a f(a) cos(2 pi ak/q) and
+    -q Im fhat(k) = sum_a f(a) sin(2 pi ak/q) are ``Tables.weighted_sums``
+    over the cos and sin tables at the rows (ak mod q)_a: each the
+    correctly rounded exact sum, then divided by q.  f is real, so
+    fhat(q - k) is written as the conjugate of fhat(k) (k = q/2 once) and
+    fhat is conjugate-symmetric by construction; fhat(q), the row of
+    zeros over cos 0 = 1, is the mean of f.
     """
     q = f.period
-    fixed = tables(q, wp).fixed_roots
-    numerators, d = f.exact_values
-    nums = [(a, n) for a, n in enumerate(numerators, 1) if n != 0]
+    tab = tables(q, wp)
+    half = range(1, q // 2 + 1)
+    rows = [[(a * k) % q for a in range(1, q + 1)] for k in half]
+    cos = tab.weighted_sums("cos", f, [*rows, [0] * q])
+    sin = tab.weighted_sums("sin", f, rows)
     out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {}
     with mp.workprec(wp):
-        for k in range(1, q + 1):
-            re = im = 0
-            for a, n in nums:
-                c, s = fixed[(-a * k) % q]
-                re += n * c
-                im += n * s
-            out[k] = (mpmath.mpf((re, -wp)) / (d * q), mpmath.mpf((im, -wp)) / (d * q))
+        out[q] = (cos[-1] / q, mpmath.mpf(0))
+        for k, c, s in zip(half, cos, sin):
+            re, im = c / q, s / q
+            out[q - k] = (re, im)
+            out[k] = (re, -im)
     return out

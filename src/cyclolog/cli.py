@@ -385,7 +385,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("bbw", help="kernel function f_l and its (vanishing) L-value")
+    p = sub.add_parser("bbw", help="kernel function f_l and its L-value (zero unless q is even and l = q-1)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     common(p)

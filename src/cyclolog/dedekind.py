@@ -14,12 +14,12 @@ admit no rational linear relation.
 
 ``determinant_check`` computes the determinant both ways, and its record
 reads the certificate's verdicts off the factors it holds.  The direct
-route is an LU in fixed point: integers scaled by 2^wp, read from the
-``fixed_log_sines`` table, with an a-posteriori estimate of its relative
-error that decides whether to restart at doubled precision.  Each factor
-follows the tables' summation rule: its components are exact sums over the
-tables' integer forms of the log-sines and of the (p-1)-th roots of unity,
-each rounded once at wp.  So to first order each is within
+route is an LU in fixed point over the tables' exact integer form of the
+log-sines, ``log_sines_aligned``, with an a-posteriori estimate of its
+relative error that decides whether to restart at doubled precision.  Each
+factor follows the tables' summation rule: its components are exact sums
+over the tables' integer forms of the log-sines and of the (p-1)-th roots
+of unity, each rounded once at wp.  So to first order each is within
 sum_a (|t_a| eps_root + eps_log) + 1/2 ulp of the exact S_chi, where
 t_a = log(2 sin(a pi/p)) and eps_root, eps_log bound the errors of the
 root and log-sine entries.
@@ -60,9 +60,11 @@ def _matrix(p: int, entries: Sequence[T]) -> List[List[T]]:
     return [[entries[fold(a * cinv, p) - 1] for cinv in inverses] for a in range(1, r + 1)]
 
 
-def _fixed_matrix(p: int, wp: int) -> List[List[int]]:
-    """The Dedekind-type matrix with entries as integers scaled by 2^wp."""
-    return _matrix(p, tables(p, wp).fixed_log_sines)
+def _aligned_matrix(p: int, wp: int) -> Tuple[List[List[int]], int]:
+    """The Dedekind-type matrix over the aligned log-sines at wp: integer
+    rows and the scale s, each entry being exactly its integer times 2^-s."""
+    logs, exp = tables(p, wp).log_sines_aligned
+    return _matrix(p, logs), -exp
 
 
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
@@ -110,18 +112,19 @@ class LU(NamedTuple):
     growth_bits: float
 
 
-def _lu_det(rows: List[List[int]], wp: int) -> LU:
-    """Determinant by LU with partial pivoting on integers scaled by 2^wp.
+def _lu_det(rows: List[List[int]], s: int, wp: int) -> LU:
+    """Determinant by LU with partial pivoting on integers scaled by 2^s,
+    rounded to nearest once at wp bits.
 
-    Eliminating row i by pivot row c sets factor = (a_ic << wp) // u_cc,
-    with |factor| <= 2^wp, and a_ij -= (factor * a_cj) >> wp.  Each entry
-    starts within 2^-wp of its value, and each of its at most n updates
-    loses less than (1 + peak) 2^-wp: 2^-wp from the shift and |a_cj| 2^-wp
-    from the truncated factor, where peak bounds every |entry| met.  So each
-    pivot u_kk is off by about n (2 + peak) 2^-wp, and to first order the
+    Eliminating row i by pivot row c sets factor = (a_ic << s) // u_cc,
+    with |factor| <= 2^s, and a_ij -= (factor * a_cj) >> s.  Each entry
+    starts as its value exactly, and each of its at most n updates loses
+    less than (1 + peak) 2^-s: 2^-s from the shift and |a_cj| 2^-s from the
+    truncated factor, where peak bounds every |entry| met.  So each pivot
+    u_kk is off by less than n (2 + peak) 2^-s, and to first order the
     relative error of det = prod u_kk is about
 
-        n (2 + peak) 2^-wp sum_k 1/|u_kk|.
+        n (2 + peak) 2^-s sum_k 1/|u_kk|.
 
     This is an estimate, not a rigorous bound: it ignores how errors in a
     pivot row reach later rows through the factors.  The product of the
@@ -145,17 +148,17 @@ def _lu_det(rows: List[List[int]], wp: int) -> LU:
         pivots.append(u)
         for i in range(col + 1, n):
             row = a[i]
-            factor = (row[col] << wp) // u
+            factor = (row[col] << s) // u
             if factor:
                 row[col + 1:] = tail = [
-                    x - ((factor * y) >> wp) for x, y in zip(row[col + 1:], top[col + 1:])
+                    x - ((factor * y) >> s) for x, y in zip(row[col + 1:], top[col + 1:])
                 ]
                 peak = max(peak, max(map(abs, tail)))
-    det = mp.make_mpf(from_man_exp(sign * math.prod(pivots), -wp * n, wp, round_nearest))
+    det = mp.make_mpf(from_man_exp(sign * math.prod(pivots), -s * n, wp, round_nearest))
     with mp.workprec(53):
-        # sum_k 1/|u_kk| is 2^wp times the sum over the scaled pivots
+        # sum_k 1/|u_kk| is 2^s times the sum over the scaled pivots
         inverses = mpmath.fsum(mpmath.mpf(1) / abs(u) for u in pivots)
-        estimate = n * (2 + mpmath.ldexp(peak, -wp)) * inverses
+        estimate = n * (2 + mpmath.ldexp(peak, -s)) * inverses
         accurate_bits = -float(mpmath.log(estimate, 2))
     return LU(det, accurate_bits, math.log2(peak) - math.log2(start))
 
@@ -164,11 +167,11 @@ def det_direct_raw(p: int, wp: int) -> mpmath.mpf:
     """LU determinant of the Dedekind-type matrix, at least wp - GUARD_BITS/2
     bits accurate by the LU's own estimate: while the estimate falls short,
     the LU restarts at doubled precision, at most ``MAX_LU_RESTARTS`` times.
-    For p <= 101 at any wp the estimate leaves about 50 of the 64 guard bits
+    For p <= 101 at any wp the estimate leaves about 54 of the 64 guard bits
     (growth under 3 bits, every pivot at least 0.54), so it never restarts."""
     need = wp - GUARD_BITS // 2
     for restart in range(MAX_LU_RESTARTS + 1):
-        lu = _lu_det(_fixed_matrix(p, wp << restart), wp << restart)
+        lu = _lu_det(*_aligned_matrix(p, wp << restart), wp << restart)
         if lu.accurate_bits >= need:
             return lu.det
     raise DeterminantError(

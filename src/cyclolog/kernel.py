@@ -131,10 +131,6 @@ class Complex:
     def prec(self) -> int:
         return self.re.prec
 
-    def to_mpc(self) -> mpmath.mpc:
-        with mp.workprec(self.prec):
-            return mpmath.mpc(self.re.mpf, self.im.mpf)
-
     def __repr__(self):
         return f"Complex({mpmath.nstr(self.re.mpf, 15)}, {mpmath.nstr(self.im.mpf, 15)}, prec={self.prec})"
 

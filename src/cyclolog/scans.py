@@ -10,8 +10,10 @@ Each scanned function also carries its cotangent and cosine sums: for
 prime period, exactly one of "L is nonzero" / "all those trig sums
 vanish" can hold, and :func:`dichotomy` decides which.  The functions
 with vanishing L among odd algebraic-valued ones are spanned by the
-classical kernel family built by :func:`bbw_function`; their L-values and
-trig sums all classify Zero (numeric-only evidence, by construction).
+classical kernel family built by :func:`bbw_function`: every member for
+odd q, and for even q the members with l <= q - 3.  Their L-values and
+trig sums classify Zero (numeric-only evidence, by construction); the
+even-q member l = q - 1 is admitted too, but its L is not zero.
 
 Scans are embarrassingly parallel over sign vectors.  Worker processes
 (not threads: the arithmetic context is process-global) produce one
@@ -180,7 +182,9 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
 
     Values are Reals at working precision; f_l is odd by construction
     (the upper half mirrors the lower half exactly), so the L-vanishing
-    evidence these functions provide is numeric, not symbolic.
+    evidence these functions provide is numeric, not symbolic.  L(1, f_l)
+    vanishes for odd q and, for even q, when l <= q - 3; the even-q member
+    l = q - 1 is not in the kernel (L = pi/4 for q = 4).
     """
     if l % 2 == 0 or l < 3:
         raise ValueError(f"l must be odd and >= 3, got {l}")

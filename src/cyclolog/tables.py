@@ -1,9 +1,7 @@
 """Per-(q, wp) tables of the numbers every route is assembled from:
-log(2 sin k pi/q) (alone, as the slot values of a relation basis and, in
-``fixed_log_sines``, as integers scaled by 2^wp), the roots of unity
-e^(2 pi i j/q) (as mpfs and, in ``fixed_roots``, as integers scaled by
-2^wp), cot(a pi/q) and psi(a/q) for one modulus q at one working
-precision wp.  Every cos or sin of a rational multiple of pi
+log(2 sin k pi/q) (alone and as the slot values of a relation basis), the
+roots of unity e^(2 pi i j/q), cot(a pi/q) and psi(a/q) for one modulus q
+at one working precision wp.  Every cos or sin of a rational multiple of pi
 in the package is read from here: e^(2 pi i num/den) from the roots of den,
 and cos, sin of n pi/q from the roots of 2q.
 
@@ -11,7 +9,9 @@ and cos, sin of n pi/q from the roots of 2q.
 recompute at doubled precision gets its own entry.  Each family is built
 on first use.  Each family that a sum reads (cot, cos, sin, psi, the
 log-sines) has one exact integer form, ``<family>_aligned``: integers T_i
-and one exponent E with T_i * 2^E = t_i.
+and one exponent E with T_i * 2^E = t_i.  It is the only integer form of a
+table: the psi entries, :meth:`Tables.weighted_sums` (and through it the
+Fourier transform), ``dedekind.s_chi_raw`` and the LU determinant all read it.
 
 One summation rule holds for every number derived from the tables: the psi
 entries, :meth:`Tables.weighted_sums` and ``dedekind.s_chi_raw``.  The
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest
 
 from .kernel import const_raw, fold, log_2sin_raw, man_exp
 
@@ -71,12 +71,6 @@ class Tables:
         """log(2 sin(k pi / q)) for k = 1..q//2."""
         return tuple(log_2sin_raw(k, self.q, self.wp) for k in range(1, self.q // 2 + 1))
 
-    @cached_property
-    def fixed_log_sines(self) -> Tuple[int, ...]:
-        """``log_sines`` as integers scaled by 2^wp, each within one unit of
-        2^-wp of its entry."""
-        return tuple(to_fixed(t._mpf_, self.wp) for t in self.log_sines)
-
     def log_sine(self, k: int) -> mpmath.mpf:
         """log(2 sin(k pi / q)) for any k not divisible by q, folded to [1, q/2]."""
         return self.log_sines[fold(k, self.q) - 1]
@@ -107,13 +101,6 @@ class Tables:
     def sin(self) -> Tuple[mpmath.mpf, ...]:
         """sin(2 pi j / q) for j = 0..q-1, the second components of ``roots``."""
         return tuple(s for _, s in self.roots)
-
-    @cached_property
-    def fixed_roots(self) -> Tuple[Tuple[int, int], ...]:
-        """(cos, sin) of 2 pi j / q as integers scaled by 2^wp, for j = 0..q-1;
-        each is within one unit of 2^-wp of its ``roots`` entry."""
-        wp = self.wp
-        return tuple((to_fixed(c._mpf_, wp), to_fixed(s._mpf_, wp)) for c, s in self.roots)
 
     @cached_property
     def cot(self) -> Tuple[mpmath.mpf, ...]:
@@ -175,8 +162,8 @@ class Tables:
         self, family: str, f: "PeriodicFunction", indexes: Iterable[Sequence[int]]
     ) -> List[mpmath.mpf]:
         """For each index in ``indexes``, sum(f(a) * t[index[a - 1]] for
-        a = 1..len(index)) where t is the ``family`` table ("cot", "psi" or
-        "cos"): formed exactly over the aligned family and f's exact values
+        a = 1..len(index)) where t is the ``family`` table ("cot", "psi",
+        "cos" or "sin"): formed exactly over the aligned family and f's exact values
         n_a / d, then rounded to nearest once at wp bits."""
         wp = self.wp
         entries, exp = getattr(self, family + "_aligned")

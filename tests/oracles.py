@@ -7,7 +7,8 @@ S_chi over Fraction exponents, L(1, chi) through the Gauss-sum identity,
 the inverse Fourier transform, roots of unity and kernel-function values
 by direct cospi/sinpi, the digamma-route sum and the trig sums as mpf
 loops summed by fsum, the determinant by LU in mpf arithmetic) or an
-exact helper (rational span membership, Euler's phi) that a test checks a
+exact helper (rational span membership, Euler's phi, a character's
+exponent t and its conjugate, a Complex as an mpc) that a test checks a
 route's output with.
 
 ``exact_sum_reference`` is the exact oracle of the tables' summation rule:
@@ -20,7 +21,7 @@ so they agree with it only within a bound in ulps, which each test states.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -38,6 +39,23 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
+
+
+def value_exponent(chi: DirichletCharacter, n: int) -> Optional[Fraction]:
+    """t in [0, 1) with chi(n) = e^(2 pi i t), or None when gcd(n, q) > 1."""
+    k = chi.value_index(n)
+    return None if k is None else Fraction(k, chi.structure.exponent)
+
+
+def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
+    """The complex conjugate character of chi."""
+    return DirichletCharacter(chi.modulus, tuple(-e for e in chi.exponents))
+
+
+def to_mpc(z: Complex) -> mpmath.mpc:
+    """A Complex as an mpc at its own precision."""
+    with mp.workprec(z.prec):
+        return mpmath.mpc(z.re.mpf, z.im.mpf)
 
 
 def unit_root_reference(num: int, den: int, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
@@ -171,7 +189,7 @@ def gauss_sum_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.
         re = mpmath.mpf(0)
         im = mpmath.mpf(0)
         for a in range(1, q + 1):
-            t = chi.value_exponent(a)
+            t = value_exponent(chi, a)
             if t is None:
                 continue
             # chi(a) * zeta_q^a = e^(2 pi i (t + a/q))
@@ -311,7 +329,7 @@ def s_chi_reference_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, m
         re = mpmath.mpf(0)
         im = mpmath.mpf(0)
         for a in range(1, (p - 1) // 2 + 1):
-            t = chi.value_exponent(a)
+            t = value_exponent(chi, a)
             c, s = roots[int(t * (p - 1))]
             re += c * table[a - 1]
             im += s * table[a - 1]
@@ -325,7 +343,7 @@ def s_chi_terms(chi: DirichletCharacter, wp: int) -> Tuple[List[Tuple[object, ob
     table = tables(p, wp).log_sines
     roots = tables(p - 1, wp).roots
     pairs = [
-        (roots[int(chi.value_exponent(a) * (p - 1))], table[a - 1]) for a in range(1, (p - 1) // 2 + 1)
+        (roots[int(value_exponent(chi, a) * (p - 1))], table[a - 1]) for a in range(1, (p - 1) // 2 + 1)
     ]
     return [(c, t) for (c, _), t in pairs], [(s, t) for (_, s), t in pairs]
 
@@ -355,7 +373,7 @@ def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
     """L(1, chi) = -(tau(chi)/p) sum_k conj(chi)(k) log|1 - zeta_p^k| as (re, im)."""
     p = chi.modulus
     tre, tim = gauss_sum_raw(chi, wp)
-    chibar = chi.conjugate()
+    chibar = conjugate(chi)
     tab = tables(p, wp)
     # chi's values are (p-1)-th roots of unity
     roots = tables(p - 1, wp).roots
@@ -363,7 +381,7 @@ def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
         sre = mpmath.mpf(0)
         sim = mpmath.mpf(0)
         for k in range(1, p):
-            t = chibar.value_exponent(k)
+            t = value_exponent(chibar, k)
             if t is None:
                 continue
             c, s = roots[int(t * (p - 1))]

@@ -6,6 +6,7 @@ The Gauss sums and the inverse transform they check come from
 ``oracles.py``.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -24,10 +25,18 @@ from cyclolog.characters import (
     is_prime,
     unit_group_structure,
 )
-from cyclolog.kernel import working_prec
+from cyclolog.kernel import to_mpf, working_prec
 from cyclolog.scans import bbw_function
 from cyclolog.tables import tables
-from oracles import euler_phi, gauss_sum, inverse_fourier
+from oracles import (
+    conjugate,
+    euler_phi,
+    exact_sum_reference,
+    gauss_sum,
+    inverse_fourier,
+    to_mpc,
+    value_exponent,
+)
 
 
 def brute_order(g, q):
@@ -118,8 +127,8 @@ def test_enumerate_q3_nontrivial_is_quadratic():
     assert len(chars) == 2
     nontriv = next(ch for ch in chars if not ch.is_principal)
     assert nontriv.order == 2
-    assert nontriv.value_exponent(1) == 0
-    assert nontriv.value_exponent(2) == Fraction(1, 2)  # chi(2) = -1
+    assert value_exponent(nontriv, 1) == 0
+    assert value_exponent(nontriv, 2) == Fraction(1, 2)  # chi(2) = -1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
@@ -140,9 +149,9 @@ def test_character_multiplicativity_exact():
             for a in range(1, q + 1):
                 for b in range(1, q + 1):
                     ta, tb, tab = (
-                        chi.value_exponent(a),
-                        chi.value_exponent(b),
-                        chi.value_exponent(a * b),
+                        value_exponent(chi, a),
+                        value_exponent(chi, b),
+                        value_exponent(chi, a * b),
                     )
                     if ta is None or tb is None:
                         assert tab is None
@@ -160,9 +169,9 @@ def test_chi_minus_one_is_exact_sign():
 def test_vanishing_off_units():
     chi = enumerate_characters(6)[0]
     assert chi.is_principal
-    assert chi.value_exponent(2) is None
-    assert chi.value_exponent(3) is None
-    assert chi.value_exponent(4) is None
+    assert value_exponent(chi, 2) is None
+    assert value_exponent(chi, 3) is None
+    assert value_exponent(chi, 4) is None
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +184,7 @@ def brute_gauss_sum(chi, prec=128):
     with mp.workprec(prec):
         total = mpmath.mpc(0)
         for a in range(1, q + 1):
-            t = chi.value_exponent(a)
+            t = value_exponent(chi, a)
             if t is None:
                 continue
             ang = 2 * mpmath.pi * (mpmath.mpf(t.numerator) / t.denominator + mpmath.mpf(a) / q)
@@ -194,7 +203,7 @@ def test_gauss_sum_quadratic_mod5_is_sqrt5():
     assert abs(tau.im.mpf) < mpmath.mpf(2) ** -120
     with mp.workprec(200):
         brute = brute_gauss_sum(quadratic_character(5), 200)
-        assert abs(tau.to_mpc() - brute) < mpmath.mpf(2) ** -100
+        assert abs(to_mpc(tau) - brute) < mpmath.mpf(2) ** -100
 
 
 def test_gauss_sum_magnitude_mod7():
@@ -219,7 +228,7 @@ def test_gauss_sum_matches_brute_force_samples():
         for chi in enumerate_characters(q)[:4]:
             tau = gauss_sum(chi, 96)
             with mp.workprec(200):
-                assert abs(tau.to_mpc() - brute_gauss_sum(chi, 200)) < mpmath.mpf(2) ** -80
+                assert abs(to_mpc(tau) - brute_gauss_sum(chi, 200)) < mpmath.mpf(2) ** -80
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +248,7 @@ def test_orthogonality(q):
                 )
                 total = mpmath.mpc(0)
                 for a in range(1, q + 1):
-                    t = prod.value_exponent(a)
+                    t = value_exponent(prod, a)
                     if t is None:
                         continue
                     ang = 2 * mpmath.pi * mpmath.mpf(t.numerator) / t.denominator
@@ -271,18 +280,18 @@ def test_fourier_of_character_is_gauss_sum_twist():
         f = PeriodicFunction.from_rationals(
             p,
             [
-                1 if chi.value_exponent(a) == 0 else -1 if chi.value_exponent(a) is not None else 0
+                1 if value_exponent(chi, a) == 0 else -1 if value_exponent(chi, a) is not None else 0
                 for a in range(1, p + 1)
             ],
         )
         fhat = fourier_transform_raw(f, working_prec(prec))
         tau = gauss_sum(chi, prec)
-        chibar = chi.conjugate()
+        chibar = conjugate(chi)
         with mp.workprec(working_prec(prec)):
             for k in range(1, p):
-                t = chibar.value_exponent(-k)
+                t = value_exponent(chibar, -k)
                 ang = 2 * mpmath.pi * mpmath.mpf(t.numerator) / t.denominator
-                expected = mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang)) * tau.to_mpc() / p
+                expected = mpmath.mpc(mpmath.cos(ang), mpmath.sin(ang)) * to_mpc(tau) / p
                 assert abs(mpmath.mpc(*fhat[k]) - expected) < mpmath.mpf(2) ** (-prec + 16)
 
 
@@ -376,6 +385,57 @@ def test_integer_transform_matches_the_mpf_loop(inputs):
         for k in range(1, q + 1):
             assert abs(fhat[k][0] - ref[k][0]) <= tol, k
             assert abs(fhat[k][1] - ref[k][1]) <= tol, k
+
+
+def seeded_function(q, seed, low, high):
+    rng = random.Random(seed)
+    return PeriodicFunction.from_rationals(q, [rng.randint(low, high) for _ in range(q)])
+
+
+TRANSFORM_FUNCTIONS = {
+    "signs-q2": seeded_function(2, 1, -1, 1),
+    "signs-q3": seeded_function(3, 2, -1, 1),
+    "signs-q12": seeded_function(12, 3, -1, 1),
+    "signs-q13": seeded_function(13, 4, -1, 1),
+    "integers-q2": seeded_function(2, 5, -9, 9),
+    "integers-q3": seeded_function(3, 6, -9, 9),
+    "integers-q30": seeded_function(30, 7, -9, 9),
+    "integers-q35": seeded_function(35, 8, -9, 9),
+    "fractions-q12": PeriodicFunction.from_rationals(
+        12, [Fraction(a % 7 - 3, a % 5 + 1) for a in range(1, 13)]
+    ),
+    "fractions-q9": PeriodicFunction.from_rationals(
+        9, ["1/3", "-5/12", "0", "1/4", "-1/6", "0", "7/9", "-1", "2/11"]
+    ),
+    "bbw-q8-l3": bbw_function(8, 3, 64),
+    "bbw-q12-l11": bbw_function(12, 11, 64),
+    "bbw-q9-l5": bbw_function(9, 5, 64),
+}
+
+
+@pytest.mark.parametrize("wp", [working_prec(64), 2 * working_prec(64)])
+@pytest.mark.parametrize("name", sorted(TRANSFORM_FUNCTIONS))
+def test_transform_is_the_exact_table_sums_over_q(name, wp):
+    # q Re fhat(k) and -q Im fhat(k) for k <= q/2 are the exact sums over the
+    # cos and sin tables rounded once, fhat(q - k) is the conjugate of
+    # fhat(k) and fhat(q) the mean, all bit for bit
+    f = TRANSFORM_FUNCTIONS[name]
+    q = f.period
+    tab = tables(q, wp)
+    fhat = fourier_transform_raw(f, wp)
+    assert sorted(fhat) == list(range(1, q + 1))
+    with mp.workprec(wp):
+        for k in range(1, q // 2 + 1):
+            row = [(a * k) % q for a in range(1, q + 1)]
+            re = exact_sum_reference(zip(f.values, (tab.cos[i] for i in row)), wp)
+            im = exact_sum_reference(zip(f.values, (tab.sin[i] for i in row)), wp)
+            assert [x._mpf_ for x in fhat[k]] == [(re / q)._mpf_, (-(im / q))._mpf_], k
+            assert [x._mpf_ for x in fhat[q - k]] == [fhat[k][0]._mpf_, (-fhat[k][1])._mpf_], k
+        mean = exact_sum_reference(((v, 1) for v in f.values), wp) / q
+        assert [x._mpf_ for x in fhat[q]] == [mean._mpf_, mpmath.mpf(0)._mpf_]
+    if f.is_exact:
+        with mp.workprec(wp):
+            assert fhat[q][0] == to_mpf(f.mean_sum(), wp) / q
 
 
 def test_is_prime_small_values():

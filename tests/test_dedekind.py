@@ -19,7 +19,7 @@ from cyclolog.dedekind import (
     CERTIFICATE_NOTES,
     MAX_LU_RESTARTS,
     DeterminantError,
-    _fixed_matrix,
+    _aligned_matrix,
     _lu_det,
     _matrix,
     det_direct_raw,
@@ -29,12 +29,15 @@ from cyclolog.dedekind import (
 from cyclolog.kernel import GUARD_BITS, Real, dec_str, decimal_digits, working_prec
 from cyclolog.tables import tables
 from oracles import (
+    conjugate,
     exact_sum_reference,
     gauss_sum,
     l1_chi_via_gauss,
     lu_det_reference,
     s_chi_reference_raw,
     s_chi_terms,
+    to_mpc,
+    value_exponent,
     within_ulps,
 )
 
@@ -121,12 +124,12 @@ def test_s_chi_cross_check_against_l_value():
         for chi, (val, _) in s_chi_factors(p).items():
             if chi.is_principal:
                 continue
-            chibar = chi.conjugate()
+            chibar = conjugate(chi)
             lval = l1_chi_via_gauss(chibar, 128)
             tau = gauss_sum(chibar, 128)
             with mp.workprec(working_prec(128)):
-                lhs = val.to_mpc()
-                rhs = -p * lval.to_mpc() / (2 * tau.to_mpc())
+                lhs = to_mpc(val)
+                rhs = -p * to_mpc(lval) / (2 * to_mpc(tau))
                 assert abs(lhs - rhs) < mpmath.mpf(2) ** -110, (p, chi.exponents)
 
 
@@ -159,7 +162,7 @@ def test_character_inversion_recovers_log_sines():
         for a in range(1, r + 1):
             total = mpmath.mpc(0)
             for chi in chars:
-                t = chi.conjugate().value_exponent(a)
+                t = value_exponent(conjugate(chi), a)
                 c, s = unit_root(t.numerator, t.denominator, wp)
                 sre, sim = s_chi_raw(chi, wp)
                 total += mpmath.mpc(c, s) * mpmath.mpc(sre, sim)
@@ -206,7 +209,7 @@ def test_determinant_routes_agree(p):
 @pytest.mark.parametrize("wp", [96, 192, 384])
 def test_fixed_point_lu_agrees_with_the_mpf_lu_within_its_estimate(wp):
     for p in PRIMES:
-        lu = _lu_det(_fixed_matrix(p, wp), wp)
+        lu = _lu_det(*_aligned_matrix(p, wp), wp)
         # growth under 3 bits, so the estimate leaves most of the guard bits
         assert lu.growth_bits < 3 and lu.accurate_bits > wp - GUARD_BITS // 4, p
         reference = lu_det_reference(log_sine_matrix(p, wp), wp)
@@ -226,20 +229,20 @@ def test_fixed_point_lu_renders_as_the_mpf_lu(prec):
 
 
 def wilkinson(n, wp):
-    """1 on the diagonal, -1 below it, 1 in the last column, scaled by 2^wp:
-    partial pivoting keeps every pivot 1 and the last column doubles each
-    step, so det = 2^(n-1) with growth 2^(n-1)."""
+    """1 on the diagonal, -1 below it, 1 in the last column, as rows scaled
+    by 2^wp and the scale wp: partial pivoting keeps every pivot 1 and the
+    last column doubles each step, so det = 2^(n-1) with growth 2^(n-1)."""
     one = 1 << wp
-    return [
-        [one if j == i or j == n - 1 else -one if j < i else 0 for j in range(n)] for i in range(n)
-    ]
+    rows = [[one if j == i or j == n - 1 else -one if j < i else 0 for j in range(n)] for i in range(n)]
+    return rows, wp
 
 
 def singular_but_for_the_last_bit(wp):
-    """[[1, 1], [1, 1 + 2^-wp]] scaled by 2^wp: the second pivot is one unit
-    at every wp, so no precision brings its error estimate down."""
+    """[[1, 1], [1, 1 + 2^-wp]] as rows scaled by 2^wp and the scale wp: the
+    second pivot is one unit at every wp, so no precision brings its error
+    estimate down."""
     one = 1 << wp
-    return [[one, one], [one, one + 1]]
+    return [[one, one], [one, one + 1]], wp
 
 
 def patch_matrix(monkeypatch, build):
@@ -252,7 +255,7 @@ def patch_matrix(monkeypatch, build):
         asked.append(wp)
         return build(wp)
 
-    monkeypatch.setattr(dedekind, "_fixed_matrix", matrix)
+    monkeypatch.setattr(dedekind, "_aligned_matrix", matrix)
     return asked
 
 
@@ -260,7 +263,7 @@ def test_growth_the_estimate_rejects_is_cured_by_one_restart(monkeypatch):
     # growth 2^39 costs about 50 bits of the estimate, more than half of the
     # 64 guard bits at wp = 192 but not at 384
     asked = patch_matrix(monkeypatch, lambda wp: wilkinson(40, wp))
-    assert _lu_det(wilkinson(40, 192), 192).growth_bits == 39
+    assert _lu_det(*wilkinson(40, 192), 192).growth_bits == 39
     assert det_direct_raw(5, 192) == 2 ** 39
     assert asked == [192, 384]
 
@@ -295,7 +298,7 @@ def test_determinant_errors_exit_inconclusive_naming_p(command, capsys, monkeypa
     assert json.loads(capsys.readouterr().out)["error"].startswith("p = 5: the LU determinant")
     # (1 + i)^2 = 2i: a product of factors that is not real
     monkeypatch.setattr(dedekind, "s_chi_raw", lambda chi, wp: (mpmath.mpf(1), mpmath.mpf(1)))
-    monkeypatch.setattr(dedekind, "_fixed_matrix", _fixed_matrix)
+    monkeypatch.setattr(dedekind, "_aligned_matrix", _aligned_matrix)
     assert main([command, "--p", "5"]) == 3
     assert json.loads(capsys.readouterr().out) == {
         "error": "p = 5: the character-factor product is not real"

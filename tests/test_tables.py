@@ -12,7 +12,6 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import mp
-from mpmath.libmp import to_fixed
 
 from cyclolog.characters import unit_root
 from cyclolog.cli import main
@@ -98,29 +97,6 @@ def test_bbw_values_equal_direct_cospi_sinpi(prec):
         for l in range(3, (q - 2 if q % 2 else q - 1) + 1, 2):
             got = [v.mpf._mpf_ for v in bbw_function(q, l, prec).values]
             assert got == [v._mpf_ for v in bbw_values_reference(q, l, prec)], (q, l)
-
-
-@pytest.mark.parametrize("wp", PRECISIONS)
-@pytest.mark.parametrize("q", MODULI)
-def test_fixed_roots_are_the_roots_scaled_by_2_to_the_wp(q, wp):
-    tab = Tables(q, wp)
-    assert tab.fixed_roots == tuple(
-        (to_fixed(c._mpf_, wp), to_fixed(s._mpf_, wp)) for c, s in tab.roots
-    )
-    with mp.workprec(wp + 8):
-        for (c, s), (fc, fs) in zip(tab.roots, tab.fixed_roots):
-            assert abs(mpmath.mpf((fc, -wp)) - c) < mpmath.mpf(2) ** -wp
-            assert abs(mpmath.mpf((fs, -wp)) - s) < mpmath.mpf(2) ** -wp
-
-
-@pytest.mark.parametrize("wp", PRECISIONS)
-@pytest.mark.parametrize("q", MODULI)
-def test_fixed_log_sines_are_the_log_sines_scaled_by_2_to_the_wp(q, wp):
-    tab = Tables(q, wp)
-    assert tab.fixed_log_sines == tuple(to_fixed(t._mpf_, wp) for t in tab.log_sines)
-    with mp.workprec(wp + 8):
-        for t, ft in zip(tab.log_sines, tab.fixed_log_sines):
-            assert abs(mpmath.mpf((ft, -wp)) - t) < mpmath.mpf(2) ** -wp
 
 
 @pytest.mark.parametrize("wp", PRECISIONS)
