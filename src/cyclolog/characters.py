@@ -295,9 +295,10 @@ def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmat
     -q Im fhat(k) = sum_a f(a) sin(2 pi ak/q) are ``Tables.weighted_sums``
     over the cos and sin tables at the rows (ak mod q)_a: each the
     correctly rounded exact sum, then divided by q.  f is real, so
-    fhat(q - k) is written as the conjugate of fhat(k) (k = q/2 once) and
-    fhat is conjugate-symmetric by construction; fhat(q), the row of
-    zeros over cos 0 = 1, is the mean of f.
+    fhat(q - k) is written as the conjugate of fhat(k) (k = q/2 once):
+    fhat is conjugate-symmetric by construction, and the imaginary-part
+    check of ``lseries.l1`` watches the Fourier route's own loop.
+    fhat(q), the row of zeros over cos 0 = 1, is the mean of f.
     """
     q = f.period
     tab = tables(q, wp)
