@@ -10,6 +10,7 @@ dichotomy demonstrates below.
 """
 
 from cyclolog import PeriodicFunction, bbw_function, dichotomy, scan
+from cyclolog.kernel import dec_str, working_prec
 from fractions import Fraction
 
 print("=" * 72)
@@ -49,5 +50,5 @@ for q in (5, 7, 9):
         f = bbw_function(q, l, 128)
         v = dichotomy(f, 128) if q in (5, 7) else None
         branch = v.branch if v else "composite period: dichotomy not defined"
-        print(f"  q={q}, l={l}: f(1) = {f.values[0].to_decimal(8):>12}, "
-              f"f(2) = {f.values[1].to_decimal(8):>14}   {branch}")
+        f1, f2 = (dec_str(f.value_mpf(n, working_prec(128)), 8) for n in (1, 2))
+        print(f"  q={q}, l={l}: f(1) = {f1:>12}, f(2) = {f2:>14}   {branch}")

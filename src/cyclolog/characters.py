@@ -21,9 +21,8 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_rational
 
-from .kernel import Real, to_mpf
+from .kernel import to_mpf
 from .tables import tables
 
 
@@ -215,15 +214,16 @@ def enumerate_characters(q: int, even_only: bool = False) -> Tuple[DirichletChar
 # periodic functions and their transforms
 # ---------------------------------------------------------------------------
 
-PeriodicValue = Union[Fraction, Real]
+PeriodicValue = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class PeriodicFunction:
     """Period-q map a -> f(a), indexed a = 1..q (slot q doubles as slot 0).
 
-    Values are exact rationals in all combinatorial contexts; numeric
-    (Real) values are admitted for the algebraic-valued kernel functions.
+    Values are exact rationals, ints or Fractions; the algebraic-valued
+    kernel functions hold their working-precision values exactly, as the
+    dyadic Fractions they equal.
     """
 
     period: int
@@ -232,23 +232,19 @@ class PeriodicFunction:
     def __post_init__(self):
         if self.period < 1 or len(self.values) != self.period:
             raise ValueError("need exactly one value per residue 1..q")
+        for a, v in enumerate(self.values, 1):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"f({a}) = {v!r} is not an int or a Fraction")
 
     @classmethod
     def from_rationals(cls, q: int, values: Iterable[Union[int, Fraction, str]]) -> "PeriodicFunction":
         return cls(q, tuple(Fraction(v) for v in values))
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.values)
-
     @cached_property
     def exact_values(self) -> Tuple[Tuple[int, ...], int]:
         """The values as integers n_a over one common denominator d, so that
-        f(a) = n_a / d exactly; a Real counts as man * 2^exp."""
-        ratios = [
-            to_rational(v.mpf._mpf_) if isinstance(v, Real) else v.as_integer_ratio()
-            for v in self.values
-        ]
+        f(a) = n_a / d exactly."""
+        ratios = [v.as_integer_ratio() for v in self.values]
         nums, dens = zip(*ratios)
         d = lcm(*dens)
         return (nums if d == 1 else tuple(n * (d // den) for n, den in ratios)), d
@@ -270,22 +266,14 @@ class PeriodicFunction:
     def abs_bound(self) -> float:
         return max(abs(float(to_mpf(v, 64))) for v in self.values)
 
-    def mean_sum(self):
-        """Sum of one period: exact Fraction if possible, else an mpf."""
-        if self.is_exact:
-            return sum(self.values, Fraction(0))
-        wp = max(v.prec if isinstance(v, Real) else 64 for v in self.values)
-        with mp.workprec(wp):
-            return mpmath.fsum(to_mpf(v, wp) for v in self.values)
+    def mean_sum(self) -> Fraction:
+        """The exact sum of one period."""
+        nums, d = self.exact_values
+        return Fraction(sum(nums), d)
 
     def has_zero_mean(self) -> bool:
         """The convergence criterion for L(1, f): one full period sums to zero."""
-        s = self.mean_sum()
-        if isinstance(s, Fraction):
-            return s == 0
-        prec = min(v.prec for v in self.values if isinstance(v, Real))
-        bound = mpmath.mpf(2) ** (-(prec - 24)) * (1 + self.abs_bound())
-        return abs(s) < bound
+        return sum(self.exact_values[0]) == 0
 
 
 def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmath.mpf, mpmath.mpf]]:

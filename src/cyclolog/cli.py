@@ -25,7 +25,7 @@ from . import __version__
 from .characters import PeriodicFunction, enumerate_characters, unit_group_structure
 from .dedekind import CERTIFICATE_NOTES, DeterminantError, determinant_check
 from .intrel import PiCoefficientViolation, find_integer_relation, relation_lattice_rank
-from .kernel import INDETERMINATE, PrecisionError, dec_str, decimal_digits
+from .kernel import INDETERMINATE, PrecisionError, dec_str, decimal_digits, working_prec
 from .lseries import (
     NonConvergentSeriesError,
     decompose_l1,
@@ -256,14 +256,14 @@ def _cmd_classify(args) -> Tuple[dict, int]:
 def _cmd_bbw(args) -> Tuple[dict, int]:
     f = bbw_function(args.q, args.l, args.prec)
     value, cls, cot, cos_sums = evaluate(f, args.prec)
-    digits = decimal_digits(args.prec)
+    digits, wp = decimal_digits(args.prec), working_prec(args.prec)
     payload = {
         "command": "bbw",
         "format": FORMAT,
         "q": args.q,
         "l": args.l,
         "prec_bits": args.prec,
-        "values": [dec_str(v, digits) for v in f.values],
+        "values": [dec_str(f.value_mpf(a, wp), digits) for a in range(1, args.q + 1)],
         "L": dec_str(value, digits),
         "l_class": cls.tag,
         "cot_sum": dec_str(cot, digits),

@@ -46,7 +46,7 @@ class NonConvergentSeriesError(ValueError):
     """sum f(n)/n diverges: one full period of f does not sum to zero."""
 
 
-def _require_convergent(f: PeriodicFunction) -> None:
+def require_convergent(f: PeriodicFunction) -> None:
     if not f.has_zero_mean():
         raise NonConvergentSeriesError(
             f"series diverges: sum f(a) over a period = {f.mean_sum()} != 0"
@@ -126,7 +126,7 @@ def l1_direct_result(f: PeriodicFunction) -> DirectSumResult:
     so the partial sum is (1/q) sum_a f(a) (psi(P + a/q) - psi(a/q)), here
     by ``mpmath.digamma`` at 80 bits, rounded to 53.
     """
-    _require_convergent(f)
+    require_convergent(f)
     q = f.period
     periods = max(2, DEFAULT_DIRECT_TERMS // q)
     wp = 80
@@ -154,7 +154,7 @@ def l1(
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    _require_convergent(f)
+    require_convergent(f)
     wp = working_prec(prec)
     if route == "digamma":
         v = l1_digamma_raw(f, wp)
@@ -212,7 +212,7 @@ def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:
     extra -(f(q)/q) log q, which is folded exactly into the basis via
     log q = sum_{k=1}^{q-1} log(2 sin k pi/q).
     """
-    _require_convergent(f)
+    require_convergent(f)
     q = f.period
     wp = working_prec(prec)
     cot_sum, cos_sums = trig_sums_raw(f, wp)

@@ -11,7 +11,8 @@ prime period, exactly one of "L is nonzero" / "all those trig sums
 vanish" can hold, and :func:`dichotomy` decides which.  The functions
 with vanishing L among odd algebraic-valued ones are spanned by the
 classical kernel family built by :func:`bbw_function`: every member for
-odd q, and for even q the members with l <= q - 3.  Their L-values and
+odd q, and for even q the members with l <= q - 3, each holding its
+working-precision values exactly, as dyadic Fractions.  Their L-values and
 trig sums classify Zero (numeric-only evidence, by construction); the
 even-q member l = q - 1 is admitted too, but its L is not zero.
 
@@ -39,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from .characters import PeriodicFunction, require_odd_prime
 from .kernel import (
@@ -50,7 +52,7 @@ from .kernel import (
     decimal_digits,
     working_prec,
 )
-from .lseries import NonConvergentSeriesError, l1_digamma_raw, trig_sums_raw
+from .lseries import l1_digamma_raw, require_convergent, trig_sums_raw
 from .serialize import canonical_json
 from .tables import tables
 
@@ -75,7 +77,7 @@ def sign_function(q: int, signs: Sequence[int]) -> PeriodicFunction:
     """The sign vector (f(1), ..., f(q-1)) as a periodic function with f(q) = 0."""
     if len(signs) != q - 1 or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be q-1 values in {-1, +1}")
-    return PeriodicFunction(q, tuple(Fraction(s) for s in signs) + (Fraction(0),))
+    return PeriodicFunction(q, (*signs, 0))
 
 
 def _signs_from_positions(q: int, positions: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -121,8 +123,7 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     """
     p = f.period
     require_odd_prime(p)
-    if not f.has_zero_mean():
-        raise NonConvergentSeriesError("sum f(a) over a period must vanish")
+    require_convergent(f)
     wp = working_prec(prec)
     l_raw, l_class, cot, cos_sums = evaluate(f, prec)
 
@@ -180,9 +181,10 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
     Odd q:  f_l(n) = (-1)^(n-1) (sin(n pi/q) / sin(pi/q))^l,   l = 3, 5, .., q-2.
     Even q: the same times cos(n pi/q)/cos(pi/q),              l = 3, 5, .., q-1.
 
-    Values are Reals at working precision; f_l is odd by construction
-    (the upper half mirrors the lower half exactly), so the L-vanishing
-    evidence these functions provide is numeric, not symbolic.  L(1, f_l)
+    Each value is the working-precision number, held exactly as the dyadic
+    Fraction it equals.  The upper half is the exact negation of the lower
+    half, so a period sums to exactly zero; the values only approximate
+    f_l, so the L-vanishing evidence they provide is numeric.  L(1, f_l)
     vanishes for odd q and, for even q, when l <= q - 3; the even-q member
     l = q - 1 is not in the kernel (L = pi/4 for q = 4).
     """
@@ -194,7 +196,7 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
     wp = working_prec(prec)
     roots = tables(2 * q, wp).roots  # (cos, sin) of n pi/q at index n
     c1, s1 = roots[1]
-    vals: List[Real] = [Real(mpmath.mpf(0), wp) for _ in range(q)]
+    vals: List[Fraction] = [Fraction(0)] * q
     with mp.workprec(wp):
         for n in range(1, (q + 1) // 2):
             c, s = roots[n]
@@ -203,8 +205,8 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
                 v *= c / c1
             if n % 2 == 0:
                 v = -v
-            vals[n - 1] = Real(v, wp)
-            vals[q - n - 1] = Real(-v, wp)
+            vals[n - 1] = Fraction(*to_rational(v._mpf_))
+            vals[q - n - 1] = -vals[n - 1]
         # f(q/2) for even q has a cos(pi/2) factor; f(q) sits on a zero of sin
     return PeriodicFunction(q, tuple(vals))
 

@@ -109,6 +109,23 @@ MUTANTS = (
         ("tests/test_characters.py::test_transform_is_the_exact_table_sums_over_q[signs-q13-128]",),
     ),
     Mutant(
+        "has_zero_mean: f(q) left out of the period sum",
+        "characters.py",
+        "return sum(self.exact_values[0]) == 0",
+        "return sum(self.exact_values[0][:-1]) == 0",
+        ("tests/test_lseries.py::test_decompose_handles_nonzero_value_at_q",),
+    ),
+    Mutant(
+        "bbw_function: the mirror slot written without its minus sign",
+        "scans.py",
+        "vals[q - n - 1] = -vals[n - 1]",
+        "vals[q - n - 1] = vals[n - 1]",
+        (
+            "tests/test_scan.py::test_bbw_values_are_exact_and_odd[64]",
+            "tests/test_scan.py::test_bbw_antisymmetry_exact",
+        ),
+    ),
+    Mutant(
         "direct route: the sum divided by q + 1",
         "lseries.py",
         "value = mpmath.fsum(terms) / q",

@@ -25,7 +25,7 @@ from cyclolog.characters import (
     is_prime,
     unit_group_structure,
 )
-from cyclolog.kernel import to_mpf, working_prec
+from cyclolog.kernel import Real, to_mpf, working_prec
 from cyclolog.scans import bbw_function
 from cyclolog.tables import tables
 from oracles import (
@@ -259,6 +259,14 @@ def test_orthogonality(q):
                     assert abs(total) < mpmath.mpf(2) ** (-prec + 16)
 
 
+@pytest.mark.parametrize(
+    "bad", [Real(1, 64), 0.5, mpmath.mpf(1)], ids=["Real", "float", "mpf"]
+)
+def test_periodic_function_rejects_a_non_rational_value_by_its_slot(bad):
+    with pytest.raises(TypeError, match=r"^f\(3\) = "):
+        PeriodicFunction(4, (Fraction(1), 2, bad, Fraction(-3)))
+
+
 # ---------------------------------------------------------------------------
 # Fourier transforms
 # ---------------------------------------------------------------------------
@@ -353,7 +361,7 @@ def reference_fourier_raw(f, wp):
 
 @st.composite
 def transform_inputs(draw):
-    """(f, wp): rational values with denominators up to 12, or a bbw kernel's Reals."""
+    """(f, wp): rational values with denominators up to 12, or a bbw kernel's dyadic values."""
     q = draw(st.integers(min_value=2, max_value=40))
     prec = draw(st.sampled_from((64, 96, 128, 192)))
     if q >= 4 and draw(st.booleans()):
@@ -433,9 +441,7 @@ def test_transform_is_the_exact_table_sums_over_q(name, wp):
             assert [x._mpf_ for x in fhat[q - k]] == [fhat[k][0]._mpf_, (-fhat[k][1])._mpf_], k
         mean = exact_sum_reference(((v, 1) for v in f.values), wp) / q
         assert [x._mpf_ for x in fhat[q]] == [mean._mpf_, mpmath.mpf(0)._mpf_]
-    if f.is_exact:
-        with mp.workprec(wp):
-            assert fhat[q][0] == to_mpf(f.mean_sum(), wp) / q
+        assert fhat[q][0] == to_mpf(f.mean_sum(), wp) / q
 
 
 def test_is_prime_small_values():

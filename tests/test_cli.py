@@ -255,6 +255,12 @@ def test_classify_command(capsys):
     assert payload["cos_sums"]["1"].startswith("2.2360679")
 
 
+def test_classify_divergent_exits_2_with_the_lseries_message(capsys):
+    code, out, err = run_cli(capsys, "classify", "--p", "5", "--f", "1,1,1,1,0")
+    assert code == 2
+    assert json.loads(out)["error"] == "series diverges: sum f(a) over a period = 4 != 0"
+
+
 def test_bbw_command(capsys):
     code, payload = run_json(capsys, "bbw", "--q", "5", "--l", "3")
     assert code == 0

@@ -241,7 +241,7 @@ def test_fourier_route_accepts_a_vanishing_l_with_large_summands():
     # L(1, f) is about 0 while sum |f(a)| is about 2.3e21: the imaginary
     # part's noise scales with the summands, not with the result
     f = bbw_function(25, 23, 128)
-    total = mpmath.fsum(abs(v.mpf) for v in f.values)
+    total = float(sum(abs(v) for v in f.values))
     vf = l1(f, "fourier", 128)
     vd = l1(f, "digamma", 128)
     assert abs(vf.mpf - vd.mpf) <= mpmath.mpf(2) ** -(128 - 8) * total

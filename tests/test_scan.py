@@ -2,6 +2,8 @@
 functions, and the append-only scan store."""
 
 import json
+from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import mpmath
@@ -249,7 +251,7 @@ def test_dichotomy_rejects_divergent():
     f = PeriodicFunction.from_rationals(5, [1, 1, 1, 1, 0])
     from cyclolog.lseries import NonConvergentSeriesError
 
-    with pytest.raises(NonConvergentSeriesError):
+    with pytest.raises(NonConvergentSeriesError, match=r"^series diverges: sum f\(a\) over a period = 4 != 0$"):
         dichotomy(f, 128)
 
 
@@ -315,7 +317,30 @@ def test_bbw_antisymmetry_exact():
         with mp.workprec(400):
             for n in range(1, q):
                 assert f.value_mpf(q - n, 160) + f.value_mpf(n, 160) == 0, (q, l, n)
-        assert f.value_at(q).mpf == 0
+        assert f.value_at(q) == 0
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_bbw_values_are_exact_and_odd(prec):
+    # every kernel function with 4 <= q <= 40 holds exact rationals whose
+    # period sums to exactly zero, with f(q - n) = -f(n) exactly
+    for q in range(4, 41):
+        for l in range(3, (q - 2 if q % 2 else q - 1) + 1, 2):
+            f = bbw_function(q, l, prec)
+            assert all(type(v) in (int, Fraction) for v in f.values), (q, l)
+            assert f.has_zero_mean(), (q, l)
+            assert all(f.value_at(q - n) == -f.value_at(n) for n in range(1, q)), (q, l)
+
+
+def test_sign_function_equals_the_rational_function():
+    for q in (3, 5, 7, 9):
+        for positions in combinations(range(q - 1), (q - 1) // 2):
+            signs = tuple(1 if i in positions else -1 for i in range(q - 1))
+            f = sign_function(q, signs)
+            g = PeriodicFunction.from_rationals(q, [*signs, 0])
+            assert all(type(v) is int for v in f.values)
+            assert f == g
+            assert (f.exact_values, f.unit_values) == (g.exact_values, g.unit_values)
 
 
 def test_bbw_even_modulus_midpoint_is_zero():

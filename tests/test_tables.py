@@ -95,7 +95,8 @@ def test_unit_root_equals_direct_cospi_sinpi(wp):
 def test_bbw_values_equal_direct_cospi_sinpi(prec):
     for q in range(3, 41):
         for l in range(3, (q - 2 if q % 2 else q - 1) + 1, 2):
-            got = [v.mpf._mpf_ for v in bbw_function(q, l, prec).values]
+            f = bbw_function(q, l, prec)
+            got = [f.value_mpf(a, working_prec(prec))._mpf_ for a in range(1, q + 1)]
             assert got == [v._mpf_ for v in bbw_values_reference(q, l, prec)], (q, l)
 
 

@@ -177,7 +177,7 @@ def test_unit_values_are_exact_units_only():
     assert PeriodicFunction.from_rationals(3, [1, 0, -1]).unit_values == (1, 0, -1)
     for values in ([1, -2, 1], ["1/2", "-1/2", 0]):
         assert PeriodicFunction.from_rationals(3, values).unit_values is None
-    assert bbw_function(5, 3, 64).unit_values is None  # Real values, though f(1) = 1
+    assert bbw_function(5, 3, 64).unit_values is None  # f(1) = 1, but f(2) = -phi^3 rounded
 
 
 @pytest.mark.parametrize("wp", (96, 192, 320))
