@@ -261,6 +261,8 @@ class PeriodicFunction:
         return self.values[(n - 1) % self.period]
 
     def value_mpf(self, n: int, wp: int) -> mpmath.mpf:
+        """f(n) rounded once at wp bits; exact for an int, and for a kernel
+        function's value at the working precision it was built at."""
         return to_mpf(self.value_at(n), wp)
 
     def abs_bound(self) -> float:
