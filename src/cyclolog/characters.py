@@ -266,7 +266,8 @@ class PeriodicFunction:
         return to_mpf(self.value_at(n), wp)
 
     def abs_bound(self) -> float:
-        return max(abs(float(to_mpf(v, 64))) for v in self.values)
+        nums, d = self.exact_values
+        return max(map(abs, nums)) / d
 
     def mean_sum(self) -> Fraction:
         """The exact sum of one period."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -87,12 +86,12 @@ def _check_cli_prec(prec: int) -> int:
 def _parse_f(text: str, q: int) -> PeriodicFunction:
     parts = [p.strip() for p in text.split(",")]
     try:
-        values = [Fraction(p) for p in parts]
+        f = PeriodicFunction.from_rationals(len(parts), parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliUsageError(f"malformed f values {text!r}: {exc}")
-    if len(values) != q:
-        raise CliUsageError(f"expected {q} comma-separated values for f, got {len(values)}")
-    return PeriodicFunction(q, tuple(values))
+    if f.period != q:
+        raise CliUsageError(f"expected {q} comma-separated values for f, got {f.period}")
+    return f
 
 
 def _decomposition_payload(f: PeriodicFunction, prec: int) -> dict:

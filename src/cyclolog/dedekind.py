@@ -18,8 +18,8 @@ route is an LU in fixed point over the tables' exact integer form of the
 log-sines, ``log_sines_aligned``, with an a-posteriori estimate of its
 relative error that decides whether to restart at doubled precision.  Each
 factor follows the tables' summation rule: its components are exact sums
-over the tables' integer forms of the log-sines and of the (p-1)-th roots
-of unity, each rounded once at wp.  So to first order each is within
+over the tables' integer forms of the log-sines and of the ((p-1)/2)-th
+roots of unity, each rounded once at wp.  So to first order each is within
 sum_a (|t_a| eps_root + eps_log) + 1/2 ulp of the exact S_chi, where
 t_a = log(2 sin(a pi/p)) and eps_root, eps_log bound the errors of the
 root and log-sine entries.
@@ -68,18 +68,22 @@ def _aligned_matrix(p: int, wp: int) -> Tuple[List[List[int]], int]:
 
 
 def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
-    """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision:
-    each component summed exactly over the aligned log-sine, cos and sin
-    integers of the tables and rounded to nearest once at wp."""
+    """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision, chi
+    even: each component summed exactly over the aligned log-sine, cos and
+    sin integers of the tables and rounded to nearest once at wp.  An even
+    chi's index k = e dlog(a) mod (p - 1) is even, and root k/2 of (p-1)/2
+    has the angle 2 pi k/(p-1) of root k of p - 1, rounded once either way."""
     p = chi.modulus
+    if not chi.is_even:
+        raise ValueError(f"S_chi needs an even character; chi mod {p}"
+                         f" with exponents {chi.exponents} is odd")
     logs, log_exp = tables(p, wp).log_sines_aligned
-    # chi's values are (p-1)-th roots of unity, indexed by e dlog(a) mod (p - 1)
-    roots = tables(p - 1, wp)
+    roots = tables((p - 1) // 2, wp)
     cos, cos_exp = roots.cos_aligned
     sin, sin_exp = roots.sin_aligned
     re = im = 0
     for a, t in enumerate(logs, 1):
-        k = chi.value_index(a)
+        k = chi.value_index(a) // 2
         re += cos[k] * t
         im += sin[k] * t
     return (

@@ -123,6 +123,7 @@ def _normalize_sign(vec: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _residual(cand: Sequence[int], vals: Sequence[mpmath.mpf], wbits: int) -> mpmath.mpf:
+    # raw mpf_abs, since abs() would round to the ambient 53-bit context
     return mp.make_mpf(mpf_abs(linear_form_raw(cand, vals, wbits)._mpf_))
 
 

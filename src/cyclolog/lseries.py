@@ -28,14 +28,15 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from .characters import PeriodicFunction, fourier_transform_raw
-from .kernel import Real, const_raw, working_prec
+from .kernel import Real, const_raw, to_mpf, working_prec
+from .relations import LOG2_SLOT, PI_SLOT, LogBasis, linear_form_raw
 from .tables import tables
 
 ROUTES = ("digamma", "fourier")
@@ -86,26 +87,22 @@ def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
     """-(sum_k fhat(k) log(1 - zeta_q^k)) as (re, im).
 
     log(1 - zeta_q^k) = log(2 sin(k pi/q)) + i pi (k/q - 1/2), which is
-    the principal branch for 0 < k < q.  The loop runs libmp's operations
-    on raw mpfs, each rounded to nearest at wp in the order the mpf
-    expressions ``re -= hr lg - hi arg`` and ``im -= hr arg + hi lg`` do.
+    the principal branch for 0 < k < q.  Each operation of the loop is
+    rounded to nearest at wp.
     """
     q = f.period
     fhat = fourier_transform_raw(f, wp)
     tab = tables(q, wp)
-    rnd = round_nearest
-    pi = const_raw("pi", wp)._mpf_
-    den = from_int(2 * q)
-    re = im = fzero
-    for k in range(1, q):
-        lg = tab.log_sine(k)._mpf_
-        arg = mpf_div(mpf_mul(pi, from_int(2 * k - q), wp, rnd), den, wp, rnd)
-        hr, hi = (h._mpf_ for h in fhat[k])
-        term = mpf_sub(mpf_mul(hr, lg, wp, rnd), mpf_mul(hi, arg, wp, rnd), wp, rnd)
-        re = mpf_sub(re, term, wp, rnd)
-        term = mpf_add(mpf_mul(hr, arg, wp, rnd), mpf_mul(hi, lg, wp, rnd), wp, rnd)
-        im = mpf_sub(im, term, wp, rnd)
-    return mp.make_mpf(re), mp.make_mpf(im)
+    with mp.workprec(wp):
+        pi = const_raw("pi", wp)
+        re = im = mpmath.mpf(0)
+        for k in range(1, q):
+            lg = tab.log_sine(k)
+            arg = pi * (2 * k - q) / (2 * q)
+            hr, hi = fhat[k]
+            re -= hr * lg - hi * arg
+            im -= hr * arg + hi * lg
+    return re, im
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,7 @@ def l1_direct_result(f: PeriodicFunction) -> DirectSumResult:
     return DirectSumResult(Real(value, 53), periods * q, bound)
 
 
-def l1(
-    f: PeriodicFunction,
-    route: str = "digamma",
-    prec: int = 128,
-) -> Real:
+def l1(f: PeriodicFunction, route: str = "digamma", prec: int = 128) -> Real:
     """L(1, f) = sum f(n)/n by the digamma or Fourier route, at target precision.
 
     The 53-bit partial sum is ``l1_direct_result``; it is a sanity check,
@@ -160,9 +153,10 @@ def l1(
         v = l1_digamma_raw(f, wp)
     else:
         re, im = l1_fourier_raw(f, wp)
+        nums, d = f.exact_values
+        # the bar scales with the summands, not with L, which may vanish
+        summands = to_mpf(Fraction(sum(map(abs, nums)), d), wp)
         with mp.workprec(wp):
-            # the bar scales with the summands, not with L, which may vanish
-            summands = mpmath.fsum(abs(f.value_mpf(a, wp)) for a in range(1, f.period + 1))
             scale = 1 + abs(re) + summands
             if abs(im) > mpmath.ldexp(1, -(prec + 16)) * scale:
                 raise ArithmeticError(
@@ -206,39 +200,32 @@ def trig_sums_raw(
 
 
 def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:
-    """Coefficients of L(1,f) over {log(2 sin b pi/q)} + {pi} (+ {log 2}).
+    """Coefficients of L(1,f) over the slots of ``LogBasis.for_modulus(q)``,
+    {log(2 sin b pi/q)} + {pi} (+ {log 2} for even q), and the value as the
+    basis's linear form in them.
 
     For f(q) != 0 (still zero mean), the digamma derivation leaves an
     extra -(f(q)/q) log q, which is folded exactly into the basis via
-    log q = sum_{k=1}^{q-1} log(2 sin k pi/q).
+    log q = sum_{k=1}^{q-1} log(2 sin k pi/q): -2 f(q)/q on each log-sine
+    slot and, for even q, -f(q)/q on log 2 = log(2 sin (q/2) pi/q), which
+    is the a = q term of the log-2 coefficient's alternating sum
+    -(1/q) sum_{a=1}^q (-1)^a f(a).  Both are exact and rounded once.
     """
     require_convergent(f)
     q = f.period
     wp = working_prec(prec)
+    basis = LogBasis.for_modulus(q)
+    nums, d = f.exact_values
     cot_sum, cos_sums = trig_sums_raw(f, wp)
-    logs = tables(q, wp).log_sines
+    log_q_share = to_mpf(Fraction(2 * nums[-1], d * q), wp)
     with mp.workprec(wp):
+        coeffs = {b: -2 * cos_sum / q - log_q_share for b, cos_sum in cos_sums.items()}
         pi_coeff = cot_sum / (2 * q)
-        coeffs = {b: -2 * cos_sum / q for b, cos_sum in cos_sums.items()}
-        if q % 2 == 0:
-            alt = mpmath.fsum(
-                f.value_mpf(a, wp) if a % 2 == 0 else -f.value_mpf(a, wp) for a in range(1, q)
-            )
-            log2_coeff = -alt / q
-        else:
-            log2_coeff = mpmath.mpf(0)
-        fq = f.value_mpf(q, wp)
-        if fq != 0:
-            # fold -(f(q)/q) log q into the basis
-            for b in coeffs:
-                coeffs[b] -= 2 * fq / q
-            if q % 2 == 0:
-                log2_coeff -= fq / q
-        value = pi_coeff * const_raw("pi", wp)
-        for b, c in coeffs.items():
-            value += c * logs[b - 1]
-        if q % 2 == 0:
-            value += log2_coeff * const_raw("log2", wp)
+    # odd q has no log 2 slot
+    alt = sum(n if a % 2 else -n for a, n in enumerate(nums, 1)) if q % 2 == 0 else 0
+    log2_coeff = to_mpf(Fraction(alt, d * q), wp)
+    slots = {**coeffs, PI_SLOT: pi_coeff, LOG2_SLOT: log2_coeff}
+    value = linear_form_raw([slots[s] for s in basis.slots], basis.values_raw(wp), wp)
     return DecompositionVector(
         modulus=q,
         pi_coeff=Real(pi_coeff, prec),

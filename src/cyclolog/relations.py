@@ -64,6 +64,7 @@ class LogBasis:
 
     def values_raw(self, wp: int) -> Tuple[mpmath.mpf, ...]:
         """The slot values at working precision, built once per (q, wp) by the tables layer."""
+        # every reader goes through this method, so a test can substitute the values here
         return tables(self.modulus, wp).log_basis_values
 
 
@@ -116,10 +117,12 @@ class RelationVector:
         return linear_form_raw(self.coeffs, self.basis.values_raw(wp), wp)
 
 
-def linear_form_raw(coeffs: Sequence[int], values: Sequence[mpmath.mpf], wp: int) -> mpmath.mpf:
-    """fsum(c * v) over the nonzero integer coefficients c at wp bits, each
-    product rounded once: the residual of ``coeffs`` as a relation among
-    ``values``."""
+def linear_form_raw(
+    coeffs: Sequence[Union[int, mpmath.mpf]], values: Sequence[mpmath.mpf], wp: int
+) -> mpmath.mpf:
+    """fsum(c * v) over the nonzero coefficients c, ints or wp-bit mpfs, at
+    wp bits, each product rounded once: a relation's residual among
+    ``values``, or the value of a linear form such as L(1, f)'s decomposition."""
     with mp.workprec(wp):
         return mpmath.fsum(c * v for c, v in zip(coeffs, values) if c)
 

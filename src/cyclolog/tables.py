@@ -1,9 +1,10 @@
 """Per-(q, wp) tables of the numbers every route is assembled from:
 log(2 sin k pi/q) (alone and as the slot values of a relation basis), the
 roots of unity e^(2 pi i j/q), cot(a pi/q) and psi(a/q) for one modulus q
-at one working precision wp.  Every cos or sin of a rational multiple of pi
-in the package is read from here: e^(2 pi i num/den) from the roots of den,
-and cos, sin of n pi/q from the roots of 2q.
+at one working precision wp.  Every route reads its cos and sin of rational
+multiples of pi from here, by sinpi/cospi: the log-sines via
+``kernel.log_2sin_raw`` (also behind the public ``log_2sin``), the cot
+entries directly, and the rest from the roots of den for e^(2 pi i num/den).
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at doubled precision gets its own entry.  Each family is built

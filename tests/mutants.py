@@ -88,6 +88,13 @@ MUTANTS = (
         ("tests/test_dedekind.py::test_s_chi_matches_the_fraction_exponent_reference[192]",),
     ),
     Mutant(
+        "s_chi_raw: the root index read without halving",
+        "dedekind.py",
+        "k = chi.value_index(a) // 2",
+        "k = chi.value_index(a) % len(cos)",
+        ("tests/test_dedekind.py::test_s_chi_matches_the_fraction_exponent_reference[192]",),
+    ),
+    Mutant(
         "LU: the update shifted by s - 1",
         "dedekind.py",
         "x - ((factor * y) >> s)",
@@ -131,6 +138,20 @@ MUTANTS = (
         "value = mpmath.fsum(terms) / q",
         "value = mpmath.fsum(terms) / (q + 1)",
         ("tests/test_cli.py::test_lseries_direct_route_reports_tail_bound",),
+    ),
+    Mutant(
+        "decompose_l1: the alternating sum leaves out a = q",
+        "lseries.py",
+        "enumerate(nums, 1)) if q % 2 == 0",
+        "enumerate(nums[:-1], 1)) if q % 2 == 0",
+        ("tests/test_lseries.py::test_decompose_handles_nonzero_value_at_q",),
+    ),
+    Mutant(
+        "Fourier route: the sign of the hi * arg term flipped",
+        "lseries.py",
+        "re -= hr * lg - hi * arg",
+        "re -= hr * lg + hi * arg",
+        ("tests/test_lseries.py::test_route_agreement_random_sample",),
     ),
     Mutant(
         "fold: k not folded to [1, q/2]",

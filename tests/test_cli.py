@@ -76,6 +76,30 @@ def test_lseries_wrong_arity_exits_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,spam,0", "malformed f values '1,spam,0': Invalid literal for Fraction: 'spam'"),
+        ("1/0,1,-1", "malformed f values '1/0,1,-1': Fraction(1, 0)"),
+        ("1,,-1", "malformed f values '1,,-1': Invalid literal for Fraction: ''"),
+        ("1,-1", "expected 3 comma-separated values for f, got 2"),
+    ],
+)
+def test_f_text_errors_name_the_input_and_exit_1(capsys, text, message):
+    code, out, err = run_cli(capsys, "decompose", "--q", "3", f"--f={text}")
+    assert code == 1
+    assert message in err
+
+
+def test_f_text_builds_the_function_through_from_rationals():
+    from cyclolog.characters import PeriodicFunction
+    from cyclolog.cli import _parse_f
+
+    f = _parse_f(" 1/2, -5/12 ,-1/12", 3)
+    assert f == PeriodicFunction.from_rationals(3, ["1/2", "-5/12", "-1/12"])
+    assert f.values == (Fraction(1, 2), Fraction(-5, 12), Fraction(-1, 12))
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("lseries", "--q", "3", "--f", "-1,1,0"),

@@ -141,6 +141,14 @@ def test_s_chi_rejects_odd_characters():
     assert set(factors) == set(enumerate_characters(5, even_only=True))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_s_chi_raw_raises_for_an_odd_character_naming_p_and_exponents(p):
+    for chi in enumerate_characters(p):
+        if not chi.is_even:
+            with pytest.raises(ValueError, match=rf"mod {p} with exponents \({chi.exponents[0]},\) is odd"):
+                s_chi_raw(chi, working_prec(64))
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_s_chi_all_nonzero(p):
     for chi, (_, cls) in s_chi_factors(p).items():

@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from cyclolog import lseries
 from cyclolog.characters import DirichletCharacter, PeriodicFunction, enumerate_characters, fourier_transform_raw
@@ -37,6 +38,7 @@ from oracles import (
     l1_chi_via_gauss,
     value_exponent,
 )
+from test_tables import GOLDEN_F60
 
 TOL112 = mpmath.mpf(2) ** -112
 
@@ -433,6 +435,33 @@ def test_decompose_handles_nonzero_value_at_q():
             f = PeriodicFunction(q, tuple(vals))
         vec = decompose_l1(f, 128)
         assert abs(vec.value.mpf - l1(f, "digamma", 128).mpf) < TOL112, q
+
+
+def _zero_mean(values):
+    values = [Fraction(v) for v in values]
+    return PeriodicFunction(len(values) + 1, (*values, -sum(values)))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize(
+    "f",
+    [
+        _zero_mean(["1/3", "-1/2", "1/5", "2/7", "-1/3"]),
+        _zero_mean(["1/3", "-5/12", "0", "1/4", "-1/6", "1/7", "2/9", "-3/11", "0", "5/6", "-1/13"]),
+        PeriodicFunction.from_rationals(60, GOLDEN_F60.split(",")),
+    ],
+    ids=["q6", "q12", "golden-f60"],
+)
+def test_decompose_log2_coeff_is_the_exact_alternating_sum_rounded_once(f, prec):
+    # -(1/q) sum_{a=1}^q (-1)^a f(a), a = q included, rounded once at the
+    # working precision and then to prec
+    q = f.period
+    assert q % 2 == 0 and f.value_at(q) != 0
+    exact = -sum((-1) ** a * f.value_at(a) for a in range(1, q + 1)) / q
+    assert exact.denominator > 1
+    once = mp.make_mpf(from_rational(exact.numerator, exact.denominator, working_prec(prec), round_nearest))
+    expected = mpmath.mpf(once, prec=prec, rounding="n")
+    assert decompose_l1(f, prec).log2_coeff.mpf._mpf_ == expected._mpf_
 
 
 def test_decompose_odd_modulus_has_exact_zero_log2_coeff():
