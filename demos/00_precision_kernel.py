@@ -4,7 +4,8 @@
 Every value carries the precision it was computed to and is rounded to
 that tag when it is made, so it never holds more bits than it claims.  Zero
 questions return a three-way verdict with a dead band in the middle:
-|x| < 2^-target is Zero, |x| > 2^(-target/2) is NonZero (confirmed by
+|x| < 2^-target is Zero, |x| > 2^(-target/2) is NonZero (confirmed by an
+error radius that excludes 0 when the value carries one, and otherwise by
 recomputing the producing expression at doubled precision), anything
 between is Indeterminate.
 """

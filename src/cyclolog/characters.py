@@ -265,6 +265,13 @@ class PeriodicFunction:
         function's value at the working precision it was built at."""
         return to_mpf(self.value_at(n), wp)
 
+    @cached_property
+    def abs_sum(self) -> Fraction:
+        """The exact sum_a |f(a)| over one period, the weight of f's sums
+        in their error radii."""
+        nums, d = self.exact_values
+        return Fraction(sum(map(abs, nums)), d)
+
     def abs_bound(self) -> float:
         nums, d = self.exact_values
         return max(map(abs, nums)) / d

@@ -48,7 +48,9 @@ MIN_CLI_PREC = 64
 MAX_CLI_PREC = 4096
 DEFAULT_STORE = "./cyclolog-scans.jsonl"
 # "format" of the lseries, decompose and bbw payloads: 2 since each sum over
-# the tables is rounded once, which moved their trailing digits
+# the tables is rounded once, which moved their trailing digits; of the
+# dedekind and certificate payloads: 2 since each factor record says whether
+# an error radius decided it ("rigorous")
 FORMAT = 2
 
 EXIT_OK = 0
@@ -168,6 +170,7 @@ def _factor_records(factors, digits: int) -> List[dict]:
             "im": dec_str(val.im, digits),
             "prec_bits": val.prec,
             "class": cls.tag,
+            "rigorous": cls.rigorous,
         }
         for chi, val, cls in factors
     ]
@@ -178,6 +181,7 @@ def _cmd_dedekind(args) -> Tuple[dict, int]:
     digits = decimal_digits(args.prec)
     payload = {
         "command": "dedekind",
+        "format": FORMAT,
         "p": args.p,
         "prec_bits": args.prec,
         "det_direct": dec_str(check.det_direct, digits),
@@ -191,8 +195,10 @@ def _cmd_dedekind(args) -> Tuple[dict, int]:
 def _cmd_certificate(args) -> Tuple[dict, int]:
     check = determinant_check(args.p, args.prec)
     digits = decimal_digits(args.prec)
+    margin = check.weakest_margin_bits
     payload = {
         "command": "certificate",
+        "format": FORMAT,
         "p": args.p,
         "prec_bits": args.prec,
         "factors": _factor_records(check.s_chi_values, digits),
@@ -202,6 +208,7 @@ def _cmd_certificate(args) -> Tuple[dict, int]:
         "all_factors_nonzero": check.all_factors_nonzero,
         "rational_dependence_excluded": check.rational_dependence_excluded,
         "conclusive": check.conclusive,
+        "weakest_margin_bits": None if margin is None else f"{margin:.1f}",
         "notes": list(CERTIFICATE_NOTES),
     }
     return payload, EXIT_OK if check.conclusive else EXIT_INCONCLUSIVE

@@ -19,25 +19,40 @@ log-sines, ``log_sines_aligned``, with an a-posteriori estimate of its
 relative error that decides whether to restart at doubled precision.  Each
 factor follows the tables' summation rule: its components are exact sums
 over the tables' integer forms of the log-sines and of the ((p-1)/2)-th
-roots of unity, each rounded once at wp.  So to first order each is within
-sum_a (|t_a| eps_root + eps_log) + 1/2 ulp of the exact S_chi, where
-t_a = log(2 sin(a pi/p)) and eps_root, eps_log bound the errors of the
-root and log-sine entries.
+roots of unity, each rounded once at wp.  So each component is within
+sum_a (|t_a| eps_root + eps_log) + 1/2 ulp of its exact value, where t_a is
+the log-sine entry of a and eps_root, eps_log are the tables' bounds on the
+errors of the root and log-sine entries; |S_chi| is within the sum of the
+two component radii plus 1 ulp.  That radius decides each factor's NonZero
+(rigorous, under the tables' 1-ulp assumption on mpmath); a recompute at
+doubled precision runs only for a factor it cannot decide.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple, TypeVar
+from fractions import Fraction
+from typing import List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, from_man_exp, round_nearest
 
 from .characters import DirichletCharacter, enumerate_characters, require_odd_prime
-from .kernel import GUARD_BITS, Complex, Real, ZeroClass, classify_zero, fold, working_prec
-from .tables import tables
+from .kernel import (
+    GUARD_BITS,
+    Complex,
+    Real,
+    ZeroClass,
+    classify_zero,
+    fold,
+    half_ulp,
+    radius_scaled,
+    radius_sum,
+    working_prec,
+)
+from .tables import ONE_ULP_ASSUMPTION, tables
 
 DEFAULT_MAX_PRIME = 101
 # the LU doubles wp at most this often before giving up (8x the first wp)
@@ -98,12 +113,29 @@ def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:
 
 
 def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
-    """Classify |S_chi| from its (re, im) at working precision; the witness
-    is one evaluation at doubled precision."""
+    """Classify |S_chi| from its (re, im) at working precision by its error
+    radius; the witness, one evaluation at doubled precision, runs only where
+    the radius cannot decide.
+
+    A component sums c_a t_a over the root entries c_a and log-sine entries
+    t_a.  For their exact values C_a, T_a, |c_a t_a - C_a T_a| <=
+    |c_a - C_a| |t_a| + |C_a| |t_a - T_a| <= eps_root |t_a| + eps_log, as
+    |C_a| <= 1; the sum is rounded once, adding 1/2 ulp.  hypot is 1-Lipschitz
+    in each argument, and mpmath's rounds a sum of squares formed at wp + 4
+    bits, so it adds less than 1 ulp of |S_chi|.
+    """
+    p = chi.modulus
     wp = working_prec(prec)
-    return classify_zero(
-        Real(_magnitude(raw, wp), wp), prec, recompute=lambda w: _magnitude(s_chi_raw(chi, w), w)
+    logs, log_exp = tables(p, wp).log_sines_aligned
+    terms = radius_sum(
+        radius_scaled(tables((p - 1) // 2, wp).eps_roots, sum(map(abs, logs)) * Fraction(2) ** log_exp),
+        radius_scaled(tables(p, wp).eps_log_sines, len(logs)),
     )
+    re, im = raw
+    mag = _magnitude(raw, wp)
+    # each component within terms + 1/2 ulp, and hypot within 1 ulp
+    rad = radius_sum(terms, half_ulp(re, wp), terms, half_ulp(im, wp), half_ulp(mag, wp - 1))
+    return classify_zero(Real(mag, wp, rad), prec, recompute=lambda w: _magnitude(s_chi_raw(chi, w), w))
 
 
 class LU(NamedTuple):
@@ -187,8 +219,9 @@ def det_direct_raw(p: int, wp: int) -> mpmath.mpf:
 
 
 CERTIFICATE_NOTES = (
-    "every character factor S_chi was verified nonzero numerically at the stated precision,"
-    " with recomputation at doubled working precision",
+    "each character factor S_chi marked rigorous was decided nonzero at the stated precision"
+    " by an error radius that excludes 0, assuming " + ONE_ULP_ASSUMPTION + ";"
+    " any other factor was confirmed by recomputation at doubled working precision",
     "nonvanishing of all S_chi makes the Dedekind-type matrix invertible, excluding any"
     " rational linear relation among the log-sine values at the tested coefficient scale",
     "independence over all algebraic numbers additionally rests on classical linear-forms-in-"
@@ -226,6 +259,12 @@ class DeterminantCheck:
     @property
     def rational_dependence_excluded(self) -> bool:
         return self.all_factors_nonzero and self.agree
+
+    @property
+    def weakest_margin_bits(self) -> Optional[float]:
+        """The smallest factor margin in bits, None if a factor has none."""
+        margins = [cls.margin_bits for _, _, cls in self.s_chi_values]
+        return None if None in margins else min(margins)
 
 
 def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:

@@ -10,8 +10,16 @@ error is at most sum_a |f(a)| eps_family + 1/2 ulp; the uniform policy is
 * an operation asked for a ``prec``-bit result computes internally at
   ``prec + 64`` guard bits and rounds once at the end, by wrapping the
   result in ``Real(value, prec)``,
+* a value whose error is bounded carries that bound as its radius
+  (``Real.rad``, an upper bound rounded up to ``RADIUS_PREC`` bits by
+  :func:`radius_sum` and :func:`radius_scaled`), and a Real built by
+  rounding adds its rounding to the radius,
 * "is this zero?" questions go through :func:`classify_zero`, which
-  returns Zero / NonZero / Indeterminate instead of a bare boolean.
+  returns Zero / NonZero / Indeterminate instead of a bare boolean: NonZero
+  when the radius excludes 0 (rigorous, under the tables' assumption that
+  mpmath's elementary functions are within 1 ulp), and only where it cannot
+  decide, when a recompute at doubled precision agrees; Zero stays a
+  numeric verdict.
 
 Values are immutable after construction.  Precision is always set with a
 scoped ``mp.workprec`` inside each call, never left as ambient state (an
@@ -22,16 +30,28 @@ processes for parallelism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, from_rational, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_add,
+    mpf_mul,
+    round_ceiling,
+    round_nearest,
+)
 
 MIN_PRECISION = 32
 GUARD_BITS = 64
+# bits of an error radius: every radius operation rounds up to this many
+RADIUS_PREC = 32
 
 Scalar = Union["Real", Fraction, int, float, str]
 
@@ -74,23 +94,64 @@ def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:
         return mpmath.mpf(x)
 
 
+def half_ulp(x: mpmath.mpf, prec: int) -> mpmath.mpf:
+    """2^(floor(log2|x|) - prec), half a unit in the last place of x at prec
+    bits.  It bounds the error of every value that rounds to nearest to x at
+    prec bits (one that rounds up into x's binade errs by at most half an ulp
+    of the binade below); 0 for x = 0, which only 0 rounds to."""
+    _, man, exp, bc = x._mpf_
+    return mp.make_mpf(from_man_exp(1, exp + bc - 1 - prec) if man else fzero)
+
+
+def radius_sum(*radii: mpmath.mpf) -> mpmath.mpf:
+    """The sum of non-negative radii, each partial sum rounded up to
+    ``RADIUS_PREC`` bits, so the result is an upper bound of the exact sum."""
+    total = fzero
+    for r in radii:
+        total = mpf_add(total, r._mpf_, RADIUS_PREC, round_ceiling)
+    return mp.make_mpf(total)
+
+
+def radius_scaled(r: mpmath.mpf, c: Union[int, Fraction]) -> mpmath.mpf:
+    """The radius r times a rational c >= 0, with c and the product each
+    rounded up to ``RADIUS_PREC`` bits: an upper bound of r c."""
+    c = Fraction(c)
+    factor = from_rational(c.numerator, c.denominator, RADIUS_PREC, round_ceiling)
+    return mp.make_mpf(mpf_mul(r._mpf_, factor, RADIUS_PREC, round_ceiling))
+
+
 class Real:
     """An immutable real number rounded to the precision it is tagged with.
 
     ``Real(value, prec)`` stores ``value`` rounded to nearest at ``prec``
     bits, so a Real never carries more bits than its tag.  It is a record,
     not a number type: arithmetic and comparisons go through ``.mpf``.
+
+    ``rad`` is an error radius, a proven bound on the distance from the
+    stored value to the exact quantity it stands for, or None where no bound
+    is known.  ``Real(value, prec, rad)`` takes ``rad`` as the radius of
+    ``value`` and adds the rounding to prec bits to it (half an ulp, unless
+    an mpf or int value fits in prec bits); a Real built from a Real takes
+    that Real's radius unless ``rad`` is given.
     """
 
-    __slots__ = ("mpf", "prec")
+    __slots__ = ("mpf", "prec", "rad")
 
-    def __init__(self, value, prec: int):
+    def __init__(self, value, prec: int, rad: Optional[mpmath.mpf] = None):
         _check_prec(prec)
+        if isinstance(value, Real):
+            value, rad = value.mpf, value.rad if rad is None else rad
+        # an int converts exactly; a Fraction, str or float rounds once at prec
+        converted = not isinstance(value, (mpmath.mpf, int))
         if not isinstance(value, mpmath.mpf):
             value = to_mpf(value, prec)
         # the rounding of +value under mp.workprec(prec), without the scope
-        object.__setattr__(self, "mpf", mpmath.mpf(value, prec=prec, rounding="n"))
+        rounded = mpmath.mpf(value, prec=prec, rounding="n")
+        if rad is not None and (converted or rounded != value):
+            rad = radius_sum(rad, half_ulp(rounded, prec))
+        object.__setattr__(self, "mpf", rounded)
         object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "rad", rad)
 
     def __setattr__(self, name, value):
         raise AttributeError("Real is immutable")
@@ -108,7 +169,7 @@ class Real:
         return dec_str(self.mpf, digits)
 
     def round_to(self, prec: int) -> "Real":
-        return Real(self.mpf, prec)
+        return Real(self, prec)
 
 
 class Complex:
@@ -198,10 +259,18 @@ INDETERMINATE = "Indeterminate"
 
 @dataclass(frozen=True)
 class ZeroClass:
-    """Verdict of a zero test: tag plus the residual magnitude that decided it."""
+    """Verdict of a zero test: tag plus the residual magnitude that decided it.
+
+    ``rigorous`` is True when an error radius decided the verdict.
+    ``margin_bits`` is log2(|x| / radius) for a rigorous verdict, otherwise
+    how far log2|x| lies past the bar it cleared (above 2^(-target/2) for
+    NonZero, below 2^-target for Zero); None for Indeterminate.
+    """
 
     tag: str
     residual: Real
+    rigorous: bool = False
+    margin_bits: Optional[float] = None
 
     @property
     def is_zero(self) -> bool:
@@ -216,6 +285,12 @@ class ZeroClass:
         return self.tag == INDETERMINATE
 
 
+def _log2(x: mpmath.mpf) -> float:
+    """log2|x| as a float, -inf for 0."""
+    _, man, exp, _ = x._mpf_
+    return math.log2(man) + exp if man else -math.inf
+
+
 def classify_zero(
     x: Real,
     target: int,
@@ -223,11 +298,20 @@ def classify_zero(
 ) -> ZeroClass:
     """Classify ``x`` against a 2^-target zero threshold.
 
-    Zero iff |x| < 2^-target.  NonZero requires |x| > 2^(-target/2) and,
-    when a ``recompute(working_bits)`` callback for the producing
-    expression is supplied, that re-evaluation at doubled working
-    precision reproduces the leading target/2 bits.  Everything else is
-    Indeterminate (the dead band guards against cancellation artifacts).
+    Zero iff |x| < 2^-target, a numeric verdict.  NonZero requires
+    |x| > 2^(-target/2) and a witness:
+
+    * when ``x`` carries an error radius and |x| > ``x.rad``, the enclosure
+      [x - rad, x + rad] excludes 0: NonZero, rigorous, and ``recompute`` is
+      not called;
+    * otherwise, when a ``recompute(working_bits)`` callback for the
+      producing expression is supplied, its re-evaluation at doubled working
+      precision must reproduce the leading target/2 bits;
+    * with neither a radius nor a callback, clearing the bar is enough.
+
+    A radius that does not exclude 0, with no callback to fall back on, is
+    Indeterminate, as is everything else (the dead band guards against
+    cancellation artifacts).
     """
     _check_prec(target)
     if not isinstance(x, Real):
@@ -235,21 +319,21 @@ def classify_zero(
     with mp.workprec(max(x.prec, working_prec(target))):
         mag = abs(x.mpf)
         residual = Real(mag, x.prec)
-        zero_bar = mpmath.ldexp(1, -target)
-        nonzero_bar = mpmath.ldexp(1, -(target // 2))
-        if mag < zero_bar:
-            return ZeroClass(ZERO, residual)
+        if mag < mpmath.ldexp(1, -target):
+            return ZeroClass(ZERO, residual, margin_bits=-target - _log2(mag))
+        half = target // 2
+        nonzero_bar = mpmath.ldexp(1, -half)
         if mag > nonzero_bar:
+            if x.rad is not None and mag > x.rad:
+                return ZeroClass(NONZERO, residual, rigorous=True, margin_bits=_log2(mag) - _log2(x.rad))
             if recompute is None:
-                return ZeroClass(NONZERO, residual)
-            wp2 = 2 * max(x.prec, working_prec(target))
-            again = to_mpf(recompute(wp2), wp2)
-            if again == 0:
-                return ZeroClass(INDETERMINATE, residual)
-            agreement = abs(x.mpf - again) / abs(again)
-            if agreement < nonzero_bar:
-                return ZeroClass(NONZERO, residual)
-            return ZeroClass(INDETERMINATE, residual)
+                witnessed = x.rad is None
+            else:
+                wp2 = 2 * max(x.prec, working_prec(target))
+                again = to_mpf(recompute(wp2), wp2)
+                witnessed = again != 0 and abs(x.mpf - again) / abs(again) < nonzero_bar
+            if witnessed:
+                return ZeroClass(NONZERO, residual, margin_bits=_log2(mag) + half)
     return ZeroClass(INDETERMINATE, residual)
 
 

@@ -153,9 +153,8 @@ def l1(f: PeriodicFunction, route: str = "digamma", prec: int = 128) -> Real:
         v = l1_digamma_raw(f, wp)
     else:
         re, im = l1_fourier_raw(f, wp)
-        nums, d = f.exact_values
         # the bar scales with the summands, not with L, which may vanish
-        summands = to_mpf(Fraction(sum(map(abs, nums)), d), wp)
+        summands = to_mpf(f.abs_sum, wp)
         with mp.workprec(wp):
             scale = 1 + abs(re) + summands
             if abs(im) > mpmath.ldexp(1, -(prec + 16)) * scale:

@@ -6,6 +6,11 @@ admissible functions exist only for odd q and number C(q-1, (q-1)/2).
 The scan evaluates L(1, f) for every one of them, classifies each value,
 and reports the minimum |L|.
 
+Each value is classified by its error radius (see :func:`evaluate`): a
+NonZero whose radius excludes 0 is rigorous, under the tables' 1-ulp
+assumption on mpmath, and a recompute at doubled precision runs only where
+the radius cannot decide.
+
 Each scanned function also carries its cotangent and cosine sums: for
 prime period, exactly one of "L is nonzero" / "all those trig sums
 vanish" can hold, and :func:`dichotomy` decides which.  The functions
@@ -50,6 +55,9 @@ from .kernel import (
     classify_zero,
     dec_str,
     decimal_digits,
+    half_ulp,
+    radius_scaled,
+    radius_sum,
     working_prec,
 )
 from .lseries import l1_digamma_raw, require_convergent, trig_sums_raw
@@ -92,11 +100,23 @@ def _signs_from_positions(q: int, positions: Tuple[int, ...]) -> Tuple[int, ...]
 def evaluate(
     f: PeriodicFunction, prec: int
 ) -> Tuple[mpmath.mpf, ZeroClass, mpmath.mpf, Dict[int, mpmath.mpf]]:
-    """L(1, f), its zero class against ``prec`` bits (with a doubled-precision
-    witness), its cot sum and its cos sums, all at working precision."""
+    """L(1, f), its zero class against ``prec`` bits, its cot sum and its cos
+    sums, all at working precision.
+
+    The class is decided by L's error radius.  L = -total/q, where total,
+    the psi sum, is within sum_a |f(a)| eps_psi + 1/2 ulp(total) of its exact
+    value (the tables' summation rule), and the division rounds by at most
+    1/2 ulp(L).  As |total| <= q |L| (1 + 2^-wp), 1/2 ulp(total) / q is at
+    most 4 * 1/2 ulp(L), which is ``half_ulp(L, wp - 2)``.  A witness at
+    doubled precision runs only where the radius cannot decide.
+    """
     wp = working_prec(prec)
+    q = f.period
     value = l1_digamma_raw(f, wp)
-    cls = classify_zero(Real(value, wp), prec, recompute=lambda w: l1_digamma_raw(f, w))
+    rad = radius_sum(
+        radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q), half_ulp(value, wp - 2), half_ulp(value, wp)
+    )
+    cls = classify_zero(Real(value, wp, rad), prec, recompute=lambda w: l1_digamma_raw(f, w))
     return (value, cls, *trig_sums_raw(f, wp))
 
 
@@ -117,6 +137,9 @@ class DichotomyVerdict:
 def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     """For prime period: decide "L(1,f) nonzero" vs "all trig sums vanish".
 
+    Each trig sum is classified by its error radius, sum_a |f(a)| eps_cot or
+    eps_roots plus 1/2 ulp, and, only where that cannot decide, by one
+    evaluation of every sum at doubled precision.
     Exactly one branch holds at the tested precision.  Observing both
     sides violated raises DichotomyContradictionError; an Indeterminate
     L-value raises InconclusiveClassificationError.
@@ -126,9 +149,15 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     require_convergent(f)
     wp = working_prec(prec)
     l_raw, l_class, cot, cos_sums = evaluate(f, prec)
+    tab = tables(p, wp)
 
     def named(sums) -> Dict[str, mpmath.mpf]:
         return {"cot": sums[0], **{f"cos_{b}": v for b, v in sums[1].items()}}
+
+    def ball(name: str, v: mpmath.mpf) -> Real:
+        # the tables' summation rule: sum_a |f(a)| eps_family + 1/2 ulp
+        eps = tab.eps_cot if name == "cot" else tab.eps_roots
+        return Real(v, wp, radius_sum(radius_scaled(eps, f.abs_sum), half_ulp(v, wp)))
 
     # one doubled-precision evaluation of every sum, made on first need
     doubled: Dict[int, Dict[str, mpmath.mpf]] = {}
@@ -139,7 +168,7 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
         return doubled[w][name]
 
     trig_classes: Dict[str, ZeroClass] = {
-        name: classify_zero(Real(v, wp), prec, recompute=lambda w, name=name: witness(name, w))
+        name: classify_zero(ball(name, v), prec, recompute=lambda w, name=name: witness(name, w))
         for name, v in named((cot, cos_sums)).items()
     }
 

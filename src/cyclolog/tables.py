@@ -22,6 +22,16 @@ nearest once at wp.  So each such number is the correctly rounded value of
 the exact combination of the entries it reads, and where every entry of a
 family is within eps_family of its true value, its error is at most
 sum_a |c_a| eps_family + 1/2 ulp.
+
+Each family carries that eps_family, a power of two cached in the (q, wp)
+entry: ``eps_log_sines``, ``eps_roots`` (for cos and sin), ``eps_cot`` and
+``eps_psi``, each derived in its docstring from how the family is built.
+The derivations take u = 2^-wp, round to nearest with relative error at
+most u, and rest on one assumption (``ONE_ULP_ASSUMPTION``): mpmath's log,
+sinpi, cospi, pi and euler return at wp bits a value y within 1 ulp of the
+exact value Y at their (exact) mpf argument, so |y - Y| <= 2u |Y|.  The
+bounds are coarse on purpose, by up to 2^10; the callers' NonZero bar
+2^-(target/2) lies far above any of them.
 """
 
 from __future__ import annotations
@@ -39,6 +49,10 @@ from .kernel import const_raw, fold, log_2sin_raw, man_exp
 if TYPE_CHECKING:
     from .characters import PeriodicFunction
 
+ONE_ULP_ASSUMPTION = (
+    "mpmath's log, sinpi, cospi, pi and euler are within 1 ulp of the exact value at working precision"
+)
+
 
 class Aligned(NamedTuple):
     """Table entries t_i as integers T_i with T_i * 2^exp == t_i exactly,
@@ -53,6 +67,10 @@ def _align(entries: Sequence[mpmath.mpf]) -> Aligned:
     exp = min((e for _, man, e, _ in raw if man), default=0)
     mantissas = tuple((-man if sign else man) << (e - exp) if man else 0 for sign, man, e, _ in raw)
     return Aligned(mantissas, exp)
+
+
+def _pow2(exp: int) -> mpmath.mpf:
+    return mp.make_mpf(from_man_exp(1, exp))
 
 
 def _aligned(family: str) -> cached_property:
@@ -77,6 +95,20 @@ class Tables:
         return self.log_sines[fold(k, self.q) - 1]
 
     @cached_property
+    def eps_log_sines(self) -> mpmath.mpf:
+        """2^(n + 4 - wp), n = q.bit_length(): a bound on the error of every
+        log-sine entry.
+
+        The entry is log(2 sinpi(t)) with t = k/q rounded, k <= q/2:
+        |t - k/q| <= u k/q moves sin(pi k/q) >= 2k/q by at most pi u k/q, a
+        relative (pi/2) u; sinpi adds 2u, so 2 sinpi(t) = 2 sin(pi k/q)(1 + d)
+        with |d| < 4u and |log(1 + d)| <= 8u.  log adds 2u |log(2 sinpi(t))|,
+        where |log(2 sin(pi k/q))| <= max(log 2, log(q/4)) < n.  In all
+        8u + 2u (n + 1) <= 2^(n + 4) u.
+        """
+        return _pow2(self.q.bit_length() + 4 - self.wp)
+
+    @cached_property
     def log_basis_values(self) -> Tuple[mpmath.mpf, ...]:
         """The slot values of ``relations.LogBasis``: log(2 sin(k pi / q)) for
         1 <= k < q/2, then pi, then log 2 when q is even."""
@@ -92,6 +124,16 @@ class Tables:
                 t = mpmath.mpf(2 * j) / self.q
                 out.append((mpmath.cospi(t), mpmath.sinpi(t)))
         return tuple(out)
+
+    @cached_property
+    def eps_roots(self) -> mpmath.mpf:
+        """2^(4 - wp): a bound on the error of every cos and sin entry.
+
+        The entry is cospi(t) or sinpi(t) with t = 2j/q rounded, j < q:
+        |t - 2j/q| <= 2u moves cos and sin by at most 2 pi u, and cospi or
+        sinpi adds at most 2u, as |cos|, |sin| <= 1; 2u + 2 pi u < 2^4 u.
+        """
+        return _pow2(4 - self.wp)
 
     @cached_property
     def cos(self) -> Tuple[mpmath.mpf, ...]:
@@ -111,6 +153,20 @@ class Tables:
                 mpmath.cospi(mpmath.mpf(a) / self.q) / mpmath.sinpi(mpmath.mpf(a) / self.q)
                 for a in range(1, self.q)
             )
+
+    @cached_property
+    def eps_cot(self) -> mpmath.mpf:
+        """2^(2n + 3 - wp), n = q.bit_length(): a bound on the error of every
+        cot entry.
+
+        The entry is cospi(t) / sinpi(t) with t = a/q rounded, 0 < a < q, so
+        |t - a/q| < u.  With C = cos(pi a/q) and S = sin(pi a/q) >= 2/q:
+        cospi(t) = C + dc with |dc| <= pi u + 2u < 6u, and sinpi(t) = S (1 + ds)
+        with |ds| <= (pi/2) q u + 2u + pi q u^2 <= 3 q u.  The quotient is off
+        from C/S by |dc - C ds| / |S (1 + ds)| <= (6u + 3qu) q <= 6 q^2 u, and
+        its rounding adds at most u (q/2 + 1).  In all 7 q^2 u < 2^(2n + 3) u.
+        """
+        return _pow2(2 * self.q.bit_length() + 3 - self.wp)
 
     @cached_property
     def psi(self) -> Tuple[mpmath.mpf, ...]:
@@ -152,6 +208,29 @@ class Tables:
             vals.append(mp.make_mpf(from_man_exp(total, exp, wp, round_nearest)))
         vals.append(minus_gamma)
         return tuple(vals)
+
+    @cached_property
+    def eps_psi(self) -> mpmath.mpf:
+        """2^(2n + 6 - wp), n = q.bit_length(): a bound on the error of every
+        psi entry.
+
+        The entry for a < q is the exact sum of its rounded terms, rounded
+        once (see ``psi``); with q < 2^n, each part errs by at most:
+
+        * -gamma - log q: euler 2u, log q 2u log q, their difference rounded
+          u (1 + log q): together (3n + 3) u;
+        * (pi/2) cot: pi/2 errs by pi u and |cot| <= q/2 + 1, cot by eps_cot,
+          so pi u (q/2 + 1) + (pi/2) eps_cot <= pi u (q/2 + 1) + 13 * 2^(2n) u;
+        * 2 cos log-sine, at most q/2 terms: 2 (eps_roots |t| + eps_log_sines)
+          each with |t| <= n + 1 and |cos| <= 1, so q (16 (n + 1) u + 2^(n + 4) u)
+          <= 2^(2n + 5) u;
+        * log 2: 2u;
+        * the final rounding: u (q + 2), as |psi(a/q)| <= q + 1 for 0 < a < q.
+
+        In all less than (13 + 32 + 4) 2^(2n) u < 2^(2n + 6) u.  The entry
+        psi(1) = -gamma errs by 2u.
+        """
+        return _pow2(2 * self.q.bit_length() + 6 - self.wp)
 
     cot_aligned = _aligned("cot")
     cos_aligned = _aligned("cos")

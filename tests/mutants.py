@@ -168,6 +168,58 @@ MUTANTS = (
         ("tests/test_intrel.py::test_search_guards_the_pi_coefficient",),
     ),
     Mutant(
+        "classify_zero: the radius comparison flipped",
+        "kernel.py",
+        "if x.rad is not None and mag > x.rad:",
+        "if x.rad is not None and mag < x.rad:",
+        ("tests/test_kernel.py::test_classify_radius_decides_without_calling_recompute",),
+    ),
+    Mutant(
+        "classify_zero: the radius comparison dropped",
+        "kernel.py",
+        "if x.rad is not None and mag > x.rad:",
+        "if x.rad is not None:",
+        ("tests/test_kernel.py::test_classify_radius_that_cannot_decide_falls_back_to_recompute",),
+    ),
+    Mutant(
+        "Real: the rounding to prec left out of the radius",
+        "kernel.py",
+        "if rad is not None and (converted or rounded != value):",
+        "if False:",
+        ("tests/test_kernel.py::test_a_real_built_by_rounding_adds_its_rounding_to_the_radius",),
+    ),
+    Mutant(
+        "half_ulp: a quarter ulp",
+        "kernel.py",
+        "from_man_exp(1, exp + bc - 1 - prec)",
+        "from_man_exp(1, exp + bc - 2 - prec)",
+        ("tests/test_kernel.py::test_half_ulp_bounds_every_rounding_to_nearest[53]",),
+    ),
+    Mutant(
+        "evaluate: sum |f| left out of the L radius",
+        "scans.py",
+        "radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q)",
+        "radius_scaled(tables(q, wp).eps_psi, Fraction(1, q))",
+        (
+            "tests/test_radius.py::test_evaluate_radius_is_the_documented_bound[wide-q6-128]",
+            "tests/test_radius.py::test_every_radius_of_a_sum_encloses_its_4wp_evaluation[wide-q6-64]",
+        ),
+    ),
+    Mutant(
+        "eps_psi: taken at twice the working precision",
+        "tables.py",
+        "return _pow2(2 * self.q.bit_length() + 6 - self.wp)",
+        "return _pow2(2 * self.q.bit_length() + 6 - 2 * self.wp)",
+        ("tests/test_radius.py::test_every_entry_is_within_its_eps_of_a_4wp_evaluation[12-96]",),
+    ),
+    Mutant(
+        "S_chi radius: the log-sine entry errors left out",
+        "dedekind.py",
+        "radius_scaled(tables(p, wp).eps_log_sines, len(logs)),",
+        "",
+        ("tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",),
+    ),
+    Mutant(
         "scan store: a disagreeing record accepted",
         "scans.py",
         "elif existing[key] != line:",

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from cyclolog.cli import main
+from cyclolog.dedekind import determinant_check
+from cyclolog.kernel import working_prec
 from cyclolog.serialize import canonical_json
 
 
@@ -172,6 +174,8 @@ def test_dedekind_p5(capsys):
     assert payload["det_product"].startswith("-0.3872402775812658")
     assert payload["agree"] is True
     assert {e["class"] for e in payload["s_chi"]} == {"NonZero"}
+    assert payload["format"] == 2
+    assert all(e["rigorous"] is True for e in payload["s_chi"])
 
 
 def test_certificate_p7(capsys):
@@ -180,6 +184,13 @@ def test_certificate_p7(capsys):
     assert payload["conclusive"] is True
     assert payload["rational_dependence_excluded"] is True
     assert len(payload["factors"]) == 3
+    assert payload["format"] == 2
+    assert all(f["rigorous"] is True for f in payload["factors"])
+    # the weakest factor's log2(|S_chi| / radius), to 0.1 bit
+    margins = [cls.margin_bits for _, _, cls in determinant_check(7, 128).s_chi_values]
+    assert payload["weakest_margin_bits"] == f"{min(margins):.1f}"
+    assert 150 < min(margins) < working_prec(128)
+    assert "error radius" in payload["notes"][0] and "1 ulp" in payload["notes"][0]
 
 
 # ---------------------------------------------------------------------------

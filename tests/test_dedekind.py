@@ -27,7 +27,7 @@ from cyclolog.dedekind import (
     s_chi_raw,
 )
 from cyclolog.kernel import GUARD_BITS, Real, dec_str, decimal_digits, working_prec
-from cyclolog.tables import tables
+from cyclolog.tables import Tables, tables
 from oracles import (
     conjugate,
     exact_sum_reference,
@@ -371,6 +371,7 @@ def test_an_indeterminate_factor_makes_the_check_inconclusive(capsys, monkeypatc
     assert certificate_out["all_factors_nonzero"] is False
     assert certificate_out["conclusive"] is False
     assert certificate_out["rational_dependence_excluded"] is False
+    assert certificate_out["weakest_margin_bits"] is None  # the Indeterminate factor has no margin
 
 
 @pytest.mark.parametrize("p", [5, 13, 53])
@@ -385,10 +386,17 @@ def test_determinant_check_evaluates_each_s_chi_once_per_precision(p, monkeypatc
         return original(chi, wp)
 
     monkeypatch.setattr(dedekind, "s_chi_raw", counting)
-    check = determinant_check(p, 128)
     wp = working_prec(128)
     chars = enumerate_characters(p, even_only=True)
-    assert all(cls.is_nonzero for _, _, cls in check.s_chi_values)
+    # each radius decides its factor: one evaluation at wp
+    check = determinant_check(p, 128)
+    assert all(cls.is_nonzero and cls.rigorous for _, _, cls in check.s_chi_values)
+    assert sorted(calls) == sorted((ch.exponents, wp) for ch in chars)
+    # a log-sine radius too large to decide: one more evaluation at 2 wp each
+    calls.clear()
+    monkeypatch.setattr(Tables, "eps_log_sines", property(lambda self: mpmath.mpf(2) ** 20))
+    check = determinant_check(p, 128)
+    assert all(cls.is_nonzero and not cls.rigorous for _, _, cls in check.s_chi_values)
     assert len(calls) == 2 * len(chars)
     assert sorted(calls) == sorted(
         [(ch.exponents, wp) for ch in chars] + [(ch.exponents, 2 * wp) for ch in chars]

@@ -12,14 +12,18 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from cyclolog.kernel import (
+    RADIUS_PREC,
     Complex,
     PrecisionError,
     Real,
     classify_zero,
     const,
     fold,
+    half_ulp,
     log_2sin,
     log_2sin_raw,
+    radius_scaled,
+    radius_sum,
     to_mpf,
     working_prec,
 )
@@ -195,12 +199,115 @@ def test_classify_nonzero_with_recompute_witness():
     x = Real(producer(working_prec(128)), working_prec(128))
     cls = classify_zero(x, 128, recompute=producer)
     assert cls.is_nonzero
+    assert not cls.rigorous  # no radius: the witness decided
 
 
 def test_classify_recompute_disagreement_is_indeterminate():
     x = Real(mpmath.mpf("0.25"), working_prec(128))
     cls = classify_zero(x, 128, recompute=lambda wp: mpmath.mpf("0.75"))
     assert cls.is_indeterminate
+
+
+def exact(x) -> Fraction:
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+
+def never_called(wp):
+    raise AssertionError("the radius decides: the recompute must not run")
+
+
+def test_classify_radius_decides_without_calling_recompute():
+    wp = working_prec(128)
+    x = Real(mpmath.mpf("0.25"), wp, mpmath.mpf(2) ** -100)
+    cls = classify_zero(x, 128, recompute=never_called)
+    assert cls.is_nonzero and cls.rigorous
+    assert cls.margin_bits == pytest.approx(98.0)  # log2(2^-2 / 2^-100)
+
+
+def test_classify_radius_that_cannot_decide_falls_back_to_recompute():
+    wp = working_prec(128)
+    calls = []
+
+    def producer(w):
+        calls.append(w)
+        return mpmath.mpf("0.25")
+
+    x = Real(mpmath.mpf("0.25"), wp, mpmath.mpf(1))  # the enclosure [-0.75, 1.25] holds 0
+    cls = classify_zero(x, 128, recompute=producer)
+    assert calls == [2 * wp]
+    assert cls.is_nonzero and not cls.rigorous
+    assert cls.margin_bits == pytest.approx(62.0)  # log2(2^-2) against the bar 2^-64
+
+
+def test_classify_undecided_radius_and_disagreeing_recompute_is_indeterminate():
+    x = Real(mpmath.mpf("0.25"), working_prec(128), mpmath.mpf(1))
+    cls = classify_zero(x, 128, recompute=lambda wp: mpmath.mpf("0.75"))
+    assert cls.is_indeterminate and not cls.rigorous and cls.margin_bits is None
+
+
+def test_classify_undecided_radius_without_recompute_is_indeterminate():
+    # a radius that holds 0 contradicts NonZero; without a radius the bar is enough
+    assert classify_zero(Real(mpmath.mpf("0.25"), 192, mpmath.mpf(1)), 128).is_indeterminate
+    assert classify_zero(Real(mpmath.mpf("0.25"), 192), 128).is_nonzero
+
+
+def test_classify_radius_equal_to_the_magnitude_does_not_decide():
+    # the enclosure [0, 2|x|] touches 0, so it does not exclude it
+    x = Real(mpmath.mpf("0.25"), 192, mpmath.mpf("0.25"))
+    assert classify_zero(x, 128).is_indeterminate
+
+
+def test_classify_keeps_the_dead_band_and_numeric_zero_with_a_radius():
+    tiny = mpmath.mpf(2) ** -200
+    # below 2^-(target/2) a radius far below |x| still cannot make it NonZero
+    gray = Real(mpmath.mpf(2) ** -96, 192, tiny)
+    assert classify_zero(gray, 128, recompute=never_called).is_indeterminate
+    zero = classify_zero(Real(mpmath.mpf(2) ** -140, 192, tiny), 128, recompute=never_called)
+    assert zero.is_zero and not zero.rigorous
+    assert zero.margin_bits == pytest.approx(12.0)  # 2^-140 lies 12 bits below 2^-128
+
+
+def test_a_real_built_by_rounding_adds_its_rounding_to_the_radius():
+    third = mpmath.mpf(1) / 3  # 53 bits, inexact at 40
+    r = mpmath.mpf(2) ** -60
+    x = Real(third, 40, r)
+    assert exact(x.rad) >= exact(r) + abs(exact(x.mpf) - exact(third))
+    assert x.rad == radius_sum(r, half_ulp(x.mpf, 40))
+    # a value that fits adds nothing; a Real built from a Real keeps its radius
+    assert Real(mpmath.mpf("0.25"), 40, r).rad == r
+    assert Real(x, 80).rad == x.rad and x.round_to(80).rad == x.rad
+    assert Real(x, 32).rad > x.rad
+    assert Real(third, 40).rad is None
+    # a Fraction converts with one rounding at prec, which the radius counts
+    y = Real(Fraction(1, 3), 64, mpmath.mpf(0))
+    assert exact(y.rad) >= abs(exact(y.mpf) - Fraction(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=10**6), min_size=1, max_size=6),
+    st.fractions(min_value=0, max_value=10**6),
+    st.integers(min_value=-400, max_value=400),
+)
+def test_radius_arithmetic_rounds_up_to_its_precision(terms, c, shift):
+    radii = [to_mpf(t * Fraction(2) ** shift, 200) for t in terms]
+    total = radius_sum(*radii)
+    exact_total = sum(map(exact, radii))
+    assert exact_total <= exact(total) <= exact_total * (1 + Fraction(len(radii) + 1, 2 ** (RADIUS_PREC - 1)))
+    scaled = radius_scaled(total, c)
+    assert exact(total) * c <= exact(scaled)
+    assert exact(scaled) <= exact(total) * c * (1 + Fraction(1, 2 ** (RADIUS_PREC - 2)))
+
+
+@pytest.mark.parametrize("prec", (32, 53, 192))
+def test_half_ulp_bounds_every_rounding_to_nearest(prec):
+    rng = random.Random(prec)
+    for _ in range(200):
+        v = mp.make_mpf(from_man_exp(rng.getrandbits(400) | 1, rng.randint(-500, 100)))
+        rounded = Real(v, prec).mpf
+        assert abs(exact(rounded) - exact(v)) <= exact(half_ulp(rounded, prec))
+    assert half_ulp(mpmath.mpf(0), prec) == 0
+    assert half_ulp(mpmath.mpf(1), prec) == mpmath.mpf(2) ** -prec
 
 
 # ---------------------------------------------------------------------------

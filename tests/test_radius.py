@@ -1,0 +1,267 @@
+"""Error radii: the tables' per-entry bounds, the 1-ulp assumption they rest
+on, the radii the scan, the dichotomy and the determinant check attach to
+their sums, and the verdicts those radii reach against the doubled-precision
+recompute they replace."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import mpmath
+import pytest
+from mpmath import iv, mp
+from mpmath.libmp import to_rational
+
+from cyclolog.characters import PeriodicFunction, enumerate_characters, is_prime
+from cyclolog.dedekind import _magnitude, determinant_check, s_chi_raw
+from cyclolog.kernel import Real, classify_zero, const_raw, half_ulp, working_prec
+from cyclolog.lseries import l1_digamma_raw, trig_sums_raw
+from cyclolog.scans import bbw_function, dichotomy, evaluate, scan, sign_function
+from cyclolog.tables import Tables, tables
+
+
+def exact(x) -> Fraction:
+    """An mpf (or a raw mpf tuple) as the Fraction it equals."""
+    return Fraction(*to_rational(getattr(x, "_mpf_", x)))
+
+
+# ---------------------------------------------------------------------------
+# the per-entry bounds of the table families
+# ---------------------------------------------------------------------------
+
+FAMILIES = (
+    ("log_sines", "eps_log_sines"),
+    ("cos", "eps_roots"),
+    ("sin", "eps_roots"),
+    ("cot", "eps_cot"),
+    ("psi", "eps_psi"),
+)
+
+
+@pytest.mark.parametrize("wp", (96, 192, 320))
+@pytest.mark.parametrize("q", (3, 4, 12, 15, 101, 300))
+def test_every_entry_is_within_its_eps_of_a_4wp_evaluation(q, wp):
+    # the 4 wp entry is itself within its own eps of the exact value
+    tab, ref = Tables(q, wp), Tables(q, 4 * wp)
+    for family, eps in FAMILIES:
+        bound = exact(getattr(tab, eps)) + exact(getattr(ref, eps))
+        for got, want in zip(getattr(tab, family), getattr(ref, family)):
+            assert abs(exact(got) - exact(want)) <= bound, (family, q, wp)
+
+
+@pytest.mark.parametrize("wp", (96, 192, 320))
+def test_one_ulp_assumption_holds_against_interval_arithmetic(wp, monkeypatch):
+    # every call the tables make to log, sinpi and cospi for q <= 30, and pi,
+    # euler and log q, is within 2^(1 - wp) |Y| of the enclosure of its exact
+    # value Y at its mpf argument, computed by mpmath.iv at wp + 64 bits
+    def within(y, enclosure):
+        lo, hi = map(exact, enclosure._mpi_)
+        assert lo <= hi and (lo > 0 or hi < 0), enclosure
+        y, smallest = exact(y), min(abs(lo), abs(hi))
+        assert max(abs(y - lo), abs(y - hi)) <= Fraction(2) ** (1 - wp) * smallest
+
+    monkeypatch.setattr(iv, "prec", wp + 64)
+    with mp.workprec(wp):
+        within(const_raw("pi", wp), iv.pi)
+        within(const_raw("euler_gamma", wp), iv.euler)
+        for q in range(2, 31):
+            within(mpmath.log(q), iv.log(q))
+            args = {mpmath.mpf(k) / q for k in range(1, q)} | {mpmath.mpf(2 * j) / q for j in range(q)}
+            for t in args:
+                # sin pi t vanishes exactly at integers, cos pi t at half-integers,
+                # and there sinpi and cospi return 0 exactly
+                if mpmath.isint(t):
+                    assert mpmath.sinpi(t) == 0
+                else:
+                    within(mpmath.sinpi(t), iv.sin(iv.pi * t))
+                if mpmath.isint(t + 0.5):
+                    assert mpmath.cospi(t) == 0
+                else:
+                    within(mpmath.cospi(t), iv.cos(iv.pi * t))
+            for k in range(1, q // 2 + 1):
+                two_sin = 2 * mpmath.sinpi(mpmath.mpf(k) / q)
+                if two_sin != 1:  # log 1 = 0 is returned exactly
+                    within(mpmath.log(two_sin), iv.log(two_sin))
+                else:
+                    assert mpmath.log(two_sin) == 0
+
+
+# ---------------------------------------------------------------------------
+# the radii attached to sums
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def balls(monkeypatch):
+    """Every Real that ``scans`` and ``dedekind`` hand to ``classify_zero``, in order."""
+    import cyclolog.dedekind as dedekind
+    import cyclolog.scans as scans
+
+    seen = []
+
+    def capture(x, target, recompute=None):
+        seen.append(x)
+        return classify_zero(x, target, recompute)
+
+    for module in (scans, dedekind):
+        monkeypatch.setattr(module, "classify_zero", capture)
+    return seen
+
+
+SIGNS = sign_function(7, (1, 1, 1, -1, -1, -1))
+FRACTIONS = PeriodicFunction.from_rationals(7, ["1/3", "-5/12", "0", "1/4", "-1/6", "0", "0"])
+# L(1, g) = 0 exactly for g = (1, -3, 0, 3, -1, 0) mod 6 (odd, with
+# 3 g(1) + g(2) = 0), so L(1, 10^30 g + h) = L(1, h) for h = (1, -1, 0, 1, -1, 0),
+# while the error of the psi sum grows with sum |f| ~ 2^103: a radius without
+# sum |f| misses it
+WIDE = PeriodicFunction.from_rationals(
+    6, [10**30 * g + h for g, h in zip((1, -3, 0, 3, -1, 0), (1, -1, 0, 1, -1, 0))]
+)
+FUNCTIONS = pytest.mark.parametrize(
+    "f", [SIGNS, FRACTIONS, WIDE, bbw_function(9, 5)], ids=["signs-q7", "fractions-q7", "wide-q6", "bbw-q9-l5"]
+)
+
+
+@pytest.mark.parametrize("prec", (64, 128, 256))
+@FUNCTIONS
+def test_evaluate_radius_is_the_documented_bound(f, prec, balls):
+    # (sum |f| eps_psi + 1/2 ulp(total)) / q + 1/2 ulp(L), with
+    # 1/2 ulp(total) / q <= 4 * 1/2 ulp(L); the radius rounds each step up
+    # to 32 bits, so it exceeds the exact bound by less than 2^-28 of it
+    q, wp = f.period, working_prec(prec)
+    value = l1_digamma_raw(f, wp)
+    bound = (
+        f.abs_sum * exact(tables(q, wp).eps_psi) / q
+        + exact(half_ulp(value, wp - 2))
+        + exact(half_ulp(value, wp))
+    )
+    evaluate(f, prec)
+    (x,) = balls
+    assert x.mpf == value
+    assert bound <= exact(x.rad) <= bound * (1 + Fraction(1, 2**28))
+
+
+@pytest.mark.parametrize("prec", (64, 128))
+@FUNCTIONS
+def test_every_radius_of_a_sum_encloses_its_4wp_evaluation(f, prec, balls):
+    # L from evaluate; L, the cot sum and every cos sum from dichotomy (odd
+    # prime periods only)
+    wp = working_prec(prec)
+    evaluate(f, prec)
+    sums = [l1_digamma_raw(f, 4 * wp)]
+    if is_prime(f.period):
+        dichotomy(f, prec)
+        cot, cos_sums = trig_sums_raw(f, 4 * wp)
+        sums += [sums[0], cot, *cos_sums.values()]
+    assert len(balls) == len(sums)
+    for x, again in zip(balls, sums):
+        assert abs(exact(x.mpf) - exact(again)) <= exact(x.rad)
+
+
+@pytest.mark.parametrize("prec", (64, 128))
+@pytest.mark.parametrize("p", (3, 13, 53))
+def test_s_chi_radius_is_the_documented_bound(p, prec, balls):
+    # each component: sum_a (|t_a| eps_root + eps_log) + 1/2 ulp; |S_chi|: the
+    # two component radii plus 1 ulp, each step rounded up to 32 bits
+    wp = working_prec(prec)
+    logs = tables(p, wp).log_sines
+    terms = sum(map(abs, map(exact, logs))) * exact(tables((p - 1) // 2, wp).eps_roots)
+    terms += len(logs) * exact(tables(p, wp).eps_log_sines)
+    determinant_check(p, prec)
+    chars = enumerate_characters(p, even_only=True)
+    assert len(balls) == len(chars)
+    for x, chi in zip(balls, chars):
+        re, im = s_chi_raw(chi, wp)
+        bound = 2 * terms + exact(half_ulp(re, wp)) + exact(half_ulp(im, wp)) + 2 * exact(half_ulp(x.mpf, wp))
+        assert bound <= exact(x.rad) <= bound * (1 + Fraction(1, 2**27))
+
+
+@pytest.mark.parametrize("prec", (64, 128))
+@pytest.mark.parametrize("p", (3, 5, 13, 53))
+def test_every_factor_radius_encloses_its_4wp_magnitude(p, prec, balls):
+    wp = working_prec(prec)
+    determinant_check(p, prec)
+    chars = enumerate_characters(p, even_only=True)
+    assert len(balls) == len(chars)
+    for x, chi in zip(balls, chars):
+        again = _magnitude(s_chi_raw(chi, 4 * wp), 4 * wp)
+        assert abs(exact(x.mpf) - exact(again)) <= exact(x.rad)
+        assert exact(x.rad) < Fraction(2) ** -(wp - 16)
+
+
+# ---------------------------------------------------------------------------
+# radius verdicts against the recompute verdicts they replace
+# ---------------------------------------------------------------------------
+
+def recompute_verdict(value, prec, producer):
+    """The verdict of the doubled-precision recompute alone, on a value without a radius."""
+    return classify_zero(Real(value, working_prec(prec)), prec, recompute=producer).tag
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 15, 17))
+def test_radius_verdicts_equal_recompute_verdicts_on_every_sign_function(q):
+    prec = 192  # the scan's precision
+    for positions in combinations(range(q - 1), (q - 1) // 2):
+        plus = set(positions)
+        f = sign_function(q, tuple(1 if i in plus else -1 for i in range(q - 1)))
+        value, cls, _, _ = evaluate(f, prec)
+        assert cls.is_nonzero and cls.rigorous, (q, positions)
+        assert recompute_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
+
+
+P13 = (1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, -1, 0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        *(bbw_function(q, l) for q in (5, 7, 9) for l in range(3, q - 1, 2)),
+        PeriodicFunction.from_rationals(13, P13),
+        PeriodicFunction.from_rationals(7, [1, -1, 1, -1, 1, -1, 0]),
+    ],
+)
+def test_radius_verdicts_equal_recompute_verdicts_on_the_acceptance_functions(f):
+    # the kernel functions of acceptance criterion 8 (L Zero), and the
+    # dichotomy's trig sums, some NonZero and some Zero
+    prec, wp = 128, working_prec(128)
+    value, cls, cot, cos_sums = evaluate(f, prec)
+    assert recompute_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
+    if is_prime(f.period):
+        verdict = dichotomy(f, prec)
+        sums = {"cot": cot, **{f"cos_{b}": v for b, v in cos_sums.items()}}
+        doubled = trig_sums_raw(f, 2 * wp)
+        doubled = {"cot": doubled[0], **{f"cos_{b}": v for b, v in doubled[1].items()}}
+        for name, v in sums.items():
+            got = verdict.trig_classes[name]
+            assert recompute_verdict(v, prec, lambda w, name=name: doubled[name]) == got.tag, name
+            assert got.rigorous == got.is_nonzero
+
+
+@pytest.mark.parametrize("prec", (64, 128, 256))
+def test_radius_verdicts_equal_recompute_verdicts_on_every_certificate(prec):
+    wp = working_prec(prec)
+    for p in filter(is_prime, range(3, 102)):
+        for chi, _, cls in determinant_check(p, prec).s_chi_values:
+            assert cls.is_nonzero and cls.rigorous, (p, chi.exponents)
+            magnitude = _magnitude(s_chi_raw(chi, wp), wp)
+            assert recompute_verdict(magnitude, prec, lambda w: _magnitude(s_chi_raw(chi, w), w)) == cls.tag
+
+
+def test_scan_and_determinant_check_build_no_doubled_precision_tables(monkeypatch):
+    import cyclolog.tables as tables_module
+
+    built = []
+
+    class Recording(Tables):
+        def __init__(self, q, wp):
+            built.append(wp)
+            super().__init__(q, wp)
+
+    monkeypatch.setattr(tables_module, "Tables", Recording)
+    tables.cache_clear()
+    try:
+        scan(7, 128)
+        assert built and set(built) == {working_prec(128)}
+        built.clear()
+        determinant_check(13)
+        assert built and set(built) == {working_prec(128)}
+    finally:
+        tables.cache_clear()

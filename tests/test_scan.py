@@ -23,6 +23,7 @@ from cyclolog.scans import (
     sign_function,
     trig_sums_raw,
 )
+from cyclolog.tables import Tables
 
 TOL112 = mpmath.mpf(2) ** -112
 
@@ -222,10 +223,24 @@ def test_dichotomy_recomputes_the_trig_sums_once(monkeypatch):
 
     monkeypatch.setattr(scans, "trig_sums_raw", counting)
     signs = (1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, -1)
-    verdict = dichotomy(sign_function(13, signs), 128)
-    assert verdict.branch == BRANCH_L_NONZERO
-    assert any(c.is_nonzero for c in verdict.trig_classes.values())  # so a witness ran
+    f = sign_function(13, signs)
     wp = working_prec(128)
+    # the radii decide every NonZero sum: no witness runs
+    verdict = dichotomy(f, 128)
+    assert verdict.branch == BRANCH_L_NONZERO
+    nonzero = [c for c in verdict.trig_classes.values() if c.is_nonzero]
+    assert nonzero and all(c.rigorous for c in nonzero)
+    assert precisions == [wp]
+    # radii too large to decide: one doubled-precision evaluation serves every sum
+    precisions.clear()
+    for family in ("eps_cot", "eps_roots"):
+        monkeypatch.setattr(Tables, family, property(lambda self: mpmath.mpf(2) ** 20))
+    witnessed = dichotomy(f, 128)
+    assert any(c.is_nonzero for c in witnessed.trig_classes.values())  # so a witness ran
+    assert not any(c.rigorous for c in witnessed.trig_classes.values())
+    assert {k: c.tag for k, c in witnessed.trig_classes.items()} == {
+        k: c.tag for k, c in verdict.trig_classes.items()
+    }
     assert precisions == [wp, 2 * wp]
 
 

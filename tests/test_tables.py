@@ -1,6 +1,7 @@
 """The shared (q, wp) tables: every field equals the direct evaluation it
 replaced bit for bit, the cache stays bounded, a doubled-precision
-recompute gets its own entry, and CLI and demo stdout is pinned by SHA-256."""
+recompute (where a radius cannot decide) gets its own entry, and CLI and
+demo stdout is pinned by SHA-256."""
 
 import hashlib
 import os
@@ -129,13 +130,15 @@ def test_cache_stays_within_its_bound():
     assert tables.cache_info().currsize == bound
 
 
-def test_doubled_precision_recompute_reads_its_own_entry():
+def test_doubled_precision_recompute_reads_its_own_entry(monkeypatch):
     tables.cache_clear()
     q, prec = 7, 128
     wp = working_prec(prec)
     f = sign_function(q, (1, 1, 1, -1, -1, -1))
+    # a psi radius too large to decide, so the recompute witness runs
+    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
     _, cls, _, _ = evaluate(f, prec)
-    assert cls.is_nonzero  # so the recompute witness ran
+    assert cls.is_nonzero and not cls.rigorous  # so the recompute witness ran
     misses = tables.cache_info().misses
     first, witness = tables(q, wp), tables(q, 2 * wp)
     assert tables.cache_info().misses == misses  # both entries were already there
@@ -166,7 +169,10 @@ GOLDEN_F12_WIDE = ",".join(
 # before the relation search took a modulus, the last two before the psi
 # table and the sums of functions outside {-1, 0, 1} ran on integers; the
 # lseries, decompose and bbw entries were re-pinned when every sum over the
-# tables was rounded once and their payloads gained "format": 2
+# tables was rounded once and their payloads gained "format": 2; the
+# certificate and dedekind entries again when each factor was decided by its
+# error radius and their payloads gained "format": 2, "rigorous" and the
+# certificate's weakest margin
 SCAN_Q11_STDOUT = "e3848497130b614e07dcd604fe2a0aea4f91b9135da8b01aa436a787280e142d"
 # SHA-256 of the store after two `scan --q 11 --threads 1 --store PATH` runs,
 # recorded with the last GOLDEN entry
@@ -180,7 +186,7 @@ GOLDEN = [
     ("lseries-q120-fourier", ["lseries", "--q", "120", f"--f={GOLDEN_F120}", "--route", "fourier"],
      "7da5e9d6f8174e8f94450377d7a4a9cca9eba11324865fb0abddc4164c9a52be"),
     ("certificate-p53", ["certificate", "--p", "53"],
-     "e3184ed7f6c63c9684d16222ff3ba7d440298a937249fff84a24771c9570e8c2"),
+     "ebed57f77519a639326192c7fa91131fd8f41010452673b7b739aabfe0fef351"),
     ("relations-q30", ["relations", "--q", "30"],
      "02b541b3753ac11fa6c709c6fc96737e360c90e9e6b4f390b8af72ba03334384"),
     ("bbw-q9-l5", ["bbw", "--q", "9", "--l", "5"],
@@ -188,7 +194,7 @@ GOLDEN = [
     ("classify-p13", ["classify", "--p", "13", "--f", "1,1,-1,1,-1,-1,1,-1,1,1,-1,-1,0"],
      "e4aa0584c4aa9bfa291047b92eb223922f19fc0eef2b2f0876975fc14c2dda98"),
     ("dedekind-p53", ["dedekind", "--p", "53"],
-     "c0549f719b21eccb2f084dea45701cf4fffce203186978898fa332549969a44b"),
+     "deba46a947108d0f1cb96a10525b9c38f74cb053fe831513f50cc9e675e71f71"),
     ("intrel-q8", ["intrel", "--q", "8"],
      "43ebd75d8fd6528c693629170a4e1beac05b6a0b3dd9d27277222796443389f3"),
     ("rank-q20", ["rank", "--q", "20", "--prec", "256"],
@@ -213,7 +219,7 @@ GOLDEN = [
     ("decompose-q20", ["decompose", "--q", "20", f"--f={GOLDEN_F20}"],
      "2bbc8120cca76a3428bc17c368c411c21ecbe8d1bba17cd07e6ce3b01300c3bb"),
     ("certificate-p101", ["certificate", "--p", "101"],
-     "d1a2505cbad179431a10800ec87ca40a3dea974951435d7fea8871050afc3f1b"),
+     "1aa882b799367c6e0a99bb4ba429bc88be6103497c2567861896be4babbf02e5"),
     ("scan-q11-threads2", ["scan", "--q", "11", "--threads", "2", "--store", ""],
      SCAN_Q11_STDOUT),
     ("characters-q48", ["characters", "--q", "48"],
@@ -221,9 +227,9 @@ GOLDEN = [
     ("characters-q13-even", ["characters", "--q", "13", "--even-only"],
      "19c808136d27b6c30e6c682d43a747149b2b054f2225a4dfa975d87934226f6d"),
     ("dedekind-p13-text", ["dedekind", "--p", "13", "--output", "text"],
-     "e8c7da2d45ca41a94c843a1c415555106cea47ecadb2fcdb7e5dbb1bb60ae713"),
+     "ca5b5354d787611d84e98eee4edf3c4adaf399d0204c5bd17992022749cdb19f"),
     ("certificate-p3", ["certificate", "--p", "3"],
-     "87c99de9320ea0a0c0f29c12e7a723e2a81fb36225d9e1328a29de48d6c2d8c0"),
+     "0bb1e14533daf463fb4b1441921e6c636e4c08f7972d3920c11cef61f4b23a12"),
     ("intrel-q2", ["intrel", "--q", "2"],
      "31482ba2c8b4a7f224048098fce72d23273e2df1e32497dbac76b8ec48baa5db"),
     ("intrel-q12-text", ["intrel", "--q", "12", "--output", "text"],
@@ -238,12 +244,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # SHA-256 of each demo's stdout, recorded with the certificate GOLDEN entries;
 # demo 05's again when its warm-up search moved onto the q = 4 basis, and
 # demos 02 and 04 when every sum over the tables was rounded once and the
-# direct route left float64
+# direct route left float64; demo 03's when it printed each factor's radius
+# margin and the certificate note named the error radius
 DEMO_STDOUT = {
     "00_precision_kernel.py": "fa68d0ea283b9fd07f884705a7c0f835ac8e793234584a8eea86e13e31fcb61a",
     "01_log_sine_relations.py": "ae0eac76f2938f5655c601e103f9f4237d60edcf7024b56207e7eea8c70b8b72",
     "02_l_values_three_routes.py": "ac5e21477a19d97fedb48af2d251cb73b380efa85c8a45766e48c958efbbd3c4",
-    "03_prime_certificates.py": "f5713a49991767345c7f4752d1e830027b81c9551f888c32b20bf9f3126372d8",
+    "03_prime_certificates.py": "0f676b587d315bfb234cef34394d0280d0c8be3f4a5ef28000844d8cc06446cb",
     "04_sign_scan.py": "c43dc2524972e92b83d68164972acf1a02739e5cc2bb36b4576ce4c48847bb95",
     "05_integer_relations.py": "8eed0ddac16e4a10b060a610c7c0d9d4e39ecf41cf05107be5ba44950af59725",
 }
