@@ -43,9 +43,11 @@ from mpmath.libmp import (
     from_rational,
     fzero,
     mpf_add,
+    mpf_gt,
     mpf_mul,
     round_ceiling,
     round_nearest,
+    to_str,
 )
 
 MIN_PRECISION = 32
@@ -291,6 +293,15 @@ def _log2(x: mpmath.mpf) -> float:
     return math.log2(man) + exp if man else -math.inf
 
 
+def radius_decides_nonzero(mag: tuple, rad: tuple, target: int) -> bool:
+    """The rule by which an error radius decides NonZero, on raw mpf tuples:
+    True when |x| = ``mag`` exceeds its radius ``rad``, so the enclosure
+    [x - rad, x + rad] excludes 0, and clears the NonZero bar 2^-(target // 2).
+    :func:`classify_zero` applies it to a Real with a radius; the scan applies
+    it to raw values, and classifies only those it does not decide."""
+    return mpf_gt(mag, rad) and mpf_gt(mag, from_man_exp(1, -(target // 2)))
+
+
 def classify_zero(
     x: Real,
     target: int,
@@ -302,8 +313,8 @@ def classify_zero(
     |x| > 2^(-target/2) and a witness:
 
     * when ``x`` carries an error radius and |x| > ``x.rad``, the enclosure
-      [x - rad, x + rad] excludes 0: NonZero, rigorous, and ``recompute`` is
-      not called;
+      [x - rad, x + rad] excludes 0 (:func:`radius_decides_nonzero`):
+      NonZero, rigorous, and ``recompute`` is not called;
     * otherwise, when a ``recompute(working_bits)`` callback for the
       producing expression is supplied, its re-evaluation at doubled working
       precision must reproduce the leading target/2 bits;
@@ -321,11 +332,11 @@ def classify_zero(
         residual = Real(mag, x.prec)
         if mag < mpmath.ldexp(1, -target):
             return ZeroClass(ZERO, residual, margin_bits=-target - _log2(mag))
+        if x.rad is not None and radius_decides_nonzero(mag._mpf_, x.rad._mpf_, target):
+            return ZeroClass(NONZERO, residual, rigorous=True, margin_bits=_log2(mag) - _log2(x.rad))
         half = target // 2
         nonzero_bar = mpmath.ldexp(1, -half)
         if mag > nonzero_bar:
-            if x.rad is not None and mag > x.rad:
-                return ZeroClass(NONZERO, residual, rigorous=True, margin_bits=_log2(mag) - _log2(x.rad))
             if recompute is None:
                 witnessed = x.rad is None
             else:
@@ -347,7 +358,8 @@ def decimal_digits(prec_bits: int) -> int:
 
 
 def dec_str(x, digits: int) -> str:
-    """Deterministic decimal rendering of an mpf/Real."""
+    """Deterministic decimal rendering of an mpf/Real: ``mpmath.nstr(x,
+    digits)``, by the ``to_str`` it calls."""
     if isinstance(x, Real):
         x = x.mpf
-    return mpmath.nstr(x, digits)
+    return to_str(x._mpf_, digits)

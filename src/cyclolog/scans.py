@@ -9,7 +9,10 @@ and reports the minimum |L|.
 Each value is classified by its error radius (see :func:`evaluate`): a
 NonZero whose radius excludes 0 is rigorous, under the tables' 1-ulp
 assumption on mpmath, and a recompute at doubled precision runs only where
-the radius cannot decide.
+the radius cannot decide.  The scan applies the same rule,
+``kernel.radius_decides_nonzero``, to raw values and builds no verdict
+object for a function it decides; every other function goes through
+:func:`evaluate`.
 
 Each scanned function also carries its cotangent and cosine sums: for
 prime period, exactly one of "L is nonzero" / "all those trig sums
@@ -22,30 +25,33 @@ trig sums classify Zero (numeric-only evidence, by construction); the
 even-q member l = q - 1 is admitted too, but its L is not zero.
 
 Scans are embarrassingly parallel over sign vectors.  Worker processes
-(not threads: the arithmetic context is process-global) produce one
-record per function: its signs, class tag, L text and canonical JSON
-line.  The scan folds the records in enumeration order as they arrive,
-counting classes and keeping the first minimum |L|, so output bytes do
-not depend on the worker count; the store is keyed from the same
-records, and only lines already stored are parsed again.
+(not threads: the arithmetic context is process-global) each take
+contiguous ranges of enumeration ranks and return one row per function,
+in order: its signs, class tag, exact |L|, L text and canonical JSON line.
+A function's sums are exact integer sums over the aligned tables, read
+from its plus positions alone, each rounded once.  The scan joins the
+ranges in enumeration order, so output bytes do not depend on the worker
+count; it counts classes, keys the store from the same rows and takes the
+minimum over the exact |L|.  It parses nothing but the minimum's text;
+only lines already stored are parsed again.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_int, from_man_exp, mpf_abs, mpf_div, mpf_lt, mpf_neg, round_nearest, to_rational
 
 from .characters import PeriodicFunction, require_odd_prime
 from .kernel import (
@@ -56,6 +62,7 @@ from .kernel import (
     dec_str,
     decimal_digits,
     half_ulp,
+    radius_decides_nonzero,
     radius_scaled,
     radius_sum,
     working_prec,
@@ -107,17 +114,24 @@ def evaluate(
     the psi sum, is within sum_a |f(a)| eps_psi + 1/2 ulp(total) of its exact
     value (the tables' summation rule), and the division rounds by at most
     1/2 ulp(L).  As |total| <= q |L| (1 + 2^-wp), 1/2 ulp(total) / q is at
-    most 4 * 1/2 ulp(L), which is ``half_ulp(L, wp - 2)``.  A witness at
-    doubled precision runs only where the radius cannot decide.
+    most 4 * 1/2 ulp(L), which is ``half_ulp(L, wp - 2)``; :func:`_l_radius`
+    sums the three.  A witness at doubled precision runs only where the
+    radius cannot decide.
     """
     wp = working_prec(prec)
     q = f.period
     value = l1_digamma_raw(f, wp)
-    rad = radius_sum(
-        radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q), half_ulp(value, wp - 2), half_ulp(value, wp)
-    )
+    rad = _l_radius(radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q), value, wp)
     cls = classify_zero(Real(value, wp, rad), prec, recompute=lambda w: l1_digamma_raw(f, w))
     return (value, cls, *trig_sums_raw(f, wp))
+
+
+def _l_radius(psi_share: mpmath.mpf, value: mpmath.mpf, wp: int) -> mpmath.mpf:
+    """The error radius of L = ``value`` = -total/q at wp (see :func:`evaluate`):
+    ``psi_share``, an upper bound of sum_a |f(a)| eps_psi / q, plus
+    ``half_ulp(value, wp - 2)`` for the total's rounding and
+    ``half_ulp(value, wp)`` for the division's, each step rounded up."""
+    return radius_sum(psi_share, half_ulp(value, wp - 2), half_ulp(value, wp))
 
 
 BRANCH_L_NONZERO = "L_nonzero"
@@ -244,22 +258,96 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
 # the scan itself
 # ---------------------------------------------------------------------------
 
-def _record(q: int, positions: Tuple[int, ...], prec: int) -> Tuple[Tuple[int, ...], str, str, str]:
-    """(signs, class tag, L text, canonical JSON line) for a sign vector;
-    pure in (q, positions, prec)."""
-    signs = _signs_from_positions(q, positions)
-    value, cls, cot, cos_sums = evaluate(sign_function(q, signs), prec)
+def _render(
+    q: int, signs: Tuple[int, ...], prec: int, tag: str, value: mpmath.mpf, cot: mpmath.mpf,
+    cos_values: Sequence[mpmath.mpf],
+) -> Tuple[str, str]:
+    """(L text, canonical JSON line) of a scan record; ``cos_values`` in
+    order of b."""
     digits = decimal_digits(prec)
     record = {
         "q": q,
         "signs": list(signs),
         "L": dec_str(value, digits),
         "prec": prec,
-        "class": cls.tag,
+        "class": tag,
         "cot_sum": dec_str(cot, digits),
-        "cos_sums": [dec_str(cos_sums[b], digits) for b in sorted(cos_sums)],
+        "cos_sums": [dec_str(v, digits) for v in cos_values],
     }
-    return signs, cls.tag, record["L"], canonical_json(record)
+    return record["L"], canonical_json(record)
+
+
+def _record(q: int, positions: Tuple[int, ...], prec: int) -> Tuple[Tuple[int, ...], str, str, str]:
+    """(signs, class tag, L text, canonical JSON line) for a sign vector, by
+    :func:`evaluate`; pure in (q, positions, prec)."""
+    signs = _signs_from_positions(q, positions)
+    value, cls, cot, cos_sums = evaluate(sign_function(q, signs), prec)
+    l_text, line = _render(q, signs, prec, cls.tag, value, cot, [cos_sums[b] for b in sorted(cos_sums)])
+    return signs, cls.tag, l_text, line
+
+
+# (signs, class tag, |L| as a raw mpf, L text, canonical JSON line)
+Row = Tuple[Tuple[int, ...], str, tuple, str, str]
+
+
+def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
+    """The rows of the sign functions mod q whose enumeration ranks lie in
+    [start, stop), in order; pure in (q, prec, start, stop).
+
+    Each of a function's (q + 3)/2 sums, psi, cot and cos for
+    b = 1..(q-1)/2, is sum_a f(a) T_a = 2 sum_{a in P} T_a - sum_a T_a over
+    its plus set P: an exact integer over the aligned tables, rounded once
+    at wp, the bits ``Tables.weighted_sums`` gives.  L is the negated psi sum
+    divided by q, as in ``l1_digamma_raw``.  Where
+    :func:`~cyclolog.kernel.radius_decides_nonzero` decides L NonZero from
+    the radius :func:`evaluate` gives it, the record is rendered here; every
+    other record is :func:`_record`'s, by :func:`evaluate` and its
+    doubled-precision witness.
+    """
+    wp = working_prec(prec)
+    tab = tables(q, wp)
+    psi, psi_exp = tab.psi_aligned
+    cot, cot_exp = tab.cot_aligned
+    cos, cos_exp = tab.cos_aligned
+    bs = range(1, (q - 1) // 2 + 1)
+    # per position i, so a = i + 1: the aligned entries f(a) weighs
+    columns = [(psi[i], cot[i], *(cos[(i + 1) * b % q] for b in bs)) for i in range(q - 1)]
+    totals = [sum(col) for col in zip(*columns)]
+    exps = (psi_exp, cot_exp, *(cos_exp for _ in bs))
+    psi_share = radius_scaled(tab.eps_psi, Fraction(q - 1, q))  # sum_a |f(a)| = q - 1
+    q_raw = from_int(q)
+    rows = []
+    for positions in islice(combinations(range(q - 1), (q - 1) // 2), start, stop):
+        sums = [
+            from_man_exp(2 * plus - total, exp, wp, round_nearest)
+            for plus, total, exp in zip(map(sum, zip(*(columns[i] for i in positions))), totals, exps)
+        ]
+        raw = mpf_div(mpf_neg(sums[0]), q_raw, wp, round_nearest)
+        magnitude, value = mpf_abs(raw), mp.make_mpf(raw)
+        if radius_decides_nonzero(magnitude, _l_radius(psi_share, value, wp)._mpf_, prec):
+            signs = _signs_from_positions(q, positions)
+            cot_sum, *cos_values = map(mp.make_mpf, sums[1:])
+            l_text, line = _render(q, signs, prec, NONZERO, value, cot_sum, cos_values)
+            rows.append((signs, NONZERO, magnitude, l_text, line))
+        else:
+            signs, tag, l_text, line = _record(q, positions, prec)
+            rows.append((signs, tag, magnitude, l_text, line))
+    return rows
+
+
+def _minimum(rows: Sequence[Row]) -> Tuple[str, Tuple[int, ...]]:
+    """(|L| text, signs) of the scan's minimum |L|: the first row, in
+    enumeration order, whose |L| text equals the text of the exact minimum.
+
+    That is the strict-< minimum over the L texts parsed back at wp: distinct
+    texts parse to distinct values, and rendering and parsing are monotone.
+    """
+    low = rows[0]
+    for row in rows:
+        if mpf_lt(row[2], low[2]):
+            low = row
+    text = low[3].lstrip("-")
+    return text, next(row[0] for row in rows if row[3].lstrip("-") == text)
 
 
 @dataclass(frozen=True)
@@ -293,7 +381,7 @@ class ScanReport:
         return payload
 
 
-SCAN_BOUND = 17  # desk scale: the count is a central binomial
+SCAN_BOUND = 19  # desk scale: the count is a central binomial
 
 
 def scan(
@@ -304,8 +392,10 @@ def scan(
 ) -> ScanReport:
     """Evaluate and classify L(1, f) for every admissible sign function mod q.
 
-    Deterministic for any worker count: records are produced per function
-    by a pure function and folded in enumeration order as they arrive.
+    Deterministic for any worker count: each worker evaluates contiguous
+    ranges of enumeration ranks (:func:`_scan_range`, pure in its range) and
+    the ranges are joined in order.  The minimum |L| is taken over the exact
+    values (:func:`_minimum`); nothing is parsed but its text.
     """
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -321,34 +411,27 @@ def scan(
             q=q, prec=prec, admissible_count=0, min_abs_l=None,
             argmin_signs=None, class_counts={}, reason="parity",
         )
-    half = (q - 1) // 2
+    count = comb(q - 1, (q - 1) // 2)
     # the fork start method forks every max_workers process on the first
     # submit, with no upper bound; output does not depend on the count
     workers = min(workers, os.cpu_count() or 1)
-    chunk = max(1, comb(q - 1, half) // (workers * 8))
-    wp = working_prec(prec)
-    min_abs: Optional[mpmath.mpf] = None
-    argmin: Optional[Tuple[int, ...]] = None
-    counts: Dict[str, int] = {}
-    keyed: List[Tuple[Tuple, str]] = []
+    # about 8 ranges a worker, so that the pool can balance them
+    bounds = [count * k // (workers * 8) for k in range(workers * 8 + 1)] if workers > 1 else [0, count]
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        mapper = partial(pool.map, chunksize=chunk) if pool else map
-        for signs, tag, l_text, line in mapper(
-            _record, repeat(q), combinations(range(q - 1), half), repeat(prec)
-        ):
-            counts[tag] = counts.get(tag, 0) + 1
-            with mp.workprec(wp):
-                val = abs(mpmath.mpf(l_text))
-            if min_abs is None or val < min_abs:
-                min_abs, argmin = val, signs
-            keyed.append(((q, signs, prec), line))
+        mapper = pool.map if pool else map
+        rows = list(chain.from_iterable(mapper(_scan_range, repeat(q), repeat(prec), bounds[:-1], bounds[1:])))
+    counts = dict(Counter(row[1] for row in rows))
+    keyed = [((q, signs, prec), line) for signs, _, _, _, line in rows]
     if store is not None:
         store.merge(keyed)
+    text, argmin = _minimum(rows)
+    with mp.workprec(working_prec(prec)):
+        min_abs = mpmath.mpf(text)
     return ScanReport(
         q=q,
         prec=prec,
-        admissible_count=len(keyed),
-        min_abs_l=Real(min_abs, prec) if min_abs is not None else None,
+        admissible_count=len(rows),
+        min_abs_l=Real(min_abs, prec),
         argmin_signs=argmin,
         class_counts=counts,
         records=tuple(line for _, line in keyed),

@@ -12,13 +12,14 @@ on first use.  Each family that a sum reads (cot, cos, sin, psi, the
 log-sines) has one exact integer form, ``<family>_aligned``: integers T_i
 and one exponent E with T_i * 2^E = t_i.  It is the only integer form of a
 table: the psi entries, :meth:`Tables.weighted_sums` (and through it the
-Fourier transform), ``dedekind.s_chi_raw`` and the LU determinant all read it.
+Fourier transform), ``dedekind.s_chi_raw``, the LU determinant and the
+scan's sums (``scans._scan_range``) all read it.
 
 One summation rule holds for every number derived from the tables: the psi
-entries, :meth:`Tables.weighted_sums` and ``dedekind.s_chi_raw``.  The
-linear combination sum_a c_a t_{i(a)} of the entries is formed exactly,
-over the aligned integers and the exact weights c_a, and rounded to
-nearest once at wp.  So each such number is the correctly rounded value of
+entries, :meth:`Tables.weighted_sums`, ``dedekind.s_chi_raw`` and the scan's
+sums.  The linear combination sum_a c_a t_{i(a)} of the entries is formed
+exactly, over the aligned integers and the exact weights c_a, and rounded
+to nearest once at wp.  So each such number is the correctly rounded value of
 the exact combination of the entries it reads, and where every entry of a
 family is within eps_family of its true value, its error is at most
 sum_a |c_a| eps_family + 1/2 ulp.

@@ -168,18 +168,27 @@ MUTANTS = (
         ("tests/test_intrel.py::test_search_guards_the_pi_coefficient",),
     ),
     Mutant(
-        "classify_zero: the radius comparison flipped",
+        "radius rule: the > rad comparison flipped",
         "kernel.py",
-        "if x.rad is not None and mag > x.rad:",
-        "if x.rad is not None and mag < x.rad:",
+        "return mpf_gt(mag, rad) and",
+        "return mpf_gt(rad, mag) and",
         ("tests/test_kernel.py::test_classify_radius_decides_without_calling_recompute",),
     ),
+    # the next two drop the same guard: classify_zero's test and the scan's
+    # each catch it on their own
     Mutant(
-        "classify_zero: the radius comparison dropped",
+        "radius rule: the > rad guard dropped, as classify_zero sees it",
         "kernel.py",
-        "if x.rad is not None and mag > x.rad:",
-        "if x.rad is not None:",
+        "return mpf_gt(mag, rad) and",
+        "return",
         ("tests/test_kernel.py::test_classify_radius_that_cannot_decide_falls_back_to_recompute",),
+    ),
+    Mutant(
+        "radius rule: the > rad guard dropped, as the batched scan sees it",
+        "kernel.py",
+        "return mpf_gt(mag, rad) and",
+        "return",
+        ("tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_through_evaluate",),
     ),
     Mutant(
         "Real: the rounding to prec left out of the radius",
@@ -204,6 +213,13 @@ MUTANTS = (
             "tests/test_radius.py::test_evaluate_radius_is_the_documented_bound[wide-q6-128]",
             "tests/test_radius.py::test_every_radius_of_a_sum_encloses_its_4wp_evaluation[wide-q6-64]",
         ),
+    ),
+    Mutant(
+        "batched scan: sum |f| left out of the L radius",
+        "scans.py",
+        "radius_scaled(tab.eps_psi, Fraction(q - 1, q))",
+        "radius_scaled(tab.eps_psi, Fraction(1, q))",
+        ("tests/test_scan.py::test_the_batch_applies_the_rule_to_the_radius_evaluate_gives",),
     ),
     Mutant(
         "eps_psi: taken at twice the working precision",

@@ -8,12 +8,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from cyclolog.cli import main
 from cyclolog.dedekind import determinant_check
 from cyclolog.kernel import working_prec
 from cyclolog.serialize import canonical_json
+from cyclolog.tables import Tables
 
 
 def run_cli(capsys, *argv):
@@ -257,7 +259,8 @@ def test_scan_unopenable_store_exits_1_before_any_evaluation(capsys, monkeypatch
     def no_evaluation(*args):
         raise AssertionError("a function was evaluated before the store was checked")
 
-    monkeypatch.setattr(scans_mod, "_record", no_evaluation)
+    # every scanned function is evaluated inside a rank range
+    monkeypatch.setattr(scans_mod, "_scan_range", no_evaluation)
     store = tmp_path / "missing" / "x.jsonl" if where == "missing-directory" else tmp_path
     code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")
     assert code == 1
@@ -277,10 +280,28 @@ def test_scan_indeterminate_exits_3_whatever_the_serializer(capsys, monkeypatch,
         return value, ZeroClass(INDETERMINATE, Real(abs(value), prec)), *scans_mod.trig_sums_raw(f, wp)
 
     monkeypatch.setattr(scans_mod, "evaluate", gray)
+    # no L radius decides, so every record takes evaluate's verdict
+    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
     monkeypatch.setattr(scans_mod, "canonical_json", lambda obj: json.dumps(obj, separators=separators))
-    code, payload = run_json(capsys, "scan", "--q", "5", "--store", "", "--threads", "1")
+    code, payload = run_json(capsys, "scan", "--q", "5", "--store", "", "--threads", "1", "--per-function")
     assert code == 3
     assert payload["all_nonzero"] is False
+    assert [r["class"] for r in payload["records"]] == [INDETERMINATE] * 6
+
+
+def test_scan_beyond_the_bound_exits_1_naming_it_before_any_evaluation(capsys, monkeypatch, tmp_path):
+    import cyclolog.scans as scans_mod
+
+    def no_evaluation(*args):
+        raise AssertionError("a function was evaluated beyond the scan bound")
+
+    monkeypatch.setattr(scans_mod, "_scan_range", no_evaluation)
+    store = tmp_path / "s.jsonl"
+    code, out, err = run_cli(capsys, "scan", "--q", "21", "--store", str(store), "--threads", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: q = 21 exceeds the scan bound 19 (count grows as a central binomial)\n"
+    assert not store.exists()
 
 
 def test_classify_command(capsys):

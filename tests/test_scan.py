@@ -3,26 +3,31 @@ functions, and the append-only scan store."""
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_abs
 
 from cyclolog.characters import PeriodicFunction
-from cyclolog.kernel import Real, classify_zero, working_prec
+from cyclolog.kernel import NONZERO, Real, classify_zero, dec_str, decimal_digits, working_prec
 from cyclolog.lseries import decompose_l1, l1, l1_digamma_raw
 from cyclolog.scans import (
     BRANCH_L_NONZERO,
     BRANCH_TRIG_VANISH,
     ScanStore,
+    _minimum,
     bbw_function,
     dichotomy,
+    evaluate,
     scan,
     sign_function,
     trig_sums_raw,
 )
+from cyclolog.serialize import canonical_json
 from cyclolog.tables import Tables
 
 TOL112 = mpmath.mpf(2) ** -112
@@ -174,6 +179,112 @@ def test_scan_matches_decomposition_per_function():
                 assert abs(vec.value.mpf - scanned) < mpmath.mpf(10) ** -44
 
 
+@lru_cache(maxsize=None)
+def per_function_scan(q, prec):
+    """(records, min_abs_L text, argmin signs) by evaluate and dec_str for each
+    function in enumeration order, and a strict-< minimum over the L texts
+    parsed back at working precision."""
+    digits, wp = decimal_digits(prec), working_prec(prec)
+    lines, low, argmin = [], None, None
+    for positions in combinations(range(q - 1), (q - 1) // 2):
+        signs = tuple(1 if i in positions else -1 for i in range(q - 1))
+        value, cls, cot, cos_sums = evaluate(sign_function(q, signs), prec)
+        record = {
+            "q": q,
+            "signs": list(signs),
+            "L": dec_str(value, digits),
+            "prec": prec,
+            "class": cls.tag,
+            "cot_sum": dec_str(cot, digits),
+            "cos_sums": [dec_str(cos_sums[b], digits) for b in sorted(cos_sums)],
+        }
+        lines.append(canonical_json(record))
+        with mp.workprec(wp):
+            parsed = abs(mpmath.mpf(record["L"]))
+        if low is None or parsed < low:
+            low, argmin = parsed, signs
+    return tuple(lines), Real(low, prec).to_decimal(), argmin
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "q,prec", [(q, prec) for q in (3, 5, 7, 9, 11, 13) for prec in (64, 128, 192)] + [(15, 192)]
+)
+def test_batched_scan_equals_the_per_function_evaluation(q, prec, workers):
+    lines, low, argmin = per_function_scan(q, prec)
+    report = scan(q, prec, workers=workers)
+    assert report.records == lines
+    assert report.min_abs_l.to_decimal() == low
+    assert report.argmin_signs == argmin
+
+
+def test_minimum_keeps_the_first_of_values_that_render_alike():
+    # a > b, but both render as 0.5 at 3 digits: today's minimum over the
+    # parsed texts is a strict <, so the first of the two stays the argmin
+    a, b, c = (mpmath.mpf(x) for x in ("0.50002", "0.50001", "0.6"))
+    rows = [
+        ((1, -1), NONZERO, c._mpf_, dec_str(c, 3), ""),
+        ((1, 1), NONZERO, a._mpf_, dec_str(-a, 3), ""),
+        ((-1, -1), NONZERO, b._mpf_, dec_str(b, 3), ""),
+    ]
+    assert dec_str(a, 3) == dec_str(b, 3) == "0.5"
+    assert _minimum(rows) == ("0.5", (1, 1))
+    # a smaller value with a text of its own takes over
+    d = mpmath.mpf("0.49")
+    assert _minimum(rows + [((-1, 1), NONZERO, d._mpf_, dec_str(d, 3), "")]) == ("0.49", (-1, 1))
+
+
+def test_a_radius_that_cannot_decide_sends_every_record_through_evaluate(monkeypatch):
+    import cyclolog.scans as scans
+
+    q, prec = 9, 128
+    reference = scan(q, prec)
+    verdicts = []
+    original = scans.evaluate
+
+    def recording(f, prec):
+        out = original(f, prec)
+        verdicts.append(out[1])
+        return out
+
+    monkeypatch.setattr(scans, "evaluate", recording)
+    # no L radius decides: each verdict must come from the doubled-precision witness
+    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
+    witnessed = scan(q, prec)
+    assert len(verdicts) == comb(q - 1, (q - 1) // 2)
+    assert all(v.is_nonzero and not v.rigorous for v in verdicts)
+    assert witnessed.to_payload(include_records=True) == reference.to_payload(include_records=True)
+    assert scan(q, prec, workers=2).records == reference.records
+
+
+def test_the_batch_applies_the_rule_to_the_radius_evaluate_gives(monkeypatch):
+    import cyclolog.scans as scans
+
+    q, prec = 9, 128
+    applied, balls = [], []
+    rule = scans.radius_decides_nonzero
+
+    def recording_rule(mag, rad, target):
+        applied.append((mag, rad, target))
+        return rule(mag, rad, target)
+
+    def capture(x, target, recompute=None):
+        balls.append((x, target))
+        return classify_zero(x, target, recompute)
+
+    monkeypatch.setattr(scans, "radius_decides_nonzero", recording_rule)
+    monkeypatch.setattr(scans, "classify_zero", capture)
+    scan(q, prec)
+    assert not balls  # every record decided by the rule
+    for positions, (mag, rad, target) in zip(combinations(range(q - 1), (q - 1) // 2), applied):
+        signs = tuple(1 if i in positions else -1 for i in range(q - 1))
+        evaluate(sign_function(q, signs), prec)
+        (x, want_target), = balls
+        balls.clear()
+        assert (mag, rad, target) == (mpf_abs(x.mpf._mpf_), x.rad._mpf_, want_target)
+    assert len(applied) == comb(q - 1, (q - 1) // 2)
+
+
 def test_scan_record_schema():
     report = scan(3, 160)
     rec = json.loads(report.records[0])
@@ -251,7 +362,8 @@ def test_scan_rejects_worker_counts_below_one_before_any_evaluation(monkeypatch,
     def no_evaluation(*args):
         raise AssertionError("a function was evaluated before the worker count was checked")
 
-    monkeypatch.setattr(scans, "_record", no_evaluation)
+    # every scanned function is evaluated inside a rank range
+    monkeypatch.setattr(scans, "_scan_range", no_evaluation)
     with pytest.raises(ValueError, match="worker count"):
         scan(5, workers=workers)
 
