@@ -6,7 +6,7 @@ index k with chi(a) = e^(2 pi i k/m), m the exponent of the group, or as
 t = k/m in [0, 1).  Root-of-unity work keeps exponents exact and reads
 cos/sin of pi-rational angles from the tables layer, so no argument error
 ever accumulates.  The discrete Fourier transform's sums are the tables
-layer's exact weighted sums over its cos and sin tables, each rounded once
+layer's exact harmonic sums over its cos and sin tables, each rounded once
 and then divided by q.
 """
 
@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from .kernel import to_mpf
 from .tables import tables
@@ -290,23 +291,23 @@ def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmat
     """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), k = 1..q, as (re, im) pairs.
 
     For k = 1..q/2, q Re fhat(k) = sum_a f(a) cos(2 pi ak/q) and
-    -q Im fhat(k) = sum_a f(a) sin(2 pi ak/q) are ``Tables.weighted_sums``
-    over the cos and sin tables at the rows (ak mod q)_a: each the
+    -q Im fhat(k) = sum_a f(a) sin(2 pi ak/q), a = 1..q, are
+    ``Tables.harmonic_sums`` over the cos and sin tables: each the
     correctly rounded exact sum, then divided by q.  f is real, so
     fhat(q - k) is written as the conjugate of fhat(k) (k = q/2 once):
     fhat is conjugate-symmetric by construction, and the imaginary-part
     check of ``lseries.l1`` watches the Fourier route's own loop.
-    fhat(q), the row of zeros over cos 0 = 1, is the mean of f.
+    fhat(q) is the mean of f: cos 0 = 1 exactly, so q fhat(q) is the exact
+    sum_a n_a / d rounded once at wp.
     """
     q = f.period
     tab = tables(q, wp)
     half = range(1, q // 2 + 1)
-    rows = [[(a * k) % q for a in range(1, q + 1)] for k in half]
-    cos = tab.weighted_sums("cos", f, [*rows, [0] * q])
-    sin = tab.weighted_sums("sin", f, rows)
+    cos, sin = (tab.harmonic_sums(family, f, len(half), q) for family in ("cos", "sin"))
+    nums, d = f.exact_values
     out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {}
     with mp.workprec(wp):
-        out[q] = (cos[-1] / q, mpmath.mpf(0))
+        out[q] = (mp.make_mpf(from_rational(sum(nums), d, wp, round_nearest)) / q, mpmath.mpf(0))
         for k, c, s in zip(half, cos, sin):
             re, im = c / q, s / q
             out[q - k] = (re, im)

@@ -187,15 +187,15 @@ def trig_sums_raw(
     """(sum_a f(a) cot(a pi/q), {b: sum_a f(a) cos(2 pi a b/q)}) for b <= (q-1)/2,
     each over a = 1..q-1 at working precision wp.
 
-    Each sum is ``Tables.weighted_sums`` over the cot or cos table: the
-    exact sum of f(a) times the table entries, rounded once at wp.
+    The cot sum is ``Tables.weighted_sums`` over the cot table and the cos
+    sums are ``Tables.harmonic_sums`` over the cos table: each the exact sum
+    of f(a) times the table entries, rounded once at wp.
     """
     q = f.period
     tab = tables(q, wp)
     (cot,) = tab.weighted_sums("cot", f, [range(q - 1)])
     bs = range(1, (q - 1) // 2 + 1)
-    cos = tab.weighted_sums("cos", f, ([(a * b) % q for a in range(1, q)] for b in bs))
-    return cot, dict(zip(bs, cos))
+    return cot, dict(zip(bs, tab.harmonic_sums("cos", f, len(bs), q - 1)))
 
 
 def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:

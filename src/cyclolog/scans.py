@@ -297,7 +297,8 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     Each of a function's (q + 3)/2 sums, psi, cot and cos for
     b = 1..(q-1)/2, is sum_a f(a) T_a = 2 sum_{a in P} T_a - sum_a T_a over
     its plus set P: an exact integer over the aligned tables, rounded once
-    at wp, the bits ``Tables.weighted_sums`` gives.  L is the negated psi sum
+    at wp, the bits ``Tables.weighted_sums`` (psi, cot) and
+    ``Tables.harmonic_sums`` (cos) give.  L is the negated psi sum
     divided by q, as in ``l1_digamma_raw``.  Where
     :func:`~cyclolog.kernel.radius_decides_nonzero` decides L NonZero from
     the radius :func:`evaluate` gives it, the record is rendered here; every

@@ -11,15 +11,22 @@ recompute at doubled precision gets its own entry.  Each family is built
 on first use.  Each family that a sum reads (cot, cos, sin, psi, the
 log-sines) has one exact integer form, ``<family>_aligned``: integers T_i
 and one exponent E with T_i * 2^E = t_i.  It is the only integer form of a
-table: the psi entries, :meth:`Tables.weighted_sums` (and through it the
-Fourier transform), ``dedekind.s_chi_raw``, the LU determinant and the
-scan's sums (``scans._scan_range``) all read it.
+table: the psi entries, :meth:`Tables.weighted_sums`,
+:meth:`Tables.harmonic_sums`, ``dedekind.s_chi_raw``, the LU determinant and
+the scan's sums (``scans._scan_range``) all read it.
+
+Two kernels form the sums of a periodic function f over a family.
+:meth:`Tables.harmonic_sums` gives the rows sum_a f(a) t[(a k) mod q] for
+k = 1..count over the cos or sin table, all from one big-integer
+accumulation: the Fourier transform's cos and sin rows and the
+decomposition's cos sums.  :meth:`Tables.weighted_sums` gives a sum over
+any index list: the single psi sum of the digamma route and the cot sum.
 
 One summation rule holds for every number derived from the tables: the psi
-entries, :meth:`Tables.weighted_sums`, ``dedekind.s_chi_raw`` and the scan's
-sums.  The linear combination sum_a c_a t_{i(a)} of the entries is formed
-exactly, over the aligned integers and the exact weights c_a, and rounded
-to nearest once at wp.  So each such number is the correctly rounded value of
+entries, both kernels, ``dedekind.s_chi_raw`` and the scan's sums.  The
+linear combination sum_a c_a t_{i(a)} of the entries is formed exactly,
+over the aligned integers and the exact weights c_a, and rounded to
+nearest once at wp.  So each such number is the correctly rounded value of
 the exact combination of the entries it reads, and where every entry of a
 family is within eps_family of its true value, its error is at most
 sum_a |c_a| eps_family + 1/2 ulp.
@@ -245,7 +252,9 @@ class Tables:
         """For each index in ``indexes``, sum(f(a) * t[index[a - 1]] for
         a = 1..len(index)) where t is the ``family`` table ("cot", "psi",
         "cos" or "sin"): formed exactly over the aligned family and f's exact values
-        n_a / d, then rounded to nearest once at wp bits."""
+        n_a / d, then rounded to nearest once at wp bits.  The single psi and
+        cot sums go through here; the rows over (a k mod q) through
+        :meth:`harmonic_sums`."""
         wp = self.wp
         entries, exp = getattr(self, family + "_aligned")
         units = f.unit_values
@@ -259,17 +268,57 @@ class Tables:
                         total += entries[i]
                     elif u:
                         total -= entries[i]
-                out.append(mp.make_mpf(from_man_exp(total, exp, wp, round_nearest)))
+                out.append(_rounded(total, exp, 1, wp))
             return out
         nums, d = f.exact_values
         for index in indexes:
-            total = sum(n * entries[i] for n, i in zip(nums, index) if n)
-            if d == 1:
-                raw = from_man_exp(total, exp, wp, round_nearest)
-            else:
-                raw = mpf_shift(from_rational(total, d, wp, round_nearest), exp)
-            out.append(mp.make_mpf(raw))
+            out.append(_rounded(sum(n * entries[i] for n, i in zip(nums, index) if n), exp, d, wp))
         return out
+
+    def harmonic_sums(self, family: str, f: "PeriodicFunction", count: int, upto: int) -> List[mpmath.mpf]:
+        """sum(f(a) * t[(a k) mod q] for a = 1..upto) for k = 1..count, where t
+        is the "cos" or "sin" table: each the exact integer sum_a n_a T_(ak mod q)
+        over the aligned family and f's exact values n_a / d, rounded to
+        nearest once at wp bits, as in :meth:`weighted_sums`.  Needs
+        upto <= q.
+
+        All count sums come from one big-integer accumulation.  Slot k of
+        column a holds T_(ak mod q) + 2^(W-1) in W bits, with W the whole
+        bytes of bits(max |T|) + bits(sum_a |n_a|) + 1, so every entry and
+        every |S_k| = |sum_a n_a T_(ak mod q)| <= max |T| sum_a |n_a| is below
+        2^(W-1).  Column a is the slice of ``cycle`` (the byte entries
+        repeated count + 1 times) at a, 2a, .., count a, packed by
+        ``int.from_bytes``; sum_a n_a column_a holds S_k + 2^(W-1) sum_a n_a in
+        slot k.  One correction leaves S_k + 2^(W-1) in [1, 2^W) in every slot,
+        so the slots read off one ``to_bytes`` without carries.  Nothing is
+        cached: the columns live one at a time.
+        """
+        if not count:
+            return []
+        entries, exp = getattr(self, family + "_aligned")
+        nums, d = f.exact_values
+        nums = nums[:upto]
+        width = (max(map(abs, entries)).bit_length() + sum(map(abs, nums)).bit_length() + 8) // 8
+        bias = 1 << (8 * width - 1)
+        cycle = [(t + bias).to_bytes(width, "big") for t in entries] * (count + 1)
+        total = 0
+        for a, n in enumerate(nums, 1):
+            if n:
+                total += n * int.from_bytes(b"".join(cycle[a : a * count + 1 : a]), "big")
+        # slot k holds S_k + bias * sum_a n_a: leave one bias in every slot
+        total -= (sum(nums) - 1) * int.from_bytes(bias.to_bytes(width, "big") * count, "big")
+        packed = total.to_bytes(count * width, "big")
+        return [
+            _rounded(int.from_bytes(packed[i : i + width], "big") - bias, exp, d, self.wp)
+            for i in range(0, count * width, width)
+        ]
+
+
+def _rounded(total: int, exp: int, d: int, wp: int) -> mpmath.mpf:
+    """total * 2^exp / d rounded to nearest once at wp bits."""
+    if d == 1:
+        return mp.make_mpf(from_man_exp(total, exp, wp, round_nearest))
+    return mp.make_mpf(mpf_shift(from_rational(total, d, wp, round_nearest), exp))
 
 
 @lru_cache(maxsize=32)

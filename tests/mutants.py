@@ -39,25 +39,39 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "weighted_sums: a denominator d > 1 without the exponent shift",
+        "table sums: a denominator d > 1 without the exponent shift",
         "tables.py",
-        "raw = mpf_shift(from_rational(total, d, wp, round_nearest), exp)",
-        "raw = from_rational(total, d, wp, round_nearest)",
+        "return mp.make_mpf(mpf_shift(from_rational(total, d, wp, round_nearest), exp))",
+        "return mp.make_mpf(from_rational(total, d, wp, round_nearest))",
         ("tests/test_weighted_sum.py::test_fraction_valued_function_sums_like_fsum",),
     ),
     Mutant(
-        "weighted_sums: the integer branch rounds to floor",
+        "table sums: the integer branch rounds to floor",
         "tables.py",
-        "raw = from_man_exp(total, exp, wp, round_nearest)",
-        'raw = from_man_exp(total, exp, wp, "f")',
+        "return mp.make_mpf(from_man_exp(total, exp, wp, round_nearest))",
+        'return mp.make_mpf(from_man_exp(total, exp, wp, "f"))',
         ("tests/test_weighted_sum.py::test_seeded_integer_functions_sum_like_fsum[12-1]",),
     ),
     Mutant(
         "weighted_sums: the unit loop rounds at wp - 1",
         "tables.py",
-        "out.append(mp.make_mpf(from_man_exp(total, exp, wp, round_nearest)))",
-        "out.append(mp.make_mpf(from_man_exp(total, exp, wp - 1, round_nearest)))",
+        "out.append(_rounded(total, exp, 1, wp))",
+        "out.append(_rounded(total, exp, 1, wp - 1))",
         ("tests/test_weighted_sum.py::test_every_sign_function_sums_like_fsum[7-64]",),
+    ),
+    Mutant(
+        "harmonic_sums: the bias times sum n_a left out of the correction",
+        "tables.py",
+        "total -= (sum(nums) - 1) *",
+        "total -= (0 - 1) *",
+        ("tests/test_harmonic_sums.py::test_every_slot_equals_the_oracle_on_small_moduli[5-64]",),
+    ),
+    Mutant(
+        "harmonic_sums: the slot width without the bits of sum |n_a|",
+        "tables.py",
+        " + sum(map(abs, nums)).bit_length() + 8) // 8",
+        " + 8) // 8",
+        ("tests/test_harmonic_sums.py::test_a_wide_function_keeps_its_guard_bits[20]",),
     ),
     Mutant(
         "aligned tables: mantissas shifted one bit too far",
@@ -114,6 +128,13 @@ MUTANTS = (
         "out[k] = (re, -im)",
         "out[k] = (re, im)",
         ("tests/test_characters.py::test_transform_is_the_exact_table_sums_over_q[signs-q13-128]",),
+    ),
+    Mutant(
+        "Fourier transform: the a = q column dropped from the rows",
+        "characters.py",
+        "tab.harmonic_sums(family, f, len(half), q)",
+        "tab.harmonic_sums(family, f, len(half), q - 1)",
+        ("tests/test_characters.py::test_transform_is_the_exact_table_sums_over_q[integers-q30-128]",),
     ),
     Mutant(
         "has_zero_mean: f(q) left out of the period sum",

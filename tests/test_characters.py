@@ -444,6 +444,28 @@ def test_transform_is_the_exact_table_sums_over_q(name, wp):
         assert fhat[q][0] == to_mpf(f.mean_sum(), wp) / q
 
 
+@pytest.mark.parametrize("wp", (20, working_prec(128)))
+@pytest.mark.parametrize("q", (2, 3, 12, 300))
+def test_top_coefficient_is_the_mean_rounded_once(q, wp):
+    # q fhat(q) is the exact sum of f's values rounded once at wp: the sum
+    # over the row of zeros of the cos table (cos 0 = 1), then divided by q
+    rng = random.Random(q * wp)
+    fs = [
+        seeded_function(q, q, -18, 18),
+        PeriodicFunction.from_rationals(q, [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(q)]),
+        # more bits than wp: an integer mean is rounded too
+        PeriodicFunction.from_rationals(q, [10**40 * rng.randint(-9, 9) + rng.randint(-9, 9) for _ in range(q)]),
+    ]
+    if q >= 4:
+        fs.append(bbw_function(q, 3, 64))
+    tab = tables(q, wp)
+    for f in fs:
+        (total,) = tab.weighted_sums("cos", f, [[0] * q])
+        with mp.workprec(wp):
+            mean = total / q
+        assert fourier_transform_raw(f, wp)[q][0]._mpf_ == mean._mpf_
+
+
 def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
     for n in range(61):

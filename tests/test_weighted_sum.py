@@ -1,7 +1,8 @@
 """Sums over the tables: every sum that l1_digamma_raw and trig_sums_raw
-read from ``Tables.weighted_sums`` is the correctly rounded value of the
-exact sum over the table entries, bit for bit, at wp and at 2 wp, for unit,
-integer, rational, kernel-function and wide-span values alike.  The fsum
+read from ``Tables.weighted_sums`` (psi, cot) and ``Tables.harmonic_sums``
+(cos) is the correctly rounded value of the exact sum over the table
+entries, bit for bit, at wp and at 2 wp, for unit, integer, rational,
+kernel-function and wide-span values alike.  The fsum
 loops it replaced round f(a) and every product at wp bits, and each side
 rounds its sum once, so they agree with it within 4 ulps (``within_ulps``),
 and exactly for unit values, whose products are exact.  Every aligned entry
