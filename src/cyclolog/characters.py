@@ -250,14 +250,6 @@ class PeriodicFunction:
         d = lcm(*dens)
         return (nums if d == 1 else tuple(n * (d // den) for n, den in ratios)), d
 
-    @cached_property
-    def unit_values(self) -> Optional[Tuple[int, ...]]:
-        """The values as ints when every one is exactly -1, 0 or 1, else None;
-        they do not depend on a precision, so every sum over a table reads
-        them from here instead of converting f(a) to an mpf again."""
-        nums, d = self.exact_values
-        return nums if d == 1 and -1 <= min(nums) and max(nums) <= 1 else None
-
     def value_at(self, n: int) -> PeriodicValue:
         return self.values[(n - 1) % self.period]
 

@@ -11,8 +11,9 @@ NonZero whose radius excludes 0 is rigorous, under the tables' 1-ulp
 assumption on mpmath, and a recompute at doubled precision runs only where
 the radius cannot decide.  The scan applies the same rule,
 ``kernel.radius_decides_nonzero``, to raw values and builds no verdict
-object for a function it decides; every other function goes through
-:func:`evaluate`.
+object for a function it decides; every other function is classified in
+place by :func:`_l_class`, the radius and witness that :func:`evaluate`
+applies, from the sums the scan already holds.
 
 Each scanned function also carries its cotangent and cosine sums: for
 prime period, exactly one of "L is nonzero" / "all those trig sums
@@ -29,10 +30,10 @@ Scans are embarrassingly parallel over sign vectors.  Worker processes
 contiguous ranges of enumeration ranks and return one row per function,
 in order: its signs, class tag, exact |L|, L text and canonical JSON line.
 A function's sums are exact integer sums over the aligned tables, read
-from its plus positions alone, each rounded once.  The scan joins the
-ranges in enumeration order, so output bytes do not depend on the worker
-count; it counts classes, keys the store from the same rows and takes the
-minimum over the exact |L|.  It parses nothing but the minimum's text;
+from its plus positions alone, each formed once and rounded once.  The
+scan joins the ranges in enumeration order, so output bytes do not depend
+on the worker count; it counts classes, keys the store from the same rows
+and takes the minimum over the exact |L|.  It parses nothing but the minimum's text;
 only lines already stored are parsed again.
 """
 
@@ -116,14 +117,21 @@ def evaluate(
     1/2 ulp(L).  As |total| <= q |L| (1 + 2^-wp), 1/2 ulp(total) / q is at
     most 4 * 1/2 ulp(L), which is ``half_ulp(L, wp - 2)``; :func:`_l_radius`
     sums the three.  A witness at doubled precision runs only where the
-    radius cannot decide.
+    radius cannot decide (:func:`_l_class`).
     """
     wp = working_prec(prec)
-    q = f.period
     value = l1_digamma_raw(f, wp)
+    return (value, _l_class(f, value, prec), *trig_sums_raw(f, wp))
+
+
+def _l_class(f: PeriodicFunction, value: mpmath.mpf, prec: int) -> ZeroClass:
+    """The zero class against ``prec`` bits of ``value``, L(1, f) at wp as
+    ``l1_digamma_raw`` gives it: decided by its error radius (see
+    :func:`evaluate`) and, only where that cannot, by L at doubled precision."""
+    wp = working_prec(prec)
+    q = f.period
     rad = _l_radius(radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q), value, wp)
-    cls = classify_zero(Real(value, wp, rad), prec, recompute=lambda w: l1_digamma_raw(f, w))
-    return (value, cls, *trig_sums_raw(f, wp))
+    return classify_zero(Real(value, wp, rad), prec, recompute=lambda w: l1_digamma_raw(f, w))
 
 
 def _l_radius(psi_share: mpmath.mpf, value: mpmath.mpf, wp: int) -> mpmath.mpf:
@@ -277,15 +285,6 @@ def _render(
     return record["L"], canonical_json(record)
 
 
-def _record(q: int, positions: Tuple[int, ...], prec: int) -> Tuple[Tuple[int, ...], str, str, str]:
-    """(signs, class tag, L text, canonical JSON line) for a sign vector, by
-    :func:`evaluate`; pure in (q, positions, prec)."""
-    signs = _signs_from_positions(q, positions)
-    value, cls, cot, cos_sums = evaluate(sign_function(q, signs), prec)
-    l_text, line = _render(q, signs, prec, cls.tag, value, cot, [cos_sums[b] for b in sorted(cos_sums)])
-    return signs, cls.tag, l_text, line
-
-
 # (signs, class tag, |L| as a raw mpf, L text, canonical JSON line)
 Row = Tuple[Tuple[int, ...], str, tuple, str, str]
 
@@ -297,13 +296,14 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     Each of a function's (q + 3)/2 sums, psi, cot and cos for
     b = 1..(q-1)/2, is sum_a f(a) T_a = 2 sum_{a in P} T_a - sum_a T_a over
     its plus set P: an exact integer over the aligned tables, rounded once
-    at wp, the bits ``Tables.weighted_sums`` (psi, cot) and
+    at wp, the bits ``Tables.weighted_sum`` (psi, cot) and
     ``Tables.harmonic_sums`` (cos) give.  L is the negated psi sum
     divided by q, as in ``l1_digamma_raw``.  Where
     :func:`~cyclolog.kernel.radius_decides_nonzero` decides L NonZero from
-    the radius :func:`evaluate` gives it, the record is rendered here; every
-    other record is :func:`_record`'s, by :func:`evaluate` and its
-    doubled-precision witness.
+    the radius :func:`evaluate` gives it, the record is NonZero; every other
+    record takes its class from :func:`_l_class`, that radius and the
+    doubled-precision witness.  Each record is rendered from these sums,
+    which are formed once.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)
@@ -325,14 +325,14 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
         ]
         raw = mpf_div(mpf_neg(sums[0]), q_raw, wp, round_nearest)
         magnitude, value = mpf_abs(raw), mp.make_mpf(raw)
+        signs = _signs_from_positions(q, positions)
         if radius_decides_nonzero(magnitude, _l_radius(psi_share, value, wp)._mpf_, prec):
-            signs = _signs_from_positions(q, positions)
-            cot_sum, *cos_values = map(mp.make_mpf, sums[1:])
-            l_text, line = _render(q, signs, prec, NONZERO, value, cot_sum, cos_values)
-            rows.append((signs, NONZERO, magnitude, l_text, line))
+            tag = NONZERO
         else:
-            signs, tag, l_text, line = _record(q, positions, prec)
-            rows.append((signs, tag, magnitude, l_text, line))
+            tag = _l_class(sign_function(q, signs), value, prec).tag
+        cot_sum, *cos_values = map(mp.make_mpf, sums[1:])
+        l_text, line = _render(q, signs, prec, tag, value, cot_sum, cos_values)
+        rows.append((signs, tag, magnitude, l_text, line))
     return rows
 
 

@@ -11,16 +11,18 @@ recompute at doubled precision gets its own entry.  Each family is built
 on first use.  Each family that a sum reads (cot, cos, sin, psi, the
 log-sines) has one exact integer form, ``<family>_aligned``: integers T_i
 and one exponent E with T_i * 2^E = t_i.  It is the only integer form of a
-table: the psi entries, :meth:`Tables.weighted_sums`,
+table: the psi entries, :meth:`Tables.weighted_sum`,
 :meth:`Tables.harmonic_sums`, ``dedekind.s_chi_raw``, the LU determinant and
 the scan's sums (``scans._scan_range``) all read it.
 
-Two kernels form the sums of a periodic function f over a family.
+Two kernels form the sums of a periodic function f over a family, one per
+shape.  :meth:`Tables.weighted_sum` gives the one sum sum_a f(a) t_a over
+the whole family: the psi sum of the digamma route and the cot sum.
 :meth:`Tables.harmonic_sums` gives the rows sum_a f(a) t[(a k) mod q] for
 k = 1..count over the cos or sin table, all from one big-integer
 accumulation: the Fourier transform's cos and sin rows and the
-decomposition's cos sums.  :meth:`Tables.weighted_sums` gives a sum over
-any index list: the single psi sum of the digamma route and the cot sum.
+decomposition's cos sums.  The psi entries take their cos rows by the
+same (a b) mod q slices of a repeated table.
 
 One summation rule holds for every number derived from the tables: the psi
 entries, both kernels, ``dedekind.s_chi_raw`` and the scan's sums.  The
@@ -46,7 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Sequence, Tuple
+from operator import mul
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -197,20 +200,17 @@ class Tables:
         cot, cot_exp = self.cot_aligned
         cos, cos_exp = self.cos_aligned
         logs, log_exp = self.log_sines_aligned
-        logs = logs[: (q - 1) // 2]
+        r = (q - 1) // 2
+        logs = logs[:r]
+        # cycle[a b] = cos[(a b) mod q] for every b <= r, as (q - 1) r < q (r + 1)
+        cycle = cos * (r + 1)
         # 2 log(2 sin b pi/q) = log(4 sin^2(b pi/q)), the doubling exact
         cos_log_exp = cos_exp + log_exp + 1
         exp = min(se, he + cot_exp, cos_log_exp, le)
         start, half_pi, log2 = sm << (se - exp), hm << (he + cot_exp - exp), lm << (le - exp)
         vals = []
         for a in range(1, q):
-            total = 0
-            j = 0
-            for t in logs:
-                j += a
-                if j >= q:
-                    j -= q
-                total += cos[j] * t
+            total = sum(map(mul, cycle[a : a * r + 1 : a], logs))
             total = start - half_pi * cot[a - 1] + (total << (cos_log_exp - exp))
             total += log2 if a % 2 == 0 else -log2
             vals.append(mp.make_mpf(from_man_exp(total, exp, wp, round_nearest)))
@@ -246,40 +246,21 @@ class Tables:
     psi_aligned = _aligned("psi")
     log_sines_aligned = _aligned("log_sines")
 
-    def weighted_sums(
-        self, family: str, f: "PeriodicFunction", indexes: Iterable[Sequence[int]]
-    ) -> List[mpmath.mpf]:
-        """For each index in ``indexes``, sum(f(a) * t[index[a - 1]] for
-        a = 1..len(index)) where t is the ``family`` table ("cot", "psi",
-        "cos" or "sin"): formed exactly over the aligned family and f's exact values
-        n_a / d, then rounded to nearest once at wp bits.  The single psi and
-        cot sums go through here; the rows over (a k mod q) through
-        :meth:`harmonic_sums`."""
-        wp = self.wp
+    def weighted_sum(self, family: str, f: "PeriodicFunction") -> mpmath.mpf:
+        """sum(f(a) * t[a - 1] for a = 1..len(t)) where t is the ``family``
+        table: the exact integer sum_a n_a T_(a - 1) over the aligned family
+        and f's exact values n_a / d, rounded to nearest once at wp bits.
+        The psi sum (a = 1..q) and the cot sum (a = 1..q - 1) go through
+        here; the rows over (a k mod q) through :meth:`harmonic_sums`."""
         entries, exp = getattr(self, family + "_aligned")
-        units = f.unit_values
-        out = []
-        if units is not None:
-            # every f(a) is -1, 0 or 1: each product is exactly -T_i, 0 or T_i
-            for index in indexes:
-                total = 0
-                for u, i in zip(units, index):
-                    if u > 0:
-                        total += entries[i]
-                    elif u:
-                        total -= entries[i]
-                out.append(_rounded(total, exp, 1, wp))
-            return out
         nums, d = f.exact_values
-        for index in indexes:
-            out.append(_rounded(sum(n * entries[i] for n, i in zip(nums, index) if n), exp, d, wp))
-        return out
+        return _rounded(sum(map(mul, nums, entries)), exp, d, self.wp)
 
     def harmonic_sums(self, family: str, f: "PeriodicFunction", count: int, upto: int) -> List[mpmath.mpf]:
         """sum(f(a) * t[(a k) mod q] for a = 1..upto) for k = 1..count, where t
         is the "cos" or "sin" table: each the exact integer sum_a n_a T_(ak mod q)
         over the aligned family and f's exact values n_a / d, rounded to
-        nearest once at wp bits, as in :meth:`weighted_sums`.  Needs
+        nearest once at wp bits, as in :meth:`weighted_sum`.  Needs
         upto <= q.
 
         All count sums come from one big-integer accumulation.  Slot k of

@@ -53,10 +53,10 @@ MUTANTS = (
         ("tests/test_weighted_sum.py::test_seeded_integer_functions_sum_like_fsum[12-1]",),
     ),
     Mutant(
-        "weighted_sums: the unit loop rounds at wp - 1",
+        "weighted_sum: the sum rounded at wp - 1",
         "tables.py",
-        "out.append(_rounded(total, exp, 1, wp))",
-        "out.append(_rounded(total, exp, 1, wp - 1))",
+        "return _rounded(sum(map(mul, nums, entries)), exp, d, self.wp)",
+        "return _rounded(sum(map(mul, nums, entries)), exp, d, self.wp - 1)",
         ("tests/test_weighted_sum.py::test_every_sign_function_sums_like_fsum[7-64]",),
     ),
     Mutant(
@@ -85,6 +85,13 @@ MUTANTS = (
         "tables.py",
         "cos_log_exp = cos_exp + log_exp + 1",
         "cos_log_exp = cos_exp + log_exp",
+        ("tests/test_tables.py::test_psi_equals_the_per_a_assembly[7-96]",),
+    ),
+    Mutant(
+        "psi: the cos row sliced from a + 1",
+        "tables.py",
+        "cycle[a : a * r + 1 : a]",
+        "cycle[a + 1 : a * r + 1 : a]",
         ("tests/test_tables.py::test_psi_equals_the_per_a_assembly[7-96]",),
     ),
     Mutant(
@@ -209,7 +216,7 @@ MUTANTS = (
         "kernel.py",
         "return mpf_gt(mag, rad) and",
         "return",
-        ("tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_through_evaluate",),
+        ("tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_to_the_witness",),
     ),
     Mutant(
         "Real: the rounding to prec left out of the radius",
@@ -226,13 +233,23 @@ MUTANTS = (
         ("tests/test_kernel.py::test_half_ulp_bounds_every_rounding_to_nearest[53]",),
     ),
     Mutant(
-        "evaluate: sum |f| left out of the L radius",
+        "_l_class: sum |f| left out of the L radius",
         "scans.py",
         "radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q)",
         "radius_scaled(tables(q, wp).eps_psi, Fraction(1, q))",
         (
             "tests/test_radius.py::test_evaluate_radius_is_the_documented_bound[wide-q6-128]",
             "tests/test_radius.py::test_every_radius_of_a_sum_encloses_its_4wp_evaluation[wide-q6-64]",
+        ),
+    ),
+    Mutant(
+        "batched scan: every undecided record tagged NonZero",
+        "scans.py",
+        "tag = _l_class(sign_function(q, signs), value, prec).tag",
+        "tag = NONZERO",
+        (
+            "tests/test_cli.py::test_scan_indeterminate_exits_3_whatever_the_serializer[canonical]",
+            "tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_to_the_witness",
         ),
     ),
     Mutant(

@@ -274,13 +274,11 @@ def test_scan_indeterminate_exits_3_whatever_the_serializer(capsys, monkeypatch,
     import cyclolog.scans as scans_mod
     from cyclolog.kernel import INDETERMINATE, Real, ZeroClass
 
-    def gray(f, prec):
-        wp = scans_mod.working_prec(prec)
-        value = scans_mod.l1_digamma_raw(f, wp)
-        return value, ZeroClass(INDETERMINATE, Real(abs(value), prec)), *scans_mod.trig_sums_raw(f, wp)
+    def gray(f, value, prec):
+        return ZeroClass(INDETERMINATE, Real(abs(value), prec))
 
-    monkeypatch.setattr(scans_mod, "evaluate", gray)
-    # no L radius decides, so every record takes evaluate's verdict
+    monkeypatch.setattr(scans_mod, "_l_class", gray)
+    # no L radius decides, so every record takes _l_class's verdict
     monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
     monkeypatch.setattr(scans_mod, "canonical_json", lambda obj: json.dumps(obj, separators=separators))
     code, payload = run_json(capsys, "scan", "--q", "5", "--store", "", "--threads", "1", "--per-function")

@@ -234,20 +234,20 @@ def test_minimum_keeps_the_first_of_values_that_render_alike():
     assert _minimum(rows + [((-1, 1), NONZERO, d._mpf_, dec_str(d, 3), "")]) == ("0.49", (-1, 1))
 
 
-def test_a_radius_that_cannot_decide_sends_every_record_through_evaluate(monkeypatch):
+def test_a_radius_that_cannot_decide_sends_every_record_to_the_witness(monkeypatch):
     import cyclolog.scans as scans
 
     q, prec = 9, 128
     reference = scan(q, prec)
     verdicts = []
-    original = scans.evaluate
+    original = scans._l_class
 
-    def recording(f, prec):
-        out = original(f, prec)
-        verdicts.append(out[1])
+    def recording(f, value, prec):
+        out = original(f, value, prec)
+        verdicts.append(out)
         return out
 
-    monkeypatch.setattr(scans, "evaluate", recording)
+    monkeypatch.setattr(scans, "_l_class", recording)
     # no L radius decides: each verdict must come from the doubled-precision witness
     monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
     witnessed = scan(q, prec)
@@ -255,6 +255,28 @@ def test_a_radius_that_cannot_decide_sends_every_record_through_evaluate(monkeyp
     assert all(v.is_nonzero and not v.rigorous for v in verdicts)
     assert witnessed.to_payload(include_records=True) == reference.to_payload(include_records=True)
     assert scan(q, prec, workers=2).records == reference.records
+
+
+def test_an_undecided_record_is_classified_from_the_sums_the_scan_holds(monkeypatch):
+    import cyclolog.scans as scans
+
+    q, prec = 9, 128
+    wp = working_prec(prec)
+    calls = {"trig_sums_raw": [], "l1_digamma_raw": []}
+    for name, precisions in calls.items():
+        original = getattr(scans, name)
+
+        def counting(f, w, original=original, precisions=precisions):
+            precisions.append(w)
+            return original(f, w)
+
+        monkeypatch.setattr(scans, name, counting)
+    # no L radius decides: every record is classified by the witness alone
+    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
+    report = scan(q, prec)
+    assert report.class_counts == {NONZERO: comb(q - 1, (q - 1) // 2)}
+    assert calls["trig_sums_raw"] == []
+    assert calls["l1_digamma_raw"] and set(calls["l1_digamma_raw"]) == {2 * wp}
 
 
 def test_the_batch_applies_the_rule_to_the_radius_evaluate_gives(monkeypatch):
@@ -467,7 +489,9 @@ def test_sign_function_equals_the_rational_function():
             g = PeriodicFunction.from_rationals(q, [*signs, 0])
             assert all(type(v) is int for v in f.values)
             assert f == g
-            assert (f.exact_values, f.unit_values) == (g.exact_values, g.unit_values)
+            assert f.exact_values == g.exact_values
+            nums, d = f.exact_values
+            assert d == 1 and set(nums) <= {-1, 0, 1}
 
 
 def test_bbw_even_modulus_midpoint_is_zero():
