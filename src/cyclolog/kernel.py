@@ -357,9 +357,62 @@ def decimal_digits(prec_bits: int) -> int:
     return max(1, int(prec_bits * 0.3010299956639812))
 
 
+# mpmath's own constant for bits per decimal digit, so every cut below
+# falls where ``to_digits_exp`` puts it
+_LOG2_10 = math.log(10, 2)
+
+
 def dec_str(x, digits: int) -> str:
     """Deterministic decimal rendering of an mpf/Real: ``mpmath.nstr(x,
-    digits)``, by the ``to_str`` it calls."""
+    digits)``, that is ``to_str(x._mpf_, digits)``, byte for byte.
+
+    It runs mpmath's steps inline on the integers.  ``to_digits_exp(s,
+    digits + 3)``: the magnitude as a binary fixed-point integer of
+    ``fixprec`` fraction bits, times ``10**fixdps``, shifted back, is the
+    floor of |x| to ``fixdps`` decimals, and its ``str`` holds the digits.
+    Then ``to_str``: round half up on digit ``digits`` (a carry through
+    trailing 9s that reaches the front makes "1" and raises the exponent),
+    trailing zeros stripped, fixed point when ``min(-(digits//3), -5) <
+    exponent < digits`` (zeros fill the places up to the point, and ".0"
+    ends a whole number), else scientific.  Zero, inf and
+    nan, ``digits < 1``, ``|exp + bc| > 3500`` (mpmath first divides by a
+    power of ten there) and more digits than ``str`` of an int may give
+    go to ``to_str`` itself.
+    """
     if isinstance(x, Real):
         x = x.mpf
-    return to_str(x._mpf_, digits)
+    s = x._mpf_
+    sign, man, exp, bc = s
+    if not man or digits < 1 or digits > 4000 or abs(exp + bc) > 3500:
+        return to_str(s, digits)
+    # to_digits_exp at digits + 3: the floor of |x| to fixdps decimals
+    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    text = str(((man << shift) if shift >= 0 else (man >> -shift)) * 10**fixdps >> fixprec)
+    exponent = len(text) - fixdps - 1
+    # to_str: round half up on digit ``digits``, carrying through 9s; what
+    # is kept is the significant digits without their trailing zeros
+    if len(text) > digits and text[digits] in "56789":
+        kept = text[:digits].rstrip("9")
+        if kept:
+            text = kept[:-1] + str(int(kept[-1]) + 1)
+        else:
+            text = "1"
+            exponent += 1
+    else:
+        text = text[:digits].rstrip("0")
+    if min(-(digits // 3), -5) < exponent < digits:
+        point = exponent + 1  # digits before the decimal point
+        if point <= 0:
+            text = "0." + "0" * -point + text
+        elif point < len(text):
+            text = text[:point] + "." + text[point:]
+        else:
+            text += "0" * (point - len(text)) + ".0"
+        exponent = 0
+    else:
+        text = text[0] + "." + (text[1:] or "0")
+    if sign:
+        text = "-" + text
+    return text if exponent == 0 else f"{text}e{exponent:+d}"

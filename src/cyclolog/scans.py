@@ -34,7 +34,8 @@ from its plus positions alone, each formed once and rounded once.  The
 scan joins the ranges in enumeration order, so output bytes do not depend
 on the worker count; it counts classes, keys the store from the same rows
 and takes the minimum over the exact |L|.  It parses nothing but the minimum's text;
-only lines already stored are parsed again.
+of the lines already stored, only those that differ from every recomputed
+line are parsed again.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .kernel import (
     working_prec,
 )
 from .lseries import l1_digamma_raw, require_convergent, trig_sums_raw
-from .serialize import canonical_json
 from .tables import tables
 
 
@@ -271,18 +271,21 @@ def _render(
     cos_values: Sequence[mpmath.mpf],
 ) -> Tuple[str, str]:
     """(L text, canonical JSON line) of a scan record; ``cos_values`` in
-    order of b."""
+    order of b.
+
+    The line is filled into one fixed template, the bytes ``canonical_json``
+    gives the record dict with keys q, signs, L, prec, class, cot_sum,
+    cos_sums: every value is an int, a class tag or a decimal text, none of
+    which JSON escapes, so no dict is built and nothing is serialized.
+    """
     digits = decimal_digits(prec)
-    record = {
-        "q": q,
-        "signs": list(signs),
-        "L": dec_str(value, digits),
-        "prec": prec,
-        "class": tag,
-        "cot_sum": dec_str(cot, digits),
-        "cos_sums": [dec_str(v, digits) for v in cos_values],
-    }
-    return record["L"], canonical_json(record)
+    l_text = dec_str(value, digits)
+    cos_texts = '","'.join([dec_str(v, digits) for v in cos_values])
+    line = (
+        f'{{"q":{q},"signs":[{",".join(map(str, signs))}],"L":"{l_text}","prec":{prec},'
+        f'"class":"{tag}","cot_sum":"{dec_str(cot, digits)}","cos_sums":["{cos_texts}"]}}'
+    )
+    return l_text, line
 
 
 # (signs, class tag, |L| as a raw mpf, L text, canonical JSON line)
@@ -452,28 +455,39 @@ class ScanStore:
     def merge(self, records: Iterable[Tuple[Tuple, str]]) -> int:
         """Append the unseen ones of ``((q, signs, prec), line)`` records and
         return their count.  A stored line that is not a record (named by its
-        1-based number) or that disagrees raises, writing nothing."""
-        existing: Dict[Tuple, str] = {}
+        1-based number) or that disagrees raises, writing nothing.
+
+        A stored line byte-equal to a recomputed line is that record, in
+        agreement, and is not parsed.  Every other non-blank line is parsed;
+        if its key is among the recomputed keys it disagrees, wherever it
+        stands in the file, so a key stored twice with different bytes
+        raises whichever copy comes first.  Lines of other (q, prec) are
+        parsed only to check that they are records.
+        """
+        recomputed = {line: key for key, line in records}
+        keys = set(recomputed.values())
+        seen = set()
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 for number, line in enumerate(fh, 1):
-                    if line.strip():
+                    line = line.rstrip("\n")
+                    if line in recomputed:
+                        seen.add(recomputed[line])
+                    elif line.strip():
                         try:
                             rec = json.loads(line)
-                            existing[rec["q"], tuple(rec["signs"]), rec["prec"]] = line.rstrip("\n")
+                            key = (rec["q"], tuple(rec["signs"]), rec["prec"])
+                            disagrees = key in keys
                         except (ValueError, KeyError, TypeError) as exc:
                             raise ValueError(
                                 f"scan store {self.path}, line {number} is not a scan record: {exc}"
                             ) from None
-        unseen = []
-        for key, line in records:
-            if key not in existing:
-                unseen.append(line)
-            elif existing[key] != line:
-                raise ScanStoreDisagreement(
-                    f"scan store {self.path} disagrees with a recomputed record for "
-                    "(q, signs, prec) = {}".format(key)
-                )
+                        if disagrees:
+                            raise ScanStoreDisagreement(
+                                f"scan store {self.path}, line {number} disagrees with a "
+                                f"recomputed record for (q, signs, prec) = {key}"
+                            )
+        unseen = [line for line, key in recomputed.items() if key not in seen]
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in unseen)
         return len(unseen)

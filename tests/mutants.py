@@ -274,11 +274,49 @@ MUTANTS = (
         ("tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",),
     ),
     Mutant(
-        "scan store: a disagreeing record accepted",
+        "scan store: a parsed line of a recomputed key accepted",
         "scans.py",
-        "elif existing[key] != line:",
-        "elif False:",
-        ("tests/test_scan.py::test_store_detects_disagreement",),
+        "disagrees = key in keys",
+        "disagrees = False",
+        (
+            "tests/test_scan.py::test_store_detects_disagreement",
+            "tests/test_scan.py::test_store_rejects_a_tampered_copy_of_a_key_wherever_it_stands[before]",
+            "tests/test_scan.py::test_store_rejects_a_tampered_copy_of_a_key_wherever_it_stands[after]",
+        ),
+    ),
+    Mutant(
+        "scan store: a byte-equal stored line not counted as stored",
+        "scans.py",
+        "seen.add(recomputed[line])",
+        "pass",
+        ("tests/test_scan.py::test_store_verifies_instead_of_duplicating",),
+    ),
+    Mutant(
+        "dec_str: a 5 on the rounding digit rounds down",
+        "kernel.py",
+        'text[digits] in "56789"',
+        'text[digits] in "6789"',
+        (
+            "tests/test_kernel.py::test_dec_str_carry_and_fixed_point_window[2.5-1-3.0]",
+            "tests/test_kernel.py::test_dec_str_carry_and_fixed_point_window[99.5-2-1.0e+2]",
+        ),
+    ),
+    Mutant(
+        "dec_str: the carry through every digit keeps the exponent",
+        "kernel.py",
+        'text = "1"\n            exponent += 1',
+        'text = "1"',
+        (
+            "tests/test_kernel.py::test_dec_str_carry_and_fixed_point_window[9.9996-4-10.0]",
+            "tests/test_kernel.py::test_dec_str_carry_and_fixed_point_window[999.96-3-1.0e+3]",
+        ),
+    ),
+    Mutant(
+        "scan record template: the L and prec fields swapped",
+        "scans.py",
+        '"L":"{l_text}","prec":{prec},',
+        '"prec":{prec},"L":"{l_text}",',
+        ("tests/test_scan.py::test_the_record_template_is_canonical_json[64]",),
     ),
 )
 

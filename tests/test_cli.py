@@ -280,7 +280,13 @@ def test_scan_indeterminate_exits_3_whatever_the_serializer(capsys, monkeypatch,
     monkeypatch.setattr(scans_mod, "_l_class", gray)
     # no L radius decides, so every record takes _l_class's verdict
     monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
-    monkeypatch.setattr(scans_mod, "canonical_json", lambda obj: json.dumps(obj, separators=separators))
+    render = scans_mod._render
+
+    def spelled(*args):
+        l_text, line = render(*args)
+        return l_text, json.dumps(json.loads(line), separators=separators)
+
+    monkeypatch.setattr(scans_mod, "_render", spelled)
     code, payload = run_json(capsys, "scan", "--q", "5", "--store", "", "--threads", "1", "--per-function")
     assert code == 3
     assert payload["all_nonzero"] is False

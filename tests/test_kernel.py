@@ -3,13 +3,14 @@ zero classification, and the precision-tag rounding rule."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_str
 
 from cyclolog.kernel import (
     RADIUS_PREC,
@@ -18,6 +19,8 @@ from cyclolog.kernel import (
     Real,
     classify_zero,
     const,
+    dec_str,
+    decimal_digits,
     fold,
     half_ulp,
     log_2sin,
@@ -389,3 +392,97 @@ def test_fold_symmetry_property(q, k):
         return
     assert fold(k, q) == fold(-k, q) == fold(k + q, q)
     assert log_2sin(k, q, 64).mpf == log_2sin(-k, q, 64).mpf
+
+
+# ---------------------------------------------------------------------------
+# the decimal renderer
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    negative=st.booleans(),
+    man=st.integers(min_value=0, max_value=2**400),
+    exp=st.one_of(st.integers(min_value=-800, max_value=800), st.integers(min_value=-5000, max_value=5000)),
+)
+def test_dec_str_is_nstr_at_every_digit_count(negative, man, exp):
+    # zero, |exp + bc| beyond 3500 (to_str's own branch) and every digit
+    # count up to what 1024 bits carry
+    x = mp.make_mpf(from_man_exp(-man if negative else man, exp))
+    for digits in range(1, decimal_digits(1024) + 1):
+        assert dec_str(x, digits) == mpmath.nstr(x, digits), digits
+
+
+@pytest.mark.parametrize(
+    "text,digits,rendered",
+    [
+        # the carry through 9s reaches the front and raises the exponent
+        ("9.9996", 4, "10.0"),
+        ("-9.9996", 4, "-10.0"),
+        ("0.99996", 4, "1.0"),
+        ("999.96", 3, "1.0e+3"),
+        ("9.96e-7", 2, "1.0e-6"),
+        # a carry that stops before the front
+        ("1.2996", 4, "1.3"),
+        # a 5 on the rounding digit rounds up (exact binary values)
+        ("2.5", 1, "3.0"),
+        ("99.5", 2, "1.0e+2"),
+        # the upper edge of the fixed-point window: exponent < digits
+        ("12345.6", 5, "12346.0"),
+        ("123456.0", 5, "1.2346e+5"),
+        # the lower edge: min(-(digits // 3), -5) < exponent
+        ("0.00012345", 5, "0.00012345"),
+        ("0.000012345", 5, "1.2345e-5"),
+        ("1.5e-18", 57, "0.0000000000000000015"),
+        ("1.5e-19", 57, "1.5e-19"),
+        ("2.5e-24", 77, "0.0000000000000000000000025"),
+        ("2.5e-25", 77, "2.5e-25"),
+    ],
+)
+def test_dec_str_carry_and_fixed_point_window(text, digits, rendered):
+    with mp.workprec(400):
+        x = mpmath.mpf(text)
+    assert dec_str(x, digits) == rendered == to_str(x._mpf_, digits)
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 192, 256, 1024])
+def test_dec_str_at_the_digit_counts_of_scan_lseries_and_certificate(prec):
+    # all-ones mantissas (every rounding carries) and near powers of ten
+    digits = decimal_digits(prec)
+    wp = working_prec(prec)
+    values = [
+        from_man_exp(2**bits - 1, e)
+        for bits in (1, 53, wp, wp + 3)
+        for e in (-bits - 70, -bits - 3, -bits, 0, 40)
+    ]
+    with mp.workprec(wp):
+        for k in range(-30, 31, 3):
+            p = mpmath.mpf(10) ** k
+            values += [p._mpf_, (p * (1 - mpmath.eps))._mpf_, (p * (1 + mpmath.eps))._mpf_]
+    for v in values:
+        for x in (mp.make_mpf(v), -mp.make_mpf(v)):
+            assert dec_str(x, digits) == to_str(x._mpf_, digits)
+            assert dec_str(Real(x, prec), digits) == to_str(Real(x, prec).mpf._mpf_, digits)
+
+
+def test_dec_str_beyond_the_int_to_str_digit_limit_is_to_str():
+    # more digits than str() of an int may give by default (4300)
+    with mp.workprec(16000):
+        x = mpmath.mpf(1) / 3
+    assert dec_str(x, 4500) == to_str(x._mpf_, 4500)
+
+
+def test_every_value_a_q15_scan_renders_is_to_str(monkeypatch):
+    import cyclolog.scans as scans
+
+    agree = []
+
+    def checked(x, digits):
+        text = dec_str(x, digits)
+        agree.append(text == to_str(x._mpf_, digits))
+        return text
+
+    monkeypatch.setattr(scans, "dec_str", checked)
+    count = comb(14, 7)
+    assert len(scans._scan_range(15, 192, 0, count)) == count
+    # L, cot and the seven cos sums of every record
+    assert len(agree) == 9 * count and all(agree)

@@ -13,12 +13,23 @@ from mpmath import mp
 from mpmath.libmp import mpf_abs
 
 from cyclolog.characters import PeriodicFunction
-from cyclolog.kernel import NONZERO, Real, classify_zero, dec_str, decimal_digits, working_prec
+from cyclolog.kernel import (
+    INDETERMINATE,
+    NONZERO,
+    ZERO,
+    Real,
+    ZeroClass,
+    classify_zero,
+    dec_str,
+    decimal_digits,
+    working_prec,
+)
 from cyclolog.lseries import decompose_l1, l1, l1_digamma_raw
 from cyclolog.scans import (
     BRANCH_L_NONZERO,
     BRANCH_TRIG_VANISH,
     ScanStore,
+    ScanStoreDisagreement,
     _minimum,
     bbw_function,
     dichotomy,
@@ -145,16 +156,20 @@ def test_scan_workers_are_capped_at_the_cpu_count(cpus, pool_sizes, monkeypatch)
     assert capped.to_payload(True) == scan(5, 64, workers=1).to_payload(True)
 
 
-@pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "fresh-store"])
+@pytest.mark.parametrize(
+    "store_pass", [None, "write", "verify"], ids=["no-store", "fresh-store", "verify-store"]
+)
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scan_folds_records_without_parsing_them(workers, with_store, monkeypatch, tmp_path):
+def test_scan_folds_records_without_parsing_them(workers, store_pass, monkeypatch, tmp_path):
     import cyclolog.scans as scans_mod
 
     def no_parse(*args, **kwargs):
-        raise AssertionError("a freshly produced record was parsed again")
+        raise AssertionError("a freshly produced or byte-equal stored record was parsed")
 
     path = tmp_path / "scans.jsonl"
-    store = ScanStore(str(path)) if with_store else None
+    store = ScanStore(str(path)) if store_pass else None
+    if store_pass == "verify":
+        scan(7, 64, store=store)
     monkeypatch.setattr(scans_mod.json, "loads", no_parse)
     report = scan(7, 64, workers=workers, store=store)
     monkeypatch.undo()
@@ -162,8 +177,38 @@ def test_scan_folds_records_without_parsing_them(workers, with_store, monkeypatc
     assert sum(report.class_counts.values()) == comb(6, 3)
     reference = scan(7, 64)
     assert report.to_payload(include_records=True) == reference.to_payload(include_records=True)
-    if with_store:
+    if store_pass:
         assert path.read_text() == "".join(line + "\n" for line in report.records)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_the_record_template_is_canonical_json(prec):
+    for q in (3, 5, 7, 9, 11, 13):
+        for line in scan(q, prec).records:
+            assert line == canonical_json(json.loads(line))
+            assert list(json.loads(line)) == ["q", "signs", "L", "prec", "class", "cot_sum", "cos_sums"]
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+def test_the_record_template_renders_the_fallback_tags(prec, monkeypatch):
+    import cyclolog.scans as scans_mod
+
+    witnessed = scans_mod._l_class
+    tags = []
+
+    def every_tag(f, value, prec):
+        # the witness's own verdict, then the two tags no scan reaches
+        tag = (witnessed(f, value, prec).tag, ZERO, INDETERMINATE)[len(tags) % 3]
+        tags.append(tag)
+        return ZeroClass(tag, Real(abs(value), prec))
+
+    monkeypatch.setattr(scans_mod, "_l_class", every_tag)
+    # no L radius decides, so every record takes its tag from _l_class
+    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
+    for q in (5, 7, 9):
+        for line in scan(q, prec).records:
+            assert line == canonical_json(json.loads(line))
+    assert set(tags) == {NONZERO, ZERO, INDETERMINATE}
 
 
 def test_scan_matches_decomposition_per_function():
@@ -565,3 +610,64 @@ def test_store_detects_disagreement(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RuntimeError):
         scan(3, 160, store=store)
+
+
+def test_store_parses_no_byte_equal_line_and_still_checks_other_moduli(tmp_path, monkeypatch):
+    import cyclolog.scans as scans_mod
+
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    scan(7, 64, store=store)
+    stored = path.read_text()
+    records = [((7, tuple(json.loads(line)["signs"]), 64), line) for line in scan(7, 64).records]
+    parsed = []
+    loads = scans_mod.json.loads
+
+    def counting(line):
+        parsed.append(loads(line))
+        return parsed[-1]
+
+    monkeypatch.setattr(scans_mod.json, "loads", counting)
+    assert store.merge(records) == 0
+    assert path.read_text() == stored
+    # only the six q = 5 lines are parsed, each to check that it is a record
+    assert [rec["q"] for rec in parsed] == [5] * 6
+    # a q = 5 line that is not a record fails the q = 7 rerun, naming its line
+    lines = stored.splitlines()
+    lines[3] = lines[3][:-1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4 is not a scan record"):
+        store.merge(records)
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_store_rejects_a_tampered_copy_of_a_key_wherever_it_stands(where, tmp_path):
+    # the key is stored twice: its recomputed line and a copy with other bytes
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    lines = path.read_text().splitlines()
+    number = 3 if where == "before" else 4
+    rec = json.loads(lines[2])
+    rec["L"] = "0.125"
+    lines.insert(number - 1, canonical_json(rec))
+    tampered = "\n".join(lines) + "\n"
+    path.write_text(tampered)
+    with pytest.raises(ScanStoreDisagreement, match=f"line {number} disagrees"):
+        scan(5, 64, store=store)
+    assert path.read_text() == tampered
+
+
+@pytest.mark.parametrize("bad", ["not json", "[1, 2]", '{"q": 5}', '{"q":5,"signs":[[1]],"prec":64}'])
+def test_store_names_the_line_that_is_not_a_record(bad, tmp_path):
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    lines = path.read_text().splitlines()
+    lines.insert(4, bad)
+    broken = "\n".join(lines) + "\n"
+    path.write_text(broken)
+    with pytest.raises(ValueError, match="line 5 is not a scan record"):
+        scan(5, 64, store=store)
+    assert path.read_text() == broken
