@@ -29,7 +29,7 @@ for p in (3, 5, 7, 11, 13):
     print(f"  routes agree to 2^-64       : {check.agree}")
     for chi, val, cls in check.s_chi_values:
         kind = "principal" if chi.is_principal else f"exponents {chi.exponents}"
-        how = f"by radius, margin {cls.margin_bits:.1f} bits" if cls.rigorous else "by recompute"
+        how = f"by radius, margin {cls.margin_bits:.1f} bits" if cls.rigorous else "undecided"
         print(f"    S_chi ({kind:>14}) = {val.re.to_decimal(20):>24} + {val.im.to_decimal(6)}i   [{cls.tag} {how}]")
 
 print("\n" + "=" * 72)

@@ -23,9 +23,8 @@ roots of unity, each rounded once at wp.  So each component is within
 sum_a (|t_a| eps_root + eps_log) + 1/2 ulp of its exact value, where t_a is
 the log-sine entry of a and eps_root, eps_log are the tables' bounds on the
 errors of the root and log-sine entries; |S_chi| is within the sum of the
-two component radii plus 1 ulp.  That radius decides each factor's NonZero
-(rigorous, under the tables' 1-ulp assumption on mpmath); a recompute at
-doubled precision runs only for a factor it cannot decide.
+two component radii plus 1 ulp.  That radius, at wp or at the bits a factor
+escalates to, decides its NonZero, under the tables' 1-ulp assumption.
 """
 
 from __future__ import annotations
@@ -113,9 +112,12 @@ def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:
 
 
 def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
-    """Classify |S_chi| from its (re, im) at working precision by its error
-    radius; the witness, one evaluation at doubled precision, runs only where
-    the radius cannot decide.
+    """The zero class of |S_chi|, from its (re, im) at wp, by :func:`_ball`."""
+    return classify_zero(_ball(chi, raw, working_prec(prec)), prec, lambda w: _ball(chi, s_chi_raw(chi, w), w))
+
+
+def _ball(chi: DirichletCharacter, raw: Pair, wp: int) -> Real:
+    """|S_chi| from its (re, im) at wp, with its error radius.
 
     A component sums c_a t_a over the root entries c_a and log-sine entries
     t_a.  For their exact values C_a, T_a, |c_a t_a - C_a T_a| <=
@@ -125,7 +127,6 @@ def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
     bits, so it adds less than 1 ulp of |S_chi|.
     """
     p = chi.modulus
-    wp = working_prec(prec)
     logs, log_exp = tables(p, wp).log_sines_aligned
     terms = radius_sum(
         radius_scaled(tables((p - 1) // 2, wp).eps_roots, sum(map(abs, logs)) * Fraction(2) ** log_exp),
@@ -135,7 +136,7 @@ def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
     mag = _magnitude(raw, wp)
     # each component within terms + 1/2 ulp, and hypot within 1 ulp
     rad = radius_sum(terms, half_ulp(re, wp), terms, half_ulp(im, wp), half_ulp(mag, wp - 1))
-    return classify_zero(Real(mag, wp, rad), prec, recompute=lambda w: _magnitude(s_chi_raw(chi, w), w))
+    return Real(mag, wp, rad)
 
 
 class LU(NamedTuple):

@@ -16,10 +16,10 @@ error is at most sum_a |f(a)| eps_family + 1/2 ulp; the uniform policy is
   rounding adds its rounding to the radius,
 * "is this zero?" questions go through :func:`classify_zero`, which
   returns Zero / NonZero / Indeterminate instead of a bare boolean: NonZero
-  when the radius excludes 0 (rigorous, under the tables' assumption that
-  mpmath's elementary functions are within 1 ulp), and only where it cannot
-  decide, when a recompute at doubled precision agrees; Zero stays a
-  numeric verdict.
+  only when a radius excludes 0 (rigorous, under the tables' assumption that
+  mpmath's elementary functions are within 1 ulp), re-evaluating the value
+  as a ball at a higher precision where the radius it has cannot decide;
+  Zero stays a numeric verdict.
 
 Values are immutable after construction.  Precision is always set with a
 scoped ``mp.workprec`` inside each call, never left as ambient state (an
@@ -42,8 +42,10 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_gt,
+    mpf_lt,
     mpf_mul,
     round_ceiling,
     round_nearest,
@@ -54,8 +56,8 @@ MIN_PRECISION = 32
 GUARD_BITS = 64
 # bits of an error radius: every radius operation rounds up to this many
 RADIUS_PREC = 32
-
-Scalar = Union["Real", Fraction, int, float, str]
+# balls classify_zero asks for where a radius cannot decide, before Indeterminate
+MAX_ESCALATIONS = 3
 
 
 class PrecisionError(ValueError):
@@ -79,7 +81,7 @@ def man_exp(x: mpmath.mpf) -> Tuple[int, int]:
     return (-man if sign else man), exp
 
 
-def to_mpf(x: Scalar, wp: int) -> mpmath.mpf:
+def to_mpf(x: Union["Real", Fraction, int, float, str], wp: int) -> mpmath.mpf:
     """Convert ``x`` to an mpf: an int exactly, without a precision scope; a
     Fraction rounded once, to nearest, from its exact quotient; a string or
     float rounded at ``wp`` in a workprec scope, since mpmath's constructor
@@ -263,16 +265,18 @@ INDETERMINATE = "Indeterminate"
 class ZeroClass:
     """Verdict of a zero test: tag plus the residual magnitude that decided it.
 
-    ``rigorous`` is True when an error radius decided the verdict.
-    ``margin_bits`` is log2(|x| / radius) for a rigorous verdict, otherwise
-    how far log2|x| lies past the bar it cleared (above 2^(-target/2) for
-    NonZero, below 2^-target for Zero); None for Indeterminate.
+    ``margin_bits`` is log2(|x| / radius) of the ball that decided a NonZero
+    (every NonZero is ``rigorous``), how far log2|x| lies below 2^-target for
+    Zero, and None for Indeterminate.
     """
 
     tag: str
     residual: Real
-    rigorous: bool = False
     margin_bits: Optional[float] = None
+
+    @property
+    def rigorous(self) -> bool:
+        return self.tag == NONZERO
 
     @property
     def is_zero(self) -> bool:
@@ -302,49 +306,32 @@ def radius_decides_nonzero(mag: tuple, rad: tuple, target: int) -> bool:
     return mpf_gt(mag, rad) and mpf_gt(mag, from_man_exp(1, -(target // 2)))
 
 
-def classify_zero(
-    x: Real,
-    target: int,
-    recompute: Optional[Callable[[int], Scalar]] = None,
-) -> ZeroClass:
+def classify_zero(x: Real, target: int, recompute: Optional[Callable[[int], Real]] = None) -> ZeroClass:
     """Classify ``x`` against a 2^-target zero threshold.
 
-    Zero iff |x| < 2^-target, a numeric verdict.  NonZero requires
-    |x| > 2^(-target/2) and a witness:
-
-    * when ``x`` carries an error radius and |x| > ``x.rad``, the enclosure
-      [x - rad, x + rad] excludes 0 (:func:`radius_decides_nonzero`):
-      NonZero, rigorous, and ``recompute`` is not called;
-    * otherwise, when a ``recompute(working_bits)`` callback for the
-      producing expression is supplied, its re-evaluation at doubled working
-      precision must reproduce the leading target/2 bits;
-    * with neither a radius nor a callback, clearing the bar is enough.
-
-    A radius that does not exclude 0, with no callback to fall back on, is
-    Indeterminate, as is everything else (the dead band guards against
-    cancellation artifacts).
+    Zero iff |x| < 2^-target, a numeric verdict.  NonZero iff ``x`` has a
+    radius that decides it (:func:`radius_decides_nonzero`).  Where neither
+    holds and |x| > 2^(-target/2), precision escalates: ``recompute(w)``,
+    when given, returns the producing expression as a Real with its own
+    radius at w = x.prec + max(0, ceil(log2(rad/|x|))) + 32 bits (x.prec + 32
+    without a radius), classified by the same rules, at most
+    ``MAX_ESCALATIONS`` times.  Everything else is Indeterminate, the dead
+    band between the bars (which never escalates) among it.
     """
     _check_prec(target)
     if not isinstance(x, Real):
         raise TypeError("classify_zero expects a Real")
-    with mp.workprec(max(x.prec, working_prec(target))):
-        mag = abs(x.mpf)
-        residual = Real(mag, x.prec)
-        if mag < mpmath.ldexp(1, -target):
-            return ZeroClass(ZERO, residual, margin_bits=-target - _log2(mag))
-        if x.rad is not None and radius_decides_nonzero(mag._mpf_, x.rad._mpf_, target):
-            return ZeroClass(NONZERO, residual, rigorous=True, margin_bits=_log2(mag) - _log2(x.rad))
-        half = target // 2
-        nonzero_bar = mpmath.ldexp(1, -half)
-        if mag > nonzero_bar:
-            if recompute is None:
-                witnessed = x.rad is None
-            else:
-                wp2 = 2 * max(x.prec, working_prec(target))
-                again = to_mpf(recompute(wp2), wp2)
-                witnessed = again != 0 and abs(x.mpf - again) / abs(again) < nonzero_bar
-            if witnessed:
-                return ZeroClass(NONZERO, residual, margin_bits=_log2(mag) + half)
+    for escalation in range(MAX_ESCALATIONS + 1):
+        mag = mpf_abs(x.mpf._mpf_)
+        residual = Real(mp.make_mpf(mag), x.prec)
+        if mpf_lt(mag, from_man_exp(1, -target)):
+            return ZeroClass(ZERO, residual, margin_bits=-target - _log2(residual.mpf))
+        if x.rad is not None and radius_decides_nonzero(mag, x.rad._mpf_, target):
+            return ZeroClass(NONZERO, residual, margin_bits=_log2(residual.mpf) - _log2(x.rad))
+        if recompute is None or escalation == MAX_ESCALATIONS or not mpf_gt(mag, from_man_exp(1, -(target // 2))):
+            break
+        extra = 0 if x.rad is None else max(0, math.ceil(_log2(x.rad) - _log2(residual.mpf)))
+        x = recompute(x.prec + extra + 32)
     return ZeroClass(INDETERMINATE, residual)
 
 

@@ -6,14 +6,12 @@ admissible functions exist only for odd q and number C(q-1, (q-1)/2).
 The scan evaluates L(1, f) for every one of them, classifies each value,
 and reports the minimum |L|.
 
-Each value is classified by its error radius (see :func:`evaluate`): a
-NonZero whose radius excludes 0 is rigorous, under the tables' 1-ulp
-assumption on mpmath, and a recompute at doubled precision runs only where
-the radius cannot decide.  The scan applies the same rule,
-``kernel.radius_decides_nonzero``, to raw values and builds no verdict
-object for a function it decides; every other function is classified in
-place by :func:`_l_class`, the radius and witness that :func:`evaluate`
-applies, from the sums the scan already holds.
+Each value is classified by its error radius (see :func:`evaluate`), or
+where that cannot decide, by L's ball at more bits.  The scan applies the
+radius rule, ``kernel.radius_decides_nonzero``, to raw values and builds no
+verdict object for a function it decides; every other function is
+classified in place by :func:`_l_class`, as :func:`evaluate` classifies it,
+from the sums the scan already holds.
 
 Each scanned function also carries its cotangent and cosine sums: for
 prime period, exactly one of "L is nonzero" / "all those trig sums
@@ -33,9 +31,9 @@ A function's sums are exact integer sums over the aligned tables, read
 from its plus positions alone, each formed once and rounded once.  The
 scan joins the ranges in enumeration order, so output bytes do not depend
 on the worker count; it counts classes, keys the store from the same rows
-and takes the minimum over the exact |L|.  It parses nothing but the minimum's text;
-of the lines already stored, only those that differ from every recomputed
-line are parsed again.
+and takes the minimum over the exact |L|.  It parses nothing but the
+minimum's text; of the lines already stored, only those that differ from
+every recomputed line are parsed again.
 """
 
 from __future__ import annotations
@@ -116,8 +114,8 @@ def evaluate(
     value (the tables' summation rule), and the division rounds by at most
     1/2 ulp(L).  As |total| <= q |L| (1 + 2^-wp), 1/2 ulp(total) / q is at
     most 4 * 1/2 ulp(L), which is ``half_ulp(L, wp - 2)``; :func:`_l_radius`
-    sums the three.  A witness at doubled precision runs only where the
-    radius cannot decide (:func:`_l_class`).
+    sums the three.  Where that radius cannot decide, L is re-evaluated as
+    such a ball at a higher precision (:func:`_l_class`).
     """
     wp = working_prec(prec)
     value = l1_digamma_raw(f, wp)
@@ -126,12 +124,14 @@ def evaluate(
 
 def _l_class(f: PeriodicFunction, value: mpmath.mpf, prec: int) -> ZeroClass:
     """The zero class against ``prec`` bits of ``value``, L(1, f) at wp as
-    ``l1_digamma_raw`` gives it: decided by its error radius (see
-    :func:`evaluate`) and, only where that cannot, by L at doubled precision."""
-    wp = working_prec(prec)
+    ``l1_digamma_raw`` gives it, by :func:`_l_ball` at wp and above."""
+    return classify_zero(_l_ball(f, value, working_prec(prec)), prec, lambda w: _l_ball(f, l1_digamma_raw(f, w), w))
+
+
+def _l_ball(f: PeriodicFunction, value: mpmath.mpf, wp: int) -> Real:
+    """L(1, f) = ``value`` at wp with its error radius (see :func:`evaluate`)."""
     q = f.period
-    rad = _l_radius(radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q), value, wp)
-    return classify_zero(Real(value, wp, rad), prec, recompute=lambda w: l1_digamma_raw(f, w))
+    return Real(value, wp, _l_radius(radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q), value, wp))
 
 
 def _l_radius(psi_share: mpmath.mpf, value: mpmath.mpf, wp: int) -> mpmath.mpf:
@@ -160,8 +160,8 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     """For prime period: decide "L(1,f) nonzero" vs "all trig sums vanish".
 
     Each trig sum is classified by its error radius, sum_a |f(a)| eps_cot or
-    eps_roots plus 1/2 ulp, and, only where that cannot decide, by one
-    evaluation of every sum at doubled precision.
+    eps_roots plus 1/2 ulp, and, where that cannot decide, by the sum's ball
+    at the higher precisions ``classify_zero`` escalates to.
     Exactly one branch holds at the tested precision.  Observing both
     sides violated raises DichotomyContradictionError; an Indeterminate
     L-value raises InconclusiveClassificationError.
@@ -171,27 +171,20 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     require_convergent(f)
     wp = working_prec(prec)
     l_raw, l_class, cot, cos_sums = evaluate(f, prec)
-    tab = tables(p, wp)
 
-    def named(sums) -> Dict[str, mpmath.mpf]:
-        return {"cot": sums[0], **{f"cos_{b}": v for b, v in sums[1].items()}}
+    def ball(b: int, v: mpmath.mpf, w: int) -> Real:
+        # sum b (the cot sum for b = 0, else the cos sum of b) at w, with the
+        # tables' summation rule: sum_a |f(a)| eps_family + 1/2 ulp
+        eps = tables(p, w).eps_roots if b else tables(p, w).eps_cot
+        return Real(v, w, radius_sum(radius_scaled(eps, f.abs_sum), half_ulp(v, w)))
 
-    def ball(name: str, v: mpmath.mpf) -> Real:
-        # the tables' summation rule: sum_a |f(a)| eps_family + 1/2 ulp
-        eps = tab.eps_cot if name == "cot" else tab.eps_roots
-        return Real(v, wp, radius_sum(radius_scaled(eps, f.abs_sum), half_ulp(v, wp)))
-
-    # one doubled-precision evaluation of every sum, made on first need
-    doubled: Dict[int, Dict[str, mpmath.mpf]] = {}
-
-    def witness(name: str, w: int) -> mpmath.mpf:
-        if w not in doubled:
-            doubled[w] = named(trig_sums_raw(f, w))
-        return doubled[w][name]
+    def recompute(b: int, w: int) -> Real:
+        cot_w, cos_w = trig_sums_raw(f, w)
+        return ball(b, cos_w[b] if b else cot_w, w)
 
     trig_classes: Dict[str, ZeroClass] = {
-        name: classify_zero(ball(name, v), prec, recompute=lambda w, name=name: witness(name, w))
-        for name, v in named((cot, cos_sums)).items()
+        f"cos_{b}" if b else "cot": classify_zero(ball(b, v, wp), prec, lambda w, b=b: recompute(b, w))
+        for b, v in enumerate([cot, *cos_sums.values()])
     }
 
     if l_class.is_nonzero:
@@ -304,9 +297,9 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     divided by q, as in ``l1_digamma_raw``.  Where
     :func:`~cyclolog.kernel.radius_decides_nonzero` decides L NonZero from
     the radius :func:`evaluate` gives it, the record is NonZero; every other
-    record takes its class from :func:`_l_class`, that radius and the
-    doubled-precision witness.  Each record is rendered from these sums,
-    which are formed once.
+    record takes its class from :func:`_l_class`, that ball and its
+    escalation.  Each record is rendered from these sums, which are formed
+    once.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)

@@ -7,9 +7,9 @@ multiples of pi from here, by sinpi/cospi: the log-sines via
 entries directly, and the rest from the roots of den for e^(2 pi i num/den).
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
-recompute at doubled precision gets its own entry.  Each family is built
-on first use.  Each family that a sum reads (cot, cos, sin, psi, the
-log-sines) has one exact integer form, ``<family>_aligned``: integers T_i
+recompute at the precision a zero test escalates to gets its own entry.
+Each family is built on first use.  Each family that a sum reads (cot,
+cos, sin, psi, the log-sines) has one exact integer form, ``<family>_aligned``: integers T_i
 and one exponent E with T_i * 2^E = t_i.  It is the only integer form of a
 table: the psi entries, :meth:`Tables.weighted_sum`,
 :meth:`Tables.harmonic_sums`, ``dedekind.s_chi_raw``, the LU determinant and

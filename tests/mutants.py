@@ -216,7 +216,48 @@ MUTANTS = (
         "kernel.py",
         "return mpf_gt(mag, rad) and",
         "return",
-        ("tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_to_the_witness",),
+        ("tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_to_escalation",),
+    ),
+    Mutant(
+        "escalation: one more recompute than the budget",
+        "kernel.py",
+        "escalation == MAX_ESCALATIONS",
+        "escalation == MAX_ESCALATIONS + 1",
+        ("tests/test_kernel.py::test_classify_escalates_at_most_max_escalations_times[None]",),
+    ),
+    Mutant(
+        "escalation: the last escalated ball left unclassified",
+        "kernel.py",
+        "range(MAX_ESCALATIONS + 1)",
+        "range(MAX_ESCALATIONS)",
+        ("tests/test_kernel.py::test_classify_the_ball_of_the_last_escalation_decides",),
+    ),
+    Mutant(
+        "escalation: the dead band escalates",
+        "kernel.py",
+        "or not mpf_gt(mag, from_man_exp(1, -(target // 2))):",
+        "or False:",
+        ("tests/test_kernel.py::test_classify_never_escalates_from_the_dead_band",),
+    ),
+    Mutant(
+        "escalation: an escalated ball decides NonZero whatever its radius",
+        "kernel.py",
+        "if x.rad is not None and radius_decides_nonzero(",
+        "if escalation or x.rad is not None and radius_decides_nonzero(",
+        (
+            "tests/test_kernel.py::test_an_escalated_ball_is_classified_by_its_own_radius",
+            "tests/test_kernel.py::test_classify_undecided_radius_and_disagreeing_recompute_is_indeterminate",
+        ),
+    ),
+    Mutant(
+        "escalation: the bits by which the radius holds 0 left out of w",
+        "kernel.py",
+        "max(0, math.ceil(_log2(x.rad) - _log2(residual.mpf)))",
+        "0",
+        (
+            "tests/test_kernel.py::test_classify_radius_that_cannot_decide_falls_back_to_recompute",
+            "tests/test_radius.py::test_an_undecided_l_radius_escalates_to_a_rigorous_nonzero[e80-128]",
+        ),
     ),
     Mutant(
         "Real: the rounding to prec left out of the radius",
@@ -249,7 +290,7 @@ MUTANTS = (
         "tag = NONZERO",
         (
             "tests/test_cli.py::test_scan_indeterminate_exits_3_whatever_the_serializer[canonical]",
-            "tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_to_the_witness",
+            "tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_to_escalation",
         ),
     ),
     Mutant(

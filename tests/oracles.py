@@ -9,7 +9,9 @@ by direct cospi/sinpi, the digamma-route sum and the trig sums as mpf
 loops summed by fsum, the determinant by LU in mpf arithmetic) or an
 exact helper (rational span membership, Euler's phi, a character's
 exponent t and its conjugate, a Complex as an mpc) that a test checks a
-route's output with.
+route's output with.  ``witness_verdict`` is the older zero test that
+error radii replaced: a recompute at doubled precision that must agree on
+the leading bits, kept as an independent reference for the radius verdicts.
 
 ``exact_sum_reference`` is the exact oracle of the tables' summation rule:
 a sum of products of table entries and weights, formed over Fractions and
@@ -28,7 +30,7 @@ from mpmath import mp
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from cyclolog.characters import DirichletCharacter, PeriodicFunction, factorize, is_prime, unit_root
-from cyclolog.kernel import Complex, Real, const_raw, to_mpf, working_prec
+from cyclolog.kernel import INDETERMINATE, NONZERO, ZERO, Complex, Real, const_raw, to_mpf, working_prec
 from cyclolog.relations import rational_rank
 from cyclolog.tables import tables
 
@@ -416,3 +418,23 @@ def in_rational_span(vector: Sequence[Fraction], generators: Sequence[Sequence[F
     gens = [list(g) for g in generators]
     base = rational_rank(gens)
     return rational_rank(gens + [list(vector)]) == base
+
+
+def witness_verdict(value: mpmath.mpf, target: int, producer) -> str:
+    """The zero class of ``value``, a number at ``working_prec(target)`` with
+    no radius, by the doubled-precision witness: Zero iff |value| <
+    2^-target; NonZero iff |value| > 2^(-target/2) and ``producer(w)``, the
+    producing expression as a raw value at w = 2 working_prec(target), is
+    nonzero and agrees with it to a relative 2^(-target/2); else
+    Indeterminate."""
+    wp = working_prec(target)
+    bar = mpmath.ldexp(1, -(target // 2))
+    with mp.workprec(wp):
+        mag = abs(value)
+        if mag < mpmath.ldexp(1, -target):
+            return ZERO
+        if mag > bar:
+            again = producer(2 * wp)
+            if again != 0 and abs(value - again) / abs(again) < bar:
+                return NONZERO
+    return INDETERMINATE

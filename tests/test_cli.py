@@ -165,7 +165,7 @@ def test_relations_evaluate_each_residual_once(capsys, monkeypatch):
     monkeypatch.setattr(RelationVector, "residual_raw", counting)
     code, payload = run_json(capsys, "relations", "--q", "30")
     assert code == 0
-    assert all(rec["class"] == "Zero" for rec in payload["relations"])  # no witness needed
+    assert all(rec["class"] == "Zero" for rec in payload["relations"])  # no escalation needed
     assert precisions == [working_prec(128)] * payload["count"]
 
 

@@ -392,14 +392,16 @@ def test_determinant_check_evaluates_each_s_chi_once_per_precision(p, monkeypatc
     check = determinant_check(p, 128)
     assert all(cls.is_nonzero and cls.rigorous for _, _, cls in check.s_chi_values)
     assert sorted(calls) == sorted((ch.exponents, wp) for ch in chars)
-    # a log-sine radius too large to decide: one more evaluation at 2 wp each
+    # a log-sine radius too large to decide at wp, 2^(20 + wp - w) at w bits:
+    # one more evaluation each, at the precision its factor escalates to
     calls.clear()
-    monkeypatch.setattr(Tables, "eps_log_sines", property(lambda self: mpmath.mpf(2) ** 20))
+    monkeypatch.setattr(Tables, "eps_log_sines", property(lambda self: mpmath.mpf(2) ** (20 + wp - self.wp)))
     check = determinant_check(p, 128)
-    assert all(cls.is_nonzero and not cls.rigorous for _, _, cls in check.s_chi_values)
+    assert all(cls.is_nonzero and cls.residual.prec > wp for _, _, cls in check.s_chi_values)
     assert len(calls) == 2 * len(chars)
     assert sorted(calls) == sorted(
-        [(ch.exponents, wp) for ch in chars] + [(ch.exponents, 2 * wp) for ch in chars]
+        [(ch.exponents, wp) for ch in chars]
+        + [(ch.exponents, cls.residual.prec) for ch, _, cls in check.s_chi_values]
     )
 
 

@@ -1,6 +1,7 @@
 """Kernel tests: constants against published digit tables, log(2 sin .),
 zero classification, and the precision-tag rounding rule."""
 
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -13,6 +14,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, to_str
 
 from cyclolog.kernel import (
+    MAX_ESCALATIONS,
     RADIUS_PREC,
     Complex,
     PrecisionError,
@@ -30,6 +32,7 @@ from cyclolog.kernel import (
     to_mpf,
     working_prec,
 )
+from cyclolog.tables import tables
 
 # Independently published digit tables (not computed by this package).
 PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
@@ -168,7 +171,8 @@ def test_classify_nonzero_l_value():
     for k in range(1, n + 1):
         acc += pattern[k % 5] / k
     assert abs(acc - 0.4304089409) < 1e-4  # oracle sanity, coarse tail
-    x = Real(mpmath.mpf(acc), 64)
+    # the tail bound above, 1e-4 < 2^-13, as the radius
+    x = Real(mpmath.mpf(acc), 64, mpmath.mpf(2) ** -13)
     assert classify_zero(x, 40).is_nonzero
 
 
@@ -186,8 +190,8 @@ def test_classify_bars_are_exact_powers_of_two(target):
     wp = working_prec(target)
 
     def at(n, nudge):
-        # 2^-n (1 + nudge 2^-60), exact at wp bits
-        return Real(mp.make_mpf(from_man_exp(2**60 + nudge, -n - 60)), wp)
+        # 2^-n (1 + nudge 2^-60), exact at wp bits, with a radius far below it
+        return Real(mp.make_mpf(from_man_exp(2**60 + nudge, -n - 60)), wp, mpmath.mpf(2) ** (-2 * target - 64))
 
     assert classify_zero(at(target, -1), target).is_zero
     assert classify_zero(at(target, 0), target).is_indeterminate
@@ -196,19 +200,28 @@ def test_classify_bars_are_exact_powers_of_two(target):
 
 
 def test_classify_nonzero_with_recompute_witness():
-    def producer(wp):
-        return log_2sin_raw(1, 5, wp)
+    # a value without a radius escalates once, to x.prec + 32 bits, where the
+    # callback's ball (the log-sine with its tables' bound) decides
+    calls = []
 
-    x = Real(producer(working_prec(128)), working_prec(128))
-    cls = classify_zero(x, 128, recompute=producer)
-    assert cls.is_nonzero
-    assert not cls.rigorous  # no radius: the witness decided
+    def producer(w):
+        calls.append(w)
+        return Real(log_2sin_raw(1, 5, w), w, tables(5, w).eps_log_sines)
+
+    wp = working_prec(128)
+    cls = classify_zero(Real(log_2sin_raw(1, 5, wp), wp), 128, recompute=producer)
+    assert calls == [wp + 32]
+    assert cls.is_nonzero and cls.rigorous
+    assert cls.residual.prec == wp + 32  # the ball that decided
+    # eps_log_sines is 2^(7 - w) for q = 5
+    assert cls.margin_bits == pytest.approx(math.log2(float(cls.residual)) - (7 - (wp + 32)))
 
 
 def test_classify_recompute_disagreement_is_indeterminate():
+    # a callback that returns no radius never decides, however often it runs
     x = Real(mpmath.mpf("0.25"), working_prec(128))
-    cls = classify_zero(x, 128, recompute=lambda wp: mpmath.mpf("0.75"))
-    assert cls.is_indeterminate
+    cls = classify_zero(x, 128, recompute=lambda w: Real(mpmath.mpf("0.75"), w))
+    assert cls.is_indeterminate and cls.margin_bits is None
 
 
 def exact(x) -> Fraction:
@@ -233,25 +246,79 @@ def test_classify_radius_that_cannot_decide_falls_back_to_recompute():
 
     def producer(w):
         calls.append(w)
-        return mpmath.mpf("0.25")
+        return Real(mpmath.mpf("0.25"), w, mpmath.mpf(2) ** -100)
 
     x = Real(mpmath.mpf("0.25"), wp, mpmath.mpf(1))  # the enclosure [-0.75, 1.25] holds 0
     cls = classify_zero(x, 128, recompute=producer)
-    assert calls == [2 * wp]
-    assert cls.is_nonzero and not cls.rigorous
-    assert cls.margin_bits == pytest.approx(62.0)  # log2(2^-2) against the bar 2^-64
+    # log2(rad / |x|) = 2 bits more, and 32 beyond them
+    assert calls == [wp + 2 + 32]
+    assert cls.is_nonzero and cls.rigorous
+    assert cls.margin_bits == pytest.approx(98.0)  # log2(2^-2 / 2^-100), of the escalated ball
 
 
 def test_classify_undecided_radius_and_disagreeing_recompute_is_indeterminate():
     x = Real(mpmath.mpf("0.25"), working_prec(128), mpmath.mpf(1))
-    cls = classify_zero(x, 128, recompute=lambda wp: mpmath.mpf("0.75"))
+    cls = classify_zero(x, 128, recompute=lambda w: Real(mpmath.mpf("0.75"), w, mpmath.mpf(1)))
     assert cls.is_indeterminate and not cls.rigorous and cls.margin_bits is None
 
 
 def test_classify_undecided_radius_without_recompute_is_indeterminate():
-    # a radius that holds 0 contradicts NonZero; without a radius the bar is enough
+    # a radius that holds 0 contradicts NonZero, and no radius decides nothing:
+    # clearing the bar alone is not enough
     assert classify_zero(Real(mpmath.mpf("0.25"), 192, mpmath.mpf(1)), 128).is_indeterminate
-    assert classify_zero(Real(mpmath.mpf("0.25"), 192), 128).is_nonzero
+    assert classify_zero(Real(mpmath.mpf("0.25"), 192), 128).is_indeterminate
+
+
+@pytest.mark.parametrize("rad", (None, mpmath.mpf(1)))
+def test_classify_escalates_at_most_max_escalations_times(rad):
+    # a callback whose radius never shrinks: each ball escalates the next,
+    # at 32 bits more (the radius holds 0 by 2 bits), until none is left
+    wp = working_prec(128)
+    calls = []
+
+    def producer(w):
+        calls.append(w)
+        return Real(mpmath.mpf("0.25"), w, rad)
+
+    cls = classify_zero(Real(mpmath.mpf("0.25"), wp, rad), 128, recompute=producer)
+    assert cls.is_indeterminate
+    assert len(calls) == MAX_ESCALATIONS == 3
+    step = 32 if rad is None else 34
+    assert calls == [wp + step * k for k in range(1, MAX_ESCALATIONS + 1)]
+
+
+def test_classify_the_ball_of_the_last_escalation_decides():
+    # a radius that shrinks only on the last escalation left still decides
+    wp = working_prec(128)
+    calls = []
+
+    def producer(w):
+        calls.append(w)
+        return Real(mpmath.mpf("0.25"), w, mpmath.mpf(1) if len(calls) < MAX_ESCALATIONS else mpmath.mpf(2) ** -90)
+
+    cls = classify_zero(Real(mpmath.mpf("0.25"), wp, mpmath.mpf(1)), 128, recompute=producer)
+    assert len(calls) == MAX_ESCALATIONS and cls.is_nonzero
+
+
+def test_classify_never_escalates_from_the_dead_band():
+    # 2^-96 lies between the bars 2^-128 and 2^-64, radius or not
+    for rad in (None, mpmath.mpf(2) ** -100, mpmath.mpf(1)):
+        gray = Real(mpmath.mpf(2) ** -96, 192, rad)
+        assert classify_zero(gray, 128, recompute=never_called).is_indeterminate
+
+
+def test_an_escalated_ball_is_classified_by_its_own_radius():
+    # the escalated value clears the bar, but its radius holds 0
+    wp = working_prec(128)
+    calls = []
+
+    def producer(w):
+        calls.append(w)
+        return Real(mpmath.mpf("0.25"), w, mpmath.mpf(1) if len(calls) == 1 else mpmath.mpf(2) ** -90)
+
+    cls = classify_zero(Real(mpmath.mpf("0.25"), wp), 128, recompute=producer)
+    assert calls == [wp + 32, wp + 32 + 2 + 32]
+    assert cls.is_nonzero and cls.margin_bits == pytest.approx(88.0)
 
 
 def test_classify_radius_equal_to_the_magnitude_does_not_decide():

@@ -326,9 +326,13 @@ def test_l1_chi_via_gauss_mod7_nonzero():
     for chi in enumerate_characters(7, even_only=True):
         if chi.is_principal:
             continue
-        v = l1_chi_via_gauss(chi, 128)
+        v, again = l1_chi_via_gauss(chi, 128), l1_chi_via_gauss(chi, 512)
+        # a radius of 2^-64, checked against the 512-bit value
+        rad = mpmath.mpf(2) ** -64
         with mp.workprec(v.prec):
-            magnitude = Real(mpmath.hypot(v.re.mpf, v.im.mpf), v.prec)
+            magnitude = Real(mpmath.hypot(v.re.mpf, v.im.mpf), v.prec, rad)
+        with mp.workprec(1024):
+            assert abs(magnitude.mpf - mpmath.hypot(again.re.mpf, again.im.mpf)) < rad
         assert float(magnitude) > 0.1
         assert classify_zero(magnitude, 100).is_nonzero
 

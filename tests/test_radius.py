@@ -1,8 +1,10 @@
 """Error radii: the tables' per-entry bounds, the 1-ulp assumption they rest
 on, the radii the scan, the dichotomy and the determinant check attach to
-their sums, and the verdicts those radii reach against the doubled-precision
-recompute they replace."""
+their sums, the verdicts those radii reach against the doubled-precision
+recompute they replace, and the precision escalation that decides where a
+radius cannot."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,8 +17,11 @@ from cyclolog.characters import PeriodicFunction, enumerate_characters, is_prime
 from cyclolog.dedekind import _magnitude, determinant_check, s_chi_raw
 from cyclolog.kernel import Real, classify_zero, const_raw, half_ulp, working_prec
 from cyclolog.lseries import l1_digamma_raw, trig_sums_raw
+from cyclolog.relations import LogBasis, RelationVector, enumerate_relations, verify_relation
 from cyclolog.scans import bbw_function, dichotomy, evaluate, scan, sign_function
 from cyclolog.tables import Tables, tables
+
+from oracles import witness_verdict
 
 
 def exact(x) -> Fraction:
@@ -191,11 +196,6 @@ def test_every_factor_radius_encloses_its_4wp_magnitude(p, prec, balls):
 # radius verdicts against the recompute verdicts they replace
 # ---------------------------------------------------------------------------
 
-def recompute_verdict(value, prec, producer):
-    """The verdict of the doubled-precision recompute alone, on a value without a radius."""
-    return classify_zero(Real(value, working_prec(prec)), prec, recompute=producer).tag
-
-
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 15, 17))
 def test_radius_verdicts_equal_recompute_verdicts_on_every_sign_function(q):
     prec = 192  # the scan's precision
@@ -204,7 +204,7 @@ def test_radius_verdicts_equal_recompute_verdicts_on_every_sign_function(q):
         f = sign_function(q, tuple(1 if i in plus else -1 for i in range(q - 1)))
         value, cls, _, _ = evaluate(f, prec)
         assert cls.is_nonzero and cls.rigorous, (q, positions)
-        assert recompute_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
+        assert witness_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
 
 
 P13 = (1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, -1, 0)
@@ -223,7 +223,7 @@ def test_radius_verdicts_equal_recompute_verdicts_on_the_acceptance_functions(f)
     # dichotomy's trig sums, some NonZero and some Zero
     prec, wp = 128, working_prec(128)
     value, cls, cot, cos_sums = evaluate(f, prec)
-    assert recompute_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
+    assert witness_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
     if is_prime(f.period):
         verdict = dichotomy(f, prec)
         sums = {"cot": cot, **{f"cos_{b}": v for b, v in cos_sums.items()}}
@@ -231,7 +231,7 @@ def test_radius_verdicts_equal_recompute_verdicts_on_the_acceptance_functions(f)
         doubled = {"cot": doubled[0], **{f"cos_{b}": v for b, v in doubled[1].items()}}
         for name, v in sums.items():
             got = verdict.trig_classes[name]
-            assert recompute_verdict(v, prec, lambda w, name=name: doubled[name]) == got.tag, name
+            assert witness_verdict(v, prec, lambda w, name=name: doubled[name]) == got.tag, name
             assert got.rigorous == got.is_nonzero
 
 
@@ -242,7 +242,7 @@ def test_radius_verdicts_equal_recompute_verdicts_on_every_certificate(prec):
         for chi, _, cls in determinant_check(p, prec).s_chi_values:
             assert cls.is_nonzero and cls.rigorous, (p, chi.exponents)
             magnitude = _magnitude(s_chi_raw(chi, wp), wp)
-            assert recompute_verdict(magnitude, prec, lambda w: _magnitude(s_chi_raw(chi, w), w)) == cls.tag
+            assert witness_verdict(magnitude, prec, lambda w: _magnitude(s_chi_raw(chi, w), w)) == cls.tag
 
 
 def test_scan_and_determinant_check_build_no_doubled_precision_tables(monkeypatch):
@@ -265,3 +265,102 @@ def test_scan_and_determinant_check_build_no_doubled_precision_tables(monkeypatc
         assert built and set(built) == {working_prec(128)}
     finally:
         tables.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# precision escalation: where a radius cannot decide, a ball at more bits does
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def chains(monkeypatch):
+    """Per ``classify_zero`` call in ``scans`` and ``relations``, the first
+    Real and every ball its callback returned, in order."""
+    import cyclolog.relations as relations
+    import cyclolog.scans as scans
+
+    seen = []
+
+    def capture(x, target, recompute=None):
+        chain = [x]
+        seen.append(chain)
+
+        def recording(w):
+            chain.append(recompute(w))
+            return chain[-1]
+
+        return classify_zero(x, target, recording if recompute else None)
+
+    for module in (scans, relations):
+        monkeypatch.setattr(module, "classify_zero", capture)
+    return seen
+
+
+def wide(e: int) -> PeriodicFunction:
+    """10^e g + h mod 6, with L(1, g) = 0 exactly (see WIDE)."""
+    return PeriodicFunction.from_rationals(
+        6, [10**e * g + h for g, h in zip((1, -3, 0, 3, -1, 0), (1, -1, 0, 1, -1, 0))]
+    )
+
+
+@pytest.mark.parametrize(
+    "e,prec,steps", [(40, 64, [173]), (60, 128, [239]), (80, 128, [240, 285])], ids=["e40-64", "e60-128", "e80-128"]
+)
+def test_an_undecided_l_radius_escalates_to_a_rigorous_nonzero(e, prec, steps, chains):
+    # each of these is Indeterminate at wp: the radius holds 0, so L is
+    # re-evaluated as a ball at the precisions the escalation rule names
+    f = wide(e)
+    _, cls, _, _ = evaluate(f, prec)
+    ((first, *escalated),) = chains
+    assert first.prec == working_prec(prec) and not abs(first.mpf) > first.rad
+    assert [x.prec for x in escalated] == steps
+    assert cls.is_nonzero and cls.rigorous
+    last = escalated[-1]
+    assert cls.margin_bits == pytest.approx(float(mpmath.log(abs(last.mpf) / last.rad, 2)))
+    again = l1_digamma_raw(f, 4 * last.prec)
+    assert abs(exact(last.mpf) - exact(again)) <= exact(last.rad)
+
+
+def test_the_dichotomy_escalates_the_cos_sums_of_a_wide_function(capsys):
+    # f = 10^40 g + h mod 7: the cos sums' radii hold 0 at wp, and one
+    # escalation each decides them NonZero; classify exits 0
+    from cyclolog.cli import main
+
+    g, h = (1, 2, 3, -3, -2, -1, 0), (1, -1, 1, 1, -1, -1, 0)
+    values = ",".join(str(10**40 * a + b) for a, b in zip(g, h))
+    assert main(["classify", "--p", "7", "--prec", "64", f"--f={values}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trig_classes"] == {"cos_1": "NonZero", "cos_2": "NonZero", "cos_3": "NonZero", "cot": "NonZero"}
+
+
+def moved(rel, slot_index: int):
+    """``rel`` with the coefficient at ``slot_index`` moved by 1."""
+    coeffs = list(rel.coeffs)
+    coeffs[slot_index] += 1
+    return RelationVector(rel.basis, tuple(coeffs), "moved")
+
+
+def broken_relations():
+    single = RelationVector(LogBasis.for_modulus(5), (1, 0, 0), "single")
+    rels, _ = enumerate_relations(60)
+    # slot 10 is log(2 sin(pi/6)) = 0, which moving its coefficient would not change
+    rel = next(r for r in rels if r.coeffs[0] and r.basis.slots[0] == 1)
+    return [single, moved(rel, 0)]
+
+
+@pytest.mark.parametrize("rel", broken_relations(), ids=["q5-single-log-sine", "q60-moved-coefficient"])
+@pytest.mark.parametrize("prec", (64, 128))
+def test_a_broken_relation_escalates_to_a_rigorous_nonzero(rel, prec, chains):
+    cls = verify_relation(rel, prec)
+    ((first, *escalated),) = chains
+    assert first.rad is None  # the residual at wp carries no radius
+    assert [x.prec for x in escalated] == [working_prec(prec) + 32]
+    assert cls.is_nonzero and cls.rigorous
+    (ball,) = escalated
+    again = rel.residual_raw(4 * ball.prec)
+    assert abs(exact(ball.mpf) - exact(again)) <= exact(ball.rad) < Fraction(2) ** (16 - ball.prec)
+
+
+def test_a_holding_relation_forms_no_radius(chains):
+    for rel in enumerate_relations(60)[0]:
+        assert verify_relation(rel).is_zero
+    assert all(len(chain) == 1 and chain[0].rad is None for chain in chains)

@@ -189,22 +189,29 @@ def test_the_record_template_is_canonical_json(prec):
             assert list(json.loads(line)) == ["q", "signs", "L", "prec", "class", "cot_sum", "cos_sums"]
 
 
+def shrinking_eps(wp0: int) -> property:
+    """A table bound of 2^20 at the scan's working precision wp0 that shrinks
+    as 2^(20 + wp0 - wp) at higher precision: no radius decides at wp0, and
+    the first escalation decides."""
+    return property(lambda self: mpmath.mpf(2) ** (20 + wp0 - self.wp))
+
+
 @pytest.mark.parametrize("prec", [64, 128, 192])
 def test_the_record_template_renders_the_fallback_tags(prec, monkeypatch):
     import cyclolog.scans as scans_mod
 
-    witnessed = scans_mod._l_class
+    escalated = scans_mod._l_class
     tags = []
 
     def every_tag(f, value, prec):
-        # the witness's own verdict, then the two tags no scan reaches
-        tag = (witnessed(f, value, prec).tag, ZERO, INDETERMINATE)[len(tags) % 3]
+        # the escalated verdict, then the two tags no scan reaches
+        tag = (escalated(f, value, prec).tag, ZERO, INDETERMINATE)[len(tags) % 3]
         tags.append(tag)
         return ZeroClass(tag, Real(abs(value), prec))
 
     monkeypatch.setattr(scans_mod, "_l_class", every_tag)
     # no L radius decides, so every record takes its tag from _l_class
-    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
+    monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(working_prec(prec)))
     for q in (5, 7, 9):
         for line in scan(q, prec).records:
             assert line == canonical_json(json.loads(line))
@@ -279,7 +286,7 @@ def test_minimum_keeps_the_first_of_values_that_render_alike():
     assert _minimum(rows + [((-1, 1), NONZERO, d._mpf_, dec_str(d, 3), "")]) == ("0.49", (-1, 1))
 
 
-def test_a_radius_that_cannot_decide_sends_every_record_to_the_witness(monkeypatch):
+def test_a_radius_that_cannot_decide_sends_every_record_to_escalation(monkeypatch):
     import cyclolog.scans as scans
 
     q, prec = 9, 128
@@ -293,12 +300,12 @@ def test_a_radius_that_cannot_decide_sends_every_record_to_the_witness(monkeypat
         return out
 
     monkeypatch.setattr(scans, "_l_class", recording)
-    # no L radius decides: each verdict must come from the doubled-precision witness
-    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
-    witnessed = scan(q, prec)
+    # no L radius decides at wp: each verdict must come from an escalated ball
+    monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(working_prec(prec)))
+    escalated = scan(q, prec)
     assert len(verdicts) == comb(q - 1, (q - 1) // 2)
-    assert all(v.is_nonzero and not v.rigorous for v in verdicts)
-    assert witnessed.to_payload(include_records=True) == reference.to_payload(include_records=True)
+    assert all(v.is_nonzero and v.rigorous and v.residual.prec > working_prec(prec) for v in verdicts)
+    assert escalated.to_payload(include_records=True) == reference.to_payload(include_records=True)
     assert scan(q, prec, workers=2).records == reference.records
 
 
@@ -316,12 +323,14 @@ def test_an_undecided_record_is_classified_from_the_sums_the_scan_holds(monkeypa
             return original(f, w)
 
         monkeypatch.setattr(scans, name, counting)
-    # no L radius decides: every record is classified by the witness alone
-    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
+    # no L radius decides at wp: every record is classified by one escalation
+    # of L alone, at 32 bits and more above wp
+    monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(wp))
     report = scan(q, prec)
     assert report.class_counts == {NONZERO: comb(q - 1, (q - 1) // 2)}
     assert calls["trig_sums_raw"] == []
-    assert calls["l1_digamma_raw"] and set(calls["l1_digamma_raw"]) == {2 * wp}
+    assert len(calls["l1_digamma_raw"]) == comb(q - 1, (q - 1) // 2)
+    assert all(w >= wp + 32 for w in calls["l1_digamma_raw"])
 
 
 def test_the_batch_applies_the_rule_to_the_radius_evaluate_gives(monkeypatch):
@@ -403,23 +412,25 @@ def test_dichotomy_recomputes_the_trig_sums_once(monkeypatch):
     signs = (1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, -1)
     f = sign_function(13, signs)
     wp = working_prec(128)
-    # the radii decide every NonZero sum: no witness runs
+    # the radii decide every NonZero sum: no escalation runs
     verdict = dichotomy(f, 128)
     assert verdict.branch == BRANCH_L_NONZERO
     nonzero = [c for c in verdict.trig_classes.values() if c.is_nonzero]
     assert nonzero and all(c.rigorous for c in nonzero)
     assert precisions == [wp]
-    # radii too large to decide: one doubled-precision evaluation serves every sum
+    # radii too large to decide at wp: each NonZero sum escalates, and its
+    # callback recomputes the trig sums once, at its own precision
     precisions.clear()
     for family in ("eps_cot", "eps_roots"):
-        monkeypatch.setattr(Tables, family, property(lambda self: mpmath.mpf(2) ** 20))
-    witnessed = dichotomy(f, 128)
-    assert any(c.is_nonzero for c in witnessed.trig_classes.values())  # so a witness ran
-    assert not any(c.rigorous for c in witnessed.trig_classes.values())
-    assert {k: c.tag for k, c in witnessed.trig_classes.items()} == {
+        monkeypatch.setattr(Tables, family, shrinking_eps(wp))
+    escalated = dichotomy(f, 128)
+    assert {k: c.tag for k, c in escalated.trig_classes.items()} == {
         k: c.tag for k, c in verdict.trig_classes.items()
     }
-    assert precisions == [wp, 2 * wp]
+    nonzero = [c for c in escalated.trig_classes.values() if c.is_nonzero]
+    assert all(c.rigorous and c.residual.prec > wp for c in nonzero)
+    assert precisions[0] == wp
+    assert sorted(precisions[1:]) == sorted(c.residual.prec for c in nonzero)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -569,9 +580,8 @@ def test_bbw_even_modulus_vanishing_split():
             f = bbw_function(q, l, prec)
             v = l1_digamma_raw(f, wp)
             assert classify_zero(Real(v, wp), prec).is_zero, (q, l)
-        boundary = bbw_function(q, q - 1, prec)
-        v = l1_digamma_raw(boundary, wp)
-        assert classify_zero(Real(v, wp), prec).is_nonzero, q
+        # evaluate gives L its error radius, which decides NonZero
+        assert evaluate(bbw_function(q, q - 1, prec), prec)[1].is_nonzero, q
 
 
 def test_bbw_parameter_validation():

@@ -1,7 +1,7 @@
 """The shared (q, wp) tables: every field equals the direct evaluation it
-replaced bit for bit, the cache stays bounded, a doubled-precision
-recompute (where a radius cannot decide) gets its own entry, and CLI and
-demo stdout is pinned by SHA-256."""
+replaced bit for bit, the cache stays bounded, a recompute at the precision
+a zero test escalates to (where a radius cannot decide) gets its own entry,
+and CLI and demo stdout is pinned by SHA-256."""
 
 import hashlib
 import os
@@ -130,22 +130,24 @@ def test_cache_stays_within_its_bound():
     assert tables.cache_info().currsize == bound
 
 
-def test_doubled_precision_recompute_reads_its_own_entry(monkeypatch):
+def test_escalated_recompute_reads_its_own_entry(monkeypatch):
     tables.cache_clear()
     q, prec = 7, 128
     wp = working_prec(prec)
     f = sign_function(q, (1, 1, 1, -1, -1, -1))
-    # a psi radius too large to decide, so the recompute witness runs
-    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
+    # a psi radius too large to decide at wp, 2^(20 + wp - w) at w bits, so
+    # L escalates once
+    monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** (20 + wp - self.wp)))
     _, cls, _, _ = evaluate(f, prec)
-    assert cls.is_nonzero and not cls.rigorous  # so the recompute witness ran
+    w = cls.residual.prec
+    assert cls.is_nonzero and w > wp  # so the escalated ball decided
     misses = tables.cache_info().misses
-    first, witness = tables(q, wp), tables(q, 2 * wp)
+    first, escalated = tables(q, wp), tables(q, w)
     assert tables.cache_info().misses == misses  # both entries were already there
-    assert first is not witness
-    assert witness.wp == 2 * wp
-    assert "psi" in vars(witness)  # the witness's psi values came from its own entry
-    assert first.psi != witness.psi
+    assert first is not escalated
+    assert escalated.wp == w
+    assert "psi" in vars(escalated)  # the escalated psi values came from its own entry
+    assert first.psi != escalated.psi
 
 
 GOLDEN_F120 = ",".join(str((a % 5) - 2 + (a % 3) - 1) for a in range(1, 121))
