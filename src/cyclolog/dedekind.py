@@ -19,19 +19,15 @@ log-sines, ``log_sines_aligned``, with an a-posteriori estimate of its
 relative error that decides whether to restart at doubled precision.  Each
 factor follows the tables' summation rule: its components are exact sums
 over the tables' integer forms of the log-sines and of the ((p-1)/2)-th
-roots of unity, each rounded once at wp.  So each component is within
-sum_a (|t_a| eps_root + eps_log) + 1/2 ulp of its exact value, where t_a is
-the log-sine entry of a and eps_root, eps_log are the tables' bounds on the
-errors of the root and log-sine entries; |S_chi| is within the sum of the
-two component radii plus 1 ulp.  That radius, at wp or at the bits a factor
-escalates to, decides its NonZero, under the tables' 1-ulp assumption.
+roots of unity, each rounded once at wp, with the rule's radius; |S_chi|
+is the kernel's ``hypot`` of the two.  That radius, at wp or at the bits a
+factor escalates to, decides its NonZero, under the tables' 1-ulp assumption.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
@@ -39,18 +35,7 @@ from mpmath import mp
 from mpmath.libmp import fzero, from_man_exp, round_nearest
 
 from .characters import DirichletCharacter, enumerate_characters, require_odd_prime
-from .kernel import (
-    GUARD_BITS,
-    Complex,
-    Real,
-    ZeroClass,
-    classify_zero,
-    fold,
-    half_ulp,
-    radius_scaled,
-    radius_sum,
-    working_prec,
-)
+from .kernel import GUARD_BITS, Complex, Real, ZeroClass, classify_zero, fold, hypot, working_prec
 from .tables import ONE_ULP_ASSUMPTION, tables
 
 DEFAULT_MAX_PRIME = 101
@@ -106,37 +91,23 @@ def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
     )
 
 
-def _magnitude(raw: Pair, wp: int) -> mpmath.mpf:
-    with mp.workprec(wp):
-        return mpmath.hypot(*raw)
-
-
 def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
     """The zero class of |S_chi|, from its (re, im) at wp, by :func:`_ball`."""
     return classify_zero(_ball(chi, raw, working_prec(prec)), prec, lambda w: _ball(chi, s_chi_raw(chi, w), w))
 
 
 def _ball(chi: DirichletCharacter, raw: Pair, wp: int) -> Real:
-    """|S_chi| from its (re, im) at wp, with its error radius.
+    """|S_chi| from its (re, im) at wp: the ``hypot`` of the components'
+    balls.  A component sums c_a t_a over roots c_a and log-sines t_a, so the
+    rule weighs the roots by sum_a |t_a| and the log-sines by r, as |c_a| <= 1."""
+    tab = tables(chi.modulus, wp)
+    weight, r = tab.log_sines_abs_sum, len(tab.log_sines)
 
-    A component sums c_a t_a over the root entries c_a and log-sine entries
-    t_a.  For their exact values C_a, T_a, |c_a t_a - C_a T_a| <=
-    |c_a - C_a| |t_a| + |C_a| |t_a - T_a| <= eps_root |t_a| + eps_log, as
-    |C_a| <= 1; the sum is rounded once, adding 1/2 ulp.  hypot is 1-Lipschitz
-    in each argument, and mpmath's rounds a sum of squares formed at wp + 4
-    bits, so it adds less than 1 ulp of |S_chi|.
-    """
-    p = chi.modulus
-    logs, log_exp = tables(p, wp).log_sines_aligned
-    terms = radius_sum(
-        radius_scaled(tables((p - 1) // 2, wp).eps_roots, sum(map(abs, logs)) * Fraction(2) ** log_exp),
-        radius_scaled(tables(p, wp).eps_log_sines, len(logs)),
-    )
+    def component(v: mpmath.mpf, roots: str) -> Real:
+        return Real.ball((v._mpf_, tab.radius(v._mpf_, **{roots: weight}, log_sines=r)), wp)
+
     re, im = raw
-    mag = _magnitude(raw, wp)
-    # each component within terms + 1/2 ulp, and hypot within 1 ulp
-    rad = radius_sum(terms, half_ulp(re, wp), terms, half_ulp(im, wp), half_ulp(mag, wp - 1))
-    return Real(mag, wp, rad)
+    return hypot(component(re, "cos"), component(im, "sin"))
 
 
 class LU(NamedTuple):

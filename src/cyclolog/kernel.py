@@ -4,16 +4,17 @@ Every analytic quantity the package hands out is a :class:`Real` or
 :class:`Complex`: a record of an mpmath floating-point value and the
 precision tag (bits) it was rounded to on construction.  The routes
 compute on raw mpfs, and every sum over the per-(q, wp) tables is formed
-exactly over their integer forms and rounded once (see ``tables``), so its
-error is at most sum_a |f(a)| eps_family + 1/2 ulp; the uniform policy is
+exactly over their integer forms and rounded once (see ``tables``); the
+uniform policy is
 
 * an operation asked for a ``prec``-bit result computes internally at
   ``prec + 64`` guard bits and rounds once at the end, by wrapping the
   result in ``Real(value, prec)``,
 * a value whose error is bounded carries that bound as its radius
-  (``Real.rad``, an upper bound rounded up to ``RADIUS_PREC`` bits by
-  :func:`radius_sum` and :func:`radius_scaled`), and a Real built by
-  rounding adds its rounding to the radius,
+  (``Real.rad``, an upper bound rounded up to ``RADIUS_PREC`` bits), and a
+  Real built by rounding adds its rounding to the radius; a sum over the
+  tables takes its radius from their summation rule (``Tables.radius``),
+  and a ball operation here (:func:`div`, :func:`hypot`) adds its own,
 * "is this zero?" questions go through :func:`classify_zero`, which
   returns Zero / NonZero / Indeterminate instead of a bare boolean: NonZero
   only when a radius excludes 0 (rigorous, under the tables' assumption that
@@ -44,7 +45,9 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_div,
     mpf_gt,
+    mpf_hypot,
     mpf_lt,
     mpf_mul,
     round_ceiling,
@@ -98,13 +101,18 @@ def to_mpf(x: Union["Real", Fraction, int, float, str], wp: int) -> mpmath.mpf:
         return mpmath.mpf(x)
 
 
+def half_ulp_raw(x: tuple, prec: int) -> tuple:
+    """2^(floor(log2|x|) - prec), half an ulp of the raw mpf x at prec bits.
+    It bounds the error of every value that rounds to nearest to x at prec
+    bits (one that rounds up into x's binade errs by at most half an ulp of
+    the binade below); 0 for x = 0, which only 0 rounds to."""
+    _, man, exp, bc = x
+    return from_man_exp(1, exp + bc - 1 - prec) if man else fzero
+
+
 def half_ulp(x: mpmath.mpf, prec: int) -> mpmath.mpf:
-    """2^(floor(log2|x|) - prec), half a unit in the last place of x at prec
-    bits.  It bounds the error of every value that rounds to nearest to x at
-    prec bits (one that rounds up into x's binade errs by at most half an ulp
-    of the binade below); 0 for x = 0, which only 0 rounds to."""
-    _, man, exp, bc = x._mpf_
-    return mp.make_mpf(from_man_exp(1, exp + bc - 1 - prec) if man else fzero)
+    """:func:`half_ulp_raw` of an mpf."""
+    return mp.make_mpf(half_ulp_raw(x._mpf_, prec))
 
 
 def radius_sum(*radii: mpmath.mpf) -> mpmath.mpf:
@@ -119,9 +127,43 @@ def radius_sum(*radii: mpmath.mpf) -> mpmath.mpf:
 def radius_scaled(r: mpmath.mpf, c: Union[int, Fraction]) -> mpmath.mpf:
     """The radius r times a rational c >= 0, with c and the product each
     rounded up to ``RADIUS_PREC`` bits: an upper bound of r c."""
-    c = Fraction(c)
     factor = from_rational(c.numerator, c.denominator, RADIUS_PREC, round_ceiling)
     return mp.make_mpf(mpf_mul(r._mpf_, factor, RADIUS_PREC, round_ceiling))
+
+
+# ---------------------------------------------------------------------------
+# ball operations on raw mpfs, each adding its own rounding once
+# ---------------------------------------------------------------------------
+
+def div_raw(x: tuple, rad: tuple, n: int, wp: int) -> Tuple[tuple, tuple]:
+    """(x / n rounded to nearest at wp, its radius) for the ball x +- rad and
+    an int n != 0: the exact quotient is within rad / |n| of x / n, and the
+    rounding adds 1/2 ulp of the quotient."""
+    divisor = from_int(n)
+    quotient = mpf_div(x, divisor, wp, round_nearest)
+    share = mpf_div(rad, mpf_abs(divisor), RADIUS_PREC, round_ceiling)
+    return quotient, mpf_add(share, half_ulp_raw(quotient, wp), RADIUS_PREC, round_ceiling)
+
+
+def hypot_raw(re: tuple, rad_re: tuple, im: tuple, rad_im: tuple, wp: int) -> Tuple[tuple, tuple]:
+    """(|re + i im| rounded at wp, its radius) for the balls re +- rad_re and
+    im +- rad_im.  hypot is 1-Lipschitz in each argument; mpmath's rounds the
+    root of a sum of squares formed at wp + 4 bits, whose error moves the
+    root by below 1/32 ulp, so with the root's rounding it errs by less than
+    1 ulp at wp, which is 1/2 ulp at wp - 1."""
+    mag = mpf_hypot(re, im, wp, round_nearest)
+    rad = mpf_add(rad_re, rad_im, RADIUS_PREC, round_ceiling)
+    return mag, mpf_add(rad, half_ulp_raw(mag, wp - 1), RADIUS_PREC, round_ceiling)
+
+
+def div(x: "Real", n: int) -> "Real":
+    """:func:`div_raw` of a Real with a radius, at its precision."""
+    return Real.ball(div_raw(x.mpf._mpf_, x.rad._mpf_, n, x.prec), x.prec)
+
+
+def hypot(re: "Real", im: "Real") -> "Real":
+    """:func:`hypot_raw` of two Reals with radii, at re's precision."""
+    return Real.ball(hypot_raw(re.mpf._mpf_, re.rad._mpf_, im.mpf._mpf_, im.rad._mpf_, re.prec), re.prec)
 
 
 class Real:
@@ -156,6 +198,11 @@ class Real:
         object.__setattr__(self, "mpf", rounded)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "rad", rad)
+
+    @classmethod
+    def ball(cls, raw: Tuple[tuple, tuple], prec: int) -> "Real":
+        """The Real of a raw (value, radius) pair, the value at prec bits."""
+        return cls(mp.make_mpf(raw[0]), prec, mp.make_mpf(raw[1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Real is immutable")

@@ -14,11 +14,8 @@ Also here: the decomposition of L(1,f) over the basis
 
 The psi sum of the digamma route and the cot sum of the decomposition
 are ``Tables.weighted_sum`` over the psi and cot tables; its cos sums are
-rows of ``Tables.harmonic_sums`` over the cos table.  Both follow the
-tables' summation rule: each sum is the correctly rounded value of the
-exact combination sum_a f(a) t_i of its table entries, so its error is at
-most sum_a |f(a)| eps_family + 1/2 ulp, where eps_family bounds the error
-of one entry.
+rows of ``Tables.harmonic_sums`` over the cos table: each the exact sum
+rounded once, whose radius is the tables' summation rule, ``Tables.radius``.
 
 Sign convention: the decomposition is derived from the digamma route, so
 the pi coefficient is +(1/2q) sum f(a) cot(a pi/q) and the log-sine
@@ -73,14 +70,10 @@ def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
 # ---------------------------------------------------------------------------
 
 def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
-    """-(1/q) sum_a f(a) psi(a/q) at working precision wp.
-
-    The sum is ``Tables.weighted_sum`` over the psi table: the exact
-    sum_a f(a) psi(a/q) over the table entries, rounded once at wp, then
-    divided by -q.
-    """
+    """-(1/q) sum_a f(a) psi(a/q) at working precision wp: the psi sum,
+    ``Tables.weighted_sum`` rounded once at wp, divided by -q."""
     q = f.period
-    total = tables(q, wp).weighted_sum("psi", f)
+    total = tables(q, wp).weighted_sum("psi", f.exact_values)
     with mp.workprec(wp):
         return -total / q
 
@@ -190,13 +183,12 @@ def trig_sums_raw(
     each over a = 1..q-1 at working precision wp.
 
     The cot sum is ``Tables.weighted_sum`` over the cot table and the cos
-    sums are ``Tables.harmonic_sums`` over the cos table: each the exact sum
-    of f(a) times the table entries, rounded once at wp.
+    sums are ``Tables.harmonic_sums`` over the cos table.
     """
     q = f.period
     tab = tables(q, wp)
     bs = range(1, (q - 1) // 2 + 1)
-    return tab.weighted_sum("cot", f), dict(zip(bs, tab.harmonic_sums("cos", f, len(bs), q - 1)))
+    return tab.weighted_sum("cot", f.exact_values), dict(zip(bs, tab.harmonic_sums("cos", f, len(bs), q - 1)))
 
 
 def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from typing import Dict, List, Sequence, Tuple, Union
@@ -35,7 +34,7 @@ import mpmath
 from mpmath import mp
 
 from .characters import is_prime
-from .kernel import Real, ZeroClass, classify_zero, fold, half_ulp, radius_scaled, radius_sum, working_prec
+from .kernel import Real, ZeroClass, classify_zero, fold, working_prec
 from .tables import tables
 
 PI_SLOT = "PI"
@@ -230,25 +229,18 @@ def rational_rank(vectors: Sequence[Sequence[Rational]]) -> int:
 def verify_relation(rel: RelationVector, prec: int = 128) -> ZeroClass:
     """Evaluate sum coeff * slot-value (PI = pi, LOG2 = log 2) and classify.
 
-    The residual at wp has no radius, so a relation that holds is Zero on its
-    value alone; any other escalates to the residual's ball at w bits.  With
-    u = 2^-w: each slot value v is within eps_log_sines (pi and log 2 within
-    2u * 4); each product c v is rounded once, by at most u |c v|; fsum adds
-    the products exactly but for dropping a term or running sum more than 2w
-    bits below the other, at most one per term, each less than 2^-2w sum
-    |c v| (1 + u).  So the radius is sum |c| eps_log_sines + 2^(1-w) sum |c v|
-    + 1/2 ulp for the final rounding.
+    The residual at wp has no radius, so a relation that holds is Zero on
+    its value alone; any other escalates to its ball at w bits, the exact sum
+    over ``log_basis_values`` rounded once, with the tables' rule's radius.
     """
     wp = working_prec(prec)
     return classify_zero(Real(rel.residual_raw(wp), wp), prec, lambda w: _residual_ball(rel, w))
 
 
 def _residual_ball(rel: RelationVector, w: int) -> Real:
-    residual = rel.residual_raw(w)
-    terms = [(abs(c), abs(v)) for c, v in zip(rel.coeffs, rel.basis.values_raw(w)) if c]
-    products = radius_scaled(radius_sum(*(radius_scaled(v, c) for c, v in terms)), Fraction(2) ** (1 - w))
-    slots = radius_scaled(tables(rel.basis.modulus, w).eps_log_sines, sum(c for c, _ in terms))
-    return Real(residual, w, radius_sum(slots, products, half_ulp(residual, w)))
+    tab = tables(rel.basis.modulus, w)
+    residual = tab.weighted_sum("log_basis_values", (rel.coeffs, 1))._mpf_
+    return Real.ball((residual, tab.radius(residual, log_basis_values=sum(map(abs, rel.coeffs)))), w)
 
 
 def relation_record(rel: RelationVector, prec: int = 128) -> dict:

@@ -6,12 +6,11 @@ admissible functions exist only for odd q and number C(q-1, (q-1)/2).
 The scan evaluates L(1, f) for every one of them, classifies each value,
 and reports the minimum |L|.
 
-Each value is classified by its error radius (see :func:`evaluate`), or
-where that cannot decide, by L's ball at more bits.  The scan applies the
-radius rule, ``kernel.radius_decides_nonzero``, to raw values and builds no
-verdict object for a function it decides; every other function is
-classified in place by :func:`_l_class`, as :func:`evaluate` classifies it,
-from the sums the scan already holds.
+Each value is classified by L's ball (see :func:`evaluate`), or where its
+radius cannot decide, by the same ball at more bits.  The scan applies the
+radius rule, ``kernel.radius_decides_nonzero``, to that ball on raw values
+and builds no verdict object for a function it decides; every other
+function is classified in place by :func:`_l_class`, from its sums.
 
 Each scanned function also carries its cotangent and cosine sums: for
 prime period, exactly one of "L is nonzero" / "all those trig sums
@@ -47,28 +46,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, repeat
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, mpf_abs, mpf_div, mpf_lt, mpf_neg, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_lt, round_nearest, to_rational
 
 from .characters import PeriodicFunction, require_odd_prime
 from .kernel import (
-    NONZERO,
-    Real,
-    ZeroClass,
-    classify_zero,
-    dec_str,
-    decimal_digits,
-    half_ulp,
-    radius_decides_nonzero,
-    radius_scaled,
-    radius_sum,
-    working_prec,
+    NONZERO, Real, ZeroClass, classify_zero, dec_str, decimal_digits, div_raw, radius_decides_nonzero, working_prec,
 )
-from .lseries import l1_digamma_raw, require_convergent, trig_sums_raw
-from .tables import tables
+from .lseries import require_convergent, trig_sums_raw
+from .tables import Tables, tables
 
 
 class DichotomyContradictionError(RuntimeError):
@@ -103,43 +92,35 @@ def _signs_from_positions(q: int, positions: Tuple[int, ...]) -> Tuple[int, ...]
 # trig sums and the nonzero-or-trivial dichotomy
 # ---------------------------------------------------------------------------
 
-def evaluate(
-    f: PeriodicFunction, prec: int
-) -> Tuple[mpmath.mpf, ZeroClass, mpmath.mpf, Dict[int, mpmath.mpf]]:
-    """L(1, f), its zero class against ``prec`` bits, its cot sum and its cos
-    sums, all at working precision.
-
-    The class is decided by L's error radius.  L = -total/q, where total,
-    the psi sum, is within sum_a |f(a)| eps_psi + 1/2 ulp(total) of its exact
-    value (the tables' summation rule), and the division rounds by at most
-    1/2 ulp(L).  As |total| <= q |L| (1 + 2^-wp), 1/2 ulp(total) / q is at
-    most 4 * 1/2 ulp(L), which is ``half_ulp(L, wp - 2)``; :func:`_l_radius`
-    sums the three.  Where that radius cannot decide, L is re-evaluated as
-    such a ball at a higher precision (:func:`_l_class`).
-    """
+def evaluate(f: PeriodicFunction, prec: int) -> Tuple[mpmath.mpf, ZeroClass, mpmath.mpf, Dict[int, mpmath.mpf]]:
+    """L(1, f), its zero class against ``prec`` bits (L's ball, by
+    :func:`_l_class`), its cot sum and its cos sums, all at working precision."""
     wp = working_prec(prec)
-    value = l1_digamma_raw(f, wp)
-    return (value, _l_class(f, value, prec), *trig_sums_raw(f, wp))
+    total = _psi_sum(f, wp)
+    value, _ = _l_ball(tables(f.period, wp), f.abs_sum, total._mpf_)
+    return (mp.make_mpf(value), _l_class(f, total, prec), *trig_sums_raw(f, wp))
 
 
-def _l_class(f: PeriodicFunction, value: mpmath.mpf, prec: int) -> ZeroClass:
-    """The zero class against ``prec`` bits of ``value``, L(1, f) at wp as
-    ``l1_digamma_raw`` gives it, by :func:`_l_ball` at wp and above."""
-    return classify_zero(_l_ball(f, value, working_prec(prec)), prec, lambda w: _l_ball(f, l1_digamma_raw(f, w), w))
+def _psi_sum(f: PeriodicFunction, wp: int) -> mpmath.mpf:
+    """sum_a f(a) psi(a/q), rounded once at wp."""
+    return tables(f.period, wp).weighted_sum("psi", f.exact_values)
 
 
-def _l_ball(f: PeriodicFunction, value: mpmath.mpf, wp: int) -> Real:
-    """L(1, f) = ``value`` at wp with its error radius (see :func:`evaluate`)."""
-    q = f.period
-    return Real(value, wp, _l_radius(radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q), value, wp))
+def _l_ball(tab: Tables, weight: Union[int, Fraction], total: tuple) -> Tuple[tuple, tuple]:
+    """(L, its radius) as raw mpfs from the psi sum ``total`` over ``tab`` of
+    a function with sum_a |f(a)| = ``weight``: the psi sum's ball by the
+    tables' summation rule, divided by -q."""
+    return div_raw(total, tab.radius(total, psi=weight), -tab.q, tab.wp)
 
 
-def _l_radius(psi_share: mpmath.mpf, value: mpmath.mpf, wp: int) -> mpmath.mpf:
-    """The error radius of L = ``value`` = -total/q at wp (see :func:`evaluate`):
-    ``psi_share``, an upper bound of sum_a |f(a)| eps_psi / q, plus
-    ``half_ulp(value, wp - 2)`` for the total's rounding and
-    ``half_ulp(value, wp)`` for the division's, each step rounded up."""
-    return radius_sum(psi_share, half_ulp(value, wp - 2), half_ulp(value, wp))
+def _l_class(f: PeriodicFunction, total: mpmath.mpf, prec: int) -> ZeroClass:
+    """The zero class against ``prec`` bits of L(1, f) from its psi sum
+    ``total`` at wp, by :func:`_l_ball` at wp and at every w it escalates to."""
+
+    def ball(total: mpmath.mpf, w: int) -> Real:
+        return Real.ball(_l_ball(tables(f.period, w), f.abs_sum, total._mpf_), w)
+
+    return classify_zero(ball(total, working_prec(prec)), prec, lambda w: ball(_psi_sum(f, w), w))
 
 
 BRANCH_L_NONZERO = "L_nonzero"
@@ -159,9 +140,8 @@ class DichotomyVerdict:
 def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     """For prime period: decide "L(1,f) nonzero" vs "all trig sums vanish".
 
-    Each trig sum is classified by its error radius, sum_a |f(a)| eps_cot or
-    eps_roots plus 1/2 ulp, and, where that cannot decide, by the sum's ball
-    at the higher precisions ``classify_zero`` escalates to.
+    Each trig sum is classified by its ball (the tables' rule's radius) at
+    wp and at every precision it escalates to, each formed once per w.
     Exactly one branch holds at the tested precision.  Observing both
     sides violated raises DichotomyContradictionError; an Indeterminate
     L-value raises InconclusiveClassificationError.
@@ -169,22 +149,20 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
     p = f.period
     require_odd_prime(p)
     require_convergent(f)
-    wp = working_prec(prec)
     l_raw, l_class, cot, cos_sums = evaluate(f, prec)
+    sums = {working_prec(prec): (cot, cos_sums)}
 
-    def ball(b: int, v: mpmath.mpf, w: int) -> Real:
-        # sum b (the cot sum for b = 0, else the cos sum of b) at w, with the
-        # tables' summation rule: sum_a |f(a)| eps_family + 1/2 ulp
-        eps = tables(p, w).eps_roots if b else tables(p, w).eps_cot
-        return Real(v, w, radius_sum(radius_scaled(eps, f.abs_sum), half_ulp(v, w)))
-
-    def recompute(b: int, w: int) -> Real:
-        cot_w, cos_w = trig_sums_raw(f, w)
-        return ball(b, cos_w[b] if b else cot_w, w)
+    def ball(b: int, w: int) -> Real:
+        # sum b at w: the cot sum for b = 0, else the cos sum of b
+        if w not in sums:
+            sums[w] = trig_sums_raw(f, w)
+        cot_w, cos_w = sums[w]
+        v = (cos_w[b] if b else cot_w)._mpf_
+        return Real.ball((v, tables(p, w).radius(v, **{"cos" if b else "cot": f.abs_sum})), w)
 
     trig_classes: Dict[str, ZeroClass] = {
-        f"cos_{b}" if b else "cot": classify_zero(ball(b, v, wp), prec, lambda w, b=b: recompute(b, w))
-        for b, v in enumerate([cot, *cos_sums.values()])
+        f"cos_{b}" if b else "cot": classify_zero(ball(b, working_prec(prec)), prec, lambda w, b=b: ball(b, w))
+        for b in range(len(cos_sums) + 1)
     }
 
     if l_class.is_nonzero:
@@ -293,13 +271,9 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     b = 1..(q-1)/2, is sum_a f(a) T_a = 2 sum_{a in P} T_a - sum_a T_a over
     its plus set P: an exact integer over the aligned tables, rounded once
     at wp, the bits ``Tables.weighted_sum`` (psi, cot) and
-    ``Tables.harmonic_sums`` (cos) give.  L is the negated psi sum
-    divided by q, as in ``l1_digamma_raw``.  Where
-    :func:`~cyclolog.kernel.radius_decides_nonzero` decides L NonZero from
-    the radius :func:`evaluate` gives it, the record is NonZero; every other
-    record takes its class from :func:`_l_class`, that ball and its
-    escalation.  Each record is rendered from these sums, which are formed
-    once.
+    ``Tables.harmonic_sums`` (cos) give.  L's ball is :func:`_l_ball` of
+    the psi sum, as in :func:`evaluate`; a record whose radius does not
+    decide NonZero takes its class from :func:`_l_class`.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)
@@ -311,23 +285,21 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     columns = [(psi[i], cot[i], *(cos[(i + 1) * b % q] for b in bs)) for i in range(q - 1)]
     totals = [sum(col) for col in zip(*columns)]
     exps = (psi_exp, cot_exp, *(cos_exp for _ in bs))
-    psi_share = radius_scaled(tab.eps_psi, Fraction(q - 1, q))  # sum_a |f(a)| = q - 1
-    q_raw = from_int(q)
     rows = []
     for positions in islice(combinations(range(q - 1), (q - 1) // 2), start, stop):
         sums = [
             from_man_exp(2 * plus - total, exp, wp, round_nearest)
             for plus, total, exp in zip(map(sum, zip(*(columns[i] for i in positions))), totals, exps)
         ]
-        raw = mpf_div(mpf_neg(sums[0]), q_raw, wp, round_nearest)
-        magnitude, value = mpf_abs(raw), mp.make_mpf(raw)
+        raw, rad = _l_ball(tab, q - 1, sums[0])
+        magnitude = mpf_abs(raw)
         signs = _signs_from_positions(q, positions)
-        if radius_decides_nonzero(magnitude, _l_radius(psi_share, value, wp)._mpf_, prec):
+        if radius_decides_nonzero(magnitude, rad, prec):
             tag = NONZERO
         else:
-            tag = _l_class(sign_function(q, signs), value, prec).tag
+            tag = _l_class(sign_function(q, signs), mp.make_mpf(sums[0]), prec).tag
         cot_sum, *cos_values = map(mp.make_mpf, sums[1:])
-        l_text, line = _render(q, signs, prec, tag, value, cot_sum, cos_values)
+        l_text, line = _render(q, signs, prec, tag, mp.make_mpf(raw), cot_sum, cos_values)
         rows.append((signs, tag, magnitude, l_text, line))
     return rows
 

@@ -9,33 +9,32 @@ entries directly, and the rest from the roots of den for e^(2 pi i num/den).
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at the precision a zero test escalates to gets its own entry.
 Each family is built on first use.  Each family that a sum reads (cot,
-cos, sin, psi, the log-sines) has one exact integer form, ``<family>_aligned``: integers T_i
-and one exponent E with T_i * 2^E = t_i.  It is the only integer form of a
-table: the psi entries, :meth:`Tables.weighted_sum`,
-:meth:`Tables.harmonic_sums`, ``dedekind.s_chi_raw``, the LU determinant and
-the scan's sums (``scans._scan_range``) all read it.
+cos, sin, psi, the log-sines, the log basis values) has one exact integer
+form, ``<family>_aligned``: integers T_i and one exponent E with
+T_i * 2^E = t_i.  It is the only integer form of a table: the psi entries,
+:meth:`Tables.weighted_sum`, :meth:`Tables.harmonic_sums`,
+``dedekind.s_chi_raw``, the LU determinant and the scan's sums
+(``scans._scan_range``) all read it.
 
-Two kernels form the sums of a periodic function f over a family, one per
-shape.  :meth:`Tables.weighted_sum` gives the one sum sum_a f(a) t_a over
-the whole family: the psi sum of the digamma route and the cot sum.
+Two kernels form the sums of exact weights over a family, one per shape.
+:meth:`Tables.weighted_sum` gives the one sum sum_a c_a t_a over the whole
+family: the psi sum, the cot sum and a relation's residual ball.
 :meth:`Tables.harmonic_sums` gives the rows sum_a f(a) t[(a k) mod q] for
 k = 1..count over the cos or sin table, all from one big-integer
 accumulation: the Fourier transform's cos and sin rows and the
 decomposition's cos sums.  The psi entries take their cos rows by the
 same (a b) mod q slices of a repeated table.
 
-One summation rule holds for every number derived from the tables: the psi
-entries, both kernels, ``dedekind.s_chi_raw`` and the scan's sums.  The
-linear combination sum_a c_a t_{i(a)} of the entries is formed exactly,
-over the aligned integers and the exact weights c_a, and rounded to
-nearest once at wp.  So each such number is the correctly rounded value of
-the exact combination of the entries it reads, and where every entry of a
-family is within eps_family of its true value, its error is at most
-sum_a |c_a| eps_family + 1/2 ulp.
-
-Each family carries that eps_family, a power of two cached in the (q, wp)
-entry: ``eps_log_sines``, ``eps_roots`` (for cos and sin), ``eps_cot`` and
-``eps_psi``, each derived in its docstring from how the family is built.
+One summation rule holds for every number derived from the tables (the
+psi entries, both kernels, ``dedekind.s_chi_raw``, the scan's sums): the
+combination sum_a c_a t_{i(a)} is formed exactly, over the aligned integers
+and the exact weights c_a, and rounded to nearest once at wp, so where each
+entry of a family is within eps_family of its true value, the number errs
+by at most sum_a |c_a| eps_family + 1/2 ulp.  :meth:`Tables.radius` is that
+rule, the one place a sum's radius is formed; what follows a sum is a ball
+operation of ``kernel``.  Each eps_family is a power of two cached in the
+(q, wp) entry: ``eps_log_sines``, ``eps_roots`` (for cos and sin),
+``eps_cot`` and ``eps_psi``, each derived in its docstring.
 The derivations take u = 2^-wp, round to nearest with relative error at
 most u, and rest on one assumption (``ONE_ULP_ASSUMPTION``): mpmath's log,
 sinpi, cospi, pi and euler return at wp bits a value y within 1 ulp of the
@@ -47,18 +46,23 @@ bounds are coarse on purpose, by up to 2^10; the callers' NonZero bar
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_add, mpf_shift, round_ceiling, round_nearest
 
-from .kernel import const_raw, fold, log_2sin_raw, man_exp
+from .kernel import RADIUS_PREC, const_raw, fold, half_ulp_raw, log_2sin_raw, man_exp, radius_scaled
 
 if TYPE_CHECKING:
     from .characters import PeriodicFunction
+
+# the per-entry bound of each family a sum reads
+_EPS = {"log_sines": "eps_log_sines", "log_basis_values": "eps_log_sines",
+        "cos": "eps_roots", "sin": "eps_roots", "cot": "eps_cot", "psi": "eps_psi"}
 
 ONE_ULP_ASSUMPTION = (
     "mpmath's log, sinpi, cospi, pi and euler are within 1 ulp of the exact value at working precision"
@@ -120,9 +124,17 @@ class Tables:
         return _pow2(self.q.bit_length() + 4 - self.wp)
 
     @cached_property
+    def log_sines_abs_sum(self) -> Fraction:
+        """sum_k |t_k| over the log-sine entries, exactly: the weight of the
+        roots in a sum of their products with the log-sines (S_chi)."""
+        logs, exp = self.log_sines_aligned
+        return sum(map(abs, logs)) * Fraction(2) ** exp
+
+    @cached_property
     def log_basis_values(self) -> Tuple[mpmath.mpf, ...]:
         """The slot values of ``relations.LogBasis``: log(2 sin(k pi / q)) for
-        1 <= k < q/2, then pi, then log 2 when q is even."""
+        1 <= k < q/2, then pi, then log 2 when q is even.  Each is within
+        ``eps_log_sines`` of its value: pi and log 2 are within 2u * 4."""
         consts = ("pi", "log2") if self.q % 2 == 0 else ("pi",)
         return self.log_sines[: (self.q - 1) // 2] + tuple(const_raw(c, self.wp) for c in consts)
 
@@ -143,6 +155,7 @@ class Tables:
         The entry is cospi(t) or sinpi(t) with t = 2j/q rounded, j < q:
         |t - 2j/q| <= 2u moves cos and sin by at most 2 pi u, and cospi or
         sinpi adds at most 2u, as |cos|, |sin| <= 1; 2u + 2 pi u < 2^4 u.
+        The bound is the same for every q.
         """
         return _pow2(4 - self.wp)
 
@@ -245,15 +258,26 @@ class Tables:
     sin_aligned = _aligned("sin")
     psi_aligned = _aligned("psi")
     log_sines_aligned = _aligned("log_sines")
+    log_basis_values_aligned = _aligned("log_basis_values")
 
-    def weighted_sum(self, family: str, f: "PeriodicFunction") -> mpmath.mpf:
-        """sum(f(a) * t[a - 1] for a = 1..len(t)) where t is the ``family``
-        table: the exact integer sum_a n_a T_(a - 1) over the aligned family
-        and f's exact values n_a / d, rounded to nearest once at wp bits.
-        The psi sum (a = 1..q) and the cot sum (a = 1..q - 1) go through
-        here; the rows over (a k mod q) through :meth:`harmonic_sums`."""
+    def radius(self, value: tuple, **weights: Union[int, Fraction]) -> tuple:
+        """The summation rule's radius of the raw mpf ``value``, an exact
+        combination of entries rounded once at wp whose weights total
+        ``weights[family]`` in absolute value on each family: the sum of
+        weight * eps_family, plus 1/2 ulp(value, wp), rounded up."""
+        rad = fzero
+        for family, weight in weights.items():
+            rad = mpf_add(rad, radius_scaled(getattr(self, _EPS[family]), weight)._mpf_, RADIUS_PREC, round_ceiling)
+        return mpf_add(rad, half_ulp_raw(value, self.wp), RADIUS_PREC, round_ceiling)
+
+    def weighted_sum(self, family: str, weights: Tuple[Sequence[int], int]) -> mpmath.mpf:
+        """sum(c_a * t[a] for a = 0..len(t) - 1), t the ``family`` table and
+        c_a = nums[a] / d for ``weights`` = (nums, d): the exact integer
+        sum_a nums[a] T_a over the aligned family, rounded to nearest once at
+        wp bits.  The psi and cot sums (f's exact values) and a relation's
+        residual ball go through here; the rows through :meth:`harmonic_sums`."""
         entries, exp = getattr(self, family + "_aligned")
-        nums, d = f.exact_values
+        nums, d = weights
         return _rounded(sum(map(mul, nums, entries)), exp, d, self.wp)
 
     def harmonic_sums(self, family: str, f: "PeriodicFunction", count: int, upto: int) -> List[mpmath.mpf]:

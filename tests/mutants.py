@@ -274,10 +274,10 @@ MUTANTS = (
         ("tests/test_kernel.py::test_half_ulp_bounds_every_rounding_to_nearest[53]",),
     ),
     Mutant(
-        "_l_class: sum |f| left out of the L radius",
+        "L ball: sum |f| left out of the psi sum's radius",
         "scans.py",
-        "radius_scaled(tables(q, wp).eps_psi, f.abs_sum / q)",
-        "radius_scaled(tables(q, wp).eps_psi, Fraction(1, q))",
+        "radius(total, psi=weight)",
+        "radius(total, psi=1)",
         (
             "tests/test_radius.py::test_evaluate_radius_is_the_documented_bound[wide-q6-128]",
             "tests/test_radius.py::test_every_radius_of_a_sum_encloses_its_4wp_evaluation[wide-q6-64]",
@@ -286,7 +286,7 @@ MUTANTS = (
     Mutant(
         "batched scan: every undecided record tagged NonZero",
         "scans.py",
-        "tag = _l_class(sign_function(q, signs), value, prec).tag",
+        "tag = _l_class(sign_function(q, signs), mp.make_mpf(sums[0]), prec).tag",
         "tag = NONZERO",
         (
             "tests/test_cli.py::test_scan_indeterminate_exits_3_whatever_the_serializer[canonical]",
@@ -296,8 +296,8 @@ MUTANTS = (
     Mutant(
         "batched scan: sum |f| left out of the L radius",
         "scans.py",
-        "radius_scaled(tab.eps_psi, Fraction(q - 1, q))",
-        "radius_scaled(tab.eps_psi, Fraction(1, q))",
+        "_l_ball(tab, q - 1, sums[0])",
+        "_l_ball(tab, 1, sums[0])",
         ("tests/test_scan.py::test_the_batch_applies_the_rule_to_the_radius_evaluate_gives",),
     ),
     Mutant(
@@ -310,9 +310,46 @@ MUTANTS = (
     Mutant(
         "S_chi radius: the log-sine entry errors left out",
         "dedekind.py",
-        "radius_scaled(tables(p, wp).eps_log_sines, len(logs)),",
-        "",
+        "**{roots: weight}, log_sines=r)",
+        "**{roots: weight})",
         ("tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",),
+    ),
+    Mutant(
+        "summation rule: the 1/2 ulp of the rounded sum left out",
+        "tables.py",
+        "return mpf_add(rad, half_ulp_raw(value, self.wp), RADIUS_PREC, round_ceiling)",
+        "return rad",
+        (
+            "tests/test_radius.py::test_the_rule_radius_is_the_documented_bound[psi-64]",
+            "tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",
+        ),
+    ),
+    Mutant(
+        "summation rule: the log basis values charged the roots' eps",
+        "tables.py",
+        '"log_basis_values": "eps_log_sines",',
+        '"log_basis_values": "eps_roots",',
+        ("tests/test_radius.py::test_the_rule_radius_is_the_documented_bound[log_basis_values-64]",),
+    ),
+    Mutant(
+        "ball division: the 1/2 ulp of the quotient left out",
+        "kernel.py",
+        "return quotient, mpf_add(share, half_ulp_raw(quotient, wp), RADIUS_PREC, round_ceiling)",
+        "return quotient, share",
+        (
+            "tests/test_kernel.py::test_the_division_ball_encloses_every_exact_quotient",
+            "tests/test_radius.py::test_evaluate_radius_is_the_documented_bound[signs-q7-128]",
+        ),
+    ),
+    Mutant(
+        "ball hypot: the ulp of the magnitude left out",
+        "kernel.py",
+        "return mag, mpf_add(rad, half_ulp_raw(mag, wp - 1), RADIUS_PREC, round_ceiling)",
+        "return mag, rad",
+        (
+            "tests/test_kernel.py::test_the_hypot_ball_encloses_every_exact_magnitude",
+            "tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",
+        ),
     ),
     Mutant(
         "scan store: a parsed line of a recomputed key accepted",

@@ -23,8 +23,12 @@ from cyclolog.kernel import (
     const,
     dec_str,
     decimal_digits,
+    div,
+    div_raw,
     fold,
     half_ulp,
+    hypot,
+    hypot_raw,
     log_2sin,
     log_2sin_raw,
     radius_scaled,
@@ -367,6 +371,60 @@ def test_radius_arithmetic_rounds_up_to_its_precision(terms, c, shift):
     scaled = radius_scaled(total, c)
     assert exact(total) * c <= exact(scaled)
     assert exact(scaled) <= exact(total) * c * (1 + Fraction(1, 2 ** (RADIUS_PREC - 2)))
+
+
+BALL_VALUES = st.builds(
+    lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+    st.integers(min_value=-(2**120), max_value=2**120),
+    st.integers(min_value=-300, max_value=100),
+)
+BALL_RADII = st.fractions(min_value=0, max_value=2**10).map(lambda r: to_mpf(r, RADIUS_PREC))
+
+
+def ball_points(x: Fraction, r: Fraction):
+    """The ends of [x - r, x + r] and its point nearest 0."""
+    return x - r, x + r, min(max(Fraction(0), x - r), x + r)
+
+
+def root_within(square: Fraction, centre: Fraction, rad: Fraction) -> bool:
+    """sqrt(square) lies within rad of centre >= 0."""
+    return square <= (centre + rad) ** 2 and (centre <= rad or square >= (centre - rad) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    BALL_VALUES,
+    BALL_RADII,
+    st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+    st.sampled_from((32, 64, 192)),
+)
+def test_the_division_ball_encloses_every_exact_quotient(x, rad, n, wp):
+    x = Real(x, wp).mpf
+    quotient, out = map(mp.make_mpf, div_raw(x._mpf_, rad._mpf_, n, wp))
+    for point in ball_points(exact(x), exact(rad)):
+        assert abs(point / n - exact(quotient)) <= exact(out)
+    ball = div(Real(x, wp, rad), n)
+    assert (ball.mpf._mpf_, ball.rad._mpf_) == (quotient._mpf_, out._mpf_)  # the Real form, bit for bit
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    BALL_VALUES,
+    BALL_RADII,
+    st.one_of(st.just(mpmath.mpf(0)), BALL_VALUES),
+    BALL_RADII,
+    st.booleans(),
+    st.sampled_from((32, 64, 192)),
+)
+def test_the_hypot_ball_encloses_every_exact_magnitude(re, rad_re, im, rad_im, swap, wp):
+    # a zero component among the draws, on either side
+    re, im = (Real(v, wp).mpf for v in ((im, re) if swap else (re, im)))
+    mag, out = map(mp.make_mpf, hypot_raw(re._mpf_, rad_re._mpf_, im._mpf_, rad_im._mpf_, wp))
+    for a in ball_points(exact(re), exact(rad_re)):
+        for b in ball_points(exact(im), exact(rad_im)):
+            assert root_within(a * a + b * b, exact(mag), exact(out))
+    ball = hypot(Real(re, wp, rad_re), Real(im, wp, rad_im))
+    assert (ball.mpf._mpf_, ball.rad._mpf_) == (mag._mpf_, out._mpf_)  # the Real form, bit for bit
 
 
 @pytest.mark.parametrize("prec", (32, 53, 192))

@@ -1,8 +1,8 @@
 """Error radii: the tables' per-entry bounds, the 1-ulp assumption they rest
-on, the radii the scan, the dichotomy and the determinant check attach to
-their sums, the verdicts those radii reach against the doubled-precision
-recompute they replace, and the precision escalation that decides where a
-radius cannot."""
+on, the summation rule that turns them into the radius of a sum, the balls
+the scan, the dichotomy and the determinant check compose from it, the
+verdicts those radii reach against the doubled-precision recompute they
+replace, and the precision escalation that decides where a radius cannot."""
 
 import json
 from fractions import Fraction
@@ -14,10 +14,10 @@ from mpmath import iv, mp
 from mpmath.libmp import to_rational
 
 from cyclolog.characters import PeriodicFunction, enumerate_characters, is_prime
-from cyclolog.dedekind import _magnitude, determinant_check, s_chi_raw
+from cyclolog.dedekind import determinant_check, s_chi_raw
 from cyclolog.kernel import Real, classify_zero, const_raw, half_ulp, working_prec
 from cyclolog.lseries import l1_digamma_raw, trig_sums_raw
-from cyclolog.relations import LogBasis, RelationVector, enumerate_relations, verify_relation
+from cyclolog.relations import LogBasis, RelationVector, enumerate_relations, linear_form_raw, verify_relation
 from cyclolog.scans import bbw_function, dichotomy, evaluate, scan, sign_function
 from cyclolog.tables import Tables, tables
 
@@ -27,6 +27,12 @@ from oracles import witness_verdict
 def exact(x) -> Fraction:
     """An mpf (or a raw mpf tuple) as the Fraction it equals."""
     return Fraction(*to_rational(getattr(x, "_mpf_", x)))
+
+
+def magnitude(raw, wp: int) -> mpmath.mpf:
+    """|re + i im| of an S_chi pair, by mpmath.hypot at wp."""
+    with mp.workprec(wp):
+        return mpmath.hypot(*raw)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +134,13 @@ FUNCTIONS = pytest.mark.parametrize(
 @pytest.mark.parametrize("prec", (64, 128, 256))
 @FUNCTIONS
 def test_evaluate_radius_is_the_documented_bound(f, prec, balls):
-    # (sum |f| eps_psi + 1/2 ulp(total)) / q + 1/2 ulp(L), with
-    # 1/2 ulp(total) / q <= 4 * 1/2 ulp(L); the radius rounds each step up
-    # to 32 bits, so it exceeds the exact bound by less than 2^-28 of it
+    # (sum |f| eps_psi + 1/2 ulp(total)) / q + 1/2 ulp(L): the psi sum's
+    # ball divided by -q; the radius rounds each step up to 32 bits, so it
+    # exceeds the exact bound by less than 2^-28 of it
     q, wp = f.period, working_prec(prec)
     value = l1_digamma_raw(f, wp)
-    bound = (
-        f.abs_sum * exact(tables(q, wp).eps_psi) / q
-        + exact(half_ulp(value, wp - 2))
-        + exact(half_ulp(value, wp))
-    )
+    total = tables(q, wp).weighted_sum("psi", f.exact_values)
+    bound = (f.abs_sum * exact(tables(q, wp).eps_psi) + exact(half_ulp(total, wp))) / q + exact(half_ulp(value, wp))
     evaluate(f, prec)
     (x,) = balls
     assert x.mpf == value
@@ -149,16 +152,57 @@ def test_evaluate_radius_is_the_documented_bound(f, prec, balls):
 def test_every_radius_of_a_sum_encloses_its_4wp_evaluation(f, prec, balls):
     # L from evaluate; L, the cot sum and every cos sum from dichotomy (odd
     # prime periods only)
-    wp = working_prec(prec)
+    q, wp = f.period, working_prec(prec)
     evaluate(f, prec)
     sums = [l1_digamma_raw(f, 4 * wp)]
-    if is_prime(f.period):
+    if is_prime(q):
         dichotomy(f, prec)
         cot, cos_sums = trig_sums_raw(f, 4 * wp)
         sums += [sums[0], cot, *cos_sums.values()]
     assert len(balls) == len(sums)
     for x, again in zip(balls, sums):
         assert abs(exact(x.mpf) - exact(again)) <= exact(x.rad)
+    # the rule's ball of each family on its own: the psi and cot sums, every
+    # cos and sin row over f, and the log basis values under integer
+    # coefficients (f's numerators, a relation vector over the basis)
+    tab, ref = tables(q, wp), tables(q, 4 * wp)
+    weights = f.exact_values
+    rule = [(family, tab.weighted_sum(family, weights), ref.weighted_sum(family, weights)) for family in ("psi", "cot")]
+    for family in ("cos", "sin"):
+        rows = zip(tab.harmonic_sums(family, f, q, q), ref.harmonic_sums(family, f, q, q))
+        rule += [(family, v, again) for v, again in rows]
+    coeffs = weights[0][: len(tab.log_basis_values)]
+    rule.append(("log_basis_values", tab.weighted_sum("log_basis_values", (coeffs, 1)),
+                 linear_form_raw(coeffs, ref.log_basis_values, 4 * wp)))
+    for family, v, again in rule:
+        weight = sum(map(abs, coeffs)) if family == "log_basis_values" else f.abs_sum
+        rad = tab.radius(v._mpf_, **{family: weight})
+        assert abs(exact(v) - exact(again)) <= exact(rad), family
+
+
+# the eps each family's sums are charged, as the tables' docstrings derive them
+DOCUMENTED_EPS = {
+    "psi": "eps_psi",
+    "cot": "eps_cot",
+    "cos": "eps_roots",
+    "sin": "eps_roots",
+    "log_sines": "eps_log_sines",
+    "log_basis_values": "eps_log_sines",
+}
+
+
+@pytest.mark.parametrize("prec", (64, 128))
+@pytest.mark.parametrize("family", sorted(DOCUMENTED_EPS))
+def test_the_rule_radius_is_the_documented_bound(family, prec):
+    # weight * eps_family + 1/2 ulp(value, wp), each of three steps rounded
+    # up to 32 bits, for a sum over each family at q = 12
+    wp = working_prec(prec)
+    tab = tables(12, wp)
+    weight = Fraction(123, 7)
+    for value in (mpmath.mpf(0), mpmath.mpf(1) / 3, -mpmath.mpf(2) ** 40 / 3):
+        value = Real(value, wp).mpf
+        bound = weight * exact(getattr(tab, DOCUMENTED_EPS[family])) + exact(half_ulp(value, wp))
+        assert bound <= exact(tab.radius(value._mpf_, **{family: weight})) <= bound * (1 + Fraction(1, 2**28))
 
 
 @pytest.mark.parametrize("prec", (64, 128))
@@ -187,7 +231,7 @@ def test_every_factor_radius_encloses_its_4wp_magnitude(p, prec, balls):
     chars = enumerate_characters(p, even_only=True)
     assert len(balls) == len(chars)
     for x, chi in zip(balls, chars):
-        again = _magnitude(s_chi_raw(chi, 4 * wp), 4 * wp)
+        again = magnitude(s_chi_raw(chi, 4 * wp), 4 * wp)
         assert abs(exact(x.mpf) - exact(again)) <= exact(x.rad)
         assert exact(x.rad) < Fraction(2) ** -(wp - 16)
 
@@ -241,8 +285,8 @@ def test_radius_verdicts_equal_recompute_verdicts_on_every_certificate(prec):
     for p in filter(is_prime, range(3, 102)):
         for chi, _, cls in determinant_check(p, prec).s_chi_values:
             assert cls.is_nonzero and cls.rigorous, (p, chi.exponents)
-            magnitude = _magnitude(s_chi_raw(chi, wp), wp)
-            assert witness_verdict(magnitude, prec, lambda w: _magnitude(s_chi_raw(chi, w), w)) == cls.tag
+            mag = magnitude(s_chi_raw(chi, wp), wp)
+            assert witness_verdict(mag, prec, lambda w: magnitude(s_chi_raw(chi, w), w)) == cls.tag
 
 
 def test_scan_and_determinant_check_build_no_doubled_precision_tables(monkeypatch):

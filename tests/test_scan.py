@@ -314,7 +314,7 @@ def test_an_undecided_record_is_classified_from_the_sums_the_scan_holds(monkeypa
 
     q, prec = 9, 128
     wp = working_prec(prec)
-    calls = {"trig_sums_raw": [], "l1_digamma_raw": []}
+    calls = {"trig_sums_raw": [], "_psi_sum": []}
     for name, precisions in calls.items():
         original = getattr(scans, name)
 
@@ -329,8 +329,8 @@ def test_an_undecided_record_is_classified_from_the_sums_the_scan_holds(monkeypa
     report = scan(q, prec)
     assert report.class_counts == {NONZERO: comb(q - 1, (q - 1) // 2)}
     assert calls["trig_sums_raw"] == []
-    assert len(calls["l1_digamma_raw"]) == comb(q - 1, (q - 1) // 2)
-    assert all(w >= wp + 32 for w in calls["l1_digamma_raw"])
+    assert len(calls["_psi_sum"]) == comb(q - 1, (q - 1) // 2)
+    assert all(w >= wp + 32 for w in calls["_psi_sum"])
 
 
 def test_the_batch_applies_the_rule_to_the_radius_evaluate_gives(monkeypatch):
@@ -418,8 +418,8 @@ def test_dichotomy_recomputes_the_trig_sums_once(monkeypatch):
     nonzero = [c for c in verdict.trig_classes.values() if c.is_nonzero]
     assert nonzero and all(c.rigorous for c in nonzero)
     assert precisions == [wp]
-    # radii too large to decide at wp: each NonZero sum escalates, and its
-    # callback recomputes the trig sums once, at its own precision
+    # radii too large to decide at wp: each NonZero sum escalates, and the
+    # trig sums are recomputed once at each precision a sum escalates to
     precisions.clear()
     for family in ("eps_cot", "eps_roots"):
         monkeypatch.setattr(Tables, family, shrinking_eps(wp))
@@ -430,7 +430,30 @@ def test_dichotomy_recomputes_the_trig_sums_once(monkeypatch):
     nonzero = [c for c in escalated.trig_classes.values() if c.is_nonzero]
     assert all(c.rigorous and c.residual.prec > wp for c in nonzero)
     assert precisions[0] == wp
-    assert sorted(precisions[1:]) == sorted(c.residual.prec for c in nonzero)
+    assert sorted(precisions[1:]) == sorted({c.residual.prec for c in nonzero})
+
+
+def test_dichotomy_forms_the_trig_sums_once_per_precision(monkeypatch):
+    # f = 10^40 g + h mod 7 at prec 64: the cot sum decides at wp, and the
+    # cos sums escalate, two of them to the same w; that w forms one set of
+    # trig sums, so no precision repeats
+    import cyclolog.scans as scans
+
+    precisions = []
+    original = scans.trig_sums_raw
+
+    def counting(f, wp):
+        precisions.append(wp)
+        return original(f, wp)
+
+    monkeypatch.setattr(scans, "trig_sums_raw", counting)
+    g, h = (1, 2, 3, -3, -2, -1, 0), (1, -1, 1, 1, -1, -1, 0)
+    f = PeriodicFunction.from_rationals(7, [10**40 * a + b for a, b in zip(g, h)])
+    verdict = dichotomy(f, 64)
+    reached = [c.residual.prec for c in verdict.trig_classes.values()]
+    assert len(set(reached)) < len(reached)  # a shared w, formed once below
+    assert len(precisions) == len(set(precisions))
+    assert set(precisions) == {working_prec(64), *reached}
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -174,7 +174,10 @@ GOLDEN_F12_WIDE = ",".join(
 # tables was rounded once and their payloads gained "format": 2; the
 # certificate and dedekind entries again when each factor was decided by its
 # error radius and their payloads gained "format": 2, "rigorous" and the
-# certificate's weakest margin
+# certificate's weakest margin; the last two, prec 64 certificates whose
+# weakest margin a one-ulp change of a factor's radius would move, before the
+# radii were composed from the tables' summation rule and the kernel's ball
+# operations
 SCAN_Q11_STDOUT = "e3848497130b614e07dcd604fe2a0aea4f91b9135da8b01aa436a787280e142d"
 # SHA-256 of the store after two `scan --q 11 --threads 1 --store PATH` runs,
 # recorded with the last GOLDEN entry
@@ -240,6 +243,10 @@ GOLDEN = [
      "2772aae5be397f08b5b5a3736829b5da2335e7259278eacaf41906b502600100"),
     ("decompose-q12-wide", ["decompose", "--q", "12", f"--f={GOLDEN_F12_WIDE}"],
      "c26f963d75c4efc87948bd7e58c0fcfd50b1169819bba0794a379506c2d9b19f"),
+    ("certificate-p101-prec64", ["certificate", "--p", "101", "--prec", "64"],
+     "3b20c0ea4e6a2032b79335eaebf92a716b07f377c4818b682f616d5425bba935"),
+    ("certificate-p13-prec64", ["certificate", "--p", "13", "--prec", "64"],
+     "7d841de23cc012a22cf6b3bb51c59a72dc6e14bdb1c06b0d9cc833fa2f446b9b"),
 ]
 
 ROOT = Path(__file__).resolve().parent.parent
