@@ -16,25 +16,32 @@ admit no rational linear relation.
 reads the certificate's verdicts off the factors it holds.  The direct
 route is an LU in fixed point over the tables' exact integer form of the
 log-sines, ``log_sines_aligned``, with an a-posteriori estimate of its
-relative error that decides whether to restart at doubled precision.  Each
-factor follows the tables' summation rule: its components are exact sums
-over the tables' integer forms of the log-sines and of the ((p-1)/2)-th
-roots of unity, each rounded once at wp, with the rule's radius; |S_chi|
-is the kernel's ``hypot`` of the two.  That radius, at wp or at the bits a
-factor escalates to, decides its NonZero, under the tables' 1-ulp assumption.
+relative error that decides whether to restart at doubled precision.
+
+The factors come all at once.  Reindexed by the discrete logarithm, the r
+sums S_chi over the even characters are one DFT of length r over the cyclic
+group G (Rader's reindexing), so ``s_chi_raw`` forms them as two
+``Tables.harmonic_sums`` over the r-th roots of unity, with the tables'
+integer forms of the log-sines as exact weights: each component is an exact
+sum rounded once at wp.  Each factor follows the tables' summation rule,
+whose share is the same for every component of every factor of p and is
+formed once; |S_chi| is the kernel's ``hypot`` of its two components'
+balls.  That radius, at wp or at the bits a factor escalates to (where all
+factors are formed again, once per precision), decides its NonZero, under
+the tables' 1-ulp assumption.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, from_man_exp, round_nearest
 
-from .characters import DirichletCharacter, enumerate_characters, require_odd_prime
+from .characters import DirichletCharacter, enumerate_characters, require_odd_prime, unit_group_structure
 from .kernel import GUARD_BITS, Complex, Real, ZeroClass, classify_zero, fold, hypot, working_prec
 from .tables import ONE_ULP_ASSUMPTION, tables
 
@@ -66,48 +73,47 @@ def _aligned_matrix(p: int, wp: int) -> Tuple[List[List[int]], int]:
     return _matrix(p, logs), -exp
 
 
-def s_chi_raw(chi: DirichletCharacter, wp: int) -> Pair:
-    """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision, chi
-    even: each component summed exactly over the aligned log-sine, cos and
-    sin integers of the tables and rounded to nearest once at wp.  An even
-    chi's index k = e dlog(a) mod (p - 1) is even, and root k/2 of (p-1)/2
-    has the angle 2 pi k/(p-1) of root k of p - 1, rounded once either way."""
-    p = chi.modulus
-    if not chi.is_even:
-        raise ValueError(f"S_chi needs an even character; chi mod {p}"
-                         f" with exponents {chi.exponents} is odd")
+def s_chi_raw(p: int, wp: int) -> List[Pair]:
+    """S_chi = sum_{a=1}^r chi(a) f(a) as (re, im) at working precision for
+    every even chi mod p, listed by e // 2 for chi's exponent e, from one
+    DFT over the cyclic group G.
+
+    With g the primitive root of ``unit_group_structure(p)``, the map
+    a -> j(a) = dlog_g(a) mod r takes a = 1..r one to one onto Z/r, as
+    dlog_g(-a) = dlog_g(a) + r mod p - 1.  The even chi with exponent 2e has
+    chi(a) = zeta_r^(e j(a)), so S_chi = sum_a f(a) zeta_r^(e j(a)): slot e
+    of ``Tables.harmonic_sums`` over the cos and sin tables of r, with the
+    aligned log-sine integer of a as the exact weight of column j(a).  Column
+    r stands for j = 0, so slot r, rotated to the front, is the principal
+    character.  The log-sines' exponent E < 0 rides in the weights'
+    denominator 2^-E, so each component is the exact integer
+    sum_a T_a C_(e j(a)) rounded to nearest once at wp.
+    """
+    r = (p - 1) // 2
     logs, log_exp = tables(p, wp).log_sines_aligned
-    roots = tables((p - 1) // 2, wp)
-    cos, cos_exp = roots.cos_aligned
-    sin, sin_exp = roots.sin_aligned
-    re = im = 0
+    dlog = unit_group_structure(p).dlog
+    # weights[a - 1], column a, is the log-sine integer of the a' with j(a') = a mod r
+    weights = [0] * r
     for a, t in enumerate(logs, 1):
-        k = chi.value_index(a) // 2
-        re += cos[k] * t
-        im += sin[k] * t
-    return (
-        mp.make_mpf(from_man_exp(re, cos_exp + log_exp, wp, round_nearest)),
-        mp.make_mpf(from_man_exp(im, sin_exp + log_exp, wp, round_nearest)),
-    )
+        weights[(dlog[a][0] - 1) % r] = t
+    roots = tables(r, wp)
+    re, im = (roots.harmonic_sums(family, (weights, 1 << -log_exp), r, r) for family in ("cos", "sin"))
+    return list(zip(re[-1:] + re[:-1], im[-1:] + im[:-1]))
 
 
-def _classified(chi: DirichletCharacter, raw: Pair, prec: int) -> ZeroClass:
-    """The zero class of |S_chi|, from its (re, im) at wp, by :func:`_ball`."""
-    return classify_zero(_ball(chi, raw, working_prec(prec)), prec, lambda w: _ball(chi, s_chi_raw(chi, w), w))
+def _ball_rule(p: int, wp: int) -> Callable[[Pair], Real]:
+    """The ball of |S_chi| at wp from its (re, im) at wp, for the factors of
+    p: the ``hypot`` of the components' balls.  A component sums c_a t_a over
+    roots c_a and log-sines t_a, so the rule weighs the roots by sum_a |t_a|
+    and the log-sines by r, as |c_a| <= 1.  Every component of every factor
+    has that share, formed once here: ``eps_roots`` bounds cos and sin alike."""
+    tab = tables(p, wp)
+    share = tab.rule(cos=tab.log_sines_abs_sum, log_sines=len(tab.log_sines))
 
+    def component(v: mpmath.mpf) -> Real:
+        return Real.ball((v._mpf_, tab.radius(v._mpf_, share)), wp)
 
-def _ball(chi: DirichletCharacter, raw: Pair, wp: int) -> Real:
-    """|S_chi| from its (re, im) at wp: the ``hypot`` of the components'
-    balls.  A component sums c_a t_a over roots c_a and log-sines t_a, so the
-    rule weighs the roots by sum_a |t_a| and the log-sines by r, as |c_a| <= 1."""
-    tab = tables(chi.modulus, wp)
-    weight, r = tab.log_sines_abs_sum, len(tab.log_sines)
-
-    def component(v: mpmath.mpf, roots: str) -> Real:
-        return Real.ball((v._mpf_, tab.radius(v._mpf_, **{roots: weight}, log_sines=r)), wp)
-
-    re, im = raw
-    return hypot(component(re, "cos"), component(im, "sin"))
+    return lambda raw: hypot(*map(component, raw))
 
 
 class LU(NamedTuple):
@@ -242,22 +248,36 @@ class DeterminantCheck:
 def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
     """Both determinant routes plus every character factor, cross-checked.
 
-    Each S_chi is evaluated once at working precision and feeds all three.
-    ``agree`` demands relative difference below 2^(-prec/2).
+    Every S_chi comes from one ``s_chi_raw`` call at working precision and
+    feeds all three; a factor whose radius cannot decide escalates, with all
+    factors formed at most once per precision reached.  ``agree`` demands
+    relative difference below 2^(-prec/2).
     """
     require_odd_prime(p)
     if p > DEFAULT_MAX_PRIME:
         raise ValueError(f"p = {p} exceeds the configured bound {DEFAULT_MAX_PRIME}")
     wp = working_prec(prec)
     direct = det_direct_raw(p, wp)
+    factors = s_chi_raw(p, wp)
+    # every factor and the ball rule at each w reached, formed once per w
+    evaluated: Dict[int, Tuple[List[Pair], Callable[[Pair], Real]]] = {wp: (factors, _ball_rule(p, wp))}
+
+    def ball(e: int, w: int) -> Real:
+        # |S_chi| of the character with exponent 2e, at w
+        if w not in evaluated:
+            evaluated[w] = s_chi_raw(p, w), _ball_rule(p, w)
+        raw, rule = evaluated[w]
+        return rule(raw[e])
+
     pre, pim = mpmath.mpf(1), mpmath.mpf(0)
     entries = []
     for chi in enumerate_characters(p, even_only=True):
-        sre, sim = raw = s_chi_raw(chi, wp)
+        e = chi.exponents[0] // 2
+        sre, sim = factors[e]
         with mp.workprec(wp):
             pre, pim = pre * sre - pim * sim, pre * sim + pim * sre
         value = Complex(Real(sre, prec), Real(sim, prec))
-        entries.append((chi, value, _classified(chi, raw, prec)))
+        entries.append((chi, value, classify_zero(ball(e, wp), prec, lambda w, e=e: ball(e, w))))
     with mp.workprec(wp):
         bar = mpmath.ldexp(1, -(prec // 2))
         if abs(pim) > bar * (1 + abs(pre)):

@@ -188,7 +188,8 @@ def trig_sums_raw(
     q = f.period
     tab = tables(q, wp)
     bs = range(1, (q - 1) // 2 + 1)
-    return tab.weighted_sum("cot", f.exact_values), dict(zip(bs, tab.harmonic_sums("cos", f, len(bs), q - 1)))
+    cos = tab.harmonic_sums("cos", f.exact_values, len(bs), q - 1)
+    return tab.weighted_sum("cot", f.exact_values), dict(zip(bs, cos))
 
 
 def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:

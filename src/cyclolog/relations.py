@@ -240,7 +240,7 @@ def verify_relation(rel: RelationVector, prec: int = 128) -> ZeroClass:
 def _residual_ball(rel: RelationVector, w: int) -> Real:
     tab = tables(rel.basis.modulus, w)
     residual = tab.weighted_sum("log_basis_values", (rel.coeffs, 1))._mpf_
-    return Real.ball((residual, tab.radius(residual, log_basis_values=sum(map(abs, rel.coeffs)))), w)
+    return Real.ball((residual, tab.radius(residual, tab.rule(log_basis_values=sum(map(abs, rel.coeffs))))), w)
 
 
 def relation_record(rel: RelationVector, prec: int = 128) -> dict:

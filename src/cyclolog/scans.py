@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice, repeat
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
@@ -97,8 +97,7 @@ def evaluate(f: PeriodicFunction, prec: int) -> Tuple[mpmath.mpf, ZeroClass, mpm
     :func:`_l_class`), its cot sum and its cos sums, all at working precision."""
     wp = working_prec(prec)
     total = _psi_sum(f, wp)
-    value, _ = _l_ball(tables(f.period, wp), f.abs_sum, total._mpf_)
-    return (mp.make_mpf(value), _l_class(f, total, prec), *trig_sums_raw(f, wp))
+    return (_l_real(f, total, wp).mpf, _l_class(f, total, prec), *trig_sums_raw(f, wp))
 
 
 def _psi_sum(f: PeriodicFunction, wp: int) -> mpmath.mpf:
@@ -106,21 +105,23 @@ def _psi_sum(f: PeriodicFunction, wp: int) -> mpmath.mpf:
     return tables(f.period, wp).weighted_sum("psi", f.exact_values)
 
 
-def _l_ball(tab: Tables, weight: Union[int, Fraction], total: tuple) -> Tuple[tuple, tuple]:
-    """(L, its radius) as raw mpfs from the psi sum ``total`` over ``tab`` of
-    a function with sum_a |f(a)| = ``weight``: the psi sum's ball by the
-    tables' summation rule, divided by -q."""
-    return div_raw(total, tab.radius(total, psi=weight), -tab.q, tab.wp)
+def _l_ball(tab: Tables, share: tuple, total: tuple) -> Tuple[tuple, tuple]:
+    """(L, its radius) as raw mpfs from the psi sum ``total`` over ``tab``:
+    the psi sum's ball by the tables' summation rule, its ``share`` being
+    ``tab.rule(psi=sum_a |f(a)|)``, divided by -q."""
+    return div_raw(total, tab.radius(total, share), -tab.q, tab.wp)
+
+
+def _l_real(f: PeriodicFunction, total: mpmath.mpf, w: int) -> Real:
+    """L's ball at w bits from f's psi sum ``total`` at w, by :func:`_l_ball`."""
+    tab = tables(f.period, w)
+    return Real.ball(_l_ball(tab, tab.rule(psi=f.abs_sum), total._mpf_), w)
 
 
 def _l_class(f: PeriodicFunction, total: mpmath.mpf, prec: int) -> ZeroClass:
     """The zero class against ``prec`` bits of L(1, f) from its psi sum
-    ``total`` at wp, by :func:`_l_ball` at wp and at every w it escalates to."""
-
-    def ball(total: mpmath.mpf, w: int) -> Real:
-        return Real.ball(_l_ball(tables(f.period, w), f.abs_sum, total._mpf_), w)
-
-    return classify_zero(ball(total, working_prec(prec)), prec, lambda w: ball(_psi_sum(f, w), w))
+    ``total`` at wp, by L's ball at wp and at every w it escalates to."""
+    return classify_zero(_l_real(f, total, working_prec(prec)), prec, lambda w: _l_real(f, _psi_sum(f, w), w))
 
 
 BRANCH_L_NONZERO = "L_nonzero"
@@ -158,7 +159,8 @@ def dichotomy(f: PeriodicFunction, prec: int = 128) -> DichotomyVerdict:
             sums[w] = trig_sums_raw(f, w)
         cot_w, cos_w = sums[w]
         v = (cos_w[b] if b else cot_w)._mpf_
-        return Real.ball((v, tables(p, w).radius(v, **{"cos" if b else "cot": f.abs_sum})), w)
+        tab = tables(p, w)
+        return Real.ball((v, tab.radius(v, tab.rule(**{"cos" if b else "cot": f.abs_sum}))), w)
 
     trig_classes: Dict[str, ZeroClass] = {
         f"cos_{b}" if b else "cot": classify_zero(ball(b, working_prec(prec)), prec, lambda w, b=b: ball(b, w))
@@ -272,8 +274,9 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     its plus set P: an exact integer over the aligned tables, rounded once
     at wp, the bits ``Tables.weighted_sum`` (psi, cot) and
     ``Tables.harmonic_sums`` (cos) give.  L's ball is :func:`_l_ball` of
-    the psi sum, as in :func:`evaluate`; a record whose radius does not
-    decide NonZero takes its class from :func:`_l_class`.
+    the psi sum, as in :func:`evaluate`, with the rule's share for
+    sum_a |f(a)| = q - 1 formed once for the range; a record whose radius
+    does not decide NonZero takes its class from :func:`_l_class`.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)
@@ -285,13 +288,14 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     columns = [(psi[i], cot[i], *(cos[(i + 1) * b % q] for b in bs)) for i in range(q - 1)]
     totals = [sum(col) for col in zip(*columns)]
     exps = (psi_exp, cot_exp, *(cos_exp for _ in bs))
+    share = tab.rule(psi=q - 1)
     rows = []
     for positions in islice(combinations(range(q - 1), (q - 1) // 2), start, stop):
         sums = [
             from_man_exp(2 * plus - total, exp, wp, round_nearest)
             for plus, total, exp in zip(map(sum, zip(*(columns[i] for i in positions))), totals, exps)
         ]
-        raw, rad = _l_ball(tab, q - 1, sums[0])
+        raw, rad = _l_ball(tab, share, sums[0])
         magnitude = mpf_abs(raw)
         signs = _signs_from_positions(q, positions)
         if radius_decides_nonzero(magnitude, rad, prec):

@@ -5,6 +5,8 @@ at one working precision wp.  Every route reads its cos and sin of rational
 multiples of pi from here, by sinpi/cospi: the log-sines via
 ``kernel.log_2sin_raw`` (also behind the public ``log_2sin``), the cot
 entries directly, and the rest from the roots of den for e^(2 pi i num/den).
+A roots or cot entry takes its cos and sin from one evaluation,
+``mpf_cos_sin_pi``, which rounds each as cospi and sinpi do.
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at the precision a zero test escalates to gets its own entry.
@@ -13,27 +15,32 @@ cos, sin, psi, the log-sines, the log basis values) has one exact integer
 form, ``<family>_aligned``: integers T_i and one exponent E with
 T_i * 2^E = t_i.  It is the only integer form of a table: the psi entries,
 :meth:`Tables.weighted_sum`, :meth:`Tables.harmonic_sums`,
-``dedekind.s_chi_raw``, the LU determinant and the scan's sums
-(``scans._scan_range``) all read it.
+``dedekind.s_chi_raw`` (the log-sine integers as exact weights), the LU
+determinant and the scan's sums (``scans._scan_range``) all read it.
 
 Two kernels form the sums of exact weights over a family, one per shape.
 :meth:`Tables.weighted_sum` gives the one sum sum_a c_a t_a over the whole
 family: the psi sum, the cot sum and a relation's residual ball.
-:meth:`Tables.harmonic_sums` gives the rows sum_a f(a) t[(a k) mod q] for
+:meth:`Tables.harmonic_sums` gives the rows sum_a c_a t[(a k) mod q] for
 k = 1..count over the cos or sin table, all from one big-integer
-accumulation: the Fourier transform's cos and sin rows and the
-decomposition's cos sums.  The psi entries take their cos rows by the
-same (a b) mod q slices of a repeated table.
+accumulation: the Fourier transform's cos and sin rows, the
+decomposition's cos sums and, reindexed by discrete logarithm, the
+components of every character factor S_chi of a prime p (a DFT of length
+(p - 1)/2, see ``dedekind.s_chi_raw``).  The psi entries take their cos
+rows by the same (a b) mod q slices of a repeated table.
 
 One summation rule holds for every number derived from the tables (the
-psi entries, both kernels, ``dedekind.s_chi_raw``, the scan's sums): the
+psi entries, both kernels and so every S_chi, the scan's sums): the
 combination sum_a c_a t_{i(a)} is formed exactly, over the aligned integers
 and the exact weights c_a, and rounded to nearest once at wp, so where each
 entry of a family is within eps_family of its true value, the number errs
-by at most sum_a |c_a| eps_family + 1/2 ulp.  :meth:`Tables.radius` is that
-rule, the one place a sum's radius is formed; what follows a sum is a ball
-operation of ``kernel``.  Each eps_family is a power of two cached in the
-(q, wp) entry: ``eps_log_sines``, ``eps_roots`` (for cos and sin),
+by at most sum_a |c_a| eps_family + 1/2 ulp.  That rule is formed in one
+place, in two steps: :meth:`Tables.rule` gives the share
+sum_a |c_a| eps_family of the weights, once for all the sums that share
+them (every factor of a prime, every function of a scan), and
+:meth:`Tables.radius` adds a sum's own 1/2 ulp.  What follows a sum is a
+ball operation of ``kernel``.  Each eps_family is a power of two cached in
+the (q, wp) entry: ``eps_log_sines``, ``eps_roots`` (for cos and sin),
 ``eps_cot`` and ``eps_psi``, each derived in its docstring.
 The derivations take u = 2^-wp, round to nearest with relative error at
 most u, and rest on one assumption (``ONE_ULP_ASSUMPTION``): mpmath's log,
@@ -49,16 +56,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_add, mpf_shift, round_ceiling, round_nearest
+from mpmath.libmp import (
+    from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_shift,
+    round_ceiling, round_nearest,
+)
 
 from .kernel import RADIUS_PREC, const_raw, fold, half_ulp_raw, log_2sin_raw, man_exp, radius_scaled
-
-if TYPE_CHECKING:
-    from .characters import PeriodicFunction
 
 # the per-entry bound of each family a sum reads
 _EPS = {"log_sines": "eps_log_sines", "log_basis_values": "eps_log_sines",
@@ -82,6 +89,15 @@ def _align(entries: Sequence[mpmath.mpf]) -> Aligned:
     exp = min((e for _, man, e, _ in raw if man), default=0)
     mantissas = tuple((-man if sign else man) << (e - exp) if man else 0 for sign, man, e, _ in raw)
     return Aligned(mantissas, exp)
+
+
+def _cos_sin_pi(num: int, den: int, wp: int) -> Tuple[tuple, tuple]:
+    """(cospi(t), sinpi(t)) as raw mpfs at wp bits for t = mpf(num) / den at
+    wp, num and the quotient each rounded to nearest: one evaluation, each
+    component rounded to nearest once, the bits of mpmath's separate cospi
+    and sinpi."""
+    t = mpf_div(from_int(num, wp, round_nearest), from_int(den), wp, round_nearest)
+    return mpf_cos_sin_pi(t, wp, round_nearest)
 
 
 def _pow2(exp: int) -> mpmath.mpf:
@@ -141,12 +157,9 @@ class Tables:
     @cached_property
     def roots(self) -> Tuple[Tuple[mpmath.mpf, mpmath.mpf], ...]:
         """(cos, sin) of 2 pi j / q for j = 0..q-1."""
-        out = []
-        with mp.workprec(self.wp):
-            for j in range(self.q):
-                t = mpmath.mpf(2 * j) / self.q
-                out.append((mpmath.cospi(t), mpmath.sinpi(t)))
-        return tuple(out)
+        return tuple(
+            tuple(map(mp.make_mpf, _cos_sin_pi(2 * j, self.q, self.wp))) for j in range(self.q)
+        )
 
     @cached_property
     def eps_roots(self) -> mpmath.mpf:
@@ -172,11 +185,10 @@ class Tables:
     @cached_property
     def cot(self) -> Tuple[mpmath.mpf, ...]:
         """cot(a pi / q) for a = 1..q-1."""
-        with mp.workprec(self.wp):
-            return tuple(
-                mpmath.cospi(mpmath.mpf(a) / self.q) / mpmath.sinpi(mpmath.mpf(a) / self.q)
-                for a in range(1, self.q)
-            )
+        return tuple(
+            mp.make_mpf(mpf_div(*_cos_sin_pi(a, self.q, self.wp), self.wp, round_nearest))
+            for a in range(1, self.q)
+        )
 
     @cached_property
     def eps_cot(self) -> mpmath.mpf:
@@ -260,15 +272,23 @@ class Tables:
     log_sines_aligned = _aligned("log_sines")
     log_basis_values_aligned = _aligned("log_basis_values")
 
-    def radius(self, value: tuple, **weights: Union[int, Fraction]) -> tuple:
-        """The summation rule's radius of the raw mpf ``value``, an exact
-        combination of entries rounded once at wp whose weights total
-        ``weights[family]`` in absolute value on each family: the sum of
-        weight * eps_family, plus 1/2 ulp(value, wp), rounded up."""
-        rad = fzero
+    def rule(self, **weights: Union[int, Fraction]) -> tuple:
+        """The summation rule's share of ``weights`` as a raw mpf: for exact
+        combinations of entries whose weights total ``weights[family]`` in
+        absolute value on each family, the sum of weight * eps_family, each
+        step rounded up.  Sums with the same weights share it, so they form
+        it once; :meth:`radius` adds each sum's own 1/2 ulp."""
+        share = fzero
         for family, weight in weights.items():
-            rad = mpf_add(rad, radius_scaled(getattr(self, _EPS[family]), weight)._mpf_, RADIUS_PREC, round_ceiling)
-        return mpf_add(rad, half_ulp_raw(value, self.wp), RADIUS_PREC, round_ceiling)
+            scaled = radius_scaled(getattr(self, _EPS[family]), weight)._mpf_
+            share = mpf_add(share, scaled, RADIUS_PREC, round_ceiling)
+        return share
+
+    def radius(self, value: tuple, share: tuple) -> tuple:
+        """The summation rule's radius of the raw mpf ``value``, an exact
+        combination of entries rounded once at wp, from its ``share`` (see
+        :meth:`rule`): share + 1/2 ulp(value, wp), rounded up."""
+        return mpf_add(share, half_ulp_raw(value, self.wp), RADIUS_PREC, round_ceiling)
 
     def weighted_sum(self, family: str, weights: Tuple[Sequence[int], int]) -> mpmath.mpf:
         """sum(c_a * t[a] for a = 0..len(t) - 1), t the ``family`` table and
@@ -280,12 +300,14 @@ class Tables:
         nums, d = weights
         return _rounded(sum(map(mul, nums, entries)), exp, d, self.wp)
 
-    def harmonic_sums(self, family: str, f: "PeriodicFunction", count: int, upto: int) -> List[mpmath.mpf]:
-        """sum(f(a) * t[(a k) mod q] for a = 1..upto) for k = 1..count, where t
-        is the "cos" or "sin" table: each the exact integer sum_a n_a T_(ak mod q)
-        over the aligned family and f's exact values n_a / d, rounded to
-        nearest once at wp bits, as in :meth:`weighted_sum`.  Needs
-        upto <= q.
+    def harmonic_sums(
+        self, family: str, weights: Tuple[Sequence[int], int], count: int, upto: int
+    ) -> List[mpmath.mpf]:
+        """sum(c_a * t[(a k) mod q] for a = 1..upto) for k = 1..count, where t
+        is the "cos" or "sin" table and c_a = nums[a - 1] / d for ``weights``
+        = (nums, d): each the exact integer sum_a n_a T_(ak mod q) over the
+        aligned family, rounded to nearest once at wp bits, as in
+        :meth:`weighted_sum`.  Needs upto <= q.
 
         All count sums come from one big-integer accumulation.  Slot k of
         column a holds T_(ak mod q) + 2^(W-1) in W bits, with W the whole
@@ -301,7 +323,7 @@ class Tables:
         if not count:
             return []
         entries, exp = getattr(self, family + "_aligned")
-        nums, d = f.exact_values
+        nums, d = weights
         nums = nums[:upto]
         width = (max(map(abs, entries)).bit_length() + sum(map(abs, nums)).bit_length() + 8) // 8
         bias = 1 << (8 * width - 1)

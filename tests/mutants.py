@@ -102,18 +102,25 @@ MUTANTS = (
         ("tests/test_tables.py::test_psi_equals_the_per_a_assembly[8-96]",),
     ),
     Mutant(
-        "s_chi_raw: the real part rounded at wp - 1",
-        "dedekind.py",
-        "mp.make_mpf(from_man_exp(re, cos_exp + log_exp, wp, round_nearest))",
-        "mp.make_mpf(from_man_exp(re, cos_exp + log_exp, wp - 1, round_nearest))",
+        "s_chi_raw: every factor rounded at wp - 1 (the harmonic sums' slots)",
+        "tables.py",
+        '_rounded(int.from_bytes(packed[i : i + width], "big") - bias, exp, d, self.wp)',
+        '_rounded(int.from_bytes(packed[i : i + width], "big") - bias, exp, d, self.wp - 1)',
         ("tests/test_dedekind.py::test_s_chi_matches_the_fraction_exponent_reference[192]",),
     ),
     Mutant(
-        "s_chi_raw: the root index read without halving",
+        "s_chi_raw: the dlog reindex read as a 0-based column",
         "dedekind.py",
-        "k = chi.value_index(a) // 2",
-        "k = chi.value_index(a) % len(cos)",
+        "weights[(dlog[a][0] - 1) % r] = t",
+        "weights[dlog[a][0] % r] = t",
         ("tests/test_dedekind.py::test_s_chi_matches_the_fraction_exponent_reference[192]",),
+    ),
+    Mutant(
+        "s_chi_raw: the principal slot not rotated to the front",
+        "dedekind.py",
+        "zip(re[-1:] + re[:-1], im[-1:] + im[:-1])",
+        "zip(re, im)",
+        ("tests/test_dedekind.py::test_s_chi_raw_lists_every_even_factor_in_exponent_order[13]",),
     ),
     Mutant(
         "LU: the update shifted by s - 1",
@@ -139,8 +146,8 @@ MUTANTS = (
     Mutant(
         "Fourier transform: the a = q column dropped from the rows",
         "characters.py",
-        "tab.harmonic_sums(family, f, len(half), q)",
-        "tab.harmonic_sums(family, f, len(half), q - 1)",
+        "tab.harmonic_sums(family, f.exact_values, len(half), q)",
+        "tab.harmonic_sums(family, f.exact_values, len(half), q - 1)",
         ("tests/test_characters.py::test_transform_is_the_exact_table_sums_over_q[integers-q30-128]",),
     ),
     Mutant(
@@ -276,8 +283,8 @@ MUTANTS = (
     Mutant(
         "L ball: sum |f| left out of the psi sum's radius",
         "scans.py",
-        "radius(total, psi=weight)",
-        "radius(total, psi=1)",
+        "tab.rule(psi=f.abs_sum)",
+        "tab.rule(psi=1)",
         (
             "tests/test_radius.py::test_evaluate_radius_is_the_documented_bound[wide-q6-128]",
             "tests/test_radius.py::test_every_radius_of_a_sum_encloses_its_4wp_evaluation[wide-q6-64]",
@@ -296,8 +303,15 @@ MUTANTS = (
     Mutant(
         "batched scan: sum |f| left out of the L radius",
         "scans.py",
-        "_l_ball(tab, q - 1, sums[0])",
-        "_l_ball(tab, 1, sums[0])",
+        "share = tab.rule(psi=q - 1)",
+        "share = tab.rule(psi=1)",
+        ("tests/test_scan.py::test_the_batch_applies_the_rule_to_the_radius_evaluate_gives",),
+    ),
+    Mutant(
+        "batched scan: the share formed with weight q - 2",
+        "scans.py",
+        "share = tab.rule(psi=q - 1)",
+        "share = tab.rule(psi=q - 2)",
         ("tests/test_scan.py::test_the_batch_applies_the_rule_to_the_radius_evaluate_gives",),
     ),
     Mutant(
@@ -310,15 +324,15 @@ MUTANTS = (
     Mutant(
         "S_chi radius: the log-sine entry errors left out",
         "dedekind.py",
-        "**{roots: weight}, log_sines=r)",
-        "**{roots: weight})",
+        "tab.rule(cos=tab.log_sines_abs_sum, log_sines=len(tab.log_sines))",
+        "tab.rule(cos=tab.log_sines_abs_sum)",
         ("tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",),
     ),
     Mutant(
         "summation rule: the 1/2 ulp of the rounded sum left out",
         "tables.py",
-        "return mpf_add(rad, half_ulp_raw(value, self.wp), RADIUS_PREC, round_ceiling)",
-        "return rad",
+        "return mpf_add(share, half_ulp_raw(value, self.wp), RADIUS_PREC, round_ceiling)",
+        "return share",
         (
             "tests/test_radius.py::test_the_rule_radius_is_the_documented_bound[psi-64]",
             "tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",

@@ -3,7 +3,7 @@
 None of these is on a route the package runs: each is an independent
 evaluation (Euler-Maclaurin Hurwitz zeta, the asymptotic-series digamma,
 Gauss's digamma theorem as an mpf loop, Gauss sums by their defining sum,
-S_chi over Fraction exponents, L(1, chi) through the Gauss-sum identity,
+S_chi over Fraction exponents and as one exact loop per character, L(1, chi) through the Gauss-sum identity,
 the inverse Fourier transform, roots of unity and kernel-function values
 by direct cospi/sinpi, the digamma-route sum and the trig sums as mpf
 loops summed by fsum, the determinant by LU in mpf arithmetic) or an
@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest, to_rational
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 from cyclolog.characters import DirichletCharacter, PeriodicFunction, factorize, is_prime, unit_root
 from cyclolog.kernel import INDETERMINATE, NONZERO, ZERO, Complex, Real, const_raw, to_mpf, working_prec
@@ -336,6 +336,27 @@ def s_chi_reference_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, m
             re += c * table[a - 1]
             im += s * table[a - 1]
         return re, im
+
+
+def s_chi_loop(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
+    """S_chi of an even chi as (re, im), one character at a time: each
+    component summed exactly over the aligned log-sine, cos and sin integers
+    and rounded to nearest once at wp.  chi's index k = e dlog(a) mod (p - 1)
+    is even, and root k/2 of (p - 1)/2 has the angle of root k of p - 1."""
+    p = chi.modulus
+    logs, log_exp = tables(p, wp).log_sines_aligned
+    roots = tables((p - 1) // 2, wp)
+    cos, cos_exp = roots.cos_aligned
+    sin, sin_exp = roots.sin_aligned
+    re = im = 0
+    for a, t in enumerate(logs, 1):
+        k = chi.value_index(a) // 2
+        re += cos[k] * t
+        im += sin[k] * t
+    return (
+        mp.make_mpf(from_man_exp(re, cos_exp + log_exp, wp, round_nearest)),
+        mp.make_mpf(from_man_exp(im, sin_exp + log_exp, wp, round_nearest)),
+    )
 
 
 def s_chi_terms(chi: DirichletCharacter, wp: int) -> Tuple[List[Tuple[object, object]], ...]:

@@ -14,7 +14,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from cyclolog.characters import enumerate_characters, is_prime
+from cyclolog.characters import DirichletCharacter, enumerate_characters, is_prime
 from cyclolog.dedekind import (
     CERTIFICATE_NOTES,
     MAX_LU_RESTARTS,
@@ -34,6 +34,7 @@ from oracles import (
     gauss_sum,
     l1_chi_via_gauss,
     lu_det_reference,
+    s_chi_loop,
     s_chi_reference_raw,
     s_chi_terms,
     to_mpc,
@@ -141,12 +142,16 @@ def test_s_chi_rejects_odd_characters():
     assert set(factors) == set(enumerate_characters(5, even_only=True))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_s_chi_raw_raises_for_an_odd_character_naming_p_and_exponents(p):
-    for chi in enumerate_characters(p):
-        if not chi.is_even:
-            with pytest.raises(ValueError, match=rf"mod {p} with exponents \({chi.exponents[0]},\) is odd"):
-                s_chi_raw(chi, working_prec(64))
+@pytest.mark.parametrize("p", PRIMES)
+def test_s_chi_raw_lists_every_even_factor_in_exponent_order(p):
+    # r entries, entry i the factor of the character with exponent 2 i (the
+    # principal one first), bit for bit the per-character loop
+    for wp in (96, 320):
+        factors = s_chi_raw(p, wp)
+        assert len(factors) == (p - 1) // 2
+        for i, got in enumerate(factors):
+            chi = DirichletCharacter(p, (2 * i,))
+            assert [x._mpf_ for x in got] == [x._mpf_ for x in s_chi_loop(chi, wp)], (wp, i)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -162,17 +167,17 @@ def test_character_inversion_recovers_log_sines():
     prec = 128
     wp = working_prec(prec)
     from cyclolog.characters import unit_root
-    from cyclolog.dedekind import s_chi_raw
     from cyclolog.kernel import log_2sin_raw
 
     chars = enumerate_characters(p, even_only=True)
+    factors = s_chi_raw(p, wp)
     with mp.workprec(wp):
         for a in range(1, r + 1):
             total = mpmath.mpc(0)
             for chi in chars:
                 t = value_exponent(conjugate(chi), a)
                 c, s = unit_root(t.numerator, t.denominator, wp)
-                sre, sim = s_chi_raw(chi, wp)
+                sre, sim = factors[chi.exponents[0] // 2]
                 total += mpmath.mpc(c, s) * mpmath.mpc(sre, sim)
             expected = r * log_2sin_raw(a, p, wp)
             assert abs(total - expected) < mpmath.mpf(2) ** (-prec + 16), a
@@ -305,7 +310,7 @@ def test_determinant_errors_exit_inconclusive_naming_p(command, capsys, monkeypa
     assert main([command, "--p", "5"]) == 3
     assert json.loads(capsys.readouterr().out)["error"].startswith("p = 5: the LU determinant")
     # (1 + i)^2 = 2i: a product of factors that is not real
-    monkeypatch.setattr(dedekind, "s_chi_raw", lambda chi, wp: (mpmath.mpf(1), mpmath.mpf(1)))
+    monkeypatch.setattr(dedekind, "s_chi_raw", lambda p, wp: [(mpmath.mpf(1), mpmath.mpf(1))] * ((p - 1) // 2))
     monkeypatch.setattr(dedekind, "_aligned_matrix", _aligned_matrix)
     assert main([command, "--p", "5"]) == 3
     assert json.loads(capsys.readouterr().out) == {
@@ -349,16 +354,18 @@ def test_an_indeterminate_factor_makes_the_check_inconclusive(capsys, monkeypatc
     # withdraws them, and both commands exit 3 (inconclusive)
     import cyclolog.dedekind as dedekind
     from cyclolog.cli import main
-    from cyclolog.kernel import INDETERMINATE, ZeroClass
+    from cyclolog.kernel import INDETERMINATE, ZeroClass, classify_zero
 
-    original = dedekind._classified
-    quadratic = quadratic_character(5)
+    classified = []
 
-    def forced(chi, raw, prec):
-        cls = original(chi, raw, prec)
-        return ZeroClass(INDETERMINATE, cls.residual) if chi == quadratic else cls
+    def forced(x, target, recompute=None):
+        # mod 5 the factors are classified in exponent order, principal
+        # first: every second one is the quadratic character's
+        cls = classify_zero(x, target, recompute)
+        classified.append(cls)
+        return ZeroClass(INDETERMINATE, cls.residual) if len(classified) % 2 == 0 else cls
 
-    monkeypatch.setattr(dedekind, "_classified", forced)
+    monkeypatch.setattr(dedekind, "classify_zero", forced)
     check = determinant_check(5, 128)
     assert check.agree
     assert not check.all_factors_nonzero
@@ -376,33 +383,30 @@ def test_an_indeterminate_factor_makes_the_check_inconclusive(capsys, monkeypatc
 
 @pytest.mark.parametrize("p", [5, 13, 53])
 def test_determinant_check_evaluates_each_s_chi_once_per_precision(p, monkeypatch):
+    # every factor of p comes from one s_chi_raw call per precision
     import cyclolog.dedekind as dedekind
 
     calls = []
     original = dedekind.s_chi_raw
 
-    def counting(chi, wp):
-        calls.append((chi.exponents, wp))
-        return original(chi, wp)
+    def counting(q, wp):
+        calls.append((q, wp))
+        return original(q, wp)
 
     monkeypatch.setattr(dedekind, "s_chi_raw", counting)
     wp = working_prec(128)
-    chars = enumerate_characters(p, even_only=True)
     # each radius decides its factor: one evaluation at wp
     check = determinant_check(p, 128)
     assert all(cls.is_nonzero and cls.rigorous for _, _, cls in check.s_chi_values)
-    assert sorted(calls) == sorted((ch.exponents, wp) for ch in chars)
+    assert calls == [(p, wp)]
     # a log-sine radius too large to decide at wp, 2^(20 + wp - w) at w bits:
-    # one more evaluation each, at the precision its factor escalates to
+    # every factor escalates, and each precision reached is evaluated once
     calls.clear()
     monkeypatch.setattr(Tables, "eps_log_sines", property(lambda self: mpmath.mpf(2) ** (20 + wp - self.wp)))
     check = determinant_check(p, 128)
     assert all(cls.is_nonzero and cls.residual.prec > wp for _, _, cls in check.s_chi_values)
-    assert len(calls) == 2 * len(chars)
-    assert sorted(calls) == sorted(
-        [(ch.exponents, wp) for ch in chars]
-        + [(ch.exponents, cls.residual.prec) for ch, _, cls in check.s_chi_values]
-    )
+    reached = {cls.residual.prec for _, _, cls in check.s_chi_values}
+    assert sorted(calls) == sorted([(p, wp)] + [(p, w) for w in reached])
 
 
 @pytest.mark.parametrize("wp", [192, 384])
@@ -413,10 +417,11 @@ def test_s_chi_matches_the_fraction_exponent_reference(wp):
     # sums stays within p + 2 ulps of them at wp
     for p in range(3, 102):
         if is_prime(p):
+            factors = {w: s_chi_raw(p, w) for w in (wp, 2 * wp)}
             for chi in enumerate_characters(p, even_only=True):
                 for w in (wp, 2 * wp):
                     terms = s_chi_terms(chi, w)
-                    got = s_chi_raw(chi, w)
+                    got = factors[w][chi.exponents[0] // 2]
                     expected = [exact_sum_reference(t, w)._mpf_ for t in terms]
                     assert [x._mpf_ for x in got] == expected, (p, chi.exponents, w)
                     if w == wp:

@@ -169,14 +169,14 @@ def test_every_radius_of_a_sum_encloses_its_4wp_evaluation(f, prec, balls):
     weights = f.exact_values
     rule = [(family, tab.weighted_sum(family, weights), ref.weighted_sum(family, weights)) for family in ("psi", "cot")]
     for family in ("cos", "sin"):
-        rows = zip(tab.harmonic_sums(family, f, q, q), ref.harmonic_sums(family, f, q, q))
+        rows = zip(tab.harmonic_sums(family, weights, q, q), ref.harmonic_sums(family, weights, q, q))
         rule += [(family, v, again) for v, again in rows]
     coeffs = weights[0][: len(tab.log_basis_values)]
     rule.append(("log_basis_values", tab.weighted_sum("log_basis_values", (coeffs, 1)),
                  linear_form_raw(coeffs, ref.log_basis_values, 4 * wp)))
     for family, v, again in rule:
         weight = sum(map(abs, coeffs)) if family == "log_basis_values" else f.abs_sum
-        rad = tab.radius(v._mpf_, **{family: weight})
+        rad = tab.radius(v._mpf_, tab.rule(**{family: weight}))
         assert abs(exact(v) - exact(again)) <= exact(rad), family
 
 
@@ -202,7 +202,7 @@ def test_the_rule_radius_is_the_documented_bound(family, prec):
     for value in (mpmath.mpf(0), mpmath.mpf(1) / 3, -mpmath.mpf(2) ** 40 / 3):
         value = Real(value, wp).mpf
         bound = weight * exact(getattr(tab, DOCUMENTED_EPS[family])) + exact(half_ulp(value, wp))
-        assert bound <= exact(tab.radius(value._mpf_, **{family: weight})) <= bound * (1 + Fraction(1, 2**28))
+        assert bound <= exact(tab.radius(value._mpf_, tab.rule(**{family: weight}))) <= bound * (1 + Fraction(1, 2**28))
 
 
 @pytest.mark.parametrize("prec", (64, 128))
@@ -217,8 +217,9 @@ def test_s_chi_radius_is_the_documented_bound(p, prec, balls):
     determinant_check(p, prec)
     chars = enumerate_characters(p, even_only=True)
     assert len(balls) == len(chars)
+    factors = s_chi_raw(p, wp)
     for x, chi in zip(balls, chars):
-        re, im = s_chi_raw(chi, wp)
+        re, im = factors[chi.exponents[0] // 2]
         bound = 2 * terms + exact(half_ulp(re, wp)) + exact(half_ulp(im, wp)) + 2 * exact(half_ulp(x.mpf, wp))
         assert bound <= exact(x.rad) <= bound * (1 + Fraction(1, 2**27))
 
@@ -230,8 +231,9 @@ def test_every_factor_radius_encloses_its_4wp_magnitude(p, prec, balls):
     determinant_check(p, prec)
     chars = enumerate_characters(p, even_only=True)
     assert len(balls) == len(chars)
+    factors = s_chi_raw(p, 4 * wp)
     for x, chi in zip(balls, chars):
-        again = magnitude(s_chi_raw(chi, 4 * wp), 4 * wp)
+        again = magnitude(factors[chi.exponents[0] // 2], 4 * wp)
         assert abs(exact(x.mpf) - exact(again)) <= exact(x.rad)
         assert exact(x.rad) < Fraction(2) ** -(wp - 16)
 
@@ -283,10 +285,13 @@ def test_radius_verdicts_equal_recompute_verdicts_on_the_acceptance_functions(f)
 def test_radius_verdicts_equal_recompute_verdicts_on_every_certificate(prec):
     wp = working_prec(prec)
     for p in filter(is_prime, range(3, 102)):
+        # the witness recomputes at 2 wp
+        factors = {w: s_chi_raw(p, w) for w in (wp, 2 * wp)}
         for chi, _, cls in determinant_check(p, prec).s_chi_values:
             assert cls.is_nonzero and cls.rigorous, (p, chi.exponents)
-            mag = magnitude(s_chi_raw(chi, wp), wp)
-            assert witness_verdict(mag, prec, lambda w: magnitude(s_chi_raw(chi, w), w)) == cls.tag
+            e = chi.exponents[0] // 2
+            mag = magnitude(factors[wp][e], wp)
+            assert witness_verdict(mag, prec, lambda w: magnitude(factors[w][e], w)) == cls.tag
 
 
 def test_scan_and_determinant_check_build_no_doubled_precision_tables(monkeypatch):

@@ -60,17 +60,32 @@ def test_log_sine_rejects_multiples_of_q():
 @pytest.mark.parametrize("q", MODULI)
 def test_roots_and_cot_equal_cospi_sinpi(q, wp):
     tab = Tables(q, wp)
+    roots, cot = separate_cospi_sinpi(q, wp)
+    assert tab.roots == tuple(roots)
+    assert tab.cot == tuple(cot)
+
+
+def separate_cospi_sinpi(q, wp):
+    """The roots and cot entries mod q at wp, each cos and sin by its own
+    mpmath call."""
     with mp.workprec(wp):
-        roots = tuple(
+        roots = [
             (mpmath.cospi(mpmath.mpf(2 * j) / q), mpmath.sinpi(mpmath.mpf(2 * j) / q))
             for j in range(q)
-        )
-        cot = tuple(
-            mpmath.cospi(mpmath.mpf(a) / q) / mpmath.sinpi(mpmath.mpf(a) / q)
-            for a in range(1, q)
-        )
-    assert tab.roots == roots
-    assert tab.cot == cot
+        ]
+        cot = [mpmath.cospi(mpmath.mpf(a) / q) / mpmath.sinpi(mpmath.mpf(a) / q) for a in range(1, q)]
+    return roots, cot
+
+
+@pytest.mark.parametrize("wp", (20, 53, 96, 160, 320, 512))
+def test_one_cos_sin_evaluation_gives_the_bits_of_separate_calls(wp):
+    # the tables take cos and sin from one mpf_cos_sin_pi call per entry,
+    # even where wp is too small to hold 2 j exactly
+    for q in (*range(2, 80), 96, 97, 120, 180, 210, 240, 300):
+        tab = Tables(q, wp)
+        roots, cot = separate_cospi_sinpi(q, wp)
+        assert [(c._mpf_, s._mpf_) for c, s in tab.roots] == [(c._mpf_, s._mpf_) for c, s in roots], q
+        assert [c._mpf_ for c in tab.cot] == [c._mpf_ for c in cot], q
 
 
 @pytest.mark.parametrize("wp", PRECISIONS)
