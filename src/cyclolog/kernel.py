@@ -14,7 +14,7 @@ uniform policy is
   (``Real.rad``, an upper bound rounded up to ``RADIUS_PREC`` bits), and a
   Real built by rounding adds its rounding to the radius; a sum over the
   tables takes its radius from their summation rule (``Tables.radius``),
-  and a ball operation here (:func:`div`, :func:`hypot`) adds its own,
+  and a ball operation here (:func:`div_raw`, :func:`hypot`) adds its own,
 * "is this zero?" questions go through :func:`classify_zero`, which
   returns Zero / NonZero / Indeterminate instead of a bare boolean: NonZero
   only when a radius excludes 0 (rigorous, under the tables' assumption that
@@ -154,11 +154,6 @@ def hypot_raw(re: tuple, rad_re: tuple, im: tuple, rad_im: tuple, wp: int) -> Tu
     mag = mpf_hypot(re, im, wp, round_nearest)
     rad = mpf_add(rad_re, rad_im, RADIUS_PREC, round_ceiling)
     return mag, mpf_add(rad, half_ulp_raw(mag, wp - 1), RADIUS_PREC, round_ceiling)
-
-
-def div(x: "Real", n: int) -> "Real":
-    """:func:`div_raw` of a Real with a radius, at its precision."""
-    return Real.ball(div_raw(x.mpf._mpf_, x.rad._mpf_, n, x.prec), x.prec)
 
 
 def hypot(re: "Real", im: "Real") -> "Real":

@@ -16,6 +16,8 @@ The psi sum of the digamma route and the cot sum of the decomposition
 are ``Tables.weighted_sum`` over the psi and cot tables; its cos sums are
 rows of ``Tables.harmonic_sums`` over the cos table: each the exact sum
 rounded once, whose radius is the tables' summation rule, ``Tables.radius``.
+The digamma route is the one place L(1, f)'s ball is formed: the psi sum's
+ball divided by -q (:func:`l1_ball_raw`), which the scans classify.
 
 Sign convention: the decomposition is derived from the digamma route, so
 the pi coefficient is +(1/2q) sum f(a) cot(a pi/q) and the log-sine
@@ -34,9 +36,9 @@ import mpmath
 from mpmath import mp
 
 from .characters import PeriodicFunction, fourier_transform_raw
-from .kernel import Real, const_raw, to_mpf, working_prec
+from .kernel import Real, const_raw, div_raw, to_mpf, working_prec
 from .relations import LOG2_SLOT, PI_SLOT, LogBasis, linear_form_raw
-from .tables import tables
+from .tables import Tables, tables
 
 ROUTES = ("digamma", "fourier")
 DEFAULT_DIRECT_TERMS = 10**7
@@ -69,13 +71,20 @@ def digamma_raw(a: int, q: int, wp: int) -> mpmath.mpf:
 # the three routes to L(1, f)
 # ---------------------------------------------------------------------------
 
-def l1_digamma_raw(f: PeriodicFunction, wp: int) -> mpmath.mpf:
-    """-(1/q) sum_a f(a) psi(a/q) at working precision wp: the psi sum,
-    ``Tables.weighted_sum`` rounded once at wp, divided by -q."""
-    q = f.period
-    total = tables(q, wp).weighted_sum("psi", f.exact_values)
-    with mp.workprec(wp):
-        return -total / q
+def l1_digamma_raw(f: PeriodicFunction, wp: int) -> Real:
+    """-(1/q) sum_a f(a) psi(a/q) as a ball at working precision wp: the psi
+    sum, ``Tables.weighted_sum`` rounded once at wp, by :func:`l1_ball_raw`
+    with the rule's share of sum_a |f(a)|."""
+    tab = tables(f.period, wp)
+    total = tab.weighted_sum("psi", f.exact_values)._mpf_
+    return Real.ball(l1_ball_raw(tab, tab.rule(psi=f.abs_sum), total), wp)
+
+
+def l1_ball_raw(tab: Tables, share: tuple, total: tuple) -> Tuple[tuple, tuple]:
+    """(L, its radius) as raw mpfs from the psi sum ``total`` over ``tab``:
+    the psi sum's ball by the tables' summation rule, its ``share`` being
+    ``tab.rule(psi=sum_a |f(a)|)``, divided by -q."""
+    return div_raw(total, tab.radius(total, share), -tab.q, tab.wp)
 
 
 def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
@@ -145,7 +154,7 @@ def l1(f: PeriodicFunction, route: str = "digamma", prec: int = 128) -> Real:
     require_convergent(f)
     wp = working_prec(prec)
     if route == "digamma":
-        v = l1_digamma_raw(f, wp)
+        v = l1_digamma_raw(f, wp).mpf
     else:
         re, im = l1_fourier_raw(f, wp)
         # the bar scales with the summands, not with L, which may vanish

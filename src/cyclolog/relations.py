@@ -18,8 +18,9 @@ x = a mod d; and a -> -a folds to the same slots.  So each class
 class would only repeat that relation.
 
 Coefficients are integers throughout; rank computations never touch
-floating point, and a residual multiplies each integer coefficient into
-its slot value with one correctly rounded product.
+floating point, and a residual is the exact sum of the integer
+coefficients times the slot values, rounded once, with the tables' rule's
+radius.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class LogBasis:
 
     def values_raw(self, wp: int) -> Tuple[mpmath.mpf, ...]:
         """The slot values at working precision, built once per (q, wp) by the tables layer."""
-        # every reader goes through this method, so a test can substitute the values here
+        # the search and the decomposition read through this method, so a test can substitute the values here
         return tables(self.modulus, wp).log_basis_values
 
 
@@ -113,15 +114,12 @@ class RelationVector:
             g = -g
         return RelationVector(self.basis, tuple(c // g for c in self.coeffs), self.provenance)
 
-    def residual_raw(self, wp: int) -> mpmath.mpf:
-        return linear_form_raw(self.coeffs, self.basis.values_raw(wp), wp)
-
 
 def linear_form_raw(
     coeffs: Sequence[Union[int, mpmath.mpf]], values: Sequence[mpmath.mpf], wp: int
 ) -> mpmath.mpf:
     """fsum(c * v) over the nonzero coefficients c, ints or wp-bit mpfs, at
-    wp bits, each product rounded once: a relation's residual among
+    wp bits, each product rounded once: a searched relation's residual among
     ``values``, or the value of a linear form such as L(1, f)'s decomposition."""
     with mp.workprec(wp):
         return mpmath.fsum(c * v for c, v in zip(coeffs, values) if c)
@@ -229,12 +227,12 @@ def rational_rank(vectors: Sequence[Sequence[Rational]]) -> int:
 def verify_relation(rel: RelationVector, prec: int = 128) -> ZeroClass:
     """Evaluate sum coeff * slot-value (PI = pi, LOG2 = log 2) and classify.
 
-    The residual at wp has no radius, so a relation that holds is Zero on
-    its value alone; any other escalates to its ball at w bits, the exact sum
-    over ``log_basis_values`` rounded once, with the tables' rule's radius.
+    The residual is a ball: the exact sum over ``log_basis_values`` rounded
+    once at wp, with the tables' rule's radius.  A relation that holds is
+    Zero and a broken one NonZero from its ball at wp; one whose radius
+    cannot decide escalates to the same ball at more bits.
     """
-    wp = working_prec(prec)
-    return classify_zero(Real(rel.residual_raw(wp), wp), prec, lambda w: _residual_ball(rel, w))
+    return classify_zero(_residual_ball(rel, working_prec(prec)), prec, lambda w: _residual_ball(rel, w))
 
 
 def _residual_ball(rel: RelationVector, w: int) -> Real:

@@ -6,11 +6,12 @@ admissible functions exist only for odd q and number C(q-1, (q-1)/2).
 The scan evaluates L(1, f) for every one of them, classifies each value,
 and reports the minimum |L|.
 
-Each value is classified by L's ball (see :func:`evaluate`), or where its
-radius cannot decide, by the same ball at more bits.  The scan applies the
-radius rule, ``kernel.radius_decides_nonzero``, to that ball on raw values
-and builds no verdict object for a function it decides; every other
-function is classified in place by :func:`_l_class`, from its sums.
+Each value is classified by L's ball, ``lseries.l1_digamma_raw`` (see
+:func:`evaluate`), or where its radius cannot decide, by the same ball at
+more bits.  The scan applies the radius rule,
+``kernel.radius_decides_nonzero``, to that ball on raw values and builds no
+verdict object for a function it decides; every other function is
+classified in place from the ball it already holds.
 
 Each scanned function also carries its cotangent and cosine sums: for
 prime period, exactly one of "L is nonzero" / "all those trig sums
@@ -54,10 +55,10 @@ from mpmath.libmp import from_man_exp, mpf_abs, mpf_lt, round_nearest, to_ration
 
 from .characters import PeriodicFunction, require_odd_prime
 from .kernel import (
-    NONZERO, Real, ZeroClass, classify_zero, dec_str, decimal_digits, div_raw, radius_decides_nonzero, working_prec,
+    NONZERO, Real, ZeroClass, classify_zero, dec_str, decimal_digits, radius_decides_nonzero, working_prec,
 )
-from .lseries import require_convergent, trig_sums_raw
-from .tables import Tables, tables
+from .lseries import l1_ball_raw, l1_digamma_raw, require_convergent, trig_sums_raw
+from .tables import tables
 
 
 class DichotomyContradictionError(RuntimeError):
@@ -93,35 +94,13 @@ def _signs_from_positions(q: int, positions: Tuple[int, ...]) -> Tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 def evaluate(f: PeriodicFunction, prec: int) -> Tuple[mpmath.mpf, ZeroClass, mpmath.mpf, Dict[int, mpmath.mpf]]:
-    """L(1, f), its zero class against ``prec`` bits (L's ball, by
-    :func:`_l_class`), its cot sum and its cos sums, all at working precision."""
+    """L(1, f), its zero class against ``prec`` bits, its cot sum and its cos
+    sums, all at working precision.  The class is that of L's ball at wp,
+    ``l1_digamma_raw``, escalated to L's ball at more bits where its radius
+    cannot decide."""
     wp = working_prec(prec)
-    total = _psi_sum(f, wp)
-    return (_l_real(f, total, wp).mpf, _l_class(f, total, prec), *trig_sums_raw(f, wp))
-
-
-def _psi_sum(f: PeriodicFunction, wp: int) -> mpmath.mpf:
-    """sum_a f(a) psi(a/q), rounded once at wp."""
-    return tables(f.period, wp).weighted_sum("psi", f.exact_values)
-
-
-def _l_ball(tab: Tables, share: tuple, total: tuple) -> Tuple[tuple, tuple]:
-    """(L, its radius) as raw mpfs from the psi sum ``total`` over ``tab``:
-    the psi sum's ball by the tables' summation rule, its ``share`` being
-    ``tab.rule(psi=sum_a |f(a)|)``, divided by -q."""
-    return div_raw(total, tab.radius(total, share), -tab.q, tab.wp)
-
-
-def _l_real(f: PeriodicFunction, total: mpmath.mpf, w: int) -> Real:
-    """L's ball at w bits from f's psi sum ``total`` at w, by :func:`_l_ball`."""
-    tab = tables(f.period, w)
-    return Real.ball(_l_ball(tab, tab.rule(psi=f.abs_sum), total._mpf_), w)
-
-
-def _l_class(f: PeriodicFunction, total: mpmath.mpf, prec: int) -> ZeroClass:
-    """The zero class against ``prec`` bits of L(1, f) from its psi sum
-    ``total`` at wp, by L's ball at wp and at every w it escalates to."""
-    return classify_zero(_l_real(f, total, working_prec(prec)), prec, lambda w: _l_real(f, _psi_sum(f, w), w))
+    ball = l1_digamma_raw(f, wp)
+    return (ball.mpf, classify_zero(ball, prec, lambda w: l1_digamma_raw(f, w)), *trig_sums_raw(f, wp))
 
 
 BRANCH_L_NONZERO = "L_nonzero"
@@ -273,10 +252,11 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     b = 1..(q-1)/2, is sum_a f(a) T_a = 2 sum_{a in P} T_a - sum_a T_a over
     its plus set P: an exact integer over the aligned tables, rounded once
     at wp, the bits ``Tables.weighted_sum`` (psi, cot) and
-    ``Tables.harmonic_sums`` (cos) give.  L's ball is :func:`_l_ball` of
+    ``Tables.harmonic_sums`` (cos) give.  L's ball is ``l1_ball_raw`` of
     the psi sum, as in :func:`evaluate`, with the rule's share for
     sum_a |f(a)| = q - 1 formed once for the range; a record whose radius
-    does not decide NonZero takes its class from :func:`_l_class`.
+    does not decide NonZero is classified from that ball, escalated to
+    ``l1_digamma_raw`` of its sign function at more bits.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)
@@ -295,13 +275,14 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
             from_man_exp(2 * plus - total, exp, wp, round_nearest)
             for plus, total, exp in zip(map(sum, zip(*(columns[i] for i in positions))), totals, exps)
         ]
-        raw, rad = _l_ball(tab, share, sums[0])
+        raw, rad = l1_ball_raw(tab, share, sums[0])
         magnitude = mpf_abs(raw)
         signs = _signs_from_positions(q, positions)
         if radius_decides_nonzero(magnitude, rad, prec):
             tag = NONZERO
         else:
-            tag = _l_class(sign_function(q, signs), mp.make_mpf(sums[0]), prec).tag
+            ball = Real.ball((raw, rad), wp)
+            tag = classify_zero(ball, prec, lambda w: l1_digamma_raw(sign_function(q, signs), w)).tag
         cot_sum, *cos_values = map(mp.make_mpf, sums[1:])
         l_text, line = _render(q, signs, prec, tag, mp.make_mpf(raw), cot_sum, cos_values)
         rows.append((signs, tag, magnitude, l_text, line))
@@ -431,14 +412,18 @@ class ScanStore:
         if its key is among the recomputed keys it disagrees, wherever it
         stands in the file, so a key stored twice with different bytes
         raises whichever copy comes first.  Lines of other (q, prec) are
-        parsed only to check that they are records.
+        parsed only to check that they are records.  A last line without its
+        newline is ended before the first appended record, so the record
+        starts a line of its own.
         """
         recomputed = {line: key for key, line in records}
         keys = set(recomputed.values())
         seen = set()
+        torn = False
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 for number, line in enumerate(fh, 1):
+                    torn = not line.endswith("\n")
                     line = line.rstrip("\n")
                     if line in recomputed:
                         seen.add(recomputed[line])
@@ -457,6 +442,8 @@ class ScanStore:
                                 f"recomputed record for (q, signs, prec) = {key}"
                             )
         unseen = [line for line, key in recomputed.items() if key not in seen]
+        if torn and unseen:
+            unseen[0] = "\n" + unseen[0]
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in unseen)
         return len(unseen)

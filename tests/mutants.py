@@ -282,7 +282,7 @@ MUTANTS = (
     ),
     Mutant(
         "L ball: sum |f| left out of the psi sum's radius",
-        "scans.py",
+        "lseries.py",
         "tab.rule(psi=f.abs_sum)",
         "tab.rule(psi=1)",
         (
@@ -293,12 +293,19 @@ MUTANTS = (
     Mutant(
         "batched scan: every undecided record tagged NonZero",
         "scans.py",
-        "tag = _l_class(sign_function(q, signs), mp.make_mpf(sums[0]), prec).tag",
+        "tag = classify_zero(ball, prec, lambda w: l1_digamma_raw(sign_function(q, signs), w)).tag",
         "tag = NONZERO",
         (
             "tests/test_cli.py::test_scan_indeterminate_exits_3_whatever_the_serializer[canonical]",
             "tests/test_scan.py::test_a_radius_that_cannot_decide_sends_every_record_to_escalation",
         ),
+    ),
+    Mutant(
+        "relation verdict: the rule's share left out of the residual radius",
+        "relations.py",
+        "tab.rule(log_basis_values=sum(map(abs, rel.coeffs)))",
+        "tab.rule()",
+        ("tests/test_radius.py::test_a_broken_relation_is_a_rigorous_nonzero_from_its_ball_at_wp[128-q60-moved-coefficient]",),
     ),
     Mutant(
         "batched scan: sum |f| left out of the L radius",
@@ -382,6 +389,13 @@ MUTANTS = (
         "seen.add(recomputed[line])",
         "pass",
         ("tests/test_scan.py::test_store_verifies_instead_of_duplicating",),
+    ),
+    Mutant(
+        "scan store: a record appended onto a last line without its newline",
+        "scans.py",
+        "if torn and unseen:",
+        "if False:",
+        ("tests/test_scan.py::test_store_starts_a_record_on_a_fresh_line_after_a_torn_last_line",),
     ),
     Mutant(
         "dec_str: a 5 on the rounding digit rounds down",

@@ -6,7 +6,8 @@ Gauss's digamma theorem as an mpf loop, Gauss sums by their defining sum,
 S_chi over Fraction exponents and as one exact loop per character, L(1, chi) through the Gauss-sum identity,
 the inverse Fourier transform, roots of unity and kernel-function values
 by direct cospi/sinpi, the digamma-route sum and the trig sums as mpf
-loops summed by fsum, the determinant by LU in mpf arithmetic) or an
+loops summed by fsum, a relation's residual as an mpf loop summed by
+fsum, the determinant by LU in mpf arithmetic) or an
 exact helper (rational span membership, Euler's phi, a character's
 exponent t and its conjugate, a Complex as an mpc) that a test checks a
 route's output with.  ``witness_verdict`` is the older zero test that
@@ -31,7 +32,7 @@ from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 from cyclolog.characters import DirichletCharacter, PeriodicFunction, factorize, is_prime, unit_root
 from cyclolog.kernel import INDETERMINATE, NONZERO, ZERO, Complex, Real, const_raw, to_mpf, working_prec
-from cyclolog.relations import rational_rank
+from cyclolog.relations import RelationVector, rational_rank
 from cyclolog.tables import tables
 
 
@@ -432,6 +433,15 @@ def l1_chi_via_gauss(chi: DirichletCharacter, prec: int):
         raise ValueError("odd characters are excluded: chi(-1) must be 1")
     re, im = l1_chi_raw(chi, working_prec(prec))
     return Complex(Real(re, prec), Real(im, prec))
+
+
+def relation_residual_reference(rel: RelationVector, wp: int) -> mpmath.mpf:
+    """sum_s c_s v_s over a relation's nonzero integer coefficients c_s and
+    the log basis values v_s at wp, as an mpf loop: each product rounded at
+    wp, the products summed by fsum."""
+    values = tables(rel.basis.modulus, wp).log_basis_values
+    with mp.workprec(wp):
+        return mpmath.fsum(c * v for c, v in zip(rel.coeffs, values) if c)
 
 
 def in_rational_span(vector: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:

@@ -152,17 +152,17 @@ def test_relations_q8(capsys):
 
 
 def test_relations_evaluate_each_residual_once(capsys, monkeypatch):
+    import cyclolog.relations as relations
     from cyclolog.kernel import working_prec
-    from cyclolog.relations import RelationVector
 
     precisions = []
-    original = RelationVector.residual_raw
+    original = relations._residual_ball
 
-    def counting(self, wp):
-        precisions.append(wp)
-        return original(self, wp)
+    def counting(rel, w):
+        precisions.append(w)
+        return original(rel, w)
 
-    monkeypatch.setattr(RelationVector, "residual_raw", counting)
+    monkeypatch.setattr(relations, "_residual_ball", counting)
     code, payload = run_json(capsys, "relations", "--q", "30")
     assert code == 0
     assert all(rec["class"] == "Zero" for rec in payload["relations"])  # no escalation needed
@@ -274,11 +274,11 @@ def test_scan_indeterminate_exits_3_whatever_the_serializer(capsys, monkeypatch,
     import cyclolog.scans as scans_mod
     from cyclolog.kernel import INDETERMINATE, Real, ZeroClass
 
-    def gray(f, value, prec):
-        return ZeroClass(INDETERMINATE, Real(abs(value), prec))
+    def gray(x, target, recompute=None):
+        return ZeroClass(INDETERMINATE, Real(abs(x.mpf), target))
 
-    monkeypatch.setattr(scans_mod, "_l_class", gray)
-    # no L radius decides, so every record takes _l_class's verdict
+    monkeypatch.setattr(scans_mod, "classify_zero", gray)
+    # no L radius decides, so every record takes the fallback's verdict
     monkeypatch.setattr(Tables, "eps_psi", property(lambda self: mpmath.mpf(2) ** 20))
     render = scans_mod._render
 

@@ -21,7 +21,7 @@ from cyclolog.relations import LogBasis, RelationVector, enumerate_relations, li
 from cyclolog.scans import bbw_function, dichotomy, evaluate, scan, sign_function
 from cyclolog.tables import Tables, tables
 
-from oracles import witness_verdict
+from oracles import relation_residual_reference, witness_verdict
 
 
 def exact(x) -> Fraction:
@@ -138,13 +138,33 @@ def test_evaluate_radius_is_the_documented_bound(f, prec, balls):
     # ball divided by -q; the radius rounds each step up to 32 bits, so it
     # exceeds the exact bound by less than 2^-28 of it
     q, wp = f.period, working_prec(prec)
-    value = l1_digamma_raw(f, wp)
+    value = l1_digamma_raw(f, wp).mpf
     total = tables(q, wp).weighted_sum("psi", f.exact_values)
     bound = (f.abs_sum * exact(tables(q, wp).eps_psi) + exact(half_ulp(total, wp))) / q + exact(half_ulp(value, wp))
     evaluate(f, prec)
     (x,) = balls
     assert x.mpf == value
     assert bound <= exact(x.rad) <= bound * (1 + Fraction(1, 2**28))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [SIGNS, FRACTIONS, bbw_function(9, 5), bbw_function(8, 7)],
+    ids=["signs-q7", "fractions-q7", "bbw-q9-l5", "bbw-q8-l7"],
+)
+def test_evaluate_forms_one_radius(f, monkeypatch):
+    # L's ball is formed once a call: the verdict comes from the ball whose
+    # value evaluate returns (Zero for bbw-q9-l5, NonZero by the radius else)
+    radius = Tables.radius
+    widths = []
+
+    def counting(self, value, share):
+        widths.append(self.wp)
+        return radius(self, value, share)
+
+    monkeypatch.setattr(Tables, "radius", counting)
+    evaluate(f, 128)
+    assert widths == [working_prec(128)]
 
 
 @pytest.mark.parametrize("prec", (64, 128))
@@ -154,7 +174,7 @@ def test_every_radius_of_a_sum_encloses_its_4wp_evaluation(f, prec, balls):
     # prime periods only)
     q, wp = f.period, working_prec(prec)
     evaluate(f, prec)
-    sums = [l1_digamma_raw(f, 4 * wp)]
+    sums = [l1_digamma_raw(f, 4 * wp).mpf]
     if is_prime(q):
         dichotomy(f, prec)
         cot, cos_sums = trig_sums_raw(f, 4 * wp)
@@ -250,7 +270,7 @@ def test_radius_verdicts_equal_recompute_verdicts_on_every_sign_function(q):
         f = sign_function(q, tuple(1 if i in plus else -1 for i in range(q - 1)))
         value, cls, _, _ = evaluate(f, prec)
         assert cls.is_nonzero and cls.rigorous, (q, positions)
-        assert witness_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
+        assert witness_verdict(value, prec, lambda w: l1_digamma_raw(f, w).mpf) == cls.tag
 
 
 P13 = (1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1, -1, 0)
@@ -269,7 +289,7 @@ def test_radius_verdicts_equal_recompute_verdicts_on_the_acceptance_functions(f)
     # dichotomy's trig sums, some NonZero and some Zero
     prec, wp = 128, working_prec(128)
     value, cls, cot, cos_sums = evaluate(f, prec)
-    assert witness_verdict(value, prec, lambda w: l1_digamma_raw(f, w)) == cls.tag
+    assert witness_verdict(value, prec, lambda w: l1_digamma_raw(f, w).mpf) == cls.tag
     if is_prime(f.period):
         verdict = dichotomy(f, prec)
         sums = {"cot": cot, **{f"cos_{b}": v for b, v in cos_sums.items()}}
@@ -365,7 +385,7 @@ def test_an_undecided_l_radius_escalates_to_a_rigorous_nonzero(e, prec, steps, c
     assert cls.is_nonzero and cls.rigorous
     last = escalated[-1]
     assert cls.margin_bits == pytest.approx(float(mpmath.log(abs(last.mpf) / last.rad, 2)))
-    again = l1_digamma_raw(f, 4 * last.prec)
+    again = l1_digamma_raw(f, 4 * last.prec).mpf
     assert abs(exact(last.mpf) - exact(again)) <= exact(last.rad)
 
 
@@ -398,18 +418,16 @@ def broken_relations():
 
 @pytest.mark.parametrize("rel", broken_relations(), ids=["q5-single-log-sine", "q60-moved-coefficient"])
 @pytest.mark.parametrize("prec", (64, 128))
-def test_a_broken_relation_escalates_to_a_rigorous_nonzero(rel, prec, chains):
+def test_a_broken_relation_is_a_rigorous_nonzero_from_its_ball_at_wp(rel, prec, chains):
     cls = verify_relation(rel, prec)
-    ((first, *escalated),) = chains
-    assert first.rad is None  # the residual at wp carries no radius
-    assert [x.prec for x in escalated] == [working_prec(prec) + 32]
+    ((ball,),) = chains  # no escalation
+    assert ball.prec == working_prec(prec)
     assert cls.is_nonzero and cls.rigorous
-    (ball,) = escalated
-    again = rel.residual_raw(4 * ball.prec)
+    again = relation_residual_reference(rel, 4 * ball.prec)
     assert abs(exact(ball.mpf) - exact(again)) <= exact(ball.rad) < Fraction(2) ** (16 - ball.prec)
 
 
-def test_a_holding_relation_forms_no_radius(chains):
+def test_a_holding_relation_is_zero_from_its_ball_at_wp(chains):
     for rel in enumerate_relations(60)[0]:
         assert verify_relation(rel).is_zero
-    assert all(len(chain) == 1 and chain[0].rad is None for chain in chains)
+    assert all(len(chain) == 1 and chain[0].prec == working_prec(128) and chain[0].rad > 0 for chain in chains)

@@ -19,7 +19,7 @@ from mpmath import mp
 
 import cyclolog.relations as relations_mod
 from cyclolog.characters import is_prime
-from cyclolog.kernel import fold
+from cyclolog.kernel import fold, working_prec
 from cyclolog.relations import (
     LOG2_SLOT,
     PI_SLOT,
@@ -33,7 +33,7 @@ from cyclolog.relations import (
     valid_divisor_pairs,
     verify_relation,
 )
-from oracles import in_rational_span
+from oracles import in_rational_span, relation_residual_reference, witness_verdict
 
 
 def coeff_map(vec):
@@ -291,6 +291,19 @@ def test_verify_single_log_sine_is_nonzero():
     cls = verify_relation(vec, 128)
     assert cls.is_nonzero
     assert float(cls.residual) == pytest.approx(0.16175356557872337, rel=1e-12)  # log(2 sin 36 deg)
+
+
+@pytest.mark.parametrize("prec", (64, 128))
+def test_every_relation_classifies_like_the_fsum_residual(prec):
+    # the residual ball's value, the exact sum rounded once, equals the fsum
+    # loop bit for bit, and the verdict equals the fsum residual's witness verdict
+    wp = working_prec(prec)
+    for q in (q for q in range(4, 61) if not is_prime(q)):
+        for rel in enumerate_relations(q)[0]:
+            cls = verify_relation(rel, prec)
+            residual = relation_residual_reference(rel, wp)
+            assert cls.residual.mpf == abs(residual), (q, rel.coeffs)
+            assert cls.tag == witness_verdict(residual, prec, lambda w: relation_residual_reference(rel, w))
 
 
 def test_verify_zero_vector():

@@ -200,17 +200,17 @@ def shrinking_eps(wp0: int) -> property:
 def test_the_record_template_renders_the_fallback_tags(prec, monkeypatch):
     import cyclolog.scans as scans_mod
 
-    escalated = scans_mod._l_class
+    escalated = scans_mod.classify_zero
     tags = []
 
-    def every_tag(f, value, prec):
+    def every_tag(x, target, recompute=None):
         # the escalated verdict, then the two tags no scan reaches
-        tag = (escalated(f, value, prec).tag, ZERO, INDETERMINATE)[len(tags) % 3]
+        tag = (escalated(x, target, recompute).tag, ZERO, INDETERMINATE)[len(tags) % 3]
         tags.append(tag)
-        return ZeroClass(tag, Real(abs(value), prec))
+        return ZeroClass(tag, Real(abs(x.mpf), target))
 
-    monkeypatch.setattr(scans_mod, "_l_class", every_tag)
-    # no L radius decides, so every record takes its tag from _l_class
+    monkeypatch.setattr(scans_mod, "classify_zero", every_tag)
+    # no L radius decides, so every record takes its tag from the fallback's classify_zero
     monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(working_prec(prec)))
     for q in (5, 7, 9):
         for line in scan(q, prec).records:
@@ -292,14 +292,14 @@ def test_a_radius_that_cannot_decide_sends_every_record_to_escalation(monkeypatc
     q, prec = 9, 128
     reference = scan(q, prec)
     verdicts = []
-    original = scans._l_class
+    original = scans.classify_zero
 
-    def recording(f, value, prec):
-        out = original(f, value, prec)
+    def recording(x, target, recompute=None):
+        out = original(x, target, recompute)
         verdicts.append(out)
         return out
 
-    monkeypatch.setattr(scans, "_l_class", recording)
+    monkeypatch.setattr(scans, "classify_zero", recording)
     # no L radius decides at wp: each verdict must come from an escalated ball
     monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(working_prec(prec)))
     escalated = scan(q, prec)
@@ -314,7 +314,7 @@ def test_an_undecided_record_is_classified_from_the_sums_the_scan_holds(monkeypa
 
     q, prec = 9, 128
     wp = working_prec(prec)
-    calls = {"trig_sums_raw": [], "_psi_sum": []}
+    calls = {"trig_sums_raw": [], "l1_digamma_raw": []}
     for name, precisions in calls.items():
         original = getattr(scans, name)
 
@@ -329,8 +329,8 @@ def test_an_undecided_record_is_classified_from_the_sums_the_scan_holds(monkeypa
     report = scan(q, prec)
     assert report.class_counts == {NONZERO: comb(q - 1, (q - 1) // 2)}
     assert calls["trig_sums_raw"] == []
-    assert len(calls["_psi_sum"]) == comb(q - 1, (q - 1) // 2)
-    assert all(w >= wp + 32 for w in calls["_psi_sum"])
+    assert len(calls["l1_digamma_raw"]) == comb(q - 1, (q - 1) // 2)
+    assert all(w >= wp + 32 for w in calls["l1_digamma_raw"])
 
 
 def test_the_batch_applies_the_rule_to_the_radius_evaluate_gives(monkeypatch):
@@ -523,8 +523,7 @@ def test_dichotomy_indeterminate_l_is_inconclusive(monkeypatch):
 def test_bbw_5_3_l_value_vanishes():
     f = bbw_function(5, 3, 128)
     wp = working_prec(128)
-    value = l1_digamma_raw(f, wp)
-    assert classify_zero(Real(value, wp), 128).is_zero
+    assert classify_zero(l1_digamma_raw(f, wp), 128).is_zero
 
 
 def test_bbw_7_pair_vanishes_and_is_independent():
@@ -532,7 +531,7 @@ def test_bbw_7_pair_vanishes_and_is_independent():
     f5 = bbw_function(7, 5, 128)
     wp = working_prec(128)
     for f in (f3, f5):
-        assert classify_zero(Real(l1_digamma_raw(f, wp), wp), 128).is_zero
+        assert classify_zero(l1_digamma_raw(f, wp), 128).is_zero
     # 2x2 minor on the values at n = 1, 2 is nonzero
     with mp.workprec(wp):
         det = f3.value_mpf(1, wp) * f5.value_mpf(2, wp) - f3.value_mpf(2, wp) * f5.value_mpf(1, wp)
@@ -585,8 +584,7 @@ def test_bbw_full_trivial_scenario(q):
     wp = working_prec(prec)
     for l in range(3, q - 1, 2):
         f = bbw_function(q, l, prec)
-        value = l1_digamma_raw(f, wp)
-        assert classify_zero(Real(value, wp), prec).is_zero, (q, l)
+        assert classify_zero(l1_digamma_raw(f, wp), prec).is_zero, (q, l)
         cot, cos_sums = trig_sums_raw(f, wp)
         assert classify_zero(Real(cot, wp), prec).is_zero, (q, l)
         for b, v in cos_sums.items():
@@ -601,8 +599,7 @@ def test_bbw_even_modulus_vanishing_split():
     for q in (6, 8, 10):
         for l in range(3, q - 2, 2):
             f = bbw_function(q, l, prec)
-            v = l1_digamma_raw(f, wp)
-            assert classify_zero(Real(v, wp), prec).is_zero, (q, l)
+            assert classify_zero(l1_digamma_raw(f, wp), prec).is_zero, (q, l)
         # evaluate gives L its error radius, which decides NonZero
         assert evaluate(bbw_function(q, q - 1, prec), prec)[1].is_nonzero, q
 
@@ -672,6 +669,19 @@ def test_store_parses_no_byte_equal_line_and_still_checks_other_moduli(tmp_path,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 4 is not a scan record"):
         store.merge(records)
+
+
+def test_store_starts_a_record_on_a_fresh_line_after_a_torn_last_line(tmp_path):
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    scan(7, 64, store=store)
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(b"".join(whole.splitlines(keepends=True)[:6])) - 1])
+    assert scan(7, 64, store=store).admissible_count == 20  # appends, ending line 6 first
+    assert path.read_bytes() == whole
+    scan(7, 64, store=store)  # verifies every line
+    assert path.read_bytes() == whole
 
 
 @pytest.mark.parametrize("where", ["before", "after"])

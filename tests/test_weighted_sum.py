@@ -51,7 +51,7 @@ def assert_sums_match(f, wp):
         assert tab.weighted_sum("psi", f.exact_values)._mpf_ == psi._mpf_
         with mp.workprec(w):
             l1 = -psi / q
-        assert l1_digamma_raw(f, w)._mpf_ == l1._mpf_
+        assert l1_digamma_raw(f, w).mpf._mpf_ == l1._mpf_
         cot, cos_sums = trig_sums_raw(f, w)
         indexes = {b: [(a * b) % q for a in range(1, q)] for b in cos_sums}
         assert cot._mpf_ == weighted_sum_reference(f, tab.cot, range(q - 1), w)._mpf_
