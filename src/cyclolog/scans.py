@@ -28,12 +28,16 @@ Scans are embarrassingly parallel over sign vectors.  Worker processes
 contiguous ranges of enumeration ranks and return one row per function,
 in order: its signs, class tag, exact |L|, L text and canonical JSON line.
 A function's sums are exact integer sums over the aligned tables, read
-from its plus positions alone, each formed once and rounded once.  The
-scan joins the ranges in enumeration order, so output bytes do not depend
-on the worker count; it counts classes, keys the store from the same rows
-and takes the minimum over the exact |L|.  It parses nothing but the
-minimum's text; of the lines already stored, only those that differ from
-every recomputed line are parsed again.
+from its plus positions alone, each formed once and rounded once.  The cos
+sums depend only on how many plus positions fold onto each index, so they
+repeat across a range: each is rounded and rendered once per distinct exact
+integer in its range.  The scan joins the ranges in enumeration order, so
+output bytes do not depend on the worker count; it counts classes, keys
+the store from the same rows and takes the minimum over the exact |L|.  It
+parses nothing but the minimum's text; of the lines already stored, only
+those that differ from every recomputed line are parsed again.  A store
+whose last line was cut inside its record by a torn write is cut back to
+the line before it, and that record is appended again.
 """
 
 from __future__ import annotations
@@ -220,10 +224,11 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
 
 def _render(
     q: int, signs: Tuple[int, ...], prec: int, tag: str, value: mpmath.mpf, cot: mpmath.mpf,
-    cos_values: Sequence[mpmath.mpf],
+    cos_texts: Sequence[str],
 ) -> Tuple[str, str]:
-    """(L text, canonical JSON line) of a scan record; ``cos_values`` in
-    order of b.
+    """(L text, canonical JSON line) of a scan record; ``cos_texts``, the
+    cos sums already rendered to ``decimal_digits(prec)`` digits, in order
+    of b.
 
     The line is filled into one fixed template, the bytes ``canonical_json``
     gives the record dict with keys q, signs, L, prec, class, cot_sum,
@@ -232,10 +237,10 @@ def _render(
     """
     digits = decimal_digits(prec)
     l_text = dec_str(value, digits)
-    cos_texts = '","'.join([dec_str(v, digits) for v in cos_values])
+    cos_line = '","'.join(cos_texts)
     line = (
         f'{{"q":{q},"signs":[{",".join(map(str, signs))}],"L":"{l_text}","prec":{prec},'
-        f'"class":"{tag}","cot_sum":"{dec_str(cot, digits)}","cos_sums":["{cos_texts}"]}}'
+        f'"class":"{tag}","cot_sum":"{dec_str(cot, digits)}","cos_sums":["{cos_line}"]}}'
     )
     return l_text, line
 
@@ -257,6 +262,10 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     sum_a |f(a)| = q - 1 formed once for the range; a record whose radius
     does not decide NonZero is classified from that ball, escalated to
     ``l1_digamma_raw`` of its sign function at more bits.
+
+    A cos sum is rounded and rendered once per distinct exact integer in
+    the range, then its text is reused: the cos sums share one exponent,
+    so the integer alone names the text, and f and -f have negated sums.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)
@@ -267,15 +276,21 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     # per position i, so a = i + 1: the aligned entries f(a) weighs
     columns = [(psi[i], cot[i], *(cos[(i + 1) * b % q] for b in bs)) for i in range(q - 1)]
     totals = [sum(col) for col in zip(*columns)]
-    exps = (psi_exp, cot_exp, *(cos_exp for _ in bs))
     share = tab.rule(psi=q - 1)
+    digits = decimal_digits(prec)
+    texts: Dict[int, str] = {}  # exact cos sum -> its text, for this range only
+
+    def cos_text(n: int) -> str:
+        if n not in texts:
+            texts[n] = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)
+        return texts[n]
+
     rows = []
     for positions in islice(combinations(range(q - 1), (q - 1) // 2), start, stop):
-        sums = [
-            from_man_exp(2 * plus - total, exp, wp, round_nearest)
-            for plus, total, exp in zip(map(sum, zip(*(columns[i] for i in positions))), totals, exps)
+        psi_n, cot_n, *cos_ns = [
+            2 * plus - total for plus, total in zip(map(sum, zip(*(columns[i] for i in positions))), totals)
         ]
-        raw, rad = l1_ball_raw(tab, share, sums[0])
+        raw, rad = l1_ball_raw(tab, share, from_man_exp(psi_n, psi_exp, wp, round_nearest))
         magnitude = mpf_abs(raw)
         signs = _signs_from_positions(q, positions)
         if radius_decides_nonzero(magnitude, rad, prec):
@@ -283,8 +298,8 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
         else:
             ball = Real.ball((raw, rad), wp)
             tag = classify_zero(ball, prec, lambda w: l1_digamma_raw(sign_function(q, signs), w)).tag
-        cot_sum, *cos_values = map(mp.make_mpf, sums[1:])
-        l_text, line = _render(q, signs, prec, tag, mp.make_mpf(raw), cot_sum, cos_values)
+        cot_sum = mp.make_mpf(from_man_exp(cot_n, cot_exp, wp, round_nearest))
+        l_text, line = _render(q, signs, prec, tag, mp.make_mpf(raw), cot_sum, [cos_text(n) for n in cos_ns])
         rows.append((signs, tag, magnitude, l_text, line))
     return rows
 
@@ -414,12 +429,15 @@ class ScanStore:
         raises whichever copy comes first.  Lines of other (q, prec) are
         parsed only to check that they are records.  A last line without its
         newline is ended before the first appended record, so the record
-        starts a line of its own.
+        starts a line of its own; if it is not a record either, it is a write
+        cut inside its record, and the file is cut back to the end of the
+        line before it, so that record is appended whole like any unseen one.
         """
         recomputed = {line: key for key, line in records}
         keys = set(recomputed.values())
         seen = set()
         torn = False
+        cut = 0  # bytes of a torn last line, dropped before appending
         if os.path.exists(self.path):
             with open(self.path, "r", encoding="utf-8") as fh:
                 for number, line in enumerate(fh, 1):
@@ -433,6 +451,9 @@ class ScanStore:
                             key = (rec["q"], tuple(rec["signs"]), rec["prec"])
                             disagrees = key in keys
                         except (ValueError, KeyError, TypeError) as exc:
+                            if torn:  # only the last line lacks its newline
+                                cut = len(line.encode("utf-8"))
+                                continue
                             raise ValueError(
                                 f"scan store {self.path}, line {number} is not a scan record: {exc}"
                             ) from None
@@ -442,7 +463,9 @@ class ScanStore:
                                 f"recomputed record for (q, signs, prec) = {key}"
                             )
         unseen = [line for line, key in recomputed.items() if key not in seen]
-        if torn and unseen:
+        if cut:
+            os.truncate(self.path, os.path.getsize(self.path) - cut)
+        elif torn and unseen:
             unseen[0] = "\n" + unseen[0]
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in unseen)

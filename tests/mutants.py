@@ -398,6 +398,34 @@ MUTANTS = (
         ("tests/test_scan.py::test_store_starts_a_record_on_a_fresh_line_after_a_torn_last_line",),
     ),
     Mutant(
+        "scan store: torn-line repair applied to a line that ends in a newline",
+        "scans.py",
+        "if torn:  # only the last line lacks its newline",
+        "if True:",
+        (
+            "tests/test_scan.py::test_store_still_rejects_a_cut_line_that_ends_in_a_newline[last]",
+            "tests/test_scan.py::test_store_still_rejects_a_cut_line_that_ends_in_a_newline[followed-by-a-line]",
+        ),
+    ),
+    Mutant(
+        "scan render memo bypassed",
+        "scans.py",
+        "if n not in texts:",
+        "if True:",
+        ("tests/test_scan.py::test_scan_renders_each_distinct_cos_sum_once_per_range",),
+    ),
+    Mutant(
+        "scan render memo keyed by |n|",
+        "scans.py",
+        "        if n not in texts:\n"
+        "            texts[n] = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)\n"
+        "        return texts[n]",
+        "        if abs(n) not in texts:\n"
+        "            texts[abs(n)] = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)\n"
+        "        return texts[abs(n)]",
+        ("tests/test_scan.py::test_batched_scan_equals_the_per_function_evaluation[5-64-1]",),
+    ),
+    Mutant(
         "dec_str: a 5 on the rounding digit rounds down",
         "kernel.py",
         'text[digits] in "56789"',

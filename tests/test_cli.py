@@ -216,16 +216,23 @@ def test_scan_q5_writes_store(capsys, tmp_path):
     assert json.loads(lines[0])["q"] == 5
 
 
-def test_scan_torn_store_line_exits_1_and_leaves_the_store(capsys, tmp_path):
+def test_scan_store_repairs_only_a_torn_last_line(capsys, tmp_path):
     store = tmp_path / "s.jsonl"
     assert run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")[0] == 0
-    torn = store.read_text() + '{"q":5,"signs":[1,'
-    store.write_text(torn)
+    whole = store.read_text()
+    # a cut record that ends in a newline is not a torn write: exit 1, store kept
+    broken = whole + '{"q":5,"signs":[1,\n'
+    store.write_text(broken)
     code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")
     assert code == 1
     assert out == ""
     assert str(store) in err and "line 7" in err
-    assert store.read_text() == torn
+    assert store.read_text() == broken
+    # the same cut record as the last line, without its newline, is cut away
+    store.write_text(broken[:-1])
+    code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")
+    assert (code, err) == (0, "")
+    assert store.read_text() == whole
 
 
 def test_scan_tampered_store_exits_4_naming_the_store(capsys, tmp_path):

@@ -606,5 +606,6 @@ def test_every_value_a_q15_scan_renders_is_to_str(monkeypatch):
     monkeypatch.setattr(scans, "dec_str", checked)
     count = comb(14, 7)
     assert len(scans._scan_range(15, 192, 0, count)) == count
-    # L, cot and the seven cos sums of every record
-    assert len(agree) == 9 * count and all(agree)
+    # L and cot of every record, and each of the 1,948 distinct exact integers
+    # its 24,024 cos sums take, rendered once
+    assert len(agree) == 2 * count + 1948 and all(agree)

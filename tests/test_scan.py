@@ -270,6 +270,33 @@ def test_batched_scan_equals_the_per_function_evaluation(q, prec, workers):
     assert report.argmin_signs == argmin
 
 
+def test_scan_renders_each_distinct_cos_sum_once_per_range(monkeypatch):
+    import cyclolog.scans as scans
+
+    q, prec = 15, 192
+    count = comb(q - 1, (q - 1) // 2)
+    rendered = []
+    dec_str_ = scans.dec_str
+
+    def counting(x, digits):
+        rendered.append(x)
+        return dec_str_(x, digits)
+
+    monkeypatch.setattr(scans, "dec_str", counting)
+    rows = scans._scan_range(q, prec, 0, count)
+    # L and the cot sum of each function, and each of the 1,948 distinct exact
+    # integers the 24,024 cos sums of the 3,432 functions take at wp 256
+    assert len(rendered) == 2 * count + 1948
+    monkeypatch.undo()
+    for bounds in (
+        [0, count // 2, count],
+        [count * k // 16 for k in range(17)],
+        [0, 1, 2, 1000, count - 1, count],
+    ):
+        ranges = [scans._scan_range(q, prec, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert [row for part in ranges for row in part] == rows
+
+
 def test_minimum_keeps_the_first_of_values_that_render_alike():
     # a > b, but both render as 0.5 at 3 digits: today's minimum over the
     # parsed texts is a strict <, so the first of the two stays the argmin
@@ -682,6 +709,37 @@ def test_store_starts_a_record_on_a_fresh_line_after_a_torn_last_line(tmp_path):
     assert path.read_bytes() == whole
     scan(7, 64, store=store)  # verifies every line
     assert path.read_bytes() == whole
+
+
+@pytest.mark.parametrize("kept", ["one-byte", "all-but-40-bytes", "all-but-the-brace"])
+def test_store_repairs_a_last_line_cut_inside_its_record(kept, tmp_path):
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    scan(7, 64, store=store)
+    whole = path.read_bytes()
+    last = len(whole.splitlines()[-1]) + 1  # the last line and its newline
+    path.write_bytes(whole[: {"one-byte": 1 - last, "all-but-40-bytes": -40, "all-but-the-brace": -2}[kept]])
+    # the torn line is cut back and its record appended like any unseen one
+    records = [((7, tuple(json.loads(line)["signs"]), 64), line) for line in scan(7, 64).records]
+    assert store.merge(records) == 1
+    assert path.read_bytes() == whole
+    assert store.merge(records) == 0  # verifies every line
+    assert path.read_bytes() == whole
+
+
+@pytest.mark.parametrize(
+    "then", ["\n", "\n" + '{"q":3,"signs":[1,-1],"L":"0.6","prec":64}'], ids=["last", "followed-by-a-line"]
+)
+def test_store_still_rejects_a_cut_line_that_ends_in_a_newline(then, tmp_path):
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    broken = path.read_text()[:-40] + then
+    path.write_text(broken)
+    with pytest.raises(ValueError, match="line 6 is not a scan record"):
+        scan(5, 64, store=store)
+    assert path.read_text() == broken
 
 
 @pytest.mark.parametrize("where", ["before", "after"])
