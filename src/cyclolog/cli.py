@@ -8,7 +8,7 @@ series, 3 inconclusive (an Indeterminate classification, or a determinant
 check that fails: an LU error estimate too large after its restarts, or a
 character-factor product that is not real), 4 invariant violation
 (dichotomy contradiction, nonzero pi coefficient, scan-store record
-disagreement).
+disagreement, an imaginary part of the Fourier route's L(1, f)).
 
 CYCLOLOG_PREC overrides the default 128-bit precision.
 """
@@ -26,6 +26,7 @@ from .dedekind import CERTIFICATE_NOTES, DeterminantError, determinant_check
 from .intrel import PiCoefficientViolation, find_integer_relation, relation_lattice_rank
 from .kernel import INDETERMINATE, PrecisionError, dec_str, decimal_digits, working_prec
 from .lseries import (
+    ImaginaryPartError,
     NonConvergentSeriesError,
     decompose_l1,
     l1,
@@ -480,7 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InconclusiveClassificationError, DeterminantError) as exc:
         _emit({"error": str(exc)}, mode)
         return EXIT_INCONCLUSIVE
-    except (DichotomyContradictionError, PiCoefficientViolation, ScanStoreDisagreement) as exc:
+    except (DichotomyContradictionError, ImaginaryPartError, PiCoefficientViolation, ScanStoreDisagreement) as exc:
         _emit({"error": str(exc)}, mode)
         return EXIT_VIOLATION
     except (CliUsageError, PrecisionError, ValueError) as exc:

@@ -25,24 +25,25 @@ group G (Rader's reindexing), so ``s_chi_raw`` forms them as two
 integer forms of the log-sines as exact weights: each component is an exact
 sum rounded once at wp.  Each factor follows the tables' summation rule,
 whose share is the same for every component of every factor of p and is
-formed once; |S_chi| is the kernel's ``hypot`` of its two components'
-balls.  That radius, at wp or at the bits a factor escalates to (where all
-factors are formed again, once per precision), decides its NonZero, under
-the tables' 1-ulp assumption.
+formed once; |S_chi| is the kernel's ``hypot_raw`` of its two components'
+raw balls, made a Real once.  That radius, at wp or at the bits a factor
+escalates to (where all factors are formed again, once per precision),
+decides its NonZero, under the tables' 1-ulp assumption.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, from_man_exp, round_nearest
 
-from .characters import DirichletCharacter, enumerate_characters, require_odd_prime, unit_group_structure
-from .kernel import GUARD_BITS, Complex, Real, ZeroClass, classify_zero, fold, hypot, working_prec
+from .characters import DirichletCharacter, require_odd_prime, unit_group_structure
+from .kernel import GUARD_BITS, Complex, Real, ZeroClass, classify_zero, fold, hypot_raw, working_prec
 from .tables import ONE_ULP_ASSUMPTION, tables
 
 DEFAULT_MAX_PRIME = 101
@@ -103,17 +104,20 @@ def s_chi_raw(p: int, wp: int) -> List[Pair]:
 
 def _ball_rule(p: int, wp: int) -> Callable[[Pair], Real]:
     """The ball of |S_chi| at wp from its (re, im) at wp, for the factors of
-    p: the ``hypot`` of the components' balls.  A component sums c_a t_a over
-    roots c_a and log-sines t_a, so the rule weighs the roots by sum_a |t_a|
-    and the log-sines by r, as |c_a| <= 1.  Every component of every factor
-    has that share, formed once here: ``eps_roots`` bounds cos and sin alike."""
+    p: the ``hypot_raw`` of the components' balls.  A component sums c_a t_a
+    over roots c_a and log-sines t_a, so the rule weighs the roots by
+    sum_a |t_a| and the log-sines by r, as |c_a| <= 1.  Every component of
+    every factor has that share, formed once here: ``eps_roots`` bounds cos
+    and sin alike."""
     tab = tables(p, wp)
-    share = tab.rule(cos=tab.log_sines_abs_sum, log_sines=len(tab.log_sines))
+    logs, exp = tab.log_sines_aligned
+    share = tab.rule(cos=sum(map(abs, logs)) * Fraction(2) ** exp, log_sines=len(logs))
 
-    def component(v: mpmath.mpf) -> Real:
-        return Real.ball((v._mpf_, tab.radius(v._mpf_, share)), wp)
+    def ball(raw: Pair) -> Real:
+        re, im = raw[0]._mpf_, raw[1]._mpf_
+        return Real.ball(hypot_raw(re, tab.radius(re, share), im, tab.radius(im, share), wp), wp)
 
-    return lambda raw: hypot(*map(component, raw))
+    return ball
 
 
 class LU(NamedTuple):
@@ -271,9 +275,9 @@ def determinant_check(p: int, prec: int = 128) -> DeterminantCheck:
 
     pre, pim = mpmath.mpf(1), mpmath.mpf(0)
     entries = []
-    for chi in enumerate_characters(p, even_only=True):
-        e = chi.exponents[0] // 2
-        sre, sim = factors[e]
+    # slot e holds the e-th even character, the one with exponent 2e
+    for e, (sre, sim) in enumerate(factors):
+        chi = DirichletCharacter(p, (2 * e,))
         with mp.workprec(wp):
             pre, pim = pre * sre - pim * sim, pre * sim + pim * sre
         value = Complex(Real(sre, prec), Real(sim, prec))

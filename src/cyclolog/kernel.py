@@ -12,9 +12,11 @@ uniform policy is
   result in ``Real(value, prec)``,
 * a value whose error is bounded carries that bound as its radius
   (``Real.rad``, an upper bound rounded up to ``RADIUS_PREC`` bits), and a
-  Real built by rounding adds its rounding to the radius; a sum over the
-  tables takes its radius from their summation rule (``Tables.radius``),
-  and a ball operation here (:func:`div_raw`, :func:`hypot`) adds its own,
+  Real built by rounding adds its rounding to the radius; every radius is
+  composed on raw (value, radius) mpf pairs, a sum over the tables by their
+  summation rule (``Tables.radius``) and a ball operation here
+  (:func:`div_raw`, :func:`hypot_raw`) adding its own rounding, and
+  becomes a Real once, by :meth:`Real.ball`,
 * "is this zero?" questions go through :func:`classify_zero`, which
   returns Zero / NonZero / Indeterminate instead of a bare boolean: NonZero
   only when a radius excludes 0 (rigorous, under the tables' assumption that
@@ -49,7 +51,6 @@ from mpmath.libmp import (
     mpf_gt,
     mpf_hypot,
     mpf_lt,
-    mpf_mul,
     round_ceiling,
     round_nearest,
     to_str,
@@ -110,27 +111,6 @@ def half_ulp_raw(x: tuple, prec: int) -> tuple:
     return from_man_exp(1, exp + bc - 1 - prec) if man else fzero
 
 
-def half_ulp(x: mpmath.mpf, prec: int) -> mpmath.mpf:
-    """:func:`half_ulp_raw` of an mpf."""
-    return mp.make_mpf(half_ulp_raw(x._mpf_, prec))
-
-
-def radius_sum(*radii: mpmath.mpf) -> mpmath.mpf:
-    """The sum of non-negative radii, each partial sum rounded up to
-    ``RADIUS_PREC`` bits, so the result is an upper bound of the exact sum."""
-    total = fzero
-    for r in radii:
-        total = mpf_add(total, r._mpf_, RADIUS_PREC, round_ceiling)
-    return mp.make_mpf(total)
-
-
-def radius_scaled(r: mpmath.mpf, c: Union[int, Fraction]) -> mpmath.mpf:
-    """The radius r times a rational c >= 0, with c and the product each
-    rounded up to ``RADIUS_PREC`` bits: an upper bound of r c."""
-    factor = from_rational(c.numerator, c.denominator, RADIUS_PREC, round_ceiling)
-    return mp.make_mpf(mpf_mul(r._mpf_, factor, RADIUS_PREC, round_ceiling))
-
-
 # ---------------------------------------------------------------------------
 # ball operations on raw mpfs, each adding its own rounding once
 # ---------------------------------------------------------------------------
@@ -154,11 +134,6 @@ def hypot_raw(re: tuple, rad_re: tuple, im: tuple, rad_im: tuple, wp: int) -> Tu
     mag = mpf_hypot(re, im, wp, round_nearest)
     rad = mpf_add(rad_re, rad_im, RADIUS_PREC, round_ceiling)
     return mag, mpf_add(rad, half_ulp_raw(mag, wp - 1), RADIUS_PREC, round_ceiling)
-
-
-def hypot(re: "Real", im: "Real") -> "Real":
-    """:func:`hypot_raw` of two Reals with radii, at re's precision."""
-    return Real.ball(hypot_raw(re.mpf._mpf_, re.rad._mpf_, im.mpf._mpf_, im.rad._mpf_, re.prec), re.prec)
 
 
 class Real:
@@ -189,7 +164,9 @@ class Real:
         # the rounding of +value under mp.workprec(prec), without the scope
         rounded = mpmath.mpf(value, prec=prec, rounding="n")
         if rad is not None and (converted or rounded != value):
-            rad = radius_sum(rad, half_ulp(rounded, prec))
+            # the given radius rounded up to RADIUS_PREC bits, then the half ulp
+            rad = mpf_add(fzero, rad._mpf_, RADIUS_PREC, round_ceiling)
+            rad = mp.make_mpf(mpf_add(rad, half_ulp_raw(rounded._mpf_, prec), RADIUS_PREC, round_ceiling))
         object.__setattr__(self, "mpf", rounded)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "rad", rad)

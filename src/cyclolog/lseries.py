@@ -48,6 +48,11 @@ class NonConvergentSeriesError(ValueError):
     """sum f(n)/n diverges: one full period of f does not sum to zero."""
 
 
+class ImaginaryPartError(ArithmeticError):
+    """The Fourier route gave a real-valued f an imaginary part above its
+    noise bar, an invariant violation.  The message names q."""
+
+
 def require_convergent(f: PeriodicFunction) -> None:
     if not f.has_zero_mean():
         raise NonConvergentSeriesError(
@@ -162,9 +167,9 @@ def l1(f: PeriodicFunction, route: str = "digamma", prec: int = 128) -> Real:
         with mp.workprec(wp):
             scale = 1 + abs(re) + summands
             if abs(im) > mpmath.ldexp(1, -(prec + 16)) * scale:
-                raise ArithmeticError(
-                    "fourier route produced a non-negligible imaginary part "
-                    f"({mpmath.nstr(im, 8)}) for a real-valued function"
+                raise ImaginaryPartError(
+                    f"q = {f.period}: the fourier route produced a non-negligible imaginary part"
+                    f" ({mpmath.nstr(im, 8)}) for a real-valued function"
                 )
         v = re
     return Real(v, prec)

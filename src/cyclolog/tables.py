@@ -38,10 +38,12 @@ by at most sum_a |c_a| eps_family + 1/2 ulp.  That rule is formed in one
 place, in two steps: :meth:`Tables.rule` gives the share
 sum_a |c_a| eps_family of the weights, once for all the sums that share
 them (every factor of a prime, every function of a scan), and
-:meth:`Tables.radius` adds a sum's own 1/2 ulp.  What follows a sum is a
-ball operation of ``kernel``.  Each eps_family is a power of two cached in
-the (q, wp) entry: ``eps_log_sines``, ``eps_roots`` (for cos and sin),
-``eps_cot`` and ``eps_psi``, each derived in its docstring.
+:meth:`Tables.radius` adds a sum's own 1/2 ulp, both on raw mpf tuples.
+What follows a sum is a ball operation of ``kernel`` on the raw (value,
+radius) pair, which ``Real.ball`` makes a Real once.  Each eps_family is a
+power of two cached in the (q, wp) entry: ``eps_log_sines``, ``eps_roots``
+(for cos and sin), ``eps_cot`` and ``eps_psi``, each derived in its
+docstring.
 The derivations take u = 2^-wp, round to nearest with relative error at
 most u, and rest on one assumption (``ONE_ULP_ASSUMPTION``): mpmath's log,
 sinpi, cospi, pi and euler return at wp bits a value y within 1 ulp of the
@@ -61,11 +63,11 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
-    from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_shift,
+    from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_mul, mpf_shift,
     round_ceiling, round_nearest,
 )
 
-from .kernel import RADIUS_PREC, const_raw, fold, half_ulp_raw, log_2sin_raw, man_exp, radius_scaled
+from .kernel import RADIUS_PREC, const_raw, fold, half_ulp_raw, log_2sin_raw, man_exp
 
 # the per-entry bound of each family a sum reads
 _EPS = {"log_sines": "eps_log_sines", "log_basis_values": "eps_log_sines",
@@ -138,13 +140,6 @@ class Tables:
         8u + 2u (n + 1) <= 2^(n + 4) u.
         """
         return _pow2(self.q.bit_length() + 4 - self.wp)
-
-    @cached_property
-    def log_sines_abs_sum(self) -> Fraction:
-        """sum_k |t_k| over the log-sine entries, exactly: the weight of the
-        roots in a sum of their products with the log-sines (S_chi)."""
-        logs, exp = self.log_sines_aligned
-        return sum(map(abs, logs)) * Fraction(2) ** exp
 
     @cached_property
     def log_basis_values(self) -> Tuple[mpmath.mpf, ...]:
@@ -280,7 +275,8 @@ class Tables:
         it once; :meth:`radius` adds each sum's own 1/2 ulp."""
         share = fzero
         for family, weight in weights.items():
-            scaled = radius_scaled(getattr(self, _EPS[family]), weight)._mpf_
+            factor = from_rational(weight.numerator, weight.denominator, RADIUS_PREC, round_ceiling)
+            scaled = mpf_mul(getattr(self, _EPS[family])._mpf_, factor, RADIUS_PREC, round_ceiling)
             share = mpf_add(share, scaled, RADIUS_PREC, round_ceiling)
         return share
 

@@ -331,8 +331,8 @@ MUTANTS = (
     Mutant(
         "S_chi radius: the log-sine entry errors left out",
         "dedekind.py",
-        "tab.rule(cos=tab.log_sines_abs_sum, log_sines=len(tab.log_sines))",
-        "tab.rule(cos=tab.log_sines_abs_sum)",
+        "tab.rule(cos=sum(map(abs, logs)) * Fraction(2) ** exp, log_sines=len(logs))",
+        "tab.rule(cos=sum(map(abs, logs)) * Fraction(2) ** exp)",
         ("tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",),
     ),
     Mutant(
@@ -344,6 +344,13 @@ MUTANTS = (
             "tests/test_radius.py::test_the_rule_radius_is_the_documented_bound[psi-64]",
             "tests/test_radius.py::test_s_chi_radius_is_the_documented_bound[13-128]",
         ),
+    ),
+    Mutant(
+        "summation rule: each weight rounded down before it scales its eps",
+        "tables.py",
+        "from_rational(weight.numerator, weight.denominator, RADIUS_PREC, round_ceiling)",
+        'from_rational(weight.numerator, weight.denominator, RADIUS_PREC, "f")',
+        ("tests/test_kernel.py::test_radius_arithmetic_rounds_up_to_its_precision",),
     ),
     Mutant(
         "summation rule: the log basis values charged the roots' eps",

@@ -483,6 +483,15 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
     assert "error" in json.loads(out)
 
 
+def test_a_fourier_imaginary_part_exits_4_naming_q(capsys, monkeypatch):
+    import cyclolog.lseries as lseries
+
+    monkeypatch.setattr(lseries, "l1_fourier_raw", lambda f, wp: (mpmath.mpf(1), mpmath.mpf(1)))
+    code, payload = run_json(capsys, "lseries", "--q", "3", "--f", "1,-1,0", "--route", "fourier")
+    assert code == 4
+    assert "q = 3" in payload["error"] and "imaginary part" in payload["error"]
+
+
 def test_inconclusive_exits_3(capsys, monkeypatch):
     import cyclolog.cli as cli_mod
     from cyclolog.scans import InconclusiveClassificationError

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, to_str
+from mpmath.libmp import from_man_exp, fzero, mpf_add, round_ceiling, to_str
 
 from cyclolog.kernel import (
     MAX_ESCALATIONS,
@@ -25,13 +25,10 @@ from cyclolog.kernel import (
     decimal_digits,
     div_raw,
     fold,
-    half_ulp,
-    hypot,
+    half_ulp_raw,
     hypot_raw,
     log_2sin,
     log_2sin_raw,
-    radius_scaled,
-    radius_sum,
     to_mpf,
     working_prec,
 )
@@ -345,7 +342,9 @@ def test_a_real_built_by_rounding_adds_its_rounding_to_the_radius():
     r = mpmath.mpf(2) ** -60
     x = Real(third, 40, r)
     assert exact(x.rad) >= exact(r) + abs(exact(x.mpf) - exact(third))
-    assert x.rad == radius_sum(r, half_ulp(x.mpf, 40))
+    # r rounded up to RADIUS_PREC bits, then the half ulp added, rounding up
+    r_up = mpf_add(fzero, r._mpf_, RADIUS_PREC, round_ceiling)
+    assert x.rad._mpf_ == mpf_add(r_up, half_ulp_raw(x.mpf._mpf_, 40), RADIUS_PREC, round_ceiling)
     # a value that fits adds nothing; a Real built from a Real keeps its radius
     assert Real(mpmath.mpf("0.25"), 40, r).rad == r
     assert Real(x, 80).rad == x.rad and x.round_to(80).rad == x.rad
@@ -356,20 +355,27 @@ def test_a_real_built_by_rounding_adds_its_rounding_to_the_radius():
     assert exact(y.rad) >= abs(exact(y.mpf) - Fraction(1, 3))
 
 
+# the eps of each family Tables.rule charges, one per attribute
+RULE_EPS = {"log_sines": "eps_log_sines", "cos": "eps_roots", "cot": "eps_cot", "psi": "eps_psi"}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.fractions(min_value=0, max_value=10**6), min_size=1, max_size=6),
-    st.fractions(min_value=0, max_value=10**6),
-    st.integers(min_value=-400, max_value=400),
+    st.dictionaries(st.sampled_from(sorted(RULE_EPS)), st.fractions(min_value=0, max_value=10**6), min_size=1),
+    st.sampled_from((3, 12, 101)),
+    st.sampled_from((32, 96, 400)),
 )
-def test_radius_arithmetic_rounds_up_to_its_precision(terms, c, shift):
-    radii = [to_mpf(t * Fraction(2) ** shift, 200) for t in terms]
-    total = radius_sum(*radii)
-    exact_total = sum(map(exact, radii))
-    assert exact_total <= exact(total) <= exact_total * (1 + Fraction(len(radii) + 1, 2 ** (RADIUS_PREC - 1)))
-    scaled = radius_scaled(total, c)
-    assert exact(total) * c <= exact(scaled)
-    assert exact(scaled) <= exact(total) * c * (1 + Fraction(1, 2 ** (RADIUS_PREC - 2)))
+def test_radius_arithmetic_rounds_up_to_its_precision(weights, q, wp):
+    # each weight * eps and each partial sum rounded up to RADIUS_PREC bits:
+    # at least the exact share, and above it by one rounding per step at most
+    tab = tables(q, wp)
+    terms = [c * exact(getattr(tab, RULE_EPS[family])) for family, c in weights.items()]
+    share = exact(mp.make_mpf(tab.rule(**weights)))
+    assert sum(terms) <= share <= sum(terms) * (1 + Fraction(len(terms) + 1, 2 ** (RADIUS_PREC - 1)))
+    # one weight alone: its scaling, above c eps by less than 2^-(RADIUS_PREC - 2) of it
+    (family, c), *_ = weights.items()
+    scaled = exact(mp.make_mpf(tab.rule(**{family: c})))
+    assert terms[0] <= scaled <= terms[0] * (1 + Fraction(1, 2 ** (RADIUS_PREC - 2)))
 
 
 BALL_VALUES = st.builds(
@@ -420,7 +426,7 @@ def test_the_hypot_ball_encloses_every_exact_magnitude(re, rad_re, im, rad_im, s
     for a in ball_points(exact(re), exact(rad_re)):
         for b in ball_points(exact(im), exact(rad_im)):
             assert root_within(a * a + b * b, exact(mag), exact(out))
-    ball = hypot(Real(re, wp, rad_re), Real(im, wp, rad_im))
+    ball = Real.ball(hypot_raw(re._mpf_, rad_re._mpf_, im._mpf_, rad_im._mpf_, wp), wp)
     assert (ball.mpf._mpf_, ball.rad._mpf_) == (mag._mpf_, out._mpf_)  # the Real form, bit for bit
 
 
@@ -430,9 +436,9 @@ def test_half_ulp_bounds_every_rounding_to_nearest(prec):
     for _ in range(200):
         v = mp.make_mpf(from_man_exp(rng.getrandbits(400) | 1, rng.randint(-500, 100)))
         rounded = Real(v, prec).mpf
-        assert abs(exact(rounded) - exact(v)) <= exact(half_ulp(rounded, prec))
-    assert half_ulp(mpmath.mpf(0), prec) == 0
-    assert half_ulp(mpmath.mpf(1), prec) == mpmath.mpf(2) ** -prec
+        assert abs(exact(rounded) - exact(v)) <= exact(mp.make_mpf(half_ulp_raw(rounded._mpf_, prec)))
+    assert half_ulp_raw(fzero, prec) == fzero
+    assert mp.make_mpf(half_ulp_raw(mpmath.mpf(1)._mpf_, prec)) == mpmath.mpf(2) ** -prec
 
 
 # ---------------------------------------------------------------------------

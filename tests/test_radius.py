@@ -15,7 +15,7 @@ from mpmath.libmp import to_rational
 
 from cyclolog.characters import PeriodicFunction, enumerate_characters, is_prime
 from cyclolog.dedekind import determinant_check, s_chi_raw
-from cyclolog.kernel import Real, classify_zero, const_raw, half_ulp, working_prec
+from cyclolog.kernel import Real, classify_zero, const_raw, half_ulp_raw, working_prec
 from cyclolog.lseries import l1_digamma_raw, trig_sums_raw
 from cyclolog.relations import LogBasis, RelationVector, enumerate_relations, linear_form_raw, verify_relation
 from cyclolog.scans import bbw_function, dichotomy, evaluate, scan, sign_function
@@ -27,6 +27,11 @@ from oracles import relation_residual_reference, witness_verdict
 def exact(x) -> Fraction:
     """An mpf (or a raw mpf tuple) as the Fraction it equals."""
     return Fraction(*to_rational(getattr(x, "_mpf_", x)))
+
+
+def half_ulp(x: mpmath.mpf, wp: int) -> Fraction:
+    """Half an ulp of x at wp bits, exactly."""
+    return exact(half_ulp_raw(x._mpf_, wp))
 
 
 def magnitude(raw, wp: int) -> mpmath.mpf:
@@ -140,7 +145,7 @@ def test_evaluate_radius_is_the_documented_bound(f, prec, balls):
     q, wp = f.period, working_prec(prec)
     value = l1_digamma_raw(f, wp).mpf
     total = tables(q, wp).weighted_sum("psi", f.exact_values)
-    bound = (f.abs_sum * exact(tables(q, wp).eps_psi) + exact(half_ulp(total, wp))) / q + exact(half_ulp(value, wp))
+    bound = (f.abs_sum * exact(tables(q, wp).eps_psi) + half_ulp(total, wp)) / q + half_ulp(value, wp)
     evaluate(f, prec)
     (x,) = balls
     assert x.mpf == value
@@ -221,7 +226,7 @@ def test_the_rule_radius_is_the_documented_bound(family, prec):
     weight = Fraction(123, 7)
     for value in (mpmath.mpf(0), mpmath.mpf(1) / 3, -mpmath.mpf(2) ** 40 / 3):
         value = Real(value, wp).mpf
-        bound = weight * exact(getattr(tab, DOCUMENTED_EPS[family])) + exact(half_ulp(value, wp))
+        bound = weight * exact(getattr(tab, DOCUMENTED_EPS[family])) + half_ulp(value, wp)
         assert bound <= exact(tab.radius(value._mpf_, tab.rule(**{family: weight}))) <= bound * (1 + Fraction(1, 2**28))
 
 
@@ -240,7 +245,7 @@ def test_s_chi_radius_is_the_documented_bound(p, prec, balls):
     factors = s_chi_raw(p, wp)
     for x, chi in zip(balls, chars):
         re, im = factors[chi.exponents[0] // 2]
-        bound = 2 * terms + exact(half_ulp(re, wp)) + exact(half_ulp(im, wp)) + 2 * exact(half_ulp(x.mpf, wp))
+        bound = 2 * terms + half_ulp(re, wp) + half_ulp(im, wp) + 2 * half_ulp(x.mpf, wp)
         assert bound <= exact(x.rad) <= bound * (1 + Fraction(1, 2**27))
 
 

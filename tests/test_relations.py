@@ -19,6 +19,7 @@ from mpmath import mp
 
 import cyclolog.relations as relations_mod
 from cyclolog.characters import is_prime
+from cyclolog.intrel import relation_lattice_rank
 from cyclolog.kernel import fold, working_prec
 from cyclolog.relations import (
     LOG2_SLOT,
@@ -222,6 +223,41 @@ def test_enumerate_builds_each_class_once(q, expected, monkeypatch):
     enumerate_relations(q)
     assert len(calls) == sum(_phi(d) // 2 for d in range(3, q) if q % d == 0) == expected
     assert len({(d, min(a % d, d - a % d)) for a, d in calls}) == len(calls)
+
+
+def unit_rank_dimension(q):
+    """#slots - 1 - (phi(q)/2 - 1 + omega(q)): the dimension of the rational
+    relations among the slot values of q (PI among the slots), as circular
+    units have finite index in the units of Q(zeta_q)^+ and each prime
+    p | q adds one log p (Sinnott 1978; Washington, ch. 8)."""
+    omega = sum(1 for p in range(2, q + 1) if q % p == 0 and is_prime(p))
+    return len(LogBasis.for_modulus(q).slots) - 1 - (_phi(q) // 2 - 1 + omega)
+
+
+COMPOSITES = [q for q in range(4, 121) if not is_prime(q)]
+# the composite moduli <= 120 whose constructed rank is below the dimension:
+# enumerate_relations builds only the classes (d, +-a mod d) with gcd(a, q) = 1
+RANK_SHORT = {20, 30, 42, 45, 52, 56, 60, 66, 68, 70, 72, 78, 80, 84, 90,
+              100, 102, 104, 105, 110, 114, 116, 120}
+
+
+def test_constructed_rank_never_exceeds_the_unit_rank_dimension():
+    for q in COMPOSITES:
+        assert enumerate_relations(q)[1] <= unit_rank_dimension(q), q
+
+
+@pytest.mark.parametrize("q", (20, 30, 36, 40, 42, 44, 45, 46))
+def test_lattice_rank_equals_the_unit_rank_dimension(q):
+    assert relation_lattice_rank(q, 10**6, 256).rank == unit_rank_dimension(q)
+
+
+@pytest.mark.parametrize("q", [
+    pytest.param(q, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the relation family is incomplete")) if q in RANK_SHORT else q
+    for q in COMPOSITES
+])
+def test_constructed_rank_equals_the_unit_rank_dimension(q):
+    assert enumerate_relations(q)[1] == unit_rank_dimension(q)
 
 
 def test_canonical_scales_to_coprime_integers():
