@@ -23,21 +23,27 @@ working-precision values exactly, as dyadic Fractions.  Their L-values and
 trig sums classify Zero (numeric-only evidence, by construction); the
 even-q member l = q - 1 is admitted too, but its L is not zero.
 
-Scans are embarrassingly parallel over sign vectors.  Worker processes
-(not threads: the arithmetic context is process-global) each take
-contiguous ranges of enumeration ranks and return one row per function,
-in order: its signs, class tag, exact |L|, L text and canonical JSON line.
-A function's sums are exact integer sums over the aligned tables, read
-from its plus positions alone, each formed once and rounded once.  The cos
-sums depend only on how many plus positions fold onto each index, so they
-repeat across a range: each is rounded and rendered once per distinct exact
-integer in its range.  The scan joins the ranges in enumeration order, so
-output bytes do not depend on the worker count; it counts classes, keys
-the store from the same rows and takes the minimum over the exact |L|.  It
-parses nothing but the minimum's text; of the lines already stored, only
-those that differ from every recomputed line are parsed again.  A store
-whose last line was cut inside its record by a torn write is cut back to
-the line before it, and that record is appended again.
+Scans are embarrassingly parallel over sign vectors, and they come in
+complementary pairs: in lexicographic order of the plus sets, the
+complement of the plus set of rank i has rank C - 1 - i, and it is the plus
+set of -f, whose every sum is the negation of f's.  Worker processes (not
+threads: the arithmetic context is process-global) each take contiguous
+ranges of the ranks below C/2 and return, in order, one row per function
+and one for its complement: its signs, class tag, exact |L|, L text and
+canonical JSON line.  The complement's row is the function's, its signs and
+texts negated, so a scan evaluates half the functions.  A function's sums
+are exact integer sums over the aligned tables, read from its plus
+positions alone, each formed once and rounded once.  The cos sums depend
+only on how many plus positions fold onto each index, so they repeat across
+a range: each is rounded and rendered once per distinct exact integer in
+its range.  The scan joins the rows of the first half in rank order, then
+the complement rows in reverse, so output bytes do not depend on the worker
+count; it counts classes, keys the store from the same rows and takes the
+minimum over the exact |L|.  It parses nothing but the minimum's text; of
+the lines already stored, only those that differ from every recomputed line
+are parsed again.  A store whose last line was cut inside its record by a
+torn write is cut back to the line before it, and that record is appended
+again.
 """
 
 from __future__ import annotations
@@ -222,36 +228,42 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
 # the scan itself
 # ---------------------------------------------------------------------------
 
-def _render(
-    q: int, signs: Tuple[int, ...], prec: int, tag: str, value: mpmath.mpf, cot: mpmath.mpf,
-    cos_texts: Sequence[str],
-) -> Tuple[str, str]:
-    """(L text, canonical JSON line) of a scan record; ``cos_texts``, the
-    cos sums already rendered to ``decimal_digits(prec)`` digits, in order
-    of b.
+def _render(q: int, signs: Tuple[int, ...], prec: int, tag: str, texts: Sequence[str]) -> Tuple[str, str]:
+    """(L text, canonical JSON line) of a scan record whose ``texts`` are its
+    L, its cot sum and its cos sums in order of b, each rendered to
+    ``decimal_digits(prec)`` digits.
 
     The line is filled into one fixed template, the bytes ``canonical_json``
     gives the record dict with keys q, signs, L, prec, class, cot_sum,
     cos_sums: every value is an int, a class tag or a decimal text, none of
     which JSON escapes, so no dict is built and nothing is serialized.
     """
-    digits = decimal_digits(prec)
-    l_text = dec_str(value, digits)
+    l_text, cot_text, *cos_texts = texts
     cos_line = '","'.join(cos_texts)
     line = (
         f'{{"q":{q},"signs":[{",".join(map(str, signs))}],"L":"{l_text}","prec":{prec},'
-        f'"class":"{tag}","cot_sum":"{dec_str(cot, digits)}","cos_sums":["{cos_line}"]}}'
+        f'"class":"{tag}","cot_sum":"{cot_text}","cos_sums":["{cos_line}"]}}'
     )
     return l_text, line
+
+
+def _negated(text: str) -> str:
+    """``dec_str(-x, digits)`` from ``text = dec_str(x, digits)``: the sign
+    stands in front of the digits of |x|, and zero renders "0.0" either way."""
+    if text == "0.0":
+        return text
+    return text[1:] if text[0] == "-" else "-" + text
 
 
 # (signs, class tag, |L| as a raw mpf, L text, canonical JSON line)
 Row = Tuple[Tuple[int, ...], str, tuple, str, str]
 
 
-def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
-    """The rows of the sign functions mod q whose enumeration ranks lie in
-    [start, stop), in order; pure in (q, prec, start, stop).
+def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Tuple[Row, Row]]:
+    """(row, its complement's row) for each sign function mod q whose
+    enumeration rank lies in [start, stop), in order; pure in (q, prec,
+    start, stop).  The complement of the function of rank i is -f, of rank
+    C - 1 - i among the C admissible functions.
 
     Each of a function's (q + 3)/2 sums, psi, cot and cos for
     b = 1..(q-1)/2, is sum_a f(a) T_a = 2 sum_{a in P} T_a - sum_a T_a over
@@ -263,9 +275,18 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
     does not decide NonZero is classified from that ball, escalated to
     ``l1_digamma_raw`` of its sign function at more bits.
 
+    The row of -f is the row of f with its signs negated and its L, cot and
+    cos texts negated by :func:`_negated`, its tag and |L| kept, and that is
+    exact: every sum of -f is the negated exact integer, and each rounding,
+    ``from_man_exp`` and ``mpf_div`` by -q, is to nearest on the magnitude;
+    the radius depends on |x| alone, so the rule decides -f as it decides f;
+    ``l1_digamma_raw(-f, w) = -l1_digamma_raw(f, w)`` exactly, so an
+    escalated class carries over; and ``dec_str`` prints the sign in front
+    of the digits of |x|.
+
     A cos sum is rounded and rendered once per distinct exact integer in
     the range, then its text is reused: the cos sums share one exponent,
-    so the integer alone names the text, and f and -f have negated sums.
+    so the integer alone names the text.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)
@@ -285,7 +306,7 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
             texts[n] = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)
         return texts[n]
 
-    rows = []
+    pairs = []
     for positions in islice(combinations(range(q - 1), (q - 1) // 2), start, stop):
         psi_n, cot_n, *cos_ns = [
             2 * plus - total for plus, total in zip(map(sum, zip(*(columns[i] for i in positions))), totals)
@@ -298,10 +319,17 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Row]:
         else:
             ball = Real.ball((raw, rad), wp)
             tag = classify_zero(ball, prec, lambda w: l1_digamma_raw(sign_function(q, signs), w)).tag
-        cot_sum = mp.make_mpf(from_man_exp(cot_n, cot_exp, wp, round_nearest))
-        l_text, line = _render(q, signs, prec, tag, mp.make_mpf(raw), cot_sum, [cos_text(n) for n in cos_ns])
-        rows.append((signs, tag, magnitude, l_text, line))
-    return rows
+        row_texts = [
+            dec_str(mp.make_mpf(raw), digits),
+            dec_str(mp.make_mpf(from_man_exp(cot_n, cot_exp, wp, round_nearest)), digits),
+            *map(cos_text, cos_ns),
+        ]
+        twin = tuple(-s for s in signs)
+        pairs.append((
+            (signs, tag, magnitude, *_render(q, signs, prec, tag, row_texts)),
+            (twin, tag, magnitude, *_render(q, twin, prec, tag, [_negated(t) for t in row_texts])),
+        ))
+    return pairs
 
 
 def _minimum(rows: Sequence[Row]) -> Tuple[str, Tuple[int, ...]]:
@@ -362,9 +390,11 @@ def scan(
     """Evaluate and classify L(1, f) for every admissible sign function mod q.
 
     Deterministic for any worker count: each worker evaluates contiguous
-    ranges of enumeration ranks (:func:`_scan_range`, pure in its range) and
-    the ranges are joined in order.  The minimum |L| is taken over the exact
-    values (:func:`_minimum`); nothing is parsed but its text.
+    ranges of the ranks below C/2 (:func:`_scan_range`, pure in its range,
+    which also gives the rows of their complements), the ranges are joined
+    in order and the complement rows follow in reverse, which is rank order.
+    The minimum |L| is taken over the exact values (:func:`_minimum`);
+    nothing is parsed but its text.
     """
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -380,15 +410,18 @@ def scan(
             q=q, prec=prec, admissible_count=0, min_abs_l=None,
             argmin_signs=None, class_counts={}, reason="parity",
         )
-    count = comb(q - 1, (q - 1) // 2)
+    # C(q - 1, (q - 1)/2) is even: ranks [0, half) and their complements
+    half = comb(q - 1, (q - 1) // 2) // 2
     # the fork start method forks every max_workers process on the first
     # submit, with no upper bound; output does not depend on the count
     workers = min(workers, os.cpu_count() or 1)
     # about 8 ranges a worker, so that the pool can balance them
-    bounds = [count * k // (workers * 8) for k in range(workers * 8 + 1)] if workers > 1 else [0, count]
+    bounds = [half * k // (workers * 8) for k in range(workers * 8 + 1)] if workers > 1 else [0, half]
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
-        rows = list(chain.from_iterable(mapper(_scan_range, repeat(q), repeat(prec), bounds[:-1], bounds[1:])))
+        pairs = list(chain.from_iterable(mapper(_scan_range, repeat(q), repeat(prec), bounds[:-1], bounds[1:])))
+    # rank C - 1 - i is the complement of rank i: the second half in reverse
+    rows = [row for row, _ in pairs] + [twin for _, twin in reversed(pairs)]
     counts = dict(Counter(row[1] for row in rows))
     keyed = [((q, signs, prec), line) for signs, _, _, _, line in rows]
     if store is not None:

@@ -433,6 +433,27 @@ MUTANTS = (
         ("tests/test_scan.py::test_batched_scan_equals_the_per_function_evaluation[5-64-1]",),
     ),
     Mutant(
+        "scan pairs: the complement rows joined in forward order",
+        "scans.py",
+        "[twin for _, twin in reversed(pairs)]",
+        "[twin for _, twin in pairs]",
+        ("tests/test_scan.py::test_every_row_a_scan_emits_is_the_evaluation_of_its_own_signs[64-radius]",),
+    ),
+    Mutant(
+        "scan pairs: the complement's cot text left unnegated",
+        "scans.py",
+        "[_negated(t) for t in row_texts]",
+        "[_negated(row_texts[0]), row_texts[1], *map(_negated, row_texts[2:])]",
+        ("tests/test_scan.py::test_every_row_a_scan_emits_is_the_evaluation_of_its_own_signs[64-radius]",),
+    ),
+    Mutant(
+        "scan pairs: a zero text negated to -0.0",
+        "scans.py",
+        'if text == "0.0":\n        return text',
+        'if text == "0.0":\n        return "-0.0"',
+        ("tests/test_scan.py::test_a_negated_text_is_the_text_of_the_negated_value",),
+    ),
+    Mutant(
         "dec_str: a 5 on the rounding digit rounds down",
         "kernel.py",
         'text[digits] in "56789"',

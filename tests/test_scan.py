@@ -9,8 +9,10 @@ from math import comb
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import mpf_abs
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_neg, to_str
 
 from cyclolog.characters import PeriodicFunction
 from cyclolog.kernel import (
@@ -31,6 +33,7 @@ from cyclolog.scans import (
     ScanStore,
     ScanStoreDisagreement,
     _minimum,
+    _negated,
     bbw_function,
     dichotomy,
     evaluate,
@@ -73,6 +76,17 @@ def test_enumerate_even_q_is_empty():
 def test_admissible_count_formula(q):
     report = scan(q, 64)
     assert report.admissible_count == len(report.records) == comb(q - 1, (q - 1) // 2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 15])
+def test_complementing_the_plus_set_reverses_the_rank(q):
+    # the order is decided by the least element of the symmetric difference,
+    # and complementing moves that element to the other side
+    ranked = list(combinations(range(q - 1), (q - 1) // 2))
+    count = len(ranked)
+    assert count % 2 == 0
+    for i, plus in enumerate(ranked):
+        assert ranked[count - 1 - i] == tuple(sorted(set(range(q - 1)) - set(plus)))
 
 
 def test_sign_function_validation():
@@ -231,25 +245,31 @@ def test_scan_matches_decomposition_per_function():
                 assert abs(vec.value.mpf - scanned) < mpmath.mpf(10) ** -44
 
 
+def evaluated_record(q, signs, prec):
+    """The scan record of one sign function, by evaluate and dec_str."""
+    digits = decimal_digits(prec)
+    value, cls, cot, cos_sums = evaluate(sign_function(q, signs), prec)
+    return {
+        "q": q,
+        "signs": list(signs),
+        "L": dec_str(value, digits),
+        "prec": prec,
+        "class": cls.tag,
+        "cot_sum": dec_str(cot, digits),
+        "cos_sums": [dec_str(cos_sums[b], digits) for b in sorted(cos_sums)],
+    }
+
+
 @lru_cache(maxsize=None)
 def per_function_scan(q, prec):
     """(records, min_abs_L text, argmin signs) by evaluate and dec_str for each
     function in enumeration order, and a strict-< minimum over the L texts
     parsed back at working precision."""
-    digits, wp = decimal_digits(prec), working_prec(prec)
+    wp = working_prec(prec)
     lines, low, argmin = [], None, None
     for positions in combinations(range(q - 1), (q - 1) // 2):
         signs = tuple(1 if i in positions else -1 for i in range(q - 1))
-        value, cls, cot, cos_sums = evaluate(sign_function(q, signs), prec)
-        record = {
-            "q": q,
-            "signs": list(signs),
-            "L": dec_str(value, digits),
-            "prec": prec,
-            "class": cls.tag,
-            "cot_sum": dec_str(cot, digits),
-            "cos_sums": [dec_str(cos_sums[b], digits) for b in sorted(cos_sums)],
-        }
+        record = evaluated_record(q, signs, prec)
         lines.append(canonical_json(record))
         with mp.workprec(wp):
             parsed = abs(mpmath.mpf(record["L"]))
@@ -270,11 +290,62 @@ def test_batched_scan_equals_the_per_function_evaluation(q, prec, workers):
     assert report.argmin_signs == argmin
 
 
+@pytest.mark.parametrize("escalate", [False, True], ids=["radius", "escalated"])
+@pytest.mark.parametrize("prec", [64, 192])
+def test_every_row_a_scan_emits_is_the_evaluation_of_its_own_signs(prec, escalate, monkeypatch):
+    import cyclolog.scans as scans
+
+    calls = []
+    original = scans.classify_zero
+
+    def counting(x, target, recompute=None):
+        calls.append(target)
+        return original(x, target, recompute)
+
+    monkeypatch.setattr(scans, "classify_zero", counting)
+    if escalate:
+        # no L radius decides at wp, in the scan and in evaluate alike
+        monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(working_prec(prec)))
+    for q in (3, 5, 7, 9, 11, 13):
+        count = comb(q - 1, (q - 1) // 2)
+        calls.clear()
+        report = scan(q, prec)
+        # one classification per complementary pair, where the radius cannot decide
+        assert len(calls) == (count // 2 if escalate else 0)
+        assert len(report.records) == count
+        for i, (line, positions) in enumerate(zip(report.records, combinations(range(q - 1), (q - 1) // 2))):
+            record = json.loads(line)
+            assert record["signs"] == [1 if j in positions else -1 for j in range(q - 1)], (q, i)
+            assert line == canonical_json(evaluated_record(q, tuple(record["signs"]), prec)), (q, i)
+
+
+@settings(max_examples=300, deadline=None)
+@example(0, 20)
+@example(-12345, 10)  # -12345.0
+@example((3, -2), 5)  # 0.75
+@example((-3, -40), 10)  # -2.728484105e-12
+@example((1, 200), 40)  # 1.606938044258990275541962092341162602522e+60
+@given(
+    st.one_of(
+        st.just(0),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.tuples(st.integers(min_value=-(2**200), max_value=2**200), st.integers(min_value=-700, max_value=200)),
+    ),
+    st.integers(min_value=1, max_value=100),
+)
+def test_a_negated_text_is_the_text_of_the_negated_value(x, digits):
+    # 0, whole numbers (the ".0" form) and both fixed and scientific notation
+    man, exp = (x, 0) if isinstance(x, int) else x
+    v = from_man_exp(man, exp)
+    assert _negated(dec_str(mp.make_mpf(v), digits)) == dec_str(mp.make_mpf(mpf_neg(v)), digits)
+    assert _negated(to_str(v, digits)) == to_str(mpf_neg(v), digits)
+
+
 def test_scan_renders_each_distinct_cos_sum_once_per_range(monkeypatch):
     import cyclolog.scans as scans
 
     q, prec = 15, 192
-    count = comb(q - 1, (q - 1) // 2)
+    half = comb(q - 1, (q - 1) // 2) // 2
     rendered = []
     dec_str_ = scans.dec_str
 
@@ -283,18 +354,20 @@ def test_scan_renders_each_distinct_cos_sum_once_per_range(monkeypatch):
         return dec_str_(x, digits)
 
     monkeypatch.setattr(scans, "dec_str", counting)
-    rows = scans._scan_range(q, prec, 0, count)
-    # L and the cot sum of each function, and each of the 1,948 distinct exact
-    # integers the 24,024 cos sums of the 3,432 functions take at wp 256
-    assert len(rendered) == 2 * count + 1948
+    pairs = scans._scan_range(q, prec, 0, half)
+    # L and the cot sum of each of the 1,716 functions of the first half, and
+    # each of the 1,934 distinct exact integers their 12,012 cos sums take at
+    # wp 256; the complements' texts are negated, not rendered
+    assert len(pairs) == half
+    assert len(rendered) == 2 * half + 1934
     monkeypatch.undo()
     for bounds in (
-        [0, count // 2, count],
-        [count * k // 16 for k in range(17)],
-        [0, 1, 2, 1000, count - 1, count],
+        [0, half // 2, half],
+        [half * k // 16 for k in range(17)],
+        [0, 1, 2, 1000, half - 1, half],
     ):
         ranges = [scans._scan_range(q, prec, a, b) for a, b in zip(bounds, bounds[1:])]
-        assert [row for part in ranges for row in part] == rows
+        assert [pair for part in ranges for pair in part] == pairs
 
 
 def test_minimum_keeps_the_first_of_values_that_render_alike():
@@ -330,7 +403,8 @@ def test_a_radius_that_cannot_decide_sends_every_record_to_escalation(monkeypatc
     # no L radius decides at wp: each verdict must come from an escalated ball
     monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(working_prec(prec)))
     escalated = scan(q, prec)
-    assert len(verdicts) == comb(q - 1, (q - 1) // 2)
+    # one verdict per complementary pair, which -f shares with f
+    assert len(verdicts) == comb(q - 1, (q - 1) // 2) // 2
     assert all(v.is_nonzero and v.rigorous and v.residual.prec > working_prec(prec) for v in verdicts)
     assert escalated.to_payload(include_records=True) == reference.to_payload(include_records=True)
     assert scan(q, prec, workers=2).records == reference.records
@@ -356,7 +430,8 @@ def test_an_undecided_record_is_classified_from_the_sums_the_scan_holds(monkeypa
     report = scan(q, prec)
     assert report.class_counts == {NONZERO: comb(q - 1, (q - 1) // 2)}
     assert calls["trig_sums_raw"] == []
-    assert len(calls["l1_digamma_raw"]) == comb(q - 1, (q - 1) // 2)
+    # one escalation per complementary pair: -f takes the class of f
+    assert len(calls["l1_digamma_raw"]) == comb(q - 1, (q - 1) // 2) // 2
     assert all(w >= wp + 32 for w in calls["l1_digamma_raw"])
 
 
@@ -379,13 +454,17 @@ def test_the_batch_applies_the_rule_to_the_radius_evaluate_gives(monkeypatch):
     monkeypatch.setattr(scans, "classify_zero", capture)
     scan(q, prec)
     assert not balls  # every record decided by the rule
+    # the rule runs once per complementary pair: f of the first half and -f
+    # both have the radius evaluate gives, and the |L| the rule saw
+    half = comb(q - 1, (q - 1) // 2) // 2
+    assert len(applied) == half
     for positions, (mag, rad, target) in zip(combinations(range(q - 1), (q - 1) // 2), applied):
         signs = tuple(1 if i in positions else -1 for i in range(q - 1))
-        evaluate(sign_function(q, signs), prec)
-        (x, want_target), = balls
-        balls.clear()
-        assert (mag, rad, target) == (mpf_abs(x.mpf._mpf_), x.rad._mpf_, want_target)
-    assert len(applied) == comb(q - 1, (q - 1) // 2)
+        for s in (signs, tuple(-v for v in signs)):
+            evaluate(sign_function(q, s), prec)
+            (x, want_target), = balls
+            balls.clear()
+            assert (mag, rad, target) == (mpf_abs(x.mpf._mpf_), x.rad._mpf_, want_target)
 
 
 def test_scan_record_schema():
