@@ -380,7 +380,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="exhaustive sign-function scan")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="at most this many worker processes, and no more than the usable CPUs (default: the CPU "
+        "count); a scan too small to repay a worker runs in process",
+    )
     p.add_argument("--store", type=str, default=DEFAULT_STORE, help="JSONL scan store path ('' disables)")
     p.add_argument("--per-function", action="store_true", help="include per-function records")
     common(p)

@@ -454,6 +454,27 @@ MUTANTS = (
         ("tests/test_scan.py::test_a_negated_text_is_the_text_of_the_negated_value",),
     ),
     Mutant(
+        "scan workers: the pair threshold ignored, so a request for two forks at any q",
+        "scans.py",
+        "min(workers, _usable_cpus()) if half >= 2 * MIN_PAIRS_PER_WORKER else 1",
+        "min(workers, _usable_cpus())",
+        ("tests/test_scan.py::test_only_q19_is_large_enough_to_fork[15-2-pool_sizes0]",),
+    ),
+    Mutant(
+        "scan workers: capped at one worker per MIN_PAIRS_PER_WORKER pairs as well as at the CPUs",
+        "scans.py",
+        "min(workers, _usable_cpus()) if half >= 2 * MIN_PAIRS_PER_WORKER else 1",
+        "max(1, min(workers, _usable_cpus(), half // MIN_PAIRS_PER_WORKER))",
+        ("tests/test_scan.py::test_only_q19_is_large_enough_to_fork[19-8-pool_sizes3]",),
+    ),
+    Mutant(
+        "scan workers: capped at the machine's CPU count, not the affinity set",
+        "scans.py",
+        "return len(os.sched_getaffinity(0))",
+        "return os.cpu_count() or 1",
+        ("tests/test_scan.py::test_scan_workers_are_capped_at_the_affinity_set[one]",),
+    ),
+    Mutant(
         "dec_str: a 5 on the rounding digit rounds down",
         "kernel.py",
         'text[digits] in "56789"',

@@ -222,7 +222,7 @@ def test_criterion_10_integer_relation_recovery():
     )
 
 
-def test_criterion_11_scan_determinism_across_threads(tmp_path, capsys):
+def test_criterion_11_scan_determinism_across_threads(fork_small_scans, tmp_path, capsys):
     store1 = tmp_path / "scan-1.jsonl"
     store8 = tmp_path / "scan-8.jsonl"
     code1 = cli_main(["scan", "--q", "9", "--threads", "1", "--store", str(store1)])

@@ -2,6 +2,7 @@
 functions, and the append-only scan store."""
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -136,16 +137,17 @@ def test_scan_rejects_out_of_bounds():
         scan(2, 128)
 
 
-def test_scan_worker_count_is_invisible_in_output():
+def test_scan_worker_count_is_invisible_in_output(fork_small_scans):
     seq = scan(5, 160, workers=1)
     par = scan(5, 160, workers=2)
     assert seq.records == par.records
     assert seq.to_payload() == par.to_payload()
 
 
-@pytest.mark.parametrize("cpus,pool_sizes", [(2, [2]), (None, [])])
-def test_scan_workers_are_capped_at_the_cpu_count(cpus, pool_sizes, monkeypatch):
-    # a fake pool that maps serially: no process is started
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """The worker counts of the pools the scans make, each a fake that maps
+    serially, so no process is started."""
     import cyclolog.scans as scans_mod
 
     made = []
@@ -164,17 +166,77 @@ def test_scan_workers_are_capped_at_the_cpu_count(cpus, pool_sizes, monkeypatch)
             return map(fn, *iterables)
 
     monkeypatch.setattr(scans_mod, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(scans_mod.os, "cpu_count", lambda: cpus)
+    return made
+
+
+def usable_cpus(monkeypatch, affinity=None, cpus=None):
+    """The CPUs a scan sees: an affinity set, or without one (a platform
+    that has no ``sched_getaffinity``) the machine's count."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus,pool_sizes", [(2, [2]), (None, [])])
+def test_scan_workers_are_capped_at_the_cpu_count(cpus, pool_sizes, fork_small_scans, serial_pools, monkeypatch):
+    # no affinity set: the machine's count, or one CPU where it is unknown
+    usable_cpus(monkeypatch, cpus=cpus)
     capped = scan(5, 64, workers=10**6)
-    assert made == pool_sizes
+    assert serial_pools == pool_sizes
     assert capped.to_payload(True) == scan(5, 64, workers=1).to_payload(True)
+
+
+@pytest.mark.parametrize("affinity,pool_sizes", [({0, 5}, [2]), ({3}, [])], ids=["two", "one"])
+def test_scan_workers_are_capped_at_the_affinity_set(affinity, pool_sizes, fork_small_scans, serial_pools, monkeypatch):
+    # a cpuset-limited process: the host's count is not the CPUs it may use
+    usable_cpus(monkeypatch, affinity=affinity, cpus=8)
+    capped = scan(5, 64, workers=10**6)
+    assert serial_pools == pool_sizes
+    assert capped.to_payload(True) == scan(5, 64, workers=1).to_payload(True)
+
+
+@pytest.mark.parametrize("q,workers,pool_sizes", [(15, 2, []), (17, 8, []), (19, 2, [2]), (19, 8, [8])])
+def test_only_q19_is_large_enough_to_fork(q, workers, pool_sizes, serial_pools, monkeypatch):
+    import cyclolog.scans as scans
+
+    class Evaluated(Exception):
+        pass
+
+    def no_evaluation(*args):
+        raise Evaluated
+
+    # the worker count is chosen before any range is evaluated; at most
+    # 6,435 pairs (q <= 17) do not repay a worker's fork, whatever the
+    # request, and q = 19 forks every worker asked for that has a CPU
+    monkeypatch.setattr(scans, "_scan_range", no_evaluation)
+    usable_cpus(monkeypatch, affinity=range(8))
+    with pytest.raises(Evaluated):
+        scan(q, 192, workers=workers)
+    assert serial_pools == pool_sizes
+
+
+@pytest.mark.parametrize("threshold,workers,pool_sizes", [(17, 2, [2]), (17, 3, [3]), (18, 2, [])])
+def test_workers_fork_only_when_a_split_in_two_reaches_the_threshold(
+    threshold, workers, pool_sizes, serial_pools, monkeypatch
+):
+    import cyclolog.scans as scans
+
+    # q = 9 has 35 complementary pairs: two shares of 17, not of 18; past
+    # the threshold the request alone counts, though three shares are of 11
+    monkeypatch.setattr(scans, "MIN_PAIRS_PER_WORKER", threshold)
+    usable_cpus(monkeypatch, affinity=range(8))
+    report = scan(9, 64, workers=workers)
+    assert serial_pools == pool_sizes
+    assert report.to_payload(True) == scan(9, 64, workers=1).to_payload(True)
 
 
 @pytest.mark.parametrize(
     "store_pass", [None, "write", "verify"], ids=["no-store", "fresh-store", "verify-store"]
 )
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scan_folds_records_without_parsing_them(workers, store_pass, monkeypatch, tmp_path):
+def test_scan_folds_records_without_parsing_them(workers, store_pass, fork_small_scans, monkeypatch, tmp_path):
     import cyclolog.scans as scans_mod
 
     def no_parse(*args, **kwargs):
@@ -282,7 +344,7 @@ def per_function_scan(q, prec):
 @pytest.mark.parametrize(
     "q,prec", [(q, prec) for q in (3, 5, 7, 9, 11, 13) for prec in (64, 128, 192)] + [(15, 192)]
 )
-def test_batched_scan_equals_the_per_function_evaluation(q, prec, workers):
+def test_batched_scan_equals_the_per_function_evaluation(q, prec, workers, fork_small_scans):
     lines, low, argmin = per_function_scan(q, prec)
     report = scan(q, prec, workers=workers)
     assert report.records == lines
@@ -386,7 +448,7 @@ def test_minimum_keeps_the_first_of_values_that_render_alike():
     assert _minimum(rows + [((-1, 1), NONZERO, d._mpf_, dec_str(d, 3), "")]) == ("0.49", (-1, 1))
 
 
-def test_a_radius_that_cannot_decide_sends_every_record_to_escalation(monkeypatch):
+def test_a_radius_that_cannot_decide_sends_every_record_to_escalation(fork_small_scans, monkeypatch):
     import cyclolog.scans as scans
 
     q, prec = 9, 128

@@ -280,8 +280,10 @@ DEMO_STDOUT = {
 }
 
 
+# fork_small_scans: the one entry on more than one worker forks them, as
+# q = 19 does; the rest run in process either way
 @pytest.mark.parametrize("argv,digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
-def test_golden_stdout(argv, digest, capsys, monkeypatch):
+def test_golden_stdout(argv, digest, fork_small_scans, capsys, monkeypatch):
     monkeypatch.delenv("CYCLOLOG_PREC", raising=False)
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
