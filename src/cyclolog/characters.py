@@ -295,7 +295,7 @@ def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmat
     q = f.period
     tab = tables(q, wp)
     half = range(1, q // 2 + 1)
-    cos, sin = (tab.harmonic_sums(family, f.exact_values, len(half), q) for family in ("cos", "sin"))
+    cos, sin = (tab.harmonic_sums(family, f.exact_values, len(half)) for family in ("cos", "sin"))
     nums, d = f.exact_values
     out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {}
     with mp.workprec(wp):

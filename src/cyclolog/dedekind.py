@@ -98,7 +98,7 @@ def s_chi_raw(p: int, wp: int) -> List[Pair]:
     for a, t in enumerate(logs, 1):
         weights[(dlog[a][0] - 1) % r] = t
     roots = tables(r, wp)
-    re, im = (roots.harmonic_sums(family, (weights, 1 << -log_exp), r, r) for family in ("cos", "sin"))
+    re, im = (roots.harmonic_sums(family, (weights, 1 << -log_exp), r) for family in ("cos", "sin"))
     return list(zip(re[-1:] + re[:-1], im[-1:] + im[:-1]))
 
 

@@ -202,7 +202,8 @@ def trig_sums_raw(
     q = f.period
     tab = tables(q, wp)
     bs = range(1, (q - 1) // 2 + 1)
-    cos = tab.harmonic_sums("cos", f.exact_values, len(bs), q - 1)
+    nums, d = f.exact_values
+    cos = tab.harmonic_sums("cos", (nums[: q - 1], d), len(bs))
     return tab.weighted_sum("cot", f.exact_values), dict(zip(bs, cos))
 
 

@@ -26,27 +26,28 @@ even-q member l = q - 1 is admitted too, but its L is not zero.
 Scans are embarrassingly parallel over sign vectors, and they come in
 complementary pairs: in lexicographic order of the plus sets, the complement
 of the plus set of rank i has rank C - 1 - i, and it is the plus set of -f,
-whose every sum is the negation of f's.  Worker processes (not threads: the
-arithmetic context is process-global) each take contiguous ranges of the
-ranks below C/2.  The worker count asked for is an upper bound, cut to the
-CPUs this process may run on; a scan whose C/2 pairs split in two gives
+whose every sum is the negation of f's.  The ranks below C/2 are cut once,
+into one contiguous range per worker process (not thread: the arithmetic
+context is process-global), which builds its columns, its rule share and its
+cos-text memo once.  The worker count asked for is an upper bound, cut to
+the CPUs this process may run on; a scan whose C/2 pairs split in two gives
 shares of fewer than ``MIN_PAIRS_PER_WORKER`` pairs, too few to repay a
-worker's start, runs its single range in process.  Each range gives, in
-order, one row per function and one for its complement: its signs, class
-tag, exact |L|, L text and canonical JSON line.  The complement's row is the
-function's, its signs and texts negated, so a scan evaluates half the
-functions.  A function's sums are exact integer sums over the aligned tables,
-read from its plus positions alone, each formed once and rounded once.  The
-cos sums depend only on how many plus positions fold onto each index, so
-they repeat across a range: each is rounded and rendered once per distinct
-exact integer in its range.  The scan joins the rows of the first half in
-rank order, then the complement rows in reverse, so output bytes do not
-depend on the worker count; it counts classes, keys the store from the same
-rows and takes the minimum over the exact |L|.  It parses nothing but the
-minimum's text; of the lines already stored, only those that differ from
-every recomputed line are parsed again.  A store whose last line was cut
-inside its record by a torn write is cut back to the line before it, and
-that record is appended again.
+worker's start, runs in process as the one range [0, C/2).  Each range
+gives, in order, one row per function and one for its complement: its signs,
+class tag, exact |L|, L text and canonical JSON line.  The complement's row
+is the function's, its signs and texts negated, so a scan evaluates half the
+functions.  A function's sums are exact integer sums over the aligned
+tables, read from its plus positions alone, each formed once and rounded
+once.  The cos sums depend only on how many plus positions fold onto each
+index, so they repeat across a range: each is rounded and rendered once per
+distinct exact integer in its range.  The scan joins the rows of the first
+half in rank order, then the complement rows in reverse, so output bytes do
+not depend on the worker count or the cut; it counts classes, keys the store
+from the same rows and takes the minimum over the exact |L|.  It parses
+nothing but the minimum's text; of the lines already stored, only those that
+differ from every recomputed line are parsed again.  A store whose last line
+was cut inside its record by a torn write is cut back to the line before it,
+and that record is appended again.
 """
 
 from __future__ import annotations
@@ -391,7 +392,8 @@ SCAN_BOUND = 19  # desk scale: the count is a central binomial
 # 10 F / c pairs, 4,500-8,800, keeps F within a tenth of the work it moves
 # off the parent; the medians (F 27-31 ms, c 42 us) give about 7,000.
 # A scan forks only where a split in two gives each worker such a share,
-# and then as many workers as asked for and the CPUs allow.  Any value from
+# and then as many workers as asked for and the CPUs allow, each on one
+# range with one cos-text memo, so F is paid once a worker.  Any value from
 # 3,218 to 12,155 sorts the odd q <= 19 alike: q <= 17 (at most 6,435 pairs)
 # runs in process, and q = 19 (24,310 pairs) forks.
 MIN_PAIRS_PER_WORKER = 7000
@@ -414,14 +416,14 @@ def scan(
 ) -> ScanReport:
     """Evaluate and classify L(1, f) for every admissible sign function mod q.
 
-    Deterministic for any worker count: each worker evaluates contiguous
-    ranges of the ranks below C/2 (:func:`_scan_range`, pure in its range,
-    which also gives the rows of their complements), the ranges are joined
-    in order and the complement rows follow in reverse, which is rank order.
-    ``workers`` is an upper bound: where C/2 is at least
-    2 * ``MIN_PAIRS_PER_WORKER`` pairs the scan forks
-    ``min(workers, usable CPUs)`` processes, if that is at least 2, and
-    otherwise it evaluates the one range [0, C/2) in process.  The minimum
+    Deterministic for any worker count: the ranks below C/2 are cut into
+    one contiguous range per process, each evaluated by
+    :func:`_scan_range` (pure in its range, which also gives the rows of
+    their complements), the ranges are joined in order and the complement
+    rows follow in reverse, which is rank order.  ``workers`` is an upper
+    bound: where C/2 is at least 2 * ``MIN_PAIRS_PER_WORKER`` pairs the scan
+    forks ``min(workers, usable CPUs)`` processes, if that is at least 2,
+    and otherwise it evaluates the one range [0, C/2) in process.  The minimum
     |L| is taken over the exact values (:func:`_minimum`); nothing is
     parsed but its text.
     """
@@ -446,8 +448,8 @@ def scan(
     # a half whose split in two gives shares below MIN_PAIRS_PER_WORKER runs
     # in process; output does not depend on the count
     workers = min(workers, _usable_cpus()) if half >= 2 * MIN_PAIRS_PER_WORKER else 1
-    # about 8 ranges a worker, so that the pool can balance them
-    bounds = [half * k // (workers * 8) for k in range(workers * 8 + 1)] if workers > 1 else [0, half]
+    # one contiguous range a process, so each builds its columns and memo once
+    bounds = [half * k // workers for k in range(workers + 1)]
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
         pairs = list(chain.from_iterable(mapper(_scan_range, repeat(q), repeat(prec), bounds[:-1], bounds[1:])))

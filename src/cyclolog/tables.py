@@ -296,14 +296,12 @@ class Tables:
         nums, d = weights
         return _rounded(sum(map(mul, nums, entries)), exp, d, self.wp)
 
-    def harmonic_sums(
-        self, family: str, weights: Tuple[Sequence[int], int], count: int, upto: int
-    ) -> List[mpmath.mpf]:
-        """sum(c_a * t[(a k) mod q] for a = 1..upto) for k = 1..count, where t
-        is the "cos" or "sin" table and c_a = nums[a - 1] / d for ``weights``
-        = (nums, d): each the exact integer sum_a n_a T_(ak mod q) over the
-        aligned family, rounded to nearest once at wp bits, as in
-        :meth:`weighted_sum`.  Needs upto <= q.
+    def harmonic_sums(self, family: str, weights: Tuple[Sequence[int], int], count: int) -> List[mpmath.mpf]:
+        """sum(c_a * t[(a k) mod q] for a = 1..len(nums)) for k = 1..count,
+        where t is the "cos" or "sin" table and c_a = nums[a - 1] / d for
+        ``weights`` = (nums, d): each the exact integer sum_a n_a T_(ak mod q)
+        over the aligned family, rounded to nearest once at wp bits, as in
+        :meth:`weighted_sum`.  Needs len(nums) <= q.
 
         All count sums come from one big-integer accumulation.  Slot k of
         column a holds T_(ak mod q) + 2^(W-1) in W bits, with W the whole
@@ -320,7 +318,6 @@ class Tables:
             return []
         entries, exp = getattr(self, family + "_aligned")
         nums, d = weights
-        nums = nums[:upto]
         width = (max(map(abs, entries)).bit_length() + sum(map(abs, nums)).bit_length() + 8) // 8
         bias = 1 << (8 * width - 1)
         cycle = [(t + bias).to_bytes(width, "big") for t in entries] * (count + 1)

@@ -146,8 +146,8 @@ MUTANTS = (
     Mutant(
         "Fourier transform: the a = q column dropped from the rows",
         "characters.py",
-        "tab.harmonic_sums(family, f.exact_values, len(half), q)",
-        "tab.harmonic_sums(family, f.exact_values, len(half), q - 1)",
+        "tab.harmonic_sums(family, f.exact_values, len(half))",
+        "tab.harmonic_sums(family, (f.exact_values[0][:-1], f.exact_values[1]), len(half))",
         ("tests/test_characters.py::test_transform_is_the_exact_table_sums_over_q[integers-q30-128]",),
     ),
     Mutant(
@@ -180,6 +180,13 @@ MUTANTS = (
         "enumerate(nums, 1)) if q % 2 == 0",
         "enumerate(nums[:-1], 1)) if q % 2 == 0",
         ("tests/test_lseries.py::test_decompose_handles_nonzero_value_at_q",),
+    ),
+    Mutant(
+        "lseries.l1: L rounded to prec - 1 bits",
+        "lseries.py",
+        "    return Real(v, prec)\n",
+        "    return Real(v, prec - 1)\n",
+        ("tests/test_agreement.py::test_decompose_prints_the_lseries_l[9-64]",),
     ),
     Mutant(
         "Fourier route: the sign of the hi * arg term flipped",
@@ -466,6 +473,13 @@ MUTANTS = (
         "min(workers, _usable_cpus()) if half >= 2 * MIN_PAIRS_PER_WORKER else 1",
         "max(1, min(workers, _usable_cpus(), half // MIN_PAIRS_PER_WORKER))",
         ("tests/test_scan.py::test_only_q19_is_large_enough_to_fork[19-8-pool_sizes3]",),
+    ),
+    Mutant(
+        "scan ranges: the last worker's range stops one pair short",
+        "scans.py",
+        "bounds = [half * k // workers for k in range(workers + 1)]",
+        "bounds = [half * k // workers - (k == workers) for k in range(workers + 1)]",
+        ("tests/test_scan.py::test_workers_fork_only_when_a_split_in_two_reaches_the_threshold[17-2-pool_sizes0]",),
     ),
     Mutant(
         "scan workers: capped at the machine's CPU count, not the affinity set",

@@ -50,7 +50,8 @@ def kinds(q):
 def assert_slots_match(tab, family, f, count, upto):
     q, wp = tab.q, tab.wp
     table = getattr(tab, family)
-    got = tab.harmonic_sums(family, f.exact_values, count, upto)
+    nums, d = f.exact_values
+    got = tab.harmonic_sums(family, (nums[:upto], d), count)
     want = [
         weighted_sum_reference(f, table, [(a * k) % q for a in range(1, upto + 1)], wp)
         for k in range(1, count + 1)
@@ -86,7 +87,7 @@ def test_no_sums_for_a_count_of_zero():
     f = function("integers", 2)
     for wp in PRECISIONS:
         tab = tables(2, wp)
-        assert tab.harmonic_sums("cos", f.exact_values, 0, 1) == []
+        assert tab.harmonic_sums("cos", f.exact_values, 0) == []
         assert trig_sums_raw(f, wp)[1] == {}
         assert_slots_match(tab, "cos", f, 1, 2)
         assert_slots_match(tab, "sin", f, 1, 2)

@@ -194,7 +194,7 @@ def test_every_radius_of_a_sum_encloses_its_4wp_evaluation(f, prec, balls):
     weights = f.exact_values
     rule = [(family, tab.weighted_sum(family, weights), ref.weighted_sum(family, weights)) for family in ("psi", "cot")]
     for family in ("cos", "sin"):
-        rows = zip(tab.harmonic_sums(family, weights, q, q), ref.harmonic_sums(family, weights, q, q))
+        rows = zip(tab.harmonic_sums(family, weights, q), ref.harmonic_sums(family, weights, q))
         rule += [(family, v, again) for v, again in rows]
     coeffs = weights[0][: len(tab.log_basis_values)]
     rule.append(("log_basis_values", tab.weighted_sum("log_basis_values", (coeffs, 1)),

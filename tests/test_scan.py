@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -146,15 +147,16 @@ def test_scan_worker_count_is_invisible_in_output(fork_small_scans):
 
 @pytest.fixture
 def serial_pools(monkeypatch):
-    """The worker counts of the pools the scans make, each a fake that maps
-    serially, so no process is started."""
+    """The worker counts of the pools the scans make (``sizes``) and the
+    (start, stop) rank ranges they map (``ranges``), each pool a fake that
+    maps serially, so no process is started."""
     import cyclolog.scans as scans_mod
 
-    made = []
+    made = SimpleNamespace(sizes=[], ranges=[])
 
     class SerialPool:
         def __init__(self, max_workers):
-            made.append(max_workers)
+            made.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -162,8 +164,9 @@ def serial_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+        def map(self, fn, q, prec, starts, stops, chunksize=1):
+            made.ranges += zip(starts, stops)
+            return map(fn, q, prec, starts, stops)
 
     monkeypatch.setattr(scans_mod, "ProcessPoolExecutor", SerialPool)
     return made
@@ -184,7 +187,7 @@ def test_scan_workers_are_capped_at_the_cpu_count(cpus, pool_sizes, fork_small_s
     # no affinity set: the machine's count, or one CPU where it is unknown
     usable_cpus(monkeypatch, cpus=cpus)
     capped = scan(5, 64, workers=10**6)
-    assert serial_pools == pool_sizes
+    assert serial_pools.sizes == pool_sizes
     assert capped.to_payload(True) == scan(5, 64, workers=1).to_payload(True)
 
 
@@ -193,7 +196,7 @@ def test_scan_workers_are_capped_at_the_affinity_set(affinity, pool_sizes, fork_
     # a cpuset-limited process: the host's count is not the CPUs it may use
     usable_cpus(monkeypatch, affinity=affinity, cpus=8)
     capped = scan(5, 64, workers=10**6)
-    assert serial_pools == pool_sizes
+    assert serial_pools.sizes == pool_sizes
     assert capped.to_payload(True) == scan(5, 64, workers=1).to_payload(True)
 
 
@@ -214,7 +217,7 @@ def test_only_q19_is_large_enough_to_fork(q, workers, pool_sizes, serial_pools, 
     usable_cpus(monkeypatch, affinity=range(8))
     with pytest.raises(Evaluated):
         scan(q, 192, workers=workers)
-    assert serial_pools == pool_sizes
+    assert serial_pools.sizes == pool_sizes
 
 
 @pytest.mark.parametrize("threshold,workers,pool_sizes", [(17, 2, [2]), (17, 3, [3]), (18, 2, [])])
@@ -224,11 +227,14 @@ def test_workers_fork_only_when_a_split_in_two_reaches_the_threshold(
     import cyclolog.scans as scans
 
     # q = 9 has 35 complementary pairs: two shares of 17, not of 18; past
-    # the threshold the request alone counts, though three shares are of 11
+    # the threshold the request alone counts, though three shares are of 11;
+    # the pairs are cut once, into one contiguous range a worker
+    ranges = {2: [(0, 17), (17, 35)], 3: [(0, 11), (11, 23), (23, 35)]}
     monkeypatch.setattr(scans, "MIN_PAIRS_PER_WORKER", threshold)
     usable_cpus(monkeypatch, affinity=range(8))
     report = scan(9, 64, workers=workers)
-    assert serial_pools == pool_sizes
+    assert serial_pools.sizes == pool_sizes
+    assert serial_pools.ranges == (ranges[workers] if pool_sizes else [])
     assert report.to_payload(True) == scan(9, 64, workers=1).to_payload(True)
 
 
