@@ -13,6 +13,7 @@ and then divided by q.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -21,7 +22,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_int, from_rational, mpf_div, mpf_neg, round_nearest
 
 from .kernel import to_mpf
 from .tables import tables
@@ -216,6 +217,8 @@ def enumerate_characters(q: int, even_only: bool = False) -> Tuple[DirichletChar
 # ---------------------------------------------------------------------------
 
 PeriodicValue = Union[int, Fraction]
+# text that int() and Fraction() read as the same integer, on every Python
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,11 @@ class PeriodicFunction:
 
     @classmethod
     def from_rationals(cls, q: int, values: Iterable[Union[int, Fraction, str]]) -> "PeriodicFunction":
-        return cls(q, tuple(Fraction(v) for v in values))
+        """f from its values: ints and Fractions as they are, and text read
+        as a Fraction, or as an int where it is ASCII digits with an
+        optional sign (the same value, parsed faster)."""
+        return cls(q, tuple(int(v) if isinstance(v, str) and _INTEGER_TEXT.fullmatch(v) else Fraction(v)
+                            for v in values))
 
     @cached_property
     def exact_values(self) -> Tuple[Tuple[int, ...], int]:
@@ -297,11 +304,12 @@ def fourier_transform_raw(f: PeriodicFunction, wp: int) -> Dict[int, Tuple[mpmat
     half = range(1, q // 2 + 1)
     cos, sin = (tab.harmonic_sums(family, f.exact_values, len(half)) for family in ("cos", "sin"))
     nums, d = f.exact_values
-    out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {}
-    with mp.workprec(wp):
-        out[q] = (mp.make_mpf(from_rational(sum(nums), d, wp, round_nearest)) / q, mpmath.mpf(0))
-        for k, c, s in zip(half, cos, sin):
-            re, im = c / q, s / q
-            out[q - k] = (re, im)
-            out[k] = (re, -im)
+    wq = from_int(q)
+    mean = mpf_div(from_rational(sum(nums), d, wp, round_nearest), wq, wp, round_nearest)
+    out: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]] = {q: (mp.make_mpf(mean), mpmath.mpf(0))}
+    for k, c, s in zip(half, cos, sin):
+        real = mp.make_mpf(mpf_div(c._mpf_, wq, wp, round_nearest))
+        imag = mpf_div(s._mpf_, wq, wp, round_nearest)
+        out[q - k] = (real, mp.make_mpf(imag))
+        out[k] = (real, mp.make_mpf(mpf_neg(imag)))
     return out

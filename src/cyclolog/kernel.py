@@ -50,7 +50,10 @@ from mpmath.libmp import (
     mpf_div,
     mpf_gt,
     mpf_hypot,
+    mpf_log,
     mpf_lt,
+    mpf_shift,
+    mpf_sin_pi,
     round_ceiling,
     round_nearest,
     to_str,
@@ -256,13 +259,18 @@ def fold(k: int, q: int) -> int:
     return min(k, q - k)
 
 
-def log_2sin_raw(k: int, q: int, wp: int) -> mpmath.mpf:
-    """log(2 sin(k pi / q)) at working precision, index folded to [1, q/2]."""
+def log_2sin_raw(k: int, q: int, wp: int, sinpi: Optional[tuple] = None) -> mpmath.mpf:
+    """log(2 sin(k pi / q)) at working precision, index folded to [1, q/2]:
+    the log, rounded to nearest at wp, of twice sinpi(t) for t = k/q rounded
+    to nearest at wp.  ``sinpi``, when given, is that raw sinpi(t) for the
+    folded k, as the tables evaluate it once per angle."""
     if q < 2:
         raise ValueError(f"modulus must be >= 2, got {q}")
     k = fold(k, q)
-    with mp.workprec(wp):
-        return mpmath.log(2 * mpmath.sinpi(mpmath.mpf(k) / q))
+    if sinpi is None:
+        t = mpf_div(from_int(k, wp, round_nearest), from_int(q), wp, round_nearest)
+        sinpi = mpf_sin_pi(t, wp, round_nearest)
+    return mp.make_mpf(mpf_log(mpf_shift(sinpi, 1), wp, round_nearest))
 
 
 def log_2sin(k: int, q: int, prec: int) -> Real:

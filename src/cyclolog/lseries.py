@@ -34,6 +34,7 @@ from typing import Dict, Tuple
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_sub, round_nearest
 
 from .characters import PeriodicFunction, fourier_transform_raw
 from .kernel import Real, const_raw, div_raw, to_mpf, working_prec
@@ -97,21 +98,24 @@ def l1_fourier_raw(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
 
     log(1 - zeta_q^k) = log(2 sin(k pi/q)) + i pi (k/q - 1/2), which is
     the principal branch for 0 < k < q.  Each operation of the loop is
-    rounded to nearest at wp.
+    rounded to nearest at wp: for each k, arg = pi (2k - q) / (2q), then
+    re -= hr lg - hi arg and im -= hr arg + hi lg, one rounding per
+    operation, as mpf arithmetic under ``mp.workprec(wp)`` forms it.
     """
     q = f.period
     fhat = fourier_transform_raw(f, wp)
     tab = tables(q, wp)
-    with mp.workprec(wp):
-        pi = const_raw("pi", wp)
-        re = im = mpmath.mpf(0)
-        for k in range(1, q):
-            lg = tab.log_sine(k)
-            arg = pi * (2 * k - q) / (2 * q)
-            hr, hi = fhat[k]
-            re -= hr * lg - hi * arg
-            im -= hr * arg + hi * lg
-    return re, im
+    pi = const_raw("pi", wp)._mpf_
+    two_q = from_int(2 * q)
+    rnd = round_nearest
+    re = im = fzero
+    for k in range(1, q):
+        lg = tab.log_sine(k)._mpf_
+        arg = mpf_div(mpf_mul_int(pi, 2 * k - q, wp, rnd), two_q, wp, rnd)
+        hr, hi = (h._mpf_ for h in fhat[k])
+        re = mpf_sub(re, mpf_sub(mpf_mul(hr, lg, wp, rnd), mpf_mul(hi, arg, wp, rnd), wp, rnd), wp, rnd)
+        im = mpf_sub(im, mpf_add(mpf_mul(hr, arg, wp, rnd), mpf_mul(hi, lg, wp, rnd), wp, rnd), wp, rnd)
+    return mp.make_mpf(re), mp.make_mpf(im)
 
 
 @dataclass(frozen=True)
@@ -225,10 +229,14 @@ def decompose_l1(f: PeriodicFunction, prec: int) -> DecompositionVector:
     basis = LogBasis.for_modulus(q)
     nums, d = f.exact_values
     cot_sum, cos_sums = trig_sums_raw(f, wp)
-    log_q_share = to_mpf(Fraction(2 * nums[-1], d * q), wp)
-    with mp.workprec(wp):
-        coeffs = {b: -2 * cos_sum / q - log_q_share for b, cos_sum in cos_sums.items()}
-        pi_coeff = cot_sum / (2 * q)
+    log_q_share = to_mpf(Fraction(2 * nums[-1], d * q), wp)._mpf_
+    # -2 cos_sum / q - log_q_share and cot_sum / (2q), rounded as under mp.workprec(wp)
+    rnd, wq = round_nearest, from_int(q)
+    coeffs = {
+        b: mp.make_mpf(mpf_sub(mpf_div(mpf_mul_int(c._mpf_, -2, wp, rnd), wq, wp, rnd), log_q_share, wp, rnd))
+        for b, c in cos_sums.items()
+    }
+    pi_coeff = mp.make_mpf(mpf_div(cot_sum._mpf_, from_int(2 * q), wp, rnd))
     # odd q has no log 2 slot
     alt = sum(n if a % 2 else -n for a, n in enumerate(nums, 1)) if q % 2 == 0 else 0
     log2_coeff = to_mpf(Fraction(alt, d * q), wp)

@@ -5,8 +5,12 @@ at one working precision wp.  Every route reads its cos and sin of rational
 multiples of pi from here, by sinpi/cospi: the log-sines via
 ``kernel.log_2sin_raw`` (also behind the public ``log_2sin``), the cot
 entries directly, and the rest from the roots of den for e^(2 pi i num/den).
-A roots or cot entry takes its cos and sin from one evaluation,
-``mpf_cos_sin_pi``, which rounds each as cospi and sinpi do.
+Each angle a pi/q an entry needs, 0 <= a < 2q, is evaluated once, by
+``mpf_cos_sin_pi``, which rounds its cos and sin as cospi and sinpi do, and
+kept for every family of the entry: the roots read a = 2j, the cot a and
+the log-sines the sin of a = k.  An entry with all three families
+evaluates q + q//2 angles, one with only the roots q, one with only the
+log-sines q//2.
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at the precision a zero test escalates to gets its own entry.
@@ -58,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -119,9 +123,24 @@ class Tables:
     wp: int
 
     @cached_property
+    def _angles(self) -> Dict[int, Tuple[tuple, tuple]]:
+        """The memo of :meth:`_angle`, filled as the families ask."""
+        return {}
+
+    def _angle(self, a: int) -> Tuple[tuple, tuple]:
+        """(cospi, sinpi) of a/q as raw mpfs, ``_cos_sin_pi(a, q, wp)``, for
+        0 <= a < 2q: evaluated once per angle for all the families of the
+        entry (a = 2j for the roots, a for the cot, k for the log-sines)."""
+        cs = self._angles.get(a)
+        if cs is None:
+            cs = self._angles[a] = _cos_sin_pi(a, self.q, self.wp)
+        return cs
+
+    @cached_property
     def log_sines(self) -> Tuple[mpmath.mpf, ...]:
-        """log(2 sin(k pi / q)) for k = 1..q//2."""
-        return tuple(log_2sin_raw(k, self.q, self.wp) for k in range(1, self.q // 2 + 1))
+        """log(2 sin(k pi / q)) for k = 1..q//2, from sinpi(k/q)."""
+        q, wp = self.q, self.wp
+        return tuple(log_2sin_raw(k, q, wp, self._angle(k)[1]) for k in range(1, q // 2 + 1))
 
     def log_sine(self, k: int) -> mpmath.mpf:
         """log(2 sin(k pi / q)) for any k not divisible by q, folded to [1, q/2]."""
@@ -152,9 +171,7 @@ class Tables:
     @cached_property
     def roots(self) -> Tuple[Tuple[mpmath.mpf, mpmath.mpf], ...]:
         """(cos, sin) of 2 pi j / q for j = 0..q-1."""
-        return tuple(
-            tuple(map(mp.make_mpf, _cos_sin_pi(2 * j, self.q, self.wp))) for j in range(self.q)
-        )
+        return tuple(tuple(map(mp.make_mpf, self._angle(2 * j))) for j in range(self.q))
 
     @cached_property
     def eps_roots(self) -> mpmath.mpf:
@@ -180,10 +197,7 @@ class Tables:
     @cached_property
     def cot(self) -> Tuple[mpmath.mpf, ...]:
         """cot(a pi / q) for a = 1..q-1."""
-        return tuple(
-            mp.make_mpf(mpf_div(*_cos_sin_pi(a, self.q, self.wp), self.wp, round_nearest))
-            for a in range(1, self.q)
-        )
+        return tuple(mp.make_mpf(mpf_div(*self._angle(a), self.wp, round_nearest)) for a in range(1, self.q))
 
     @cached_property
     def eps_cot(self) -> mpmath.mpf:

@@ -139,8 +139,8 @@ MUTANTS = (
     Mutant(
         "Fourier transform: the mirror's minus sign dropped",
         "characters.py",
-        "out[k] = (re, -im)",
-        "out[k] = (re, im)",
+        "out[k] = (real, mp.make_mpf(mpf_neg(imag)))",
+        "out[k] = (real, mp.make_mpf(imag))",
         ("tests/test_characters.py::test_transform_is_the_exact_table_sums_over_q[signs-q13-128]",),
     ),
     Mutant(
@@ -149,6 +149,31 @@ MUTANTS = (
         "tab.harmonic_sums(family, f.exact_values, len(half))",
         "tab.harmonic_sums(family, (f.exact_values[0][:-1], f.exact_values[1]), len(half))",
         ("tests/test_characters.py::test_transform_is_the_exact_table_sums_over_q[integers-q30-128]",),
+    ),
+    Mutant(
+        "Fourier route: re accumulated with mpf_add",
+        "lseries.py",
+        "re = mpf_sub(re, ",
+        "re = mpf_add(re, ",
+        ("tests/test_lseries.py::test_fourier_loop_keeps_the_bits_of_the_workprec_loop[128-integers]",),
+    ),
+    Mutant(
+        "value text: the int fast path drops a leading minus",
+        "characters.py",
+        "int(v) if isinstance(v, str)",
+        'int(v.lstrip("-")) if isinstance(v, str)',
+        ("tests/test_cli.py::test_value_text_keeps_the_value_or_the_error_of_its_fraction_reading[-12]",),
+    ),
+    Mutant(
+        "tables: the angle memo keyed by a mod q, so a root with 2j >= q reads the angle 2j - q",
+        "tables.py",
+        """        cs = self._angles.get(a)
+        if cs is None:
+            cs = self._angles[a] = _cos_sin_pi(a, self.q, self.wp)""",
+        """        cs = self._angles.get(a % self.q)
+        if cs is None:
+            cs = self._angles[a % self.q] = _cos_sin_pi(a, self.q, self.wp)""",
+        ("tests/test_tables.py::test_every_family_keeps_the_bits_of_its_per_family_builder[7-96]",),
     ),
     Mutant(
         "has_zero_mean: f(q) left out of the period sum",
@@ -191,8 +216,8 @@ MUTANTS = (
     Mutant(
         "Fourier route: the sign of the hi * arg term flipped",
         "lseries.py",
-        "re -= hr * lg - hi * arg",
-        "re -= hr * lg + hi * arg",
+        "re = mpf_sub(re, mpf_sub(mpf_mul(hr, lg",
+        "re = mpf_sub(re, mpf_add(mpf_mul(hr, lg",
         ("tests/test_lseries.py::test_route_agreement_random_sample",),
     ),
     Mutant(

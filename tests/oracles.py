@@ -10,9 +10,10 @@ loops summed by fsum, a relation's residual as an mpf loop summed by
 fsum, the determinant by LU in mpf arithmetic) or an
 exact helper (rational span membership, Euler's phi, a character's
 exponent t and its conjugate, a Complex as an mpc) that a test checks a
-route's output with.  ``witness_verdict`` is the older zero test that
-error radii replaced: a recompute at doubled precision that must agree on
-the leading bits, kept as an independent reference for the radius verdicts.
+route's output with, or a seeded input (``raw_loop_function``).
+``witness_verdict`` is the older zero test that error radii replaced: a
+recompute at doubled precision that must agree on the leading bits, kept
+as an independent reference for the radius verdicts.
 
 ``exact_sum_reference`` is the exact oracle of the tables' summation rule:
 a sum of products of table entries and weights, formed over Fractions and
@@ -22,6 +23,7 @@ so they agree with it only within a bound in ulps, which each test states.
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -183,6 +185,22 @@ def trig_sums_reference(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, Dict[
             for b in range(1, (q - 1) // 2 + 1)
         }
     return cot, cos_sums
+
+
+# the moduli on which the raw libmp loops are checked against their mpf forms
+RAW_LOOP_MODULI = (*range(2, 41), 60, 120, 300)
+
+
+def raw_loop_function(q: int, kind: str) -> PeriodicFunction:
+    """A seeded zero-mean function mod q, with f(q) != 0 in general: integer
+    values in [-9, 9] (``kind`` "integers") or Fractions with denominators
+    up to 12 (``kind`` "fractions")."""
+    rng = random.Random(f"{kind}-{q}")
+    if kind == "integers":
+        values = [rng.randint(-9, 9) for _ in range(q - 1)]
+    else:
+        values = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(q - 1)]
+    return PeriodicFunction(q, (*values, -sum(values)))
 
 
 def gauss_sum_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from cyclolog.characters import (
     DirichletCharacter,
@@ -29,11 +30,13 @@ from cyclolog.kernel import Real, to_mpf, working_prec
 from cyclolog.scans import bbw_function
 from cyclolog.tables import tables
 from oracles import (
+    RAW_LOOP_MODULI,
     conjugate,
     euler_phi,
     exact_sum_reference,
     gauss_sum,
     inverse_fourier,
+    raw_loop_function,
     to_mpc,
     value_exponent,
     weighted_sum_reference,
@@ -443,6 +446,36 @@ def test_transform_is_the_exact_table_sums_over_q(name, wp):
         mean = exact_sum_reference(((v, 1) for v in f.values), wp) / q
         assert [x._mpf_ for x in fhat[q]] == [mean._mpf_, mpmath.mpf(0)._mpf_]
         assert fhat[q][0] == to_mpf(f.mean_sum(), wp) / q
+
+
+def reference_transform_divisions(f, wp):
+    """fourier_transform_raw with its divisions by q in mpf arithmetic under
+    ``mp.workprec(wp)``."""
+    q = f.period
+    tab = tables(q, wp)
+    half = range(1, q // 2 + 1)
+    cos, sin = (tab.harmonic_sums(family, f.exact_values, len(half)) for family in ("cos", "sin"))
+    nums, d = f.exact_values
+    out = {}
+    with mp.workprec(wp):
+        out[q] = (mp.make_mpf(from_rational(sum(nums), d, wp, round_nearest)) / q, mpmath.mpf(0))
+        for k, c, s in zip(half, cos, sin):
+            re, im = c / q, s / q
+            out[q - k] = (re, im)
+            out[k] = (re, -im)
+    return out
+
+
+@pytest.mark.parametrize("kind", ("integers", "fractions"))
+@pytest.mark.parametrize("prec", (64, 128, 256))
+def test_transform_divisions_keep_the_bits_of_the_workprec_loop(prec, kind):
+    wp = working_prec(prec)
+    for q in RAW_LOOP_MODULI:
+        f = raw_loop_function(q, kind)
+        got, want = fourier_transform_raw(f, wp), reference_transform_divisions(f, wp)
+        assert sorted(got) == sorted(want) == list(range(1, q + 1))
+        for k in got:
+            assert [x._mpf_ for x in got[k]] == [x._mpf_ for x in want[k]], (q, k)
 
 
 @pytest.mark.parametrize("wp", (20, working_prec(128)))

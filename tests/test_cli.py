@@ -3,6 +3,7 @@ agreement across --prec doublings, and the environment override."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -101,6 +102,52 @@ def test_f_text_builds_the_function_through_from_rationals():
     f = _parse_f(" 1/2, -5/12 ,-1/12", 3)
     assert f == PeriodicFunction.from_rationals(3, ["1/2", "-5/12", "-1/12"])
     assert f.values == (Fraction(1, 2), Fraction(-5, 12), Fraction(-1, 12))
+
+
+def fraction_reading(cls, q, values):
+    """from_rationals reading every value by Fraction, the int fast path left out."""
+    return cls(q, tuple(Fraction(v) for v in values))
+
+
+# the int fast path reads ASCII digits with an optional sign; everything else,
+# "1_0" (an error before Python 3.11) and the Arabic-Indic 3 (U+0663) among it, by Fraction
+VALUE_TEXTS = ("1/2", "3.0", "1_0", "\u0663", "+3", "-0", "", "-12", "007", " 4", "1e3")
+
+
+@pytest.mark.parametrize("text", VALUE_TEXTS)
+def test_value_text_keeps_the_value_or_the_error_of_its_fraction_reading(text):
+    from cyclolog.characters import PeriodicFunction
+
+    try:
+        want = Fraction(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            PeriodicFunction.from_rationals(1, [text])
+    else:
+        (got,) = PeriodicFunction.from_rationals(1, [text]).values
+        assert got == want and str(got) == str(want)
+
+
+@pytest.mark.parametrize("text", VALUE_TEXTS)
+def test_lseries_on_value_text_keeps_the_exit_and_output_of_its_fraction_reading(capsys, monkeypatch, text):
+    # "{text},0" has mean f(1): a nonzero value exits 2 (divergent), a
+    # malformed one 1 with the message naming the input
+    from cyclolog.characters import PeriodicFunction
+
+    argv = ("lseries", "--q", "2", f"--f={text},0")
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(PeriodicFunction, "from_rationals", classmethod(fraction_reading))
+    assert got == run_cli(capsys, *argv)
+
+
+def test_lseries_payload_f_is_the_same_for_int_and_fraction_text(capsys, monkeypatch):
+    from cyclolog.characters import PeriodicFunction
+
+    ints = run_cli(capsys, "lseries", "--q", "6", "--f=+3,-0,1/2,-12,007,3/2", "--route", "fourier")
+    assert ints[0] == 0, ints[2]
+    assert json.loads(ints[1])["f"] == ["3", "0", "1/2", "-12", "7", "3/2"]
+    monkeypatch.setattr(PeriodicFunction, "from_rationals", classmethod(fraction_reading))
+    assert run_cli(capsys, "lseries", "--q", "6", "--f=3/1,0/1,1/2,-12/1,7/1,3/2", "--route", "fourier") == ints
 
 
 @pytest.mark.parametrize(

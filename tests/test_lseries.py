@@ -19,16 +19,20 @@ from mpmath.libmp import from_rational, round_nearest
 
 from cyclolog import lseries
 from cyclolog.characters import DirichletCharacter, PeriodicFunction, enumerate_characters, fourier_transform_raw
-from cyclolog.kernel import Real, classify_zero, const, working_prec
+from cyclolog.kernel import Real, classify_zero, const, const_raw, to_mpf, working_prec
 from cyclolog.lseries import (
     NonConvergentSeriesError,
     decompose_l1,
     digamma_raw,
     l1,
     l1_direct_result,
+    trig_sums_raw,
 )
+from cyclolog.relations import PI_SLOT, LogBasis
 from cyclolog.scans import bbw_function
+from cyclolog.tables import tables
 from oracles import (
+    RAW_LOOP_MODULI,
     conjugate,
     digamma_series,
     digamma_series_raw,
@@ -36,6 +40,7 @@ from oracles import (
     hurwitz_zeta,
     l1_chi_raw,
     l1_chi_via_gauss,
+    raw_loop_function,
     value_exponent,
 )
 from test_tables import GOLDEN_F60
@@ -504,3 +509,63 @@ def test_stability_doubling_analytic_operations(prec):
         for lo, hi in pairs:
             scale = max(1, abs(hi))
             assert abs(lo - hi) <= scale * mpmath.mpf(2) ** (-(prec - 16))
+
+
+def reference_l1_fourier_raw(f, wp):
+    """The Fourier route's loop in mpf arithmetic under ``mp.workprec(wp)``."""
+    q = f.period
+    fhat = fourier_transform_raw(f, wp)
+    tab = tables(q, wp)
+    with mp.workprec(wp):
+        pi = const_raw("pi", wp)
+        re = im = mpmath.mpf(0)
+        for k in range(1, q):
+            lg = tab.log_sine(k)
+            arg = pi * (2 * k - q) / (2 * q)
+            hr, hi = fhat[k]
+            re -= hr * lg - hi * arg
+            im -= hr * arg + hi * lg
+    return re, im
+
+
+def reference_decomposition_coefficients(f, wp):
+    """decompose_l1's log-sine and pi coefficients at wp in mpf arithmetic
+    under ``mp.workprec(wp)``."""
+    q = f.period
+    nums, d = f.exact_values
+    cot_sum, cos_sums = trig_sums_raw(f, wp)
+    log_q_share = to_mpf(Fraction(2 * nums[-1], d * q), wp)
+    with mp.workprec(wp):
+        coeffs = {b: -2 * cos_sum / q - log_q_share for b, cos_sum in cos_sums.items()}
+        coeffs[PI_SLOT] = cot_sum / (2 * q)
+    return coeffs
+
+
+@pytest.mark.parametrize("kind", ("integers", "fractions"))
+@pytest.mark.parametrize("prec", (64, 128, 256))
+def test_fourier_loop_keeps_the_bits_of_the_workprec_loop(prec, kind):
+    wp = working_prec(prec)
+    for q in RAW_LOOP_MODULI:
+        f = raw_loop_function(q, kind)
+        got, want = lseries.l1_fourier_raw(f, wp), reference_l1_fourier_raw(f, wp)
+        assert [x._mpf_ for x in got] == [x._mpf_ for x in want], q
+
+
+@pytest.mark.parametrize("kind", ("integers", "fractions"))
+@pytest.mark.parametrize("prec", (64, 128, 256))
+def test_decomposition_coefficients_keep_the_bits_of_the_workprec_lines(prec, kind, monkeypatch):
+    # the coefficients at wp are what decompose_l1 hands the basis's linear form
+    forms = []
+    linear_form = lseries.linear_form_raw
+    monkeypatch.setattr(lseries, "linear_form_raw", lambda c, v, wp: forms.append(c) or linear_form(c, v, wp))
+    wp = working_prec(prec)
+    for q in RAW_LOOP_MODULI:
+        f = raw_loop_function(q, kind)
+        if not any(f.values):
+            continue
+        forms.clear()
+        decompose_l1(f, prec)
+        (coeffs,) = forms
+        got = dict(zip(LogBasis.for_modulus(q).slots, coeffs))
+        want = reference_decomposition_coefficients(f, wp)
+        assert {s: got[s]._mpf_ for s in want} == {s: c._mpf_ for s, c in want.items()}, q

@@ -13,7 +13,9 @@ from pathlib import Path
 import mpmath
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_div, round_nearest
 
+import cyclolog.tables as tables_module
 from cyclolog.characters import unit_root
 from cyclolog.cli import main
 from cyclolog.dedekind import determinant_check
@@ -21,7 +23,7 @@ from cyclolog.kernel import const_raw, log_2sin_raw, working_prec
 from cyclolog.lseries import digamma_raw
 from cyclolog.relations import LOG2_SLOT, PI_SLOT, LogBasis
 from cyclolog.scans import bbw_function, evaluate, sign_function
-from cyclolog.tables import Tables, tables
+from cyclolog.tables import Tables, _cos_sin_pi, tables
 from oracles import (
     bbw_values_reference,
     digamma_reference,
@@ -86,6 +88,76 @@ def test_one_cos_sin_evaluation_gives_the_bits_of_separate_calls(wp):
         roots, cot = separate_cospi_sinpi(q, wp)
         assert [(c._mpf_, s._mpf_) for c, s in tab.roots] == [(c._mpf_, s._mpf_) for c, s in roots], q
         assert [c._mpf_ for c in tab.cot] == [c._mpf_ for c in cot], q
+
+
+def reference_log_sines(q, wp):
+    """The log-sine entries as built one sinpi call per entry: mpmath's log of
+    twice sinpi(k/q) under ``mp.workprec(wp)``."""
+    with mp.workprec(wp):
+        return tuple(mpmath.log(2 * mpmath.sinpi(mpmath.mpf(k) / q)) for k in range(1, q // 2 + 1))
+
+
+def reference_roots(q, wp):
+    """The roots as built one evaluation per entry."""
+    return tuple(tuple(map(mp.make_mpf, _cos_sin_pi(2 * j, q, wp))) for j in range(q))
+
+
+def reference_cot(q, wp):
+    """The cot entries as built one evaluation per entry."""
+    return tuple(mp.make_mpf(mpf_div(*_cos_sin_pi(a, q, wp), wp, round_nearest)) for a in range(1, q))
+
+
+def reference_tables(q, wp):
+    """An entry whose log-sines, roots and cot are the per-family builders',
+    so every family derived from them (cos, sin, psi, the log basis values)
+    is derived from those."""
+    tab = Tables(q, wp)
+    vars(tab).update(
+        log_sines=reference_log_sines(q, wp), roots=reference_roots(q, wp), cot=reference_cot(q, wp)
+    )
+    return tab
+
+
+def raw_entries(entries):
+    return [tuple(x._mpf_ for x in t) if isinstance(t, tuple) else t._mpf_ for t in entries]
+
+
+@pytest.mark.parametrize("wp", (96, 192, 320, 640))
+@pytest.mark.parametrize("q", (*range(2, 71), 96, 120, 180, 240, 300, 301))
+def test_every_family_keeps_the_bits_of_its_per_family_builder(q, wp):
+    # the families share one evaluation per angle; the direct log_2sin_raw
+    # reads its own sinpi, by libmp calls
+    tab, ref = Tables(q, wp), reference_tables(q, wp)
+    for family in ("log_sines", "roots", "cot", "cos", "sin", "psi", "log_basis_values"):
+        assert raw_entries(getattr(tab, family)) == raw_entries(getattr(ref, family)), family
+    assert raw_entries(log_2sin_raw(k, q, wp) for k in range(1, q // 2 + 1)) == raw_entries(ref.log_sines)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 7, 12, 61, 300, 301))
+def test_each_angle_is_evaluated_once_per_entry(q, monkeypatch):
+    evaluate_angle = tables_module._cos_sin_pi
+    angles = []
+
+    def counted(num, den, wp):
+        angles.append(num)
+        return evaluate_angle(num, den, wp)
+
+    monkeypatch.setattr(tables_module, "_cos_sin_pi", counted)
+
+    def evaluations(*families):
+        angles.clear()
+        tab = Tables(q, 192)
+        for family in families:
+            getattr(tab, family)
+        assert len(set(angles)) == len(angles)
+        return len(angles)
+
+    assert evaluations("roots", "cot", "log_sines") == q + q // 2
+    assert evaluations("log_sines", "cot", "roots") == q + q // 2
+    assert evaluations("psi") == q + q // 2
+    assert evaluations("roots") == q
+    assert evaluations("log_sines") == q // 2
+    assert evaluations("cot") == q - 1
 
 
 @pytest.mark.parametrize("wp", PRECISIONS)
