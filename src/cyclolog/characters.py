@@ -150,8 +150,8 @@ def unit_group_structure(q: int) -> UnitGroupStructure:
 
 
 def unit_root(num: int, den: int, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
-    """e^(2 pi i num/den) as a (cos, sin) pair, read from the roots table of den."""
-    return tables(den, wp).roots[num % den]
+    """e^(2 pi i num/den) as a (cos, sin) pair: the angle 2 (num mod den) of den's tables."""
+    return tuple(map(mp.make_mpf, tables(den, wp).angle(2 * (num % den))))
 
 
 @dataclass(frozen=True)

@@ -199,11 +199,13 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
     Even q: the same times cos(n pi/q)/cos(pi/q),              l = 3, 5, .., q-1.
 
     Each value is the working-precision number, held exactly as the dyadic
-    Fraction it equals.  The upper half is the exact negation of the lower
-    half, so a period sums to exactly zero; the values only approximate
-    f_l, so the L-vanishing evidence they provide is numeric.  L(1, f_l)
-    vanishes for odd q and, for even q, when l <= q - 3; the even-q member
-    l = q - 1 is not in the kernel (L = pi/4 for q = 4).
+    Fraction it equals; its cos and sin of n pi/q are the angles n of the
+    tables entry of q, the one ``evaluate`` reads.  The upper half is the
+    exact negation of the lower half, so a period sums to exactly zero; the
+    values only approximate f_l, so the L-vanishing evidence they provide
+    is numeric.  L(1, f_l) vanishes for odd q and, for even q, when
+    l <= q - 3; the even-q member l = q - 1 is not in the kernel (L = pi/4
+    for q = 4).
     """
     if l % 2 == 0 or l < 3:
         raise ValueError(f"l must be odd and >= 3, got {l}")
@@ -211,12 +213,12 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
     if l > hi:
         raise ValueError(f"l must be <= {hi} for q = {q}, got {l}")
     wp = working_prec(prec)
-    roots = tables(2 * q, wp).roots  # (cos, sin) of n pi/q at index n
-    c1, s1 = roots[1]
+    tab = tables(q, wp)
+    c1, s1 = map(mp.make_mpf, tab.angle(1))
     vals: List[Fraction] = [Fraction(0)] * q
     with mp.workprec(wp):
         for n in range(1, (q + 1) // 2):
-            c, s = roots[n]
+            c, s = map(mp.make_mpf, tab.angle(n))
             v = (s / s1) ** l
             if q % 2 == 0:
                 v *= c / c1
@@ -485,8 +487,9 @@ class ScanStore:
 
     def merge(self, records: Iterable[Tuple[Tuple, str]]) -> int:
         """Append the unseen ones of ``((q, signs, prec), line)`` records and
-        return their count.  A stored line that is not a record (named by its
-        1-based number) or that disagrees raises, writing nothing.
+        return their count.  A stored line that is not a record, bytes that
+        are not UTF-8 among them, or that disagrees raises, naming its
+        1-based number and writing nothing.
 
         A stored line byte-equal to a recomputed line is that record, in
         agreement, and is not parsed.  Every other non-blank line is parsed;
@@ -502,23 +505,24 @@ class ScanStore:
         recomputed = {line: key for key, line in records}
         keys = set(recomputed.values())
         seen = set()
-        torn = False
-        cut = 0  # bytes of a torn last line, dropped before appending
+        torn, cut = False, 0  # cut: bytes of a torn last line, dropped before appending
         if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
+            # a byte that is not UTF-8 reads as a lone surrogate; parsed lines decode strictly
+            with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 for number, line in enumerate(fh, 1):
                     torn = not line.endswith("\n")
                     line = line.rstrip("\n")
                     if line in recomputed:
                         seen.add(recomputed[line])
                     elif line.strip():
+                        raw = line.encode("utf-8", "surrogateescape")
                         try:
-                            rec = json.loads(line)
+                            rec = json.loads(raw.decode("utf-8"))
                             key = (rec["q"], tuple(rec["signs"]), rec["prec"])
                             disagrees = key in keys
                         except (ValueError, KeyError, TypeError) as exc:
                             if torn:  # only the last line lacks its newline
-                                cut = len(line.encode("utf-8"))
+                                cut = len(raw)
                                 continue
                             raise ValueError(
                                 f"scan store {self.path}, line {number} is not a scan record: {exc}"

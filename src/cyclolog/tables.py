@@ -1,16 +1,14 @@
 """Per-(q, wp) tables of the numbers every route is assembled from:
 log(2 sin k pi/q) (alone and as the slot values of a relation basis), the
-roots of unity e^(2 pi i j/q), cot(a pi/q) and psi(a/q) for one modulus q
-at one working precision wp.  Every route reads its cos and sin of rational
-multiples of pi from here, by sinpi/cospi: the log-sines via
-``kernel.log_2sin_raw`` (also behind the public ``log_2sin``), the cot
-entries directly, and the rest from the roots of den for e^(2 pi i num/den).
-Each angle a pi/q an entry needs, 0 <= a < 2q, is evaluated once, by
-``mpf_cos_sin_pi``, which rounds its cos and sin as cospi and sinpi do, and
-kept for every family of the entry: the roots read a = 2j, the cot a and
-the log-sines the sin of a = k.  An entry with all three families
-evaluates q + q//2 angles, one with only the roots q, one with only the
-log-sines q//2.
+cos and sin of 2 pi j/q, cot(a pi/q) and psi(a/q) for one modulus q at one
+working precision wp.  :meth:`Tables.angle` is the one source of every cos
+and sin read at modulus q: each angle a pi/q, 0 <= a < 2q, is evaluated
+once per entry, by ``mpf_cos_sin_pi`` (its cos and sin rounded as cospi
+and sinpi round them), for every reader: cos and sin at a = 2j, cot at a,
+the log-sines (``kernel.log_2sin_raw``) at a = k, ``characters.unit_root``
+and ``scans.bbw_function``.  An entry with cos or sin, cot and the
+log-sines evaluates q + q//2 angles, one with only cos and sin q, one with
+only the log-sines q//2.
 
 :func:`tables` serves them from one bounded cache keyed by (q, wp), so a
 recompute at the precision a zero test escalates to gets its own entry.
@@ -124,13 +122,14 @@ class Tables:
 
     @cached_property
     def _angles(self) -> Dict[int, Tuple[tuple, tuple]]:
-        """The memo of :meth:`_angle`, filled as the families ask."""
+        """The memo of :meth:`angle`, filled as its readers ask."""
         return {}
 
-    def _angle(self, a: int) -> Tuple[tuple, tuple]:
+    def angle(self, a: int) -> Tuple[tuple, tuple]:
         """(cospi, sinpi) of a/q as raw mpfs, ``_cos_sin_pi(a, q, wp)``, for
-        0 <= a < 2q: evaluated once per angle for all the families of the
-        entry (a = 2j for the roots, a for the cot, k for the log-sines)."""
+        0 <= a < 2q: the one source of every cos and sin read at modulus q,
+        evaluated once per angle for all its readers (a = 2j for cos and sin,
+        a for the cot, k for the log-sines)."""
         cs = self._angles.get(a)
         if cs is None:
             cs = self._angles[a] = _cos_sin_pi(a, self.q, self.wp)
@@ -140,7 +139,7 @@ class Tables:
     def log_sines(self) -> Tuple[mpmath.mpf, ...]:
         """log(2 sin(k pi / q)) for k = 1..q//2, from sinpi(k/q)."""
         q, wp = self.q, self.wp
-        return tuple(log_2sin_raw(k, q, wp, self._angle(k)[1]) for k in range(1, q // 2 + 1))
+        return tuple(log_2sin_raw(k, q, wp, self.angle(k)[1]) for k in range(1, q // 2 + 1))
 
     def log_sine(self, k: int) -> mpmath.mpf:
         """log(2 sin(k pi / q)) for any k not divisible by q, folded to [1, q/2]."""
@@ -169,11 +168,6 @@ class Tables:
         return self.log_sines[: (self.q - 1) // 2] + tuple(const_raw(c, self.wp) for c in consts)
 
     @cached_property
-    def roots(self) -> Tuple[Tuple[mpmath.mpf, mpmath.mpf], ...]:
-        """(cos, sin) of 2 pi j / q for j = 0..q-1."""
-        return tuple(tuple(map(mp.make_mpf, self._angle(2 * j))) for j in range(self.q))
-
-    @cached_property
     def eps_roots(self) -> mpmath.mpf:
         """2^(4 - wp): a bound on the error of every cos and sin entry.
 
@@ -186,18 +180,18 @@ class Tables:
 
     @cached_property
     def cos(self) -> Tuple[mpmath.mpf, ...]:
-        """cos(2 pi j / q) for j = 0..q-1, the first components of ``roots``."""
-        return tuple(c for c, _ in self.roots)
+        """cos(2 pi j / q) for j = 0..q-1, the cospi of angle 2j."""
+        return tuple(mp.make_mpf(self.angle(2 * j)[0]) for j in range(self.q))
 
     @cached_property
     def sin(self) -> Tuple[mpmath.mpf, ...]:
-        """sin(2 pi j / q) for j = 0..q-1, the second components of ``roots``."""
-        return tuple(s for _, s in self.roots)
+        """sin(2 pi j / q) for j = 0..q-1, the sinpi of angle 2j."""
+        return tuple(mp.make_mpf(self.angle(2 * j)[1]) for j in range(self.q))
 
     @cached_property
     def cot(self) -> Tuple[mpmath.mpf, ...]:
         """cot(a pi / q) for a = 1..q-1."""
-        return tuple(mp.make_mpf(mpf_div(*self._angle(a), self.wp, round_nearest)) for a in range(1, self.q))
+        return tuple(mp.make_mpf(mpf_div(*self.angle(a), self.wp, round_nearest)) for a in range(1, self.q))
 
     @cached_property
     def eps_cot(self) -> mpmath.mpf:

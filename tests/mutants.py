@@ -176,6 +176,27 @@ MUTANTS = (
         ("tests/test_tables.py::test_every_family_keeps_the_bits_of_its_per_family_builder[7-96]",),
     ),
     Mutant(
+        "tables: sin reads the angle 2j + 1, half a step past its root",
+        "tables.py",
+        "return tuple(mp.make_mpf(self.angle(2 * j)[1]) for j in range(self.q))",
+        "return tuple(mp.make_mpf(self.angle(2 * j + 1)[1]) for j in range(self.q))",
+        ("tests/test_tables.py::test_every_family_keeps_the_bits_of_its_per_family_builder[7-96]",),
+    ),
+    Mutant(
+        "unit_root: the angle num mod den, not 2 (num mod den), so the root of e^(pi i num/den)",
+        "characters.py",
+        "tables(den, wp).angle(2 * (num % den))",
+        "tables(den, wp).angle(num % den)",
+        ("tests/test_tables.py::test_unit_root_equals_direct_cospi_sinpi[64]",),
+    ),
+    Mutant(
+        "bbw: the kernel values read the angle 2n of the q entry, so sin(2 n pi/q)",
+        "scans.py",
+        "c, s = map(mp.make_mpf, tab.angle(n))",
+        "c, s = map(mp.make_mpf, tab.angle(2 * n))",
+        ("tests/test_tables.py::test_bbw_values_equal_direct_cospi_sinpi[64]",),
+    ),
+    Mutant(
         "has_zero_mean: f(q) left out of the period sum",
         "characters.py",
         "return sum(self.exact_values[0]) == 0",
@@ -445,6 +466,13 @@ MUTANTS = (
             "tests/test_scan.py::test_store_still_rejects_a_cut_line_that_ends_in_a_newline[last]",
             "tests/test_scan.py::test_store_still_rejects_a_cut_line_that_ends_in_a_newline[followed-by-a-line]",
         ),
+    ),
+    Mutant(
+        "scan store: a parsed line read with its lone surrogates, so a byte that is not UTF-8 passes",
+        "scans.py",
+        "rec = json.loads(raw.decode(\"utf-8\"))",
+        "rec = json.loads(line)",
+        ("tests/test_scan.py::test_store_names_a_line_that_is_not_utf8[inside-a-string]",),
     ),
     Mutant(
         "scan render memo bypassed",

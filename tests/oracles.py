@@ -181,7 +181,7 @@ def trig_sums_reference(f: PeriodicFunction, wp: int) -> Tuple[mpmath.mpf, Dict[
         vals = [f.value_mpf(a, wp) for a in range(1, q)]
         cot = mpmath.fsum(vals[a - 1] * tab.cot[a - 1] for a in range(1, q))
         cos_sums = {
-            b: mpmath.fsum(vals[a - 1] * tab.roots[(a * b) % q][0] for a in range(1, q))
+            b: mpmath.fsum(vals[a - 1] * tab.cos[(a * b) % q] for a in range(1, q))
             for b in range(1, (q - 1) // 2 + 1)
         }
     return cot, cos_sums
@@ -230,14 +230,14 @@ def gauss_sum(chi: DirichletCharacter, prec: int) -> Complex:
 def inverse_fourier(fhat: Dict[int, Tuple[mpmath.mpf, mpmath.mpf]], q: int, prec: int) -> Dict[int, Complex]:
     """f(n) = sum_k fhat(k) zeta_q^(kn) from (re, im) pairs; the inversion identity."""
     wp = working_prec(prec)
-    roots = tables(q, wp).roots
+    tab = tables(q, wp)
     out: Dict[int, Complex] = {}
     with mp.workprec(wp):
         for n in range(1, q + 1):
             re = mpmath.mpf(0)
             im = mpmath.mpf(0)
             for k in range(1, q + 1):
-                c, s = roots[(k * n) % q]
+                c, s = tab.cos[(k * n) % q], tab.sin[(k * n) % q]
                 zr, zi = fhat[k]
                 re += zr * c - zi * s
                 im += zr * s + zi * c
@@ -342,16 +342,16 @@ def digamma_series(x, prec: int) -> Real:
 
 def s_chi_reference_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf]:
     """S_chi = sum_{a=1}^r chi(a) log(2 sin(a pi / p)) with chi(a) read as the
-    exact Fraction exponent t and its root as roots[t (p - 1)]."""
+    exact Fraction exponent t and its root as (cos, sin)[t (p - 1)] mod p - 1."""
     p = chi.modulus
     table = tables(p, wp).log_sines
-    roots = tables(p - 1, wp).roots
+    roots = tables(p - 1, wp)
     with mp.workprec(wp):
         re = mpmath.mpf(0)
         im = mpmath.mpf(0)
         for a in range(1, (p - 1) // 2 + 1):
-            t = value_exponent(chi, a)
-            c, s = roots[int(t * (p - 1))]
+            k = int(value_exponent(chi, a) * (p - 1))
+            c, s = roots.cos[k], roots.sin[k]
             re += c * table[a - 1]
             im += s * table[a - 1]
         return re, im
@@ -380,14 +380,12 @@ def s_chi_loop(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
 
 def s_chi_terms(chi: DirichletCharacter, wp: int) -> Tuple[List[Tuple[object, object]], ...]:
     """The (x, y) pairs of the re and im parts of S_chi, with chi(a) read as
-    the exact Fraction exponent t and its root as roots[t (p - 1)]."""
+    the exact Fraction exponent t and its root as (cos, sin)[t (p - 1)] mod p - 1."""
     p = chi.modulus
     table = tables(p, wp).log_sines
-    roots = tables(p - 1, wp).roots
-    pairs = [
-        (roots[int(value_exponent(chi, a) * (p - 1))], table[a - 1]) for a in range(1, (p - 1) // 2 + 1)
-    ]
-    return [(c, t) for (c, _), t in pairs], [(s, t) for (_, s), t in pairs]
+    roots = tables(p - 1, wp)
+    ks = [int(value_exponent(chi, a) * (p - 1)) for a in range(1, (p - 1) // 2 + 1)]
+    return [(roots.cos[k], t) for k, t in zip(ks, table)], [(roots.sin[k], t) for k, t in zip(ks, table)]
 
 
 def lu_det_reference(rows: Sequence[Sequence[mpmath.mpf]], wp: int) -> mpmath.mpf:
@@ -418,7 +416,7 @@ def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
     chibar = conjugate(chi)
     tab = tables(p, wp)
     # chi's values are (p-1)-th roots of unity
-    roots = tables(p - 1, wp).roots
+    roots = tables(p - 1, wp)
     with mp.workprec(wp):
         sre = mpmath.mpf(0)
         sim = mpmath.mpf(0)
@@ -426,7 +424,8 @@ def l1_chi_raw(chi: DirichletCharacter, wp: int) -> Tuple[mpmath.mpf, mpmath.mpf
             t = value_exponent(chibar, k)
             if t is None:
                 continue
-            c, s = roots[int(t * (p - 1))]
+            j = int(t * (p - 1))
+            c, s = roots.cos[j], roots.sin[j]
             lg = tab.log_sine(k)
             sre += c * lg
             sim += s * lg

@@ -347,7 +347,7 @@ def test_fourier_round_trip(q, data):
 def reference_fourier_raw(f, wp):
     """fhat(k) = (1/q) sum_a f(a) zeta_q^(-ak), summed in mpf arithmetic at wp bits."""
     q = f.period
-    roots = tables(q, wp).roots
+    tab = tables(q, wp)
     out = {}
     with mp.workprec(wp):
         vals = [f.value_mpf(a, wp) for a in range(1, q + 1)]
@@ -355,7 +355,7 @@ def reference_fourier_raw(f, wp):
             re = mpmath.mpf(0)
             im = mpmath.mpf(0)
             for a in range(1, q + 1):
-                c, s = roots[(-a * k) % q]
+                c, s = tab.cos[(-a * k) % q], tab.sin[(-a * k) % q]
                 v = vals[a - 1]
                 re += v * c
                 im += v * s
@@ -504,3 +504,19 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
     for n in range(61):
         assert is_prime(n) == (n in primes)
+
+
+def test_unit_group_structure_rejects_a_modulus_below_2():
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
+        unit_group_structure(1)
+
+
+def test_character_needs_one_exponent_per_generator():
+    # (Z/8Z)* has the two generators -1 and 5
+    with pytest.raises(ValueError, match=r"^exponent vector length does not match the generator count$"):
+        DirichletCharacter(8, (1,))
+
+
+def test_periodic_function_needs_one_value_per_residue():
+    with pytest.raises(ValueError, match=r"^need exactly one value per residue 1\.\.q$"):
+        PeriodicFunction(5, (1, -1, 0))

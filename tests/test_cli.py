@@ -282,6 +282,16 @@ def test_scan_store_repairs_only_a_torn_last_line(capsys, tmp_path):
     assert store.read_text() == whole
 
 
+def test_scan_store_line_that_is_not_utf8_exits_1_naming_the_store_and_line(capsys, tmp_path):
+    store = tmp_path / "s.jsonl"
+    store.write_bytes(b"\xff\xfe x\n")
+    code, out, err = run_cli(capsys, "scan", "--q", "5", "--store", str(store))
+    assert code == 1
+    assert out == ""
+    assert f"scan store {store}, line 1 is not a scan record" in err
+    assert store.read_bytes() == b"\xff\xfe x\n"
+
+
 def test_scan_tampered_store_exits_4_naming_the_store(capsys, tmp_path):
     store = tmp_path / "s.jsonl"
     assert run_cli(capsys, "scan", "--q", "5", "--store", str(store), "--threads", "1")[0] == 0

@@ -126,7 +126,7 @@ def test_the_transform_and_trig_sums_keep_no_cache_and_little_memory():
     fourier_transform_raw(f, wp)
     trig_sums_raw(f, wp)
     # only the tables the sums read: no packed columns or index lists kept
-    read = {"roots", "cos", "sin", "cot", "cos_aligned", "sin_aligned", "cot_aligned"}
+    read = {"_angles", "cos", "sin", "cot", "cos_aligned", "sin_aligned", "cot_aligned"}
     assert set(vars(tab)) - before <= read
     keys = set(vars(tab))
     tracemalloc.start()

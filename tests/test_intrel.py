@@ -295,3 +295,14 @@ def test_rank_matches_closed_form(q):
     log_slots = sum(1 for s in lat.basis.slots if s != PI_SLOT)
     assert lat.rank == log_slots - (euler_phi(q) // 2 - 1 + len(factorize(q)))
     assert all(gcd(*gen) == 1 for gen in lat.generators)
+
+
+def test_lattice_rank_rejects_a_modulus_below_3():
+    with pytest.raises(ValueError, match=r"^modulus must be >= 3, got 2$"):
+        relation_lattice_rank(2)
+
+
+def test_lll_rejects_a_zero_first_row_and_keeps_a_single_row():
+    with pytest.raises(ValueError, match=r"^zero input row$"):
+        lll_reduce([[0, 0], [1, 2]])
+    assert lll_reduce([[3, -4, 5]]) == [[3, -4, 5]]

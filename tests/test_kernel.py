@@ -625,3 +625,24 @@ def test_every_value_a_q15_scan_renders_is_to_str(monkeypatch):
         texts, twin_texts = ([r["L"], r["cot_sum"], *r["cos_sums"]] for r in map(json.loads, (row[4], twin[4])))
         for text, twin_text in zip(texts, twin_texts):
             assert twin_text == to_str(mpf_neg(values[text]), digits)
+
+
+def test_log_2sin_raw_rejects_a_modulus_below_2():
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
+        log_2sin_raw(1, 1, 96)
+
+
+def test_classify_zero_rejects_a_bare_mpf():
+    with pytest.raises(TypeError, match=r"^classify_zero expects a Real$"):
+        classify_zero(mpmath.mpf(1), 64)
+
+
+def test_complex_takes_real_parts_and_is_immutable():
+    one = Real(mpmath.mpf(1), 64)
+    with pytest.raises(TypeError, match=r"^Complex components must be Real$"):
+        Complex(one, mpmath.mpf(0))
+    with pytest.raises(TypeError, match=r"^Complex components must be Real$"):
+        Complex(1, one)
+    z = Complex(one, one)
+    with pytest.raises(AttributeError, match=r"^Complex is immutable$"):
+        z.re = Real(mpmath.mpf(2), 64)

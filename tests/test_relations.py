@@ -397,3 +397,19 @@ def test_basis_slot_counts():
         expected = (q - 1) // 2 + 1 + (1 if q % 2 == 0 else 0)
         assert len(basis.slots) == expected
         assert basis.slots[-1] == (LOG2_SLOT if q % 2 == 0 else PI_SLOT)
+
+
+def test_log_basis_rejects_a_modulus_below_2():
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
+        LogBasis.for_modulus(1)
+
+
+def test_relation_needs_one_coefficient_per_slot():
+    # the basis mod 8 has the slots 1, 2, 3, pi and log 2
+    with pytest.raises(ValueError, match=r"^coefficient count does not match the basis$"):
+        RelationVector(LogBasis.for_modulus(8), (1, 0, -1, 0), "test")
+
+
+def test_enumerate_relations_rejects_a_modulus_below_3():
+    with pytest.raises(ValueError, match=r"^modulus must be >= 3, got 2$"):
+        enumerate_relations(2)

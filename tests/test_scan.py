@@ -690,6 +690,26 @@ def test_dichotomy_indeterminate_l_is_inconclusive(monkeypatch):
         dichotomy(f, 128)
 
 
+def test_dichotomy_zero_l_with_an_indeterminate_trig_sum_is_inconclusive(monkeypatch):
+    import cyclolog.scans as scan_mod
+
+    verdicts = []
+
+    def gray_after_l(x, target, recompute=None):
+        # the first call classifies L; every later one a trig sum, made Indeterminate
+        gray = ZeroClass(INDETERMINATE, Real(abs(x.mpf), target))
+        verdicts.append(classify_zero(x, target, recompute) if not verdicts else gray)
+        return verdicts[-1]
+
+    monkeypatch.setattr(scan_mod, "classify_zero", gray_after_l)
+    with pytest.raises(
+        scan_mod.InconclusiveClassificationError,
+        match=r"^L\(1,f\) is Zero but some trig sums are Indeterminate; raise precision$",
+    ):
+        dichotomy(bbw_function(7, 3, 128), 128)  # a kernel function: L is Zero
+    assert verdicts[0].is_zero
+
+
 # ---------------------------------------------------------------------------
 # kernel functions
 # ---------------------------------------------------------------------------
@@ -887,6 +907,58 @@ def test_store_still_rejects_a_cut_line_that_ends_in_a_newline(then, tmp_path):
     with pytest.raises(ValueError, match="line 6 is not a scan record"):
         scan(5, 64, store=store)
     assert path.read_text() == broken
+
+
+@pytest.mark.parametrize(
+    "bad, then",
+    [
+        (b'{"q":5,\xff\xfe\n', b""),
+        (b'{"q":5,\xff\xfe\n', b'{"q":3,"signs":[1,-1],"L":"0.6","prec":64}\n'),
+        # JSON would take the byte as a lone surrogate inside a string
+        (b'{"q":3,"signs":[1,-1],"L":"0.6\xff","prec":64}\n', b""),
+    ],
+    ids=["last", "middle", "inside-a-string"],
+)
+def test_store_names_a_line_that_is_not_utf8(bad, then, tmp_path):
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    broken = path.read_bytes() + bad + then
+    path.write_bytes(broken)
+    with pytest.raises(ValueError, match="scans.jsonl, line 7 is not a scan record: 'utf-8' codec can't decode"):
+        scan(5, 64, store=store)
+    assert path.read_bytes() == broken
+
+
+def test_store_names_a_bad_record_before_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = b"not json\n"
+    lines[4] = b"\xff" + lines[4]
+    broken = b"".join(lines)
+    path.write_bytes(broken)
+    with pytest.raises(ValueError, match="line 2 is not a scan record: Expecting value"):
+        scan(5, 64, store=store)
+    assert path.read_bytes() == broken
+
+
+@pytest.mark.parametrize("tail", [b"\xff", b'{"q":7,"signs":[1,\xe2\x88'])
+def test_store_cuts_back_a_torn_last_line_that_is_not_utf8(tail, tmp_path):
+    # a write cut inside a multi-byte character, or garbage after it, is a torn write
+    path = tmp_path / "scans.jsonl"
+    store = ScanStore(str(path))
+    scan(5, 64, store=store)
+    scan(7, 64, store=store)
+    whole = path.read_bytes()
+    last = len(whole.splitlines()[-1]) + 1
+    path.write_bytes(whole[:-last] + tail)
+    records = [((7, tuple(json.loads(line)["signs"]), 64), line) for line in scan(7, 64).records]
+    assert store.merge(records) == 1
+    assert path.read_bytes() == whole
+    assert store.merge(records) == 0
+    assert path.read_bytes() == whole
 
 
 @pytest.mark.parametrize("where", ["before", "after"])

@@ -63,13 +63,13 @@ def test_log_sine_rejects_multiples_of_q():
 def test_roots_and_cot_equal_cospi_sinpi(q, wp):
     tab = Tables(q, wp)
     roots, cot = separate_cospi_sinpi(q, wp)
-    assert tab.roots == tuple(roots)
+    assert list(zip(tab.cos, tab.sin)) == roots
     assert tab.cot == tuple(cot)
 
 
 def separate_cospi_sinpi(q, wp):
-    """The roots and cot entries mod q at wp, each cos and sin by its own
-    mpmath call."""
+    """The (cos, sin) pairs of 2 pi j/q and the cot entries mod q at wp, each
+    cos and sin by its own mpmath call."""
     with mp.workprec(wp):
         roots = [
             (mpmath.cospi(mpmath.mpf(2 * j) / q), mpmath.sinpi(mpmath.mpf(2 * j) / q))
@@ -86,7 +86,7 @@ def test_one_cos_sin_evaluation_gives_the_bits_of_separate_calls(wp):
     for q in (*range(2, 80), 96, 97, 120, 180, 210, 240, 300):
         tab = Tables(q, wp)
         roots, cot = separate_cospi_sinpi(q, wp)
-        assert [(c._mpf_, s._mpf_) for c, s in tab.roots] == [(c._mpf_, s._mpf_) for c, s in roots], q
+        assert [(c._mpf_, s._mpf_) for c, s in zip(tab.cos, tab.sin)] == [(c._mpf_, s._mpf_) for c, s in roots], q
         assert [c._mpf_ for c in tab.cot] == [c._mpf_ for c in cot], q
 
 
@@ -97,9 +97,10 @@ def reference_log_sines(q, wp):
         return tuple(mpmath.log(2 * mpmath.sinpi(mpmath.mpf(k) / q)) for k in range(1, q // 2 + 1))
 
 
-def reference_roots(q, wp):
-    """The roots as built one evaluation per entry."""
-    return tuple(tuple(map(mp.make_mpf, _cos_sin_pi(2 * j, q, wp))) for j in range(q))
+def reference_cos_sin(q, wp):
+    """The cos and sin tables as built one evaluation per entry."""
+    pairs = [tuple(map(mp.make_mpf, _cos_sin_pi(2 * j, q, wp))) for j in range(q)]
+    return tuple(c for c, _ in pairs), tuple(s for _, s in pairs)
 
 
 def reference_cot(q, wp):
@@ -108,18 +109,17 @@ def reference_cot(q, wp):
 
 
 def reference_tables(q, wp):
-    """An entry whose log-sines, roots and cot are the per-family builders',
-    so every family derived from them (cos, sin, psi, the log basis values)
+    """An entry whose log-sines, cos, sin and cot are the per-family
+    builders', so every family derived from them (psi, the log basis values)
     is derived from those."""
     tab = Tables(q, wp)
-    vars(tab).update(
-        log_sines=reference_log_sines(q, wp), roots=reference_roots(q, wp), cot=reference_cot(q, wp)
-    )
+    cos, sin = reference_cos_sin(q, wp)
+    vars(tab).update(log_sines=reference_log_sines(q, wp), cos=cos, sin=sin, cot=reference_cot(q, wp))
     return tab
 
 
 def raw_entries(entries):
-    return [tuple(x._mpf_ for x in t) if isinstance(t, tuple) else t._mpf_ for t in entries]
+    return [t._mpf_ for t in entries]
 
 
 @pytest.mark.parametrize("wp", (96, 192, 320, 640))
@@ -128,7 +128,7 @@ def test_every_family_keeps_the_bits_of_its_per_family_builder(q, wp):
     # the families share one evaluation per angle; the direct log_2sin_raw
     # reads its own sinpi, by libmp calls
     tab, ref = Tables(q, wp), reference_tables(q, wp)
-    for family in ("log_sines", "roots", "cot", "cos", "sin", "psi", "log_basis_values"):
+    for family in ("log_sines", "cot", "cos", "sin", "psi", "log_basis_values"):
         assert raw_entries(getattr(tab, family)) == raw_entries(getattr(ref, family)), family
     assert raw_entries(log_2sin_raw(k, q, wp) for k in range(1, q // 2 + 1)) == raw_entries(ref.log_sines)
 
@@ -152,22 +152,43 @@ def test_each_angle_is_evaluated_once_per_entry(q, monkeypatch):
         assert len(set(angles)) == len(angles)
         return len(angles)
 
-    assert evaluations("roots", "cot", "log_sines") == q + q // 2
-    assert evaluations("log_sines", "cot", "roots") == q + q // 2
+    assert evaluations("cos", "sin", "cot", "log_sines") == q + q // 2
+    assert evaluations("log_sines", "cot", "sin", "cos") == q + q // 2
     assert evaluations("psi") == q + q // 2
-    assert evaluations("roots") == q
+    assert evaluations("cos", "sin") == q
+    assert evaluations("sin") == q
     assert evaluations("log_sines") == q // 2
     assert evaluations("cot") == q - 1
+
+
+@pytest.mark.parametrize("q, l", ((9, 5), (8, 3), (15, 7)))
+def test_bbw_reads_the_angles_of_its_own_entry(q, l, monkeypatch, capsys):
+    # the kernel function's cos and sin of n pi/q are the angles n of the
+    # entry mod q that evaluates its L-value, not a second entry mod 2q
+    evaluate_angle = tables_module._cos_sin_pi
+    angles = []
+
+    def counted(num, den, wp):
+        angles.append((num, den, wp))
+        return evaluate_angle(num, den, wp)
+
+    monkeypatch.setattr(tables_module, "_cos_sin_pi", counted)
+    tables.cache_clear()
+    assert main(["bbw", "--q", str(q), "--l", str(l)]) == 0
+    capsys.readouterr()
+    assert tables.cache_info().currsize == 1
+    assert len(angles) == len(set(angles)) == q + q // 2
 
 
 @pytest.mark.parametrize("wp", PRECISIONS)
 @pytest.mark.parametrize("n", (1, 2, 4, 6, 12, 52, 100))
 def test_roots_equal_unit_root_at_every_reduced_exponent(n, wp):
-    # S_chi and L(1, chi) read chi's values as roots[k], k = t (p - 1) the character index
-    roots = Tables(n, wp).roots
+    # S_chi and L(1, chi) read chi's values as (cos, sin)[k], k = t (p - 1) the character index
+    tab = Tables(n, wp)
     for j in range(n):
         t = Fraction(j, n)
-        assert roots[j] == unit_root(t.numerator, t.denominator, wp)
+        got = unit_root(t.numerator, t.denominator, wp)
+        assert [x._mpf_ for x in got] == [tab.cos[j]._mpf_, tab.sin[j]._mpf_]
 
 
 @pytest.mark.parametrize("wp", (64, 128, 192))
