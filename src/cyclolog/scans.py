@@ -32,15 +32,20 @@ context is process-global), which builds its columns, its rule share and its
 cos-text memo once.  The worker count asked for is an upper bound, cut to
 the CPUs this process may run on; a scan whose C/2 pairs split in two gives
 shares of fewer than ``MIN_PAIRS_PER_WORKER`` pairs, too few to repay a
-worker's start, runs in process as the one range [0, C/2).  Each range
-gives, in order, one row per function and one for its complement: its signs,
-class tag, exact |L|, L text and canonical JSON line.  The complement's row
-is the function's, its signs and texts negated, so a scan evaluates half the
-functions.  A function's sums are exact integer sums over the aligned
-tables, read from its plus positions alone, each formed once and rounded
-once.  The cos sums depend only on how many plus positions fold onto each
-index, so they repeat across a range: each is rounded and rendered once per
-distinct exact integer in its range.  The scan joins the rows of the first
+worker's start, runs in process as the one range [0, C/2); only a scan
+that forks imports the process pool.  Each range gives, in order, one row
+per function and one for its complement: its signs, class tag, exact |L|, L
+text and canonical JSON line.  The complement's row is the function's, its
+signs and texts negated and filled into the same template, so a scan
+evaluates half the functions.  A range unranks its first plus set and steps
+through the rest in rank order, keeping one running sum vector per depth of
+the plus set, so a step re-sums only the depths whose position changed; a
+function's sums are exact integers over the aligned tables, each rounded
+once.  L's radius depends on the psi sum and on L only through their
+binades, so it is formed once per pair of binades in a range.  The cos sums
+depend only on how many plus positions fold onto each index, so they repeat
+across a range: each is rounded and rendered once per distinct exact integer
+in its range, its negation beside it.  The scan joins the rows of the first
 half in rank order, then the complement rows in reverse, so output bytes do
 not depend on the worker count or the cut; it counts classes, keys the store
 from the same rows and takes the minimum over the exact |L|.  It parses
@@ -55,24 +60,24 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, repeat
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import add, neg
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_lt, round_nearest, to_rational
+from mpmath.libmp import from_int, from_man_exp, mpf_abs, mpf_div, mpf_lt, round_nearest, to_rational
 
 from .characters import PeriodicFunction, require_odd_prime
 from .kernel import (
     NONZERO, Real, ZeroClass, classify_zero, dec_str, decimal_digits, radius_decides_nonzero, working_prec,
 )
 from .lseries import l1_ball_raw, l1_digamma_raw, require_convergent, trig_sums_raw
-from .tables import tables
+from .tables import Tables, tables
 
 
 class DichotomyContradictionError(RuntimeError):
@@ -96,11 +101,6 @@ def sign_function(q: int, signs: Sequence[int]) -> PeriodicFunction:
     if len(signs) != q - 1 or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be q-1 values in {-1, +1}")
     return PeriodicFunction(q, (*signs, 0))
-
-
-def _signs_from_positions(q: int, positions: Tuple[int, ...]) -> Tuple[int, ...]:
-    plus = set(positions)
-    return tuple(1 if i in plus else -1 for i in range(q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +234,19 @@ def bbw_function(q: int, l: int, prec: int = 128) -> PeriodicFunction:
 # the scan itself
 # ---------------------------------------------------------------------------
 
-def _render(q: int, signs: Tuple[int, ...], prec: int, tag: str, texts: Sequence[str]) -> Tuple[str, str]:
-    """(L text, canonical JSON line) of a scan record whose ``texts`` are its
-    L, its cot sum and its cos sums in order of b, each rendered to
-    ``decimal_digits(prec)`` digits.
+def _render(
+    q: int, signs: Tuple[int, ...], prec: int, tag: str, l_text: str, cot_text: str, cos_texts: Sequence[str]
+) -> Tuple[str, str]:
+    """(L text, canonical JSON line) of the scan record of ``signs`` with
+    class ``tag`` and the texts of its L, its cot sum and its cos sums in
+    order of b, each rendered to ``decimal_digits(prec)`` digits.
 
     The line is filled into one fixed template, the bytes ``canonical_json``
     gives the record dict with keys q, signs, L, prec, class, cot_sum,
     cos_sums: every value is an int, a class tag or a decimal text, none of
-    which JSON escapes, so no dict is built and nothing is serialized.
+    which JSON escapes, so no dict is built and nothing is serialized.  A
+    record and its complement's are both filled into it.
     """
-    l_text, cot_text, *cos_texts = texts
     cos_line = '","'.join(cos_texts)
     line = (
         f'{{"q":{q},"signs":[{",".join(map(str, signs))}],"L":"{l_text}","prec":{prec},'
@@ -261,6 +263,70 @@ def _negated(text: str) -> str:
     return text[1:] if text[0] == "-" else "-" + text
 
 
+def _plus_sets(n: int, k: int, start: int, stop: int) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """Walk the k-subsets of range(n) of ranks start..stop - 1 in the
+    lexicographic order of ``combinations(range(n), k)``.
+
+    Yields, per subset, (depth, positions, signs): ``positions`` its
+    elements in ascending order, ``signs`` its indicator over range(n) as
+    +1 in and -1 out, and ``depth`` the first index of ``positions`` that
+    differs from the subset before (0 for the first).  Both lists are the
+    same two objects each time, stepped in place.  The first subset is
+    unranked: of the subsets that agree up to an index, those whose next
+    element is x number comb(n - x - 1, elements left - 1).
+    """
+    if start >= stop:
+        return
+    positions, signs, x, rank = [], [-1] * n, 0, start
+    for left in range(k, 0, -1):
+        while rank >= (count := comb(n - x - 1, left - 1)):
+            rank -= count
+            x += 1
+        positions.append(x)
+        signs[x] = 1
+        x += 1
+    yield 0, positions, signs
+    top = n - k  # positions[d] is at its last value at n - k + d
+    for _ in range(start + 1, stop):
+        depth = k - 1
+        while positions[depth] == top + depth:
+            depth -= 1
+        # the tail from depth moves up: its old value and the maxima after it
+        # leave, and the run of values after the old one comes in
+        x = positions[depth]
+        for old in positions[depth:]:
+            signs[old] = -1
+        positions[depth:] = range(x + 1, x + 1 + k - depth)
+        for new in positions[depth:]:
+            signs[new] = 1
+        yield depth, positions, signs
+
+
+def _l1_balls(tab: Tables, share: tuple) -> Callable[[tuple], Tuple[tuple, tuple]]:
+    """``total -> l1_ball_raw(tab, share, total)`` for the psi sums of one
+    range, with one radius per binade.
+
+    L, the psi sum divided by -q and rounded to nearest at wp, is formed for
+    each sum.  Its radius, (share + 1/2 ulp of the sum) / q + 1/2 ulp of L,
+    each step rounded up, reads the sum and L only through those two half
+    ulps, so it is formed once per pair of their binades (exp + bc) and
+    kept for the sums that follow.  A zero sum has no binade (its half ulp
+    is 0, though its exp + bc reads 0), so it has a key of its own.
+    """
+    wp = tab.wp
+    divisor = from_int(-tab.q)
+    radii: Dict[Optional[Tuple[int, int]], tuple] = {}
+
+    def ball(total: tuple) -> Tuple[tuple, tuple]:
+        raw = mpf_div(total, divisor, wp, round_nearest)
+        key = (total[2] + total[3], raw[2] + raw[3]) if total[1] else None
+        if key not in radii:
+            radii[key] = l1_ball_raw(tab, share, total)[1]
+        return raw, radii[key]
+
+    return ball
+
+
 # (signs, class tag, |L| as a raw mpf, L text, canonical JSON line)
 Row = Tuple[Tuple[int, ...], str, tuple, str, str]
 
@@ -275,10 +341,15 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Tuple[Row, Row
     b = 1..(q-1)/2, is sum_a f(a) T_a = 2 sum_{a in P} T_a - sum_a T_a over
     its plus set P: an exact integer over the aligned tables, rounded once
     at wp, the bits ``Tables.weighted_sum`` (psi, cot) and
-    ``Tables.harmonic_sums`` (cos) give.  L's ball is ``l1_ball_raw`` of
-    the psi sum, as in :func:`evaluate`, with the rule's share for
-    sum_a |f(a)| = q - 1 formed once for the range; a record whose radius
-    does not decide NonZero is classified from that ball, escalated to
+    ``Tables.harmonic_sums`` (cos) give.  The plus sets are walked in rank
+    order by :func:`_plus_sets`, with one running vector of sums per depth:
+    depth 0 holds -sum_a T_a, depth d + 1 adds 2 T_a for the element at
+    index d, so the last depth holds the function's sums exactly, and a step
+    re-sums only the depths from the first index that changed.  L's ball is
+    ``l1_ball_raw`` of the psi sum, as in :func:`evaluate`, with the rule's
+    share for sum_a |f(a)| = q - 1 formed once for the range and the radius
+    once per binade (:func:`_l1_balls`); a record whose radius does not
+    decide NonZero is classified from that ball, escalated to
     ``l1_digamma_raw`` of its sign function at more bits.
 
     The row of -f is the row of f with its signs negated and its L, cot and
@@ -288,11 +359,12 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Tuple[Row, Row
     the radius depends on |x| alone, so the rule decides -f as it decides f;
     ``l1_digamma_raw(-f, w) = -l1_digamma_raw(f, w)`` exactly, so an
     escalated class carries over; and ``dec_str`` prints the sign in front
-    of the digits of |x|.
+    of the digits of |x|.  Both lines are filled into :func:`_render`'s
+    template from the same pieces.
 
     A cos sum is rounded and rendered once per distinct exact integer in
-    the range, then its text is reused: the cos sums share one exponent,
-    so the integer alone names the text.
+    the range, with its negated text beside it, then both are reused: the
+    cos sums share one exponent, so the integer alone names the text.
     """
     wp = working_prec(prec)
     tab = tables(q, wp)
@@ -302,38 +374,41 @@ def _scan_range(q: int, prec: int, start: int, stop: int) -> List[Tuple[Row, Row
     bs = range(1, (q - 1) // 2 + 1)
     # per position i, so a = i + 1: the aligned entries f(a) weighs
     columns = [(psi[i], cot[i], *(cos[(i + 1) * b % q] for b in bs)) for i in range(q - 1)]
-    totals = [sum(col) for col in zip(*columns)]
+    doubled = [[2 * t for t in col] for col in columns]
+    k = (q - 1) // 2
+    # per depth d, -sum_a T_a + 2 sum of T_a over the first d plus positions
+    sums = [[-sum(col) for col in zip(*columns)]] + [[]] * k
     share = tab.rule(psi=q - 1)
+    l_ball = _l1_balls(tab, share)
     digits = decimal_digits(prec)
-    texts: Dict[int, str] = {}  # exact cos sum -> its text, for this range only
+    texts: Dict[int, Tuple[str, str]] = {}  # exact cos sum -> its text and its negation, for this range only
 
-    def cos_text(n: int) -> str:
+    def cos_text(n: int) -> Tuple[str, str]:
         if n not in texts:
-            texts[n] = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)
+            text = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)
+            texts[n] = text, _negated(text)
         return texts[n]
 
     pairs = []
-    for positions in islice(combinations(range(q - 1), (q - 1) // 2), start, stop):
-        psi_n, cot_n, *cos_ns = [
-            2 * plus - total for plus, total in zip(map(sum, zip(*(columns[i] for i in positions))), totals)
-        ]
-        raw, rad = l1_ball_raw(tab, share, from_man_exp(psi_n, psi_exp, wp, round_nearest))
+    for depth, positions, plus in _plus_sets(q - 1, k, start, stop):
+        for d in range(depth, k):
+            sums[d + 1] = list(map(add, sums[d], doubled[positions[d]]))
+        psi_n, cot_n, *cos_ns = sums[k]
+        raw, rad = l_ball(from_man_exp(psi_n, psi_exp, wp, round_nearest))
         magnitude = mpf_abs(raw)
-        signs = _signs_from_positions(q, positions)
+        signs = tuple(plus)
         if radius_decides_nonzero(magnitude, rad, prec):
             tag = NONZERO
         else:
             ball = Real.ball((raw, rad), wp)
             tag = classify_zero(ball, prec, lambda w: l1_digamma_raw(sign_function(q, signs), w)).tag
-        row_texts = [
-            dec_str(mp.make_mpf(raw), digits),
-            dec_str(mp.make_mpf(from_man_exp(cot_n, cot_exp, wp, round_nearest)), digits),
-            *map(cos_text, cos_ns),
-        ]
-        twin = tuple(-s for s in signs)
+        l_text = dec_str(mp.make_mpf(raw), digits)
+        cot_text = dec_str(mp.make_mpf(from_man_exp(cot_n, cot_exp, wp, round_nearest)), digits)
+        cos_texts, twin_cos = zip(*map(cos_text, cos_ns))
+        twin = tuple(map(neg, signs))
         pairs.append((
-            (signs, tag, magnitude, *_render(q, signs, prec, tag, row_texts)),
-            (twin, tag, magnitude, *_render(q, twin, prec, tag, [_negated(t) for t in row_texts])),
+            (signs, tag, magnitude, *_render(q, signs, prec, tag, l_text, cot_text, cos_texts)),
+            (twin, tag, magnitude, *_render(q, twin, prec, tag, _negated(l_text), _negated(cot_text), twin_cos)),
         ))
     return pairs
 
@@ -401,6 +476,14 @@ SCAN_BOUND = 19  # desk scale: the count is a central binomial
 MIN_PAIRS_PER_WORKER = 7000
 
 
+def _process_pool(workers: int):
+    """A process pool of ``workers`` workers.  Its module is imported here,
+    where a scan forks, so an interpreter that never forks does not load it."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the platform
     has one (a cpuset-limited container counts fewer than the host has),
@@ -452,7 +535,7 @@ def scan(
     workers = min(workers, _usable_cpus()) if half >= 2 * MIN_PAIRS_PER_WORKER else 1
     # one contiguous range a process, so each builds its columns and memo once
     bounds = [half * k // workers for k in range(workers + 1)]
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+    with (_process_pool(workers) if workers > 1 else nullcontext()) as pool:
         mapper = pool.map if pool else map
         pairs = list(chain.from_iterable(mapper(_scan_range, repeat(q), repeat(prec), bounds[:-1], bounds[1:])))
     # rank C - 1 - i is the complement of rank i: the second half in reverse

@@ -485,10 +485,12 @@ MUTANTS = (
         "scan render memo keyed by |n|",
         "scans.py",
         "        if n not in texts:\n"
-        "            texts[n] = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)\n"
+        "            text = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)\n"
+        "            texts[n] = text, _negated(text)\n"
         "        return texts[n]",
         "        if abs(n) not in texts:\n"
-        "            texts[abs(n)] = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)\n"
+        "            text = dec_str(mp.make_mpf(from_man_exp(n, cos_exp, wp, round_nearest)), digits)\n"
+        "            texts[abs(n)] = text, _negated(text)\n"
         "        return texts[abs(n)]",
         ("tests/test_scan.py::test_batched_scan_equals_the_per_function_evaluation[5-64-1]",),
     ),
@@ -502,9 +504,40 @@ MUTANTS = (
     Mutant(
         "scan pairs: the complement's cot text left unnegated",
         "scans.py",
-        "[_negated(t) for t in row_texts]",
-        "[_negated(row_texts[0]), row_texts[1], *map(_negated, row_texts[2:])]",
+        "_negated(l_text), _negated(cot_text), twin_cos)",
+        "_negated(l_text), cot_text, twin_cos)",
         ("tests/test_scan.py::test_every_row_a_scan_emits_is_the_evaluation_of_its_own_signs[64-radius]",),
+    ),
+    Mutant(
+        "scan pairs: the complement's cos texts are the function's, not their negations",
+        "scans.py",
+        "_negated(l_text), _negated(cot_text), twin_cos)",
+        "_negated(l_text), _negated(cot_text), cos_texts)",
+        ("tests/test_scan.py::test_every_row_a_scan_emits_is_the_evaluation_of_its_own_signs[64-radius]",),
+    ),
+    Mutant(
+        "scan walk: a step reports its first changed index one too deep, so that depth's sums stay stale",
+        "scans.py",
+        "yield depth, positions, signs",
+        "yield depth + 1, positions, signs",
+        (
+            "tests/test_scan.py::test_the_rank_walk_equals_the_reference_loop[7-64]",
+            "tests/test_scan.py::test_the_unranked_walk_is_the_combinations_order_from_every_start[5]",
+        ),
+    ),
+    Mutant(
+        "scan L radius: one radius per binade of the psi sum alone, whatever the binade of L",
+        "scans.py",
+        "key = (total[2] + total[3], raw[2] + raw[3]) if total[1] else None",
+        "key = total[2] + total[3] if total[1] else None",
+        ("tests/test_scan.py::test_one_radius_per_binade_is_the_radius_of_l1_ball_raw[64-tables]",),
+    ),
+    Mutant(
+        "scan L radius: a zero psi sum keyed with the binade at exponent 0",
+        "scans.py",
+        "key = (total[2] + total[3], raw[2] + raw[3]) if total[1] else None",
+        "key = total[2] + total[3]",
+        ("tests/test_scan.py::test_the_radius_memo_keeps_a_zero_sum_apart_from_the_binade_at_exponent_0[True]",),
     ),
     Mutant(
         "scan pairs: a zero text negated to -0.0",

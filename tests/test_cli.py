@@ -567,13 +567,23 @@ def package_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_importing_the_cli_does_not_load_numpy():
+def loaded_by_importing_the_cli(module):
+    """Whether a fresh interpreter has ``module`` loaded once it imports ``cyclolog.cli``."""
     run = subprocess.run(
-        [sys.executable, "-c", "import cyclolog.cli, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import cyclolog.cli, sys; print({module!r} in sys.modules)"],
         env=package_env(), capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    return run.stdout.strip() == "True"
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    assert not loaded_by_importing_the_cli("numpy")
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    # only a scan that forks imports it
+    assert not loaded_by_importing_the_cli("concurrent.futures.process")
 
 
 def test_the_direct_route_runs_without_numpy(capsys):

@@ -3,9 +3,10 @@ functions, and the append-only scan store."""
 
 import json
 import os
+import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_neg, to_str
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_neg, round_nearest, to_str
 
 from cyclolog.characters import PeriodicFunction
 from cyclolog.kernel import (
@@ -26,16 +27,20 @@ from cyclolog.kernel import (
     classify_zero,
     dec_str,
     decimal_digits,
+    radius_decides_nonzero,
     working_prec,
 )
-from cyclolog.lseries import decompose_l1, l1, l1_digamma_raw
+from cyclolog.lseries import decompose_l1, l1, l1_ball_raw, l1_digamma_raw
 from cyclolog.scans import (
     BRANCH_L_NONZERO,
     BRANCH_TRIG_VANISH,
     ScanStore,
     ScanStoreDisagreement,
+    _l1_balls,
     _minimum,
     _negated,
+    _plus_sets,
+    _scan_range,
     bbw_function,
     dichotomy,
     evaluate,
@@ -44,7 +49,7 @@ from cyclolog.scans import (
     trig_sums_raw,
 )
 from cyclolog.serialize import canonical_json
-from cyclolog.tables import Tables
+from cyclolog.tables import Tables, tables
 
 TOL112 = mpmath.mpf(2) ** -112
 
@@ -168,7 +173,7 @@ def serial_pools(monkeypatch):
             made.ranges += zip(starts, stops)
             return map(fn, q, prec, starts, stops)
 
-    monkeypatch.setattr(scans_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scans_mod, "_process_pool", SerialPool)
     return made
 
 
@@ -436,6 +441,131 @@ def test_scan_renders_each_distinct_cos_sum_once_per_range(monkeypatch):
     ):
         ranges = [scans._scan_range(q, prec, a, b) for a, b in zip(bounds, bounds[1:])]
         assert [pair for part in ranges for pair in part] == pairs
+
+
+def reference_scan_range(q, prec, start, stop):
+    """``_scan_range`` as one loop over ``islice(combinations(...))``: each
+    function's sums summed afresh from its plus positions, L's ball from
+    ``l1_ball_raw``, every text of the complement negated from the
+    function's, and each line ``canonical_json`` of its record dict."""
+    wp = working_prec(prec)
+    tab = tables(q, wp)
+    psi, psi_exp = tab.psi_aligned
+    cot, cot_exp = tab.cot_aligned
+    cos, cos_exp = tab.cos_aligned
+    bs = range(1, (q - 1) // 2 + 1)
+    columns = [(psi[i], cot[i], *(cos[(i + 1) * b % q] for b in bs)) for i in range(q - 1)]
+    totals = [sum(col) for col in zip(*columns)]
+    share = tab.rule(psi=q - 1)
+    digits = decimal_digits(prec)
+
+    def rendered(n, exp):
+        return dec_str(mp.make_mpf(from_man_exp(n, exp, wp, round_nearest)), digits)
+
+    def line(signs, tag, texts):
+        l_text, cot_text, *cos_texts = texts
+        record = {"q": q, "signs": list(signs), "L": l_text, "prec": prec, "class": tag,
+                  "cot_sum": cot_text, "cos_sums": cos_texts}
+        return l_text, canonical_json(record)
+
+    pairs = []
+    for positions in islice(combinations(range(q - 1), (q - 1) // 2), start, stop):
+        psi_n, cot_n, *cos_ns = [
+            2 * plus - total for plus, total in zip(map(sum, zip(*(columns[i] for i in positions))), totals)
+        ]
+        raw, rad = l1_ball_raw(tab, share, from_man_exp(psi_n, psi_exp, wp, round_nearest))
+        magnitude = mpf_abs(raw)
+        signs = tuple(1 if i in positions else -1 for i in range(q - 1))
+        if radius_decides_nonzero(magnitude, rad, prec):
+            tag = NONZERO
+        else:
+            ball = Real.ball((raw, rad), wp)
+            tag = classify_zero(ball, prec, lambda w: l1_digamma_raw(sign_function(q, signs), w)).tag
+        texts = [dec_str(mp.make_mpf(raw), digits), rendered(cot_n, cot_exp), *(rendered(n, cos_exp) for n in cos_ns)]
+        twin = tuple(-s for s in signs)
+        pairs.append((
+            (signs, tag, magnitude, *line(signs, tag, texts)),
+            (twin, tag, magnitude, *line(twin, tag, [_negated(t) for t in texts])),
+        ))
+    return pairs
+
+
+def random_cuts(count, seed, cuts=4):
+    """The rank range [0, count) cut at ``cuts`` seeded random points, ends
+    and repeated points (empty ranges) among them."""
+    rng = random.Random(seed)
+    return sorted([0, count, *(rng.randint(0, count) for _ in range(cuts))])
+
+
+@pytest.mark.parametrize("prec", [64, 128, 192])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_the_rank_walk_equals_the_reference_loop(q, prec):
+    half = comb(q - 1, (q - 1) // 2) // 2
+    whole = _scan_range(q, prec, 0, half)
+    assert whole == reference_scan_range(q, prec, 0, half)
+    # any cut: each range unranks its own start and steps from there
+    bounds = random_cuts(half, seed=1000 * q + prec)
+    assert [pair for a, b in zip(bounds, bounds[1:]) for pair in _scan_range(q, prec, a, b)] == whole
+    for a, b in zip(bounds, bounds[1:]):
+        assert _scan_range(q, prec, a, b) == reference_scan_range(q, prec, a, b)
+    assert _scan_range(q, prec, half, half) == []
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_the_unranked_walk_is_the_combinations_order_from_every_start(q):
+    n, k = q - 1, (q - 1) // 2
+    subsets = list(combinations(range(n), k))
+
+    def indicator(subset):
+        return [1 if i in subset else -1 for i in range(n)]
+
+    before = None
+    for depth, positions, signs in _plus_sets(n, k, 0, len(subsets)):
+        now = tuple(positions)
+        assert signs == indicator(now)
+        # the first index that differs from the subset before, 0 for the first
+        assert depth == (0 if before is None else next(d for d in range(k) if now[d] != before[d]))
+        before = now
+    for start in range(len(subsets) + 1):
+        walk = _plus_sets(n, k, start, len(subsets))
+        first = next(walk, None)
+        if first is not None:
+            assert first[0] == 0 and first[2] == indicator(first[1])
+            assert [tuple(first[1])] + [tuple(p) for _, p, _ in walk] == subsets[start:]
+        else:
+            assert start == len(subsets)
+    # a stop short of the end, and an empty range
+    assert [tuple(p) for _, p, _ in _plus_sets(n, k, 1, len(subsets) - 1)] == subsets[1:-1]
+    assert list(_plus_sets(n, k, 2, 2)) == []
+
+
+@pytest.mark.parametrize("eps", ["tables", "shrinking"])
+@pytest.mark.parametrize("prec", [64, 192])
+def test_one_radius_per_binade_is_the_radius_of_l1_ball_raw(prec, eps, monkeypatch):
+    wp = working_prec(prec)
+    if eps == "shrinking":
+        monkeypatch.setattr(Tables, "eps_psi", shrinking_eps(wp))
+    for q in (3, 5, 7, 9, 11):
+        tab = tables(q, wp)
+        share = tab.rule(psi=q - 1)
+        balls = _l1_balls(tab, share)
+        # every function, not only the first half: -f rounds into the binades of f
+        for positions in combinations(range(q - 1), (q - 1) // 2):
+            signs = tuple(1 if i in positions else -1 for i in range(q - 1))
+            total = tab.weighted_sum("psi", sign_function(q, signs).exact_values)._mpf_
+            assert balls(total) == l1_ball_raw(tab, share, total), (q, signs)
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_the_radius_memo_keeps_a_zero_sum_apart_from_the_binade_at_exponent_0(zero_first):
+    tab = tables(5, working_prec(64))
+    share = tab.rule(psi=4)
+    half = from_man_exp(1, -1)  # 1/2: exp + bc = 0, as fzero's also reads
+    assert half[2] + half[3] == 0 == fzero[2] + fzero[3]
+    balls = _l1_balls(tab, share)
+    for total in ((fzero, half) if zero_first else (half, fzero)):
+        assert balls(total) == l1_ball_raw(tab, share, total)
+    assert balls(fzero)[1] != balls(half)[1]
 
 
 def test_minimum_keeps_the_first_of_values_that_render_alike():
